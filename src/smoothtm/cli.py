@@ -17,7 +17,7 @@ from . import multitape
 from . import utm as utm_mod
 from . import verify as verify_mod
 from .dists import Dist, FiniteSet
-from .framework import CycleOverrun, run_to_next_encoding
+from .framework import CycleOverrun, env_step_bound, run_to_next_encoding
 from .machines import DIRECTIONS, FormatError, parse_machine
 from .sections import format_section_machine
 from .smooth import (
@@ -68,6 +68,18 @@ def _load_config(path: str, machine) -> SmoothConfig:
         raise CliError(f"{path}: {exc}") from None
 
 
+def _require_positive(option: str, value: int) -> None:
+    if value < 1:
+        raise CliError(f"{option} must be a positive count, got {value}")
+
+
+def _check_environment() -> None:
+    try:
+        env_step_bound()
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _dist_obj(d: Dist) -> dict:
     return {
         str(x): float(d.weights[i])
@@ -93,6 +105,7 @@ def _trace_record(step: int, s: SmoothConfig, dirs) -> str:
 
 
 def cmd_run(args) -> int:
+    _require_positive("--steps", args.steps)
     m = _load_machine(args.machine)
     s = _load_config(args.config, m)
     if not args.smooth:
@@ -105,7 +118,8 @@ def cmd_run(args) -> int:
             ) from None
     trace_lines = []
     for k in range(args.steps):
-        _, _, dirs = smooth_step_dists(m, s)
+        if args.trace:
+            _, _, dirs = smooth_step_dists(m, s)
         s = smooth_step(m, s)
         if args.trace:
             trace_lines.append(_trace_record(k + 1, s, dirs))
@@ -185,6 +199,7 @@ def _parse_overrides(text: str, m) -> dict:
 
 
 def cmd_utm(args) -> int:
+    _require_positive("--cycles", args.cycles)
     m = _load_machine(args.code)
     alphabet_tokens = _read(args.alphabet).split()
     if not alphabet_tokens:
@@ -238,6 +253,7 @@ def cmd_utm(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _require_positive("--trials", args.trials)
     if args.construction == "multitape":
         report = verify_mod.verify_multitape(
             trials=args.trials, seed=args.seed, tol=args.tol
@@ -331,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_environment()
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

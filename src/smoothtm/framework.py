@@ -76,10 +76,22 @@ class GeneratingTriple:
     def step_bound(self, override: int | None = None) -> int:
         if override is not None:
             return override
-        env = os.environ.get(MAX_STEPS_ENV)
-        if env:
-            return int(env)
-        return self.max_steps
+        env = env_step_bound()
+        return self.max_steps if env is None else env
+
+
+def env_step_bound() -> int | None:
+    """The step bound set by the environment, or None when it sets none."""
+    env = os.environ.get(MAX_STEPS_ENV)
+    if not env:
+        return None
+    try:
+        bound = int(env)
+    except ValueError:
+        bound = 0
+    if bound <= 0:
+        raise ValueError(f"{MAX_STEPS_ENV} must be a positive integer, got {env!r}")
+    return bound
 
 
 def identity_triple(m, stepper=None) -> GeneratingTriple:

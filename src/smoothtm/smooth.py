@@ -55,12 +55,19 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
         if (rows < 0.0).any():
             rows = np.where(rows < 0.0, 0.0, rows)
             rows /= rows.sum(axis=1, keepdims=True)
-        support = (rows != 0.0).sum(axis=1)
-        for i in np.flatnonzero(support == 1):
-            j = int(np.argmax(rows[i]))
-            rows[i] = 0.0
-            rows[i, j] = 1.0
+        single = np.count_nonzero(rows, axis=1) == 1
+        if single.any():
+            rows[single] = rows[single] != 0.0
     return rows
+
+
+def _row_error(rows: np.ndarray) -> float:
+    """Worst distance of a row's mass from 1 (0.0 for no rows)."""
+    return float(np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0))
+
+
+def _exact_blank(row: np.ndarray, blank_idx: int) -> bool:
+    return row[blank_idx] == 1.0 and np.count_nonzero(row) == 1
 
 
 class SmoothTape:
@@ -68,19 +75,32 @@ class SmoothTape:
 
     Stored as a (window length x alphabet size) array plus the window start.
     Canonical form trims exact blank point masses from both ends; a cell that
-    is merely close to blank is kept.
+    is merely close to blank is kept.  ``err`` bounds the worst row-mass
+    error from above: it is exact when the rows are validated here, and
+    trusted tapes built from validated rows carry their parent's bound.
     """
 
-    __slots__ = ("alphabet", "blank", "lo", "cells")
+    __slots__ = ("alphabet", "blank", "lo", "cells", "err")
 
     def __init__(self, alphabet: FiniteSet, blank, lo: int, cells: np.ndarray):
-        self.alphabet = alphabet
-        self.blank = blank
         cells = clean_rows(np.atleast_2d(cells))
         lo, cells = self._trimmed(alphabet.index(blank), lo, cells)
+        self._set(alphabet, blank, lo, cells, _row_error(cells))
+
+    def _set(self, alphabet, blank, lo, cells, err) -> None:
         cells.setflags(write=False)
+        self.alphabet = alphabet
+        self.blank = blank
         self.lo = lo
         self.cells = cells
+        self.err = err
+
+    @classmethod
+    def _trusted(cls, alphabet, blank, lo, cells, err) -> "SmoothTape":
+        """A tape of already-validated, canonically trimmed rows."""
+        tape = cls.__new__(cls)
+        tape._set(alphabet, blank, lo, cells, err)
+        return tape
 
     @staticmethod
     def _trimmed(blank_idx: int, lo: int, cells: np.ndarray):
@@ -232,6 +252,46 @@ def machine_ops(m: Machine) -> dict:
 def superpose_tape(tape: SmoothTape, write: Dist, dirs: Dist) -> SmoothTape:
     """Write at the head, then form the per-cell superposition over moves.
 
+    A point-mass move is a pure re-indexing of the written tape, so it writes
+    one row and shifts the window; any other move takes the general
+    superposition.  Both give the same canonical tape bit for bit.
+    """
+    moves = np.flatnonzero(dirs.weights)
+    if len(moves) != 1:
+        return _superpose_general(tape, write, dirs)
+    d = DIRECTIONS.elements[moves[0]]
+    bidx = tape.alphabet.index(tape.blank)
+    lo, cells, row = tape.lo, tape.cells, write.weights
+    if lo <= 0 <= tape.hi:
+        cells = cells.copy()
+        cells[-lo] = row
+    elif not _exact_blank(row, bidx):
+        # grow the window to the head, blank cells in between
+        gap = np.zeros((max(lo, -tape.hi), len(row)))
+        gap[:, bidx] = 1.0
+        if lo > 0:
+            gap[0] = row
+            cells, lo = np.concatenate([gap, cells]), 0
+        else:
+            gap[-1] = row
+            cells = np.concatenate([cells, gap])
+    # the old window ends are not exact blanks unless the write made them so
+    first, last = 0, len(cells) - 1
+    while first <= last and _exact_blank(cells[first], bidx):
+        first += 1
+    while last > first and _exact_blank(cells[last], bidx):
+        last -= 1
+    err = max(tape.err, _row_error(row[None]))
+    if first > last:  # every cell is blank
+        return SmoothTape._trusted(tape.alphabet, tape.blank, 0, cells[:1], err)
+    return SmoothTape._trusted(
+        tape.alphabet, tape.blank, lo + first - d, cells[first : last + 1], err
+    )
+
+
+def _superpose_general(tape: SmoothTape, write: Dist, dirs: Dist) -> SmoothTape:
+    """The superposition over all three moves.
+
     The window grows by one cell each side and is then canonically trimmed.
     """
     A = len(tape.alphabet)
@@ -241,8 +301,7 @@ def superpose_tape(tape: SmoothTape, write: Dist, dirs: Dist) -> SmoothTape:
     written = np.zeros((hi2 - lo2 + 3, A))
     bidx = tape.alphabet.index(tape.blank)
     written[:, bidx] = 1.0
-    for i in range(lo, hi + 1):
-        written[i - (lo2 - 1)] = tape.row(i)
+    written[lo - (lo2 - 1) : hi - (lo2 - 1) + 1] = tape.cells
     written[0 - (lo2 - 1)] = write.weights
     out = np.zeros((hi2 - lo2 + 1, A))
     for k, d in enumerate(DIRECTIONS.elements):

@@ -373,8 +373,18 @@ def _is_code_restored(utm: UtmMachine, code_rows: np.ndarray, tape: SmoothTape) 
     return bool(np.abs(tape.cells - code_rows).max() <= ATOL)
 
 
-def encoding_of(utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig, strict=False):
-    """Parse a runner state as an encoding of a simulated configuration."""
+def encoding_of(
+    utm: UtmMachine,
+    code: DescriptionTape,
+    cfg: SectionConfig,
+    strict=False,
+    code_rows: np.ndarray | None = None,
+):
+    """Parse a runner state as an encoding of a simulated configuration.
+
+    ``code_rows`` is the code's description-tape layout, when the caller
+    already has it.
+    """
 
     def fail(msg):
         if strict:
@@ -383,7 +393,8 @@ def encoding_of(utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig, stri
 
     if set(cfg.state.keys()) != {"read"}:
         return fail(f"state mass outside section read ({sorted(cfg.state)})")
-    code_rows = _code_rows(utm, code)
+    if code_rows is None:
+        code_rows = _code_rows(utm, code)
     if not _is_code_restored(utm, code_rows, cfg.tapes[0]):
         return fail("description tape differs from the code")
     work = cfg.tapes[1]
@@ -394,10 +405,13 @@ def encoding_of(utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig, stri
 
 
 def decode_config(
-    utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig
+    utm: UtmMachine,
+    code: DescriptionTape,
+    cfg: SectionConfig,
+    code_rows: np.ndarray | None = None,
 ) -> SmoothConfig:
     """State from the read section, working tape relabeled back."""
-    state = encoding_of(utm, code, cfg, strict=True)
+    state = encoding_of(utm, code, cfg, strict=True, code_rows=code_rows)
     work = cfg.tapes[1]
     nsym = len(utm.alphabet)
     tape = SmoothTape(utm.alphabet, utm.blank, work.lo, work.cells[:, :nsym])
@@ -441,8 +455,13 @@ def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
 
 
 def make_triple(utm: UtmMachine, code: DescriptionTape) -> GeneratingTriple:
+    code_rows = _code_rows(utm, code)
+
+    def holds(cfg) -> bool:
+        return encoding_of(utm, code, cfg, code_rows=code_rows) is not None
+
     enc = EncPredicate(
-        holds=lambda cfg: encoding_of(utm, code, cfg) is not None,
+        holds=holds,
         certify_outside=lambda cfg: "read" not in cfg.state
         or cfg.tapes[0].row(0)[utm.machine.alphabet.index(HASH)] == 0.0,
         describe="code in place, state on the read section",
@@ -451,7 +470,7 @@ def make_triple(utm: UtmMachine, code: DescriptionTape) -> GeneratingTriple:
         name="pseudo-utm",
         stepper=section_smooth_step,
         enc=enc,
-        decode=lambda cfg: decode_config(utm, code, cfg),
+        decode=lambda cfg: decode_config(utm, code, cfg, code_rows),
         target_step=lambda s: utm_cycle_semantics(code, s),
         max_steps=10 * utm.cycle_length(),
         machine=utm.machine,

@@ -183,3 +183,48 @@ def test_console_entry_point(files):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["state"] == {"q": 1.0}
+
+
+def assert_usage_error(argv, capsys, *expected):
+    """Exit 2 with one line on stderr naming the problem, no traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for text in expected:
+        assert text in lines[0]
+
+
+def test_verify_zero_trials_exit_2(capsys):
+    argv = ["verify", "--construction", "multitape", "--trials", "0"]
+    assert_usage_error(argv, capsys, "--trials", "positive")
+
+
+def test_verify_negative_trials_exit_2(capsys):
+    argv = ["verify", "--construction", "utm", "--trials", "-4"]
+    assert_usage_error(argv, capsys, "--trials", "-4")
+
+
+def test_run_negative_steps_exit_2(files, capsys):
+    argv = ["run", files["id.tm"], files["blank.cfg"], "--steps", "-3"]
+    assert_usage_error(argv, capsys, "--steps", "-3")
+
+
+def test_utm_zero_cycles_exit_2(files, capsys):
+    argv = ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
+            "--code", files["id.tm"], "--cycles", "0"]
+    assert_usage_error(argv, capsys, "--cycles")
+
+
+def test_max_steps_env_not_integer_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("SMOOTHTM_MAX_STEPS", "abc")
+    argv = ["verify", "--construction", "multitape", "--trials", "1"]
+    assert_usage_error(argv, capsys, "SMOOTHTM_MAX_STEPS", "'abc'")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_steps_env_not_positive_exit_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("SMOOTHTM_MAX_STEPS", value)
+    argv = ["verify", "--construction", "utm", "--trials", "1"]
+    assert_usage_error(argv, capsys, "SMOOTHTM_MAX_STEPS", value)

@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from smoothtm.dists import Dist, FiniteSet, convex_combine, tensor_many
-from smoothtm.machines import Configuration, Machine, Tape, step
+from smoothtm.machines import DIRECTIONS, Configuration, Machine, Tape, step
 from smoothtm.sampling import (
     random_machine,
     random_point_config,
@@ -11,6 +13,7 @@ from smoothtm.sampling import (
 from smoothtm.smooth import (
     SmoothConfig,
     SmoothTape,
+    _superpose_general,
     embed,
     extract_classical,
     format_config,
@@ -19,6 +22,7 @@ from smoothtm.smooth import (
     smooth_step,
     smooth_step_dists,
     smooth_step_oracle,
+    superpose_tape,
 )
 
 
@@ -228,3 +232,93 @@ def test_embed_extract_round_trip():
     m = lr_machine()
     c = Configuration("q", (Tape.from_cells("_", -1, ["A", "B", "A"]),))
     assert extract_classical(m, embed(m, c)) == c
+
+
+AB_ = FiniteSet(["_", "A", "B"])
+BLANK = Dist.point(AB_, "_")
+
+
+def random_cell(rng) -> Dist:
+    """A mixture, a non-blank point mass or an exact blank."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return Dist(AB_, rng.dirichlet(np.ones(3)))
+    return Dist.point(AB_, "A" if kind == 1 else "_")
+
+
+def assert_same_tape(got: SmoothTape, want: SmoothTape):
+    assert got.lo == want.lo
+    assert np.array_equal(got.cells, want.cells)
+
+
+def assert_fast_path_exact(tape: SmoothTape, write: Dist):
+    for d in DIRECTIONS:
+        move = Dist.point(DIRECTIONS, d)
+        # the fast path re-validates no rows
+        with mock.patch("smoothtm.smooth.clean_rows", side_effect=AssertionError):
+            got = superpose_tape(tape, write, move)
+        assert_same_tape(got, _superpose_general(tape, write, move))
+        assert got.err >= np.abs(got.cells.sum(axis=1) - 1.0).max()
+        assert not got.cells.flags.writeable
+
+
+def test_point_mass_move_matches_general_superposition():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        lo = int(rng.integers(-8, 9))
+        cells = [random_cell(rng) for _ in range(int(rng.integers(1, 7)))]
+        tape = SmoothTape.from_dists(AB_, "_", lo, cells)
+        assert_fast_path_exact(tape, random_cell(rng))
+
+
+@pytest.mark.parametrize("lo", [3, -1, -5], ids=["left", "inside", "right"])
+@pytest.mark.parametrize("write", ["mixture", "point", "blank"])
+def test_fast_path_head_positions(lo, write):
+    """Head left of, inside and right of a window [lo, lo + 2]."""
+    cells = [Dist.from_pairs(AB_, {"A": 0.25, "B": 0.75})] * 3
+    tape = SmoothTape.from_dists(AB_, "_", lo, cells)
+    w = {
+        "mixture": Dist.from_pairs(AB_, {"_": 0.5, "B": 0.5}),
+        "point": Dist.point(AB_, "B"),
+        "blank": BLANK,
+    }[write]
+    assert_fast_path_exact(tape, w)
+
+
+@pytest.mark.parametrize("lo", [0, -3], ids=["left-end", "right-end"])
+def test_fast_path_blank_write_trims_window_end(lo):
+    """Blanking an end cell trims it and the blank cells behind it."""
+    cells = [Dist.point(AB_, "A"), BLANK, BLANK, Dist.point(AB_, "B")]
+    tape = SmoothTape.from_dists(AB_, "_", lo, cells)
+    assert_fast_path_exact(tape, BLANK)
+    out = superpose_tape(tape, BLANK, Dist.point(DIRECTIONS, 0))
+    assert len(out.cells) == 1
+
+
+def test_fast_path_all_blank_tape():
+    tape = SmoothTape.blank_tape(AB_, "_")
+    assert_fast_path_exact(tape, BLANK)
+    assert_fast_path_exact(tape, Dist.point(AB_, "A"))
+    # blanking the only non-blank cell gives the canonical blank tape
+    lone = SmoothTape.from_dists(AB_, "_", 0, [Dist.point(AB_, "A")])
+    out = superpose_tape(lone, BLANK, Dist.point(DIRECTIONS, 1))
+    assert out.lo == 0 and np.array_equal(out.cells, tape.cells)
+
+
+def test_check_simplex_never_below_full_rescan():
+    from smoothtm import multitape
+    from smoothtm.engine import section_smooth_step
+
+    rng = np.random.default_rng(11)
+    m = random_machine(rng, 2, 2, 3)
+    sim = multitape.compile_multitape(m)
+    enc = multitape.encode(sim, random_smooth_config(m, rng, radius=2))
+    cfg = multitape.to_section_config(sim, enc)
+    for _ in range(300):
+        cfg, _ = section_smooth_step(cfg)
+        exact = abs(cfg.total_mass() - 1.0)
+        for v in cfg.state.values():
+            exact = max(exact, -v.min())
+        for t in cfg.tapes:
+            exact = max(exact, np.abs(t.cells.sum(axis=1) - 1.0).max(), -t.cells.min())
+        assert exact <= cfg.check_simplex() <= 1e-12
