@@ -22,14 +22,15 @@ from .machines import DIRECTIONS, FormatError, parse_machine
 from .sections import format_section_machine
 from .smooth import (
     SmoothConfig,
+    SmoothTape,
+    apply_step,
+    config_obj,
+    dist_obj,
     extract_classical,
     format_config,
     parse_config,
-    smooth_step,
     smooth_step_dists,
 )
-
-_DIRNAMES = {-1: "L", 0: "S", 1: "R"}
 
 
 class CliError(Exception):
@@ -44,6 +45,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CliError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -80,26 +83,11 @@ def _check_environment() -> None:
         raise CliError(str(exc)) from None
 
 
-def _dist_obj(d: Dist) -> dict:
-    return {
-        str(x): float(d.weights[i])
-        for i, x in enumerate(d.base.elements)
-        if d.weights[i] != 0.0
-    }
-
-
 def _trace_record(step: int, s: SmoothConfig, dirs) -> str:
     rec = {
         "step": step,
-        "state": _dist_obj(s.state),
-        "tapes": [
-            {
-                "lo": t.lo,
-                "cells": [_dist_obj(t.cell(i)) for i in range(t.lo, t.hi + 1)],
-            }
-            for t in s.tapes
-        ],
-        "direction": [_dist_obj(d) for d in dirs],
+        **config_obj(s),
+        "direction": [dist_obj(d.base, d.weights) for d in dirs],
     }
     return json.dumps(rec, sort_keys=True)
 
@@ -118,9 +106,8 @@ def cmd_run(args) -> int:
             ) from None
     trace_lines = []
     for k in range(args.steps):
-        if args.trace:
-            _, _, dirs = smooth_step_dists(m, s)
-        s = smooth_step(m, s)
+        state, writes, dirs = smooth_step_dists(m, s)
+        s = apply_step(s, state, writes, dirs)
         if args.trace:
             trace_lines.append(_trace_record(k + 1, s, dirs))
     if args.trace:
@@ -160,7 +147,12 @@ def _parse_override_dist(text: str, base: FiniteSet, names: dict | None = None):
         label = names[key] if names and key in names else key
         if label not in base:
             raise CliError(f"unknown label {key!r} in override")
-        pairs[label] = float(val)
+        try:
+            pairs[label] = float(val)
+        except ValueError:
+            raise CliError(
+                f"bad override entry {item.strip()!r}: weight is not a number"
+            ) from None
     try:
         return Dist.from_pairs(base, pairs)
     except ValueError as exc:
@@ -222,8 +214,6 @@ def cmd_utm(args) -> int:
     if args.input:
         s = _load_config(args.input, m)
     else:
-        from .smooth import SmoothTape
-
         s = SmoothConfig(
             Dist.point(m.states, m.states.elements[0]),
             (SmoothTape.blank_tape(m.alphabet, m.blank),),

@@ -119,7 +119,7 @@ class Dist:
         if w.min(initial=0.0) < -ATOL:
             raise ValueError(f"negative weight {w.min()} below -{ATOL}")
         total = float(w.sum())
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:  # also rejects NaN
             raise ValueError(f"weights sum to {total}, not 1 within {ATOL}")
         if (w < 0.0).any():
             w = np.where(w < 0.0, 0.0, w)
@@ -204,12 +204,6 @@ class LinearOp:
         if d.base != self.domain:
             raise ValueError("distribution base does not match operator domain")
         return Dist(self.codomain, self.matrix @ d.weights)
-
-    def compose(self, inner: "LinearOp") -> "LinearOp":
-        """self after inner."""
-        if inner.codomain != self.domain:
-            raise ValueError("operator domains do not compose")
-        return LinearOp(inner.domain, self.codomain, self.matrix @ inner.matrix)
 
 
 def induced_op(

@@ -48,13 +48,6 @@ class SectionConfig:
         v = self.state.get(sid)
         return float(v.sum()) if v is not None else 0.0
 
-    def local_dist(self, sid: str) -> Dist:
-        """The local distribution of a section holding all the mass."""
-        v = self.state.get(sid)
-        if v is None:
-            raise ValueError(f"no mass in section {sid!r}")
-        return Dist(self.machine.sections[sid], v)
-
     def state_direct_sum(self) -> Dist:
         """The state distribution as a direct sum over occupied sections."""
         from .dists import direct_sum
@@ -91,7 +84,6 @@ class StepInfo:
 
     write: list[np.ndarray]  # per tape, over the alphabet
     dirs: list[np.ndarray]  # per tape, over (-1, 0, 1)
-    masses_before: dict[str, float]
     flows: dict[tuple[str, str], float]  # (source, target) -> mass moved
 
     def direction_point_mass(self, tape_index: int) -> bool:
@@ -170,7 +162,6 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     write_acc = [np.zeros(A) for _ in range(n)]
     dir_acc = [np.zeros(3) for _ in range(n)]
     flows: dict[tuple[str, str], float] = {}
-    masses_before = {sid: float(v.sum()) for sid, v in cfg.state.items()}
     for sid, local in cfg.state.items():
         joint = local
         for r in head_rows:
@@ -213,7 +204,6 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     info = StepInfo(
         write=[w.weights for w in writes],
         dirs=[d.weights for d in dirs],
-        masses_before=masses_before,
         flows=flows,
     )
     return SectionConfig(sm, state, tapes), info

@@ -49,14 +49,6 @@ class EncPredicate:
     certify_outside: Callable[[Any], bool]
     describe: str = ""
 
-    def conjoin(self, other: "EncPredicate") -> "EncPredicate":
-        return EncPredicate(
-            holds=lambda x: self.holds(x) and other.holds(x),
-            certify_outside=lambda x: self.certify_outside(x)
-            or other.certify_outside(x),
-            describe=f"{self.describe} and {other.describe}",
-        )
-
 
 @dataclass
 class GeneratingTriple:

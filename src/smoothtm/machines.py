@@ -203,13 +203,13 @@ def parse_machine(text: str) -> Machine:
         if not line:
             continue
         if line.startswith("states:"):
-            states = FiniteSet(line[len("states:"):].split())
+            states = _labels(line[len("states:"):].split(), "state", lineno)
             continue
         if line.startswith("alphabet:"):
             symbols = line[len("alphabet:"):].split()
             if not symbols:
                 raise FormatError("alphabet line lists no symbols", lineno)
-            alphabet = FiniteSet(symbols)
+            alphabet = _labels(symbols, "symbol", lineno)
             blank = symbols[0]
             continue
         if line.startswith("tapes:"):
@@ -261,7 +261,17 @@ def parse_machine(text: str) -> Machine:
         delta[key] = (q2, writes, tuple(dirs))
     if states is None or alphabet is None or num_tapes is None:
         raise FormatError("missing states/alphabet/tapes headers")
-    return Machine(states, alphabet, blank, num_tapes, delta)
+    try:
+        return Machine(states, alphabet, blank, num_tapes, delta)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _labels(tokens: list[str], what: str, lineno: int) -> FiniteSet:
+    try:
+        return FiniteSet(tokens)
+    except ValueError:
+        raise FormatError(f"duplicate {what} label", lineno) from None
 
 
 def format_machine(m: Machine) -> str:

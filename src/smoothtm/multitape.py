@@ -35,6 +35,7 @@ deterministic function of the geometry.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,20 @@ import numpy as np
 from .dists import ATOL, Dist, FiniteSet, product_set
 from .engine import SectionConfig, section_smooth_step
 from .framework import EncPredicate, GeneratingTriple
-from .machines import Machine
+from .machines import FormatError, Machine
 from .sections import SectionMachine, Tract
-from .smooth import SmoothConfig, SmoothTape, smooth_step
+from .smooth import (
+    SmoothConfig,
+    SmoothTape,
+    dist_from_obj,
+    dist_obj,
+    json_field,
+    json_value,
+    load_json,
+    smooth_step,
+    tape_from_obj,
+    tape_obj,
+)
 
 MARK_L, MARK_0, MARK_R = "#L", "#0", "#R"
 
@@ -415,65 +427,31 @@ def decode(sim: CompiledSim, enc) -> SmoothConfig:
 
 def encoding_to_json(enc: InterleavedEncoding) -> str:
     """Serialize an encoding: cell distributions plus the {L, R, n} record."""
-    import json
-
-    tape = enc.tape
     obj = {
         "L": enc.L,
         "R": enc.R,
         "n": enc.n,
-        "state": {
-            str(x): float(w)
-            for x, w in zip(enc.state_local.base.elements, enc.state_local.weights)
-            if w != 0.0
-        },
-        "tape": {
-            "lo": tape.lo,
-            "cells": [
-                {
-                    str(a): float(w)
-                    for a, w in zip(tape.alphabet.elements, tape.row(i))
-                    if w != 0.0
-                }
-                for i in range(tape.lo, tape.hi + 1)
-            ],
-        },
+        "state": dist_obj(enc.state_local.base, enc.state_local.weights),
+        "tape": tape_obj(enc.tape),
     }
     return json.dumps(obj, sort_keys=True)
 
 
 def encoding_from_json(sim: CompiledSim, text: str) -> InterleavedEncoding:
-    import json
-
-    from .machines import FormatError
-
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    for key in ("L", "R", "n", "state", "tape"):
-        if key not in obj:
-            raise FormatError(f"encoding record missing {key!r}")
-    if obj["n"] != sim.n:
-        raise FormatError(f"encoding is for {obj['n']} tapes, machine has {sim.n}")
-    alphabet = sim.machine.alphabet
-    lookup = {str(a): a for a in alphabet.elements}
-    rows = []
-    for cell in obj["tape"]["cells"]:
-        row = np.zeros(len(alphabet))
-        for k, v in cell.items():
-            if k not in lookup:
-                raise FormatError(f"unknown symbol {k!r}")
-            row[alphabet.index(lookup[k])] = float(v)
-        rows.append(row)
-    tape = SmoothTape(alphabet, sim.source.blank, int(obj["tape"]["lo"]), np.array(rows))
-    qlookup = {str(q): q for q in sim.source.states.elements}
-    state = Dist.from_pairs(
-        sim.source.states,
-        {qlookup[k]: float(v) for k, v in obj["state"].items() if k in qlookup},
+    obj = json_value(load_json(text), dict, "encoding")
+    L, R, n = (json_field(obj, key, int) for key in ("L", "R", "n"))
+    if n != sim.n:
+        raise FormatError(f"encoding is for {n} tapes, machine has {sim.n}")
+    m = sim.source
+    state = dist_from_obj(json_field(obj, "state", dict), m.states, "state", "state")
+    tape = tape_from_obj(
+        json_field(obj, "tape", dict), sim.machine.alphabet, m.blank, "tape"
     )
-    enc = InterleavedEncoding(sim.n, int(obj["L"]), int(obj["R"]), state, tape)
-    parsed = encoding_of(sim, to_section_config(sim, enc), strict=True)
+    enc = InterleavedEncoding(n, L, R, state, tape)
+    try:
+        parsed = encoding_of(sim, to_section_config(sim, enc), strict=True)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     if (parsed.L, parsed.R) != (enc.L, enc.R):
         raise FormatError("side record disagrees with the marker geometry")
     return enc

@@ -19,6 +19,8 @@ classical step.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
@@ -28,13 +30,11 @@ from .dists import (
     ATOL,
     Dist,
     FiniteSet,
-    LinearOp,
-    convex_combine,
     induced_op,
     product_set,
     tensor_many,
 )
-from .machines import DIRECTIONS, Configuration, Machine, Tape
+from .machines import DIRECTIONS, Configuration, FormatError, Machine, Tape
 
 
 def clean_rows(rows: np.ndarray) -> np.ndarray:
@@ -50,7 +50,7 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
             raise ValueError(f"negative cell weight {rows.min()}")
         sums = rows.sum(axis=1)
         bad = np.abs(sums - 1.0).max(initial=0.0)
-        if bad > ATOL:
+        if not bad <= ATOL:  # also rejects NaN
             raise ValueError(f"cell weights off the simplex by {bad}")
         if (rows < 0.0).any():
             rows = np.where(rows < 0.0, 0.0, rows)
@@ -146,9 +146,6 @@ class SmoothTape:
     def cell(self, i: int) -> Dist:
         return Dist(self.alphabet, self.row(i))
 
-    def window_dists(self) -> list[Dist]:
-        return [Dist(self.alphabet, r) for r in self.cells]
-
     def allclose(self, other: "SmoothTape", tol: float = ATOL) -> bool:
         return self.deviation(other) <= tol
 
@@ -215,7 +212,7 @@ def renormalized(weights: np.ndarray, what: str = "distribution") -> np.ndarray:
     masses stay bit-exact.
     """
     total = float(weights.sum())
-    if abs(total - 1.0) > ATOL:
+    if not abs(total - 1.0) <= ATOL:  # also rejects NaN
         raise ValueError(f"{what} mass {total} off 1 by more than {ATOL}")
     return weights if total == 1.0 else weights / total
 
@@ -234,7 +231,6 @@ def machine_ops(m: Machine) -> dict:
         return m.delta[(e[0], tuple(e[1:]))]
 
     ops = {
-        "joint": joint,
         "state": induced_op(lambda e: entry(e)[0], joint, m.states),
         "write": [
             induced_op(lambda e, j=j: entry(e)[1][j], joint, m.alphabet)
@@ -312,8 +308,41 @@ def _superpose_general(tape: SmoothTape, write: Dist, dirs: Dist) -> SmoothTape:
     return SmoothTape(tape.alphabet, tape.blank, lo2, out)
 
 
+def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]]:
+    """The (state', writes, directions) distributions of one smooth step.
+
+    Forms the local joint of the state and the head cells once and pushes it
+    through ``ops``: an operator ``"state"`` and per-tape operator lists
+    ``"write"`` and ``"dir"`` on that joint.  Each output is renormalized.
+    """
+    local = tensor_many([s.state] + [t.cell(0) for t in s.tapes])
+
+    def pushed(op, what: str) -> Dist:
+        d = op(local)
+        return Dist(d.base, renormalized(d.weights, what))
+
+    return (
+        pushed(ops["state"], "state"),
+        [pushed(op, "write") for op in ops["write"]],
+        [pushed(op, "direction") for op in ops["dir"]],
+    )
+
+
+def apply_step(s: SmoothConfig, state: Dist, writes, dirs) -> SmoothConfig:
+    """The configuration after a step with the given state, per-tape write
+    and per-tape direction distributions."""
+    tapes = tuple(superpose_tape(t, w, d) for t, w, d in zip(s.tapes, writes, dirs))
+    return SmoothConfig(state, tapes)
+
+
 def smooth_step(m: Machine, s: SmoothConfig) -> SmoothConfig:
     """One naive-Bayesian smooth step via induced operators."""
+    return apply_step(s, *smooth_step_dists(m, s))
+
+
+def smooth_step_dists(m: Machine, s: SmoothConfig):
+    """The renormalized (state', writes, directions) distributions that one
+    smooth step uses."""
     if s.state.base != m.states:
         raise ValueError("state distribution over the wrong state set")
     if len(s.tapes) != m.num_tapes:
@@ -321,29 +350,7 @@ def smooth_step(m: Machine, s: SmoothConfig) -> SmoothConfig:
     for t in s.tapes:
         if t.alphabet != m.alphabet:
             raise ValueError("tape over the wrong alphabet")
-    ops = machine_ops(m)
-    local = tensor_many([s.state] + [t.cell(0) for t in s.tapes])
-    state2 = ops["state"](local)
-    state2 = Dist(state2.base, renormalized(state2.weights, "state"))
-    tapes2 = []
-    for j, tape in enumerate(s.tapes):
-        w = ops["write"][j](local)
-        d = ops["dir"][j](local)
-        w = Dist(w.base, renormalized(w.weights, "write"))
-        d = Dist(d.base, renormalized(d.weights, "direction"))
-        tapes2.append(superpose_tape(tape, w, d))
-    return SmoothConfig(state2, tuple(tapes2))
-
-
-def smooth_step_dists(m: Machine, s: SmoothConfig):
-    """The (state', write, direction) distributions of one smooth step."""
-    ops = machine_ops(m)
-    local = tensor_many([s.state] + [t.cell(0) for t in s.tapes])
-    return (
-        ops["state"](local),
-        [ops["write"][j](local) for j in range(m.num_tapes)],
-        [ops["dir"][j](local) for j in range(m.num_tapes)],
-    )
+    return push_local(s, machine_ops(m))
 
 
 # ---------------------------------------------------------------------------
@@ -434,70 +441,107 @@ def psi_update(
 
 
 # ---------------------------------------------------------------------------
-# Configuration text format (JSON)
+# JSON codec for distributions, tapes and configurations
 # ---------------------------------------------------------------------------
+#
+# Distributions are written as {label: weight} over their support, labels by
+# their string rendering; a tape is {"lo": int, "cells": [dist, ...]} and a
+# configuration {"state": dist, "tapes": [tape, ...]}.  Readers raise
+# FormatError, naming the offending field, and nothing else.
+
+
+def dist_obj(base: FiniteSet, weights) -> dict:
+    """``{label: weight}`` over the support of a weight vector on ``base``."""
+    return {str(x): float(w) for x, w in zip(base.elements, weights) if w != 0.0}
+
+
+def tape_obj(t: SmoothTape) -> dict:
+    return {"lo": t.lo, "cells": [dist_obj(t.alphabet, r) for r in t.cells]}
+
+
+def config_obj(s: SmoothConfig) -> dict:
+    return {
+        "state": dist_obj(s.state.base, s.state.weights),
+        "tapes": [tape_obj(t) for t in s.tapes],
+    }
+
+
+def load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
+
+
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def json_value(value, kind: type, path: str):
+    """``value``, which must be of JSON type ``kind``; no bool passes, and
+    no float passes as an int."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormatError(f"{path} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def json_field(obj: dict, key: str, kind: type, where: str = "", default=_REQUIRED):
+    """``obj[key]``, type-checked; ``default`` when given and the key is absent."""
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        if default is _REQUIRED:
+            raise FormatError(f"missing field {path!r}")
+        return default
+    return json_value(obj[key], kind, path)
+
+
+def dist_from_obj(obj, base: FiniteSet, path: str, what: str) -> Dist:
+    """Read ``{label: weight}`` over ``base``; omitted labels weigh zero."""
+    lookup = {str(x): x for x in base.elements}
+    pairs = {}
+    for k, v in json_value(obj, dict, path).items():
+        if k not in lookup:
+            raise FormatError(f"{path}: unknown {what} {k!r}")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise FormatError(
+                f"{path}: weight of {what} {k!r} must be a finite number, got {v!r}"
+            )
+        pairs[lookup[k]] = float(v)
+    try:
+        return Dist.from_pairs(base, pairs)
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad {what} distribution: {exc}") from None
+
+
+def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
+    """Read a tape; ``lo`` defaults to 0, and no cells means a blank tape."""
+    json_value(obj, dict, path)
+    lo = json_field(obj, "lo", int, path, default=0)
+    cells = json_field(obj, "cells", list, path, default=[])
+    dists = [
+        dist_from_obj(c, alphabet, f"{path}.cells[{i}]", "symbol")
+        for i, c in enumerate(cells)
+    ]
+    return SmoothTape.from_dists(alphabet, blank, lo, dists)
 
 
 def format_config(s: SmoothConfig) -> str:
-    import json
-
-    def dist_obj(d: Dist) -> dict:
-        return {
-            str(x): float(d.weights[i])
-            for i, x in enumerate(d.base.elements)
-            if d.weights[i] != 0.0
-        }
-
-    obj = {
-        "state": dist_obj(s.state),
-        "tapes": [
-            {"lo": t.lo, "cells": [dist_obj(t.cell(i)) for i in range(t.lo, t.hi + 1)]}
-            for t in s.tapes
-        ],
-    }
-    return json.dumps(obj, sort_keys=True)
+    return json.dumps(config_obj(s), sort_keys=True)
 
 
 def parse_config(text: str, m: Machine) -> SmoothConfig:
-    """Parse the JSON configuration format against a machine's sets.
-
-    Omitted labels mean weight zero.  Labels are matched by their string
-    rendering.
-    """
-    import json
-
-    from .machines import FormatError
-
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-
-    def to_dist(base: FiniteSet, pairs: dict, what: str) -> Dist:
-        lookup = {str(x): x for x in base.elements}
-        out = {}
-        for k, v in pairs.items():
-            if k not in lookup:
-                raise FormatError(f"unknown {what} {k!r}")
-            out[lookup[k]] = float(v)
-        try:
-            return Dist.from_pairs(base, out)
-        except ValueError as exc:
-            raise FormatError(f"bad {what} distribution: {exc}") from None
-
-    if not isinstance(obj, dict) or "state" not in obj or "tapes" not in obj:
-        raise FormatError("configuration needs 'state' and 'tapes' fields")
-    state = to_dist(m.states, obj["state"], "state")
-    if len(obj["tapes"]) != m.num_tapes:
+    """Parse the JSON configuration format against a machine's sets."""
+    obj = json_value(load_json(text), dict, "configuration")
+    state = dist_from_obj(json_field(obj, "state", dict), m.states, "state", "state")
+    tobjs = json_field(obj, "tapes", list)
+    if len(tobjs) != m.num_tapes:
         raise FormatError(
-            f"machine has {m.num_tapes} tapes, configuration {len(obj['tapes'])}"
+            f"machine has {m.num_tapes} tapes, configuration {len(tobjs)}"
         )
-    tapes = []
-    for tobj in obj["tapes"]:
-        lo = int(tobj.get("lo", 0))
-        dists = [to_dist(m.alphabet, c, "symbol") for c in tobj.get("cells", [])]
-        if dists:
-            tapes.append(SmoothTape.from_dists(m.alphabet, m.blank, lo, dists))
-        else:
-            tapes.append(SmoothTape.blank_tape(m.alphabet, m.blank))
-    return SmoothConfig(state, tuple(tapes))
+    tapes = tuple(
+        tape_from_obj(t, m.alphabet, m.blank, f"tapes[{j}]")
+        for j, t in enumerate(tobjs)
+    )
+    return SmoothConfig(state, tapes)

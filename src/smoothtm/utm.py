@@ -36,21 +36,27 @@ the distribution unchanged.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import ATOL, Dist, FiniteSet, product_set, stochastic_op, tensor
+from .dists import ATOL, Dist, FiniteSet, product_set, stochastic_op
 from .engine import SectionConfig, section_smooth_step
 from .framework import EncPredicate, GeneratingTriple
-from .machines import DIRECTIONS, Machine
+from .machines import DIRECTIONS, FormatError, Machine
 from .sections import SectionMachine, Tract
 from .smooth import (
     SmoothConfig,
     SmoothTape,
-    renormalized,
-    smooth_step,
-    superpose_tape,
+    apply_step,
+    dist_from_obj,
+    dist_obj,
+    json_field,
+    json_value,
+    load_json,
+    push_local,
+    smooth_step_dists,
 )
 
 HASH = "#"
@@ -263,21 +269,14 @@ def decode_code(code: DescriptionTape) -> dict:
 
 def code_to_json(code: DescriptionTape) -> str:
     """Serialize a description tape, tuple cells in the config cell format."""
-    import json
-
-    def cell(d: Dist) -> dict:
-        return {
-            str(x): float(w)
-            for x, w in zip(d.base.elements, d.weights)
-            if w != 0.0
-        }
-
     obj = {
         "states": [str(q) for q in code.states.elements],
         "alphabet": [str(a) for a in code.alphabet.elements],
         "entries": [
-            {"state": str(q), "symbol": str(a), "target": cell(t),
-             "write": cell(w), "move": cell(d)}
+            {"state": str(q), "symbol": str(a),
+             "target": dist_obj(t.base, t.weights),
+             "write": dist_obj(w.base, w.weights),
+             "move": dist_obj(d.base, d.weights)}
             for q, a, t, w, d in code.entries
         ],
     }
@@ -285,37 +284,39 @@ def code_to_json(code: DescriptionTape) -> str:
 
 
 def code_from_json(text: str) -> DescriptionTape:
-    import json
+    obj = json_value(load_json(text), dict, "code")
 
-    from .machines import FormatError
-
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    states = FiniteSet(obj["states"])
-    alphabet = FiniteSet(obj["alphabet"])
-
-    def dist(base, pairs, names=None):
-        lookup = {str(x): x for x in base.elements}
-        return Dist.from_pairs(
-            base, {lookup[k]: float(v) for k, v in pairs.items()}
-        )
-
-    entries = []
-    for e in obj["entries"]:
-        entries.append(
-            (
-                e["state"],
-                e["symbol"],
-                dist(states, e["target"]),
-                dist(alphabet, e["write"]),
-                Dist.from_pairs(
-                    DIRECTIONS, {int(k): float(v) for k, v in e["move"].items()}
-                ),
+    def labels(key: str) -> FiniteSet:
+        items = json_field(obj, key, list)
+        try:
+            return FiniteSet(
+                json_value(x, str, f"{key}[{i}]") for i, x in enumerate(items)
             )
-        )
-    return DescriptionTape(states, alphabet, entries)
+        except ValueError as exc:
+            raise FormatError(f"{key}: {exc}") from None
+
+    states, alphabet = labels("states"), labels("alphabet")
+    entries = []
+    for i, e in enumerate(json_field(obj, "entries", list)):
+        where = f"entries[{i}]"
+        json_value(e, dict, where)
+        q = json_field(e, "state", str, where)
+        a = json_field(e, "symbol", str, where)
+        if q not in states or a not in alphabet:
+            raise FormatError(f"{where}: pair ({q}, {a}) outside states x alphabet")
+        cells = [
+            dist_from_obj(json_field(e, key, dict, where), base, f"{where}.{key}", what)
+            for key, base, what in (
+                ("target", states, "state"),
+                ("write", alphabet, "symbol"),
+                ("move", DIRECTIONS, "direction"),
+            )
+        ]
+        entries.append((q, a, *cells))
+    try:
+        return DescriptionTape(states, alphabet, entries)
+    except ValueError as exc:
+        raise FormatError(f"entries: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +429,12 @@ def utm_cycle_semantics(code: DescriptionTape, s: SmoothConfig) -> SmoothConfig:
     transition components; equals the plain smooth step on classical codes."""
     table = code.lookup()
     base = product_set(code.states, code.alphabet)
-    t_op = stochastic_op(lambda e: table[e][0], base)
-    w_op = stochastic_op(lambda e: table[e][1], base)
-    d_op = stochastic_op(lambda e: table[e][2], base)
-    local = tensor(s.state, s.tapes[0].cell(0))
-    state2 = t_op(local)
-    w = w_op(local)
-    d = d_op(local)
-    state2 = Dist(state2.base, renormalized(state2.weights, "state"))
-    w = Dist(w.base, renormalized(w.weights, "write"))
-    d = Dist(d.base, renormalized(d.weights, "direction"))
-    return SmoothConfig(state2, (superpose_tape(s.tapes[0], w, d),))
+
+    def op(k):
+        return stochastic_op(lambda e: table[e][k], base)
+
+    ops = {"state": op(0), "write": [op(1)], "dir": [op(2)]}
+    return apply_step(s, *push_local(s, ops))
 
 
 def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
@@ -523,13 +519,5 @@ def staged_smooth_step(m: Machine, s: SmoothConfig, order=None) -> SmoothConfig:
         w = Dist.point(m.alphabet, m.delta[(q, (a,))][1][0])
         tuples.append((p, w))
     staged = staged_write_update(y0, tuples)
-    true_step = smooth_step(m, s)
-    # substitute the staged write into the otherwise standard update
-    from .smooth import machine_ops
-
-    ops = machine_ops(m)
-    local = tensor(s.state, y0)
-    d = ops["dir"][0](local)
-    d = Dist(d.base, renormalized(d.weights, "direction"))
-    tape = superpose_tape(s.tapes[0], staged, d)
-    return SmoothConfig(true_step.state, (tape,))
+    state, _, dirs = smooth_step_dists(m, s)
+    return apply_step(s, state, [staged], dirs)

@@ -228,3 +228,65 @@ def test_max_steps_env_not_positive_exit_2(monkeypatch, capsys, value):
     monkeypatch.setenv("SMOOTHTM_MAX_STEPS", value)
     argv = ["verify", "--construction", "utm", "--trials", "1"]
     assert_usage_error(argv, capsys, "SMOOTHTM_MAX_STEPS", value)
+
+
+TAPE = '{"lo": 0, "cells": [{"A": 0.5, "B": 0.5}]}'
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        ('{"state": {"q": 1.0}, "tapes": [{"lo": "x"}]}',
+         "tapes[0].lo must be an integer"),
+        ('{"state": {"q": 1.0}, "tapes": [{"lo": 1.7}]}',
+         "tapes[0].lo must be an integer"),
+        ('{"state": {"q": 1.0}, "tapes": [{"cells": [{"A": "a", "B": 0.5}]}]}',
+         "tapes[0].cells[0]: weight of symbol 'A' must be a finite number"),
+        ('{"state": {"q": 1.0}, "tapes": [{"cells": [{"A": NaN, "B": 0.5}]}]}',
+         "weight of symbol 'A' must be a finite number, got nan"),
+        ('{"state": {"q": NaN}, "tapes": [' + TAPE + "]}", "weight of state 'q'"),
+        ('{"state": {"q": 1.0}, "tapes": 3}', "tapes must be a list"),
+        ('{"state": {"q": 1.0}, "tapes": [3]}', "tapes[0] must be an object"),
+        ('{"state": {"q": 1.0}, "tapes": [{"cells": [3]}]}',
+         "tapes[0].cells[0] must be an object"),
+        ('{"state": [1], "tapes": [' + TAPE + "]}", "state must be an object"),
+        ('{"tapes": [' + TAPE + "]}", "missing field 'state'"),
+        ("[1]", "configuration must be an object"),
+        ("[" * 100000, "nested too deeply"),
+        (b'{"state": {"q": 1.0}, "tapes": [{}]}\xff', "not UTF-8 text"),
+    ],
+    ids=["lo-string", "lo-fraction", "weight-string", "weight-nan", "state-nan",
+         "tapes-number", "tape-number", "cell-number", "state-list",
+         "state-missing", "top-level-list", "deep-nesting", "not-utf8"],
+)
+def test_run_malformed_config_exit_2(files, capsys, config, expected):
+    bad = files["dir"] / "bad.cfg"
+    bad.write_bytes(config if isinstance(config, bytes) else config.encode())
+    argv = ["run", files["lr.tm"], str(bad), "--smooth"]
+    assert_usage_error(argv, capsys, "bad.cfg", expected)
+
+
+def test_utm_override_weight_not_number_exit_2(files, capsys):
+    ov = files["dir"] / "ov.txt"
+    ov.write_text("(q,A) -> {q: x} / {A: 1.0} / {S: 1.0}\n")
+    argv = ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
+            "--code", files["id.tm"], "--overrides", str(ov)]
+    assert_usage_error(argv, capsys, "'q: x'", "not a number")
+
+
+@pytest.mark.parametrize(
+    "machine, expected",
+    [
+        ("states: q\nalphabet: _\ntapes: 0\n", "need at least one tape"),
+        ("states: q q\nalphabet: _\ntapes: 1\nq _ -> q _ S\n",
+         "line 1: duplicate state label"),
+        ("states: q\nalphabet: _ A _\ntapes: 1\n", "line 2: duplicate symbol label"),
+        ("states: q\nalphabet: _ A\ntapes: 1\nq _ -> q _ S\n",
+         "delta is not total: missing ('q', ('A',))"),
+    ],
+    ids=["no-tapes", "duplicate-state", "duplicate-symbol", "partial-table"],
+)
+def test_run_malformed_machine_exit_2(files, capsys, machine, expected):
+    bad = files["dir"] / "bad.tm"
+    bad.write_text(machine)
+    assert_usage_error(["run", str(bad), files["blank.cfg"]], capsys, "bad.tm", expected)

@@ -192,6 +192,12 @@ def test_dist_invariants():
     assert d["B"] == 0.0 and d["A"] == 1.0
 
 
+@pytest.mark.parametrize("base, weights", [(AB, [np.nan, 0.5]), (QQ, [np.nan])])
+def test_dist_rejects_nan_weights(base, weights):
+    with pytest.raises(ValueError, match="sum to nan"):
+        Dist(base, weights)
+
+
 def test_single_support_canonicalized():
     d = Dist(AB, [1.0 - 2e-16, 2e-16 - 0.0])
     # two-point support is untouched

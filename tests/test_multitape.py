@@ -304,3 +304,18 @@ def test_encoding_json_rejects_bad_side_record():
     obj["R"] = obj["R"] + 1
     with pytest.raises(FormatError, match="side record"):
         encoding_from_json(sim, json.dumps(obj))
+
+
+def test_encoding_json_rejects_unknown_state():
+    from smoothtm.machines import FormatError
+    from smoothtm.multitape import encoding_from_json, encoding_to_json
+    import json
+
+    rng = np.random.default_rng(49)
+    m = random_machine(rng, 1, 2, 2)
+    sim = compile_multitape(m)
+    s = random_smooth_config(m, rng, radius=0)
+    obj = json.loads(encoding_to_json(encode(sim, s)))
+    obj["state"]["q7"] = 0.0
+    with pytest.raises(FormatError, match="unknown state 'q7'"):
+        encoding_from_json(sim, json.dumps(obj))

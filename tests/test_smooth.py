@@ -228,6 +228,15 @@ def test_config_parse_errors():
         parse_config('{"state": {"q": 1.0}, "tapes": []}', m)
 
 
+def test_mass_checks_reject_nan():
+    from smoothtm.smooth import clean_rows, renormalized
+
+    with pytest.raises(ValueError, match="nan"):
+        clean_rows(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="nan"):
+        renormalized(np.array([np.nan, 0.5]))
+
+
 def test_embed_extract_round_trip():
     m = lr_machine()
     c = Configuration("q", (Tape.from_cells("_", -1, ["A", "B", "A"]),))

@@ -331,6 +331,33 @@ def test_code_json_round_trip():
         assert t1.allclose(t2) and w1.allclose(w2) and d1.allclose(d2)
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda o: o["entries"][0]["target"].update(zz=0.0), "unknown state 'zz'"),
+        (lambda o: o["entries"][1].pop("write"), "missing field 'entries[1].write'"),
+        (lambda o: o["entries"][2].update(state="q9"), "entries[2]: pair (q9, "),
+        (lambda o: o["entries"][0]["move"].update({"2": 0.0}), "unknown direction"),
+        (lambda o: o.update(states=["q0", "q0"]), "states: finite set labels"),
+        (lambda o: o["entries"].pop(), "entries: entries must enumerate"),
+    ],
+    ids=["unknown-label", "missing-field", "state-outside", "bad-move",
+         "duplicate-states", "missing-entry"],
+)
+def test_code_json_rejects_malformed(corrupt, message):
+    import json
+
+    from smoothtm.machines import FormatError
+    from smoothtm.utm import code_from_json, code_to_json
+
+    m = random_machine(np.random.default_rng(54), 1, 2, 2)
+    obj = json.loads(code_to_json(encode_code(m)))
+    corrupt(obj)
+    with pytest.raises(FormatError) as exc:
+        code_from_json(json.dumps(obj))
+    assert message in str(exc.value)
+
+
 def test_psi_update_dimension_mismatch():
     from smoothtm.smooth import psi_update
     from smoothtm.dists import tensor_many
