@@ -95,53 +95,101 @@ class _TractEntry:
 
     def __init__(self, target, src, tgt, w_idx, d_idx, label):
         self.target = target
-        self.src = np.asarray(src, dtype=np.intp)
-        self.tgt = np.asarray(tgt, dtype=np.intp)
-        self.w_idx = [np.asarray(w, dtype=np.intp) for w in w_idx]
-        self.d_idx = [np.asarray(d, dtype=np.intp) for d in d_idx]
+        self.src = src
+        self.tgt = tgt
+        self.w_idx = w_idx
+        self.d_idx = d_idx
         self.label = label
 
 
 class _SectionTable:
+    """Index arrays of every tract leaving one section.
+
+    Entries run in (tract, context, read symbols) order, the order in which
+    the step scatters mass, so sums are reproducible bit for bit.  A
+    declarative, unguarded tract into a section with the same context builds
+    its arrays by broadcasting; every other tract is enumerated through
+    :meth:`Tract.image`.
+    """
+
     __slots__ = ("entries", "uncovered")
 
     def __init__(self, sm: SectionMachine, sid: str):
         ctx = sm.sections[sid]
         A = sm.alphabet
         n = sm.num_tapes
-        strides = [len(A) ** (n - 1 - k) for k in range(n)]
-        covered = np.zeros(len(ctx) * len(A) ** n, dtype=bool)
+        size = len(A) ** n
+        strides = np.array([len(A) ** (n - 1 - k) for k in range(n)], dtype=np.intp)
+        covered = np.zeros(len(ctx) * size, dtype=bool)
         self.entries = []
         for t in sm.tracts_from(sid):
-            tctx = sm.sections[t.target]
             read_idx = [sorted(A.index(s) for s in rs) for rs in t.reads]
-            src, tgt = [], []
-            w_idx = [[] for _ in range(n)]
-            d_idx = [[] for _ in range(n)]
-            for xi, x in enumerate(ctx.elements):
-                base = xi * (len(A) ** n)
-                for sym_idx in product(*read_idx):
-                    syms = tuple(A.elements[k] for k in sym_idx)
-                    if t.guard is not None and not t.guard(x, syms):
-                        continue
-                    flat = base + sum(k * s for k, s in zip(sym_idx, strides))
-                    if covered[flat]:
-                        raise ValueError(
-                            f"overlapping tracts at section {sid!r}, "
-                            f"context {x!r}, symbols {syms!r}"
-                        )
-                    covered[flat] = True
-                    x2, writes, dirs = t.apply(x, syms)
-                    src.append(flat)
-                    tgt.append(tctx.index(x2))
-                    for j in range(n):
-                        w_idx[j].append(A.index(writes[j]))
-                        d_idx[j].append(dirs[j] + 1)
-            if src:
-                self.entries.append(
-                    _TractEntry(t.target, src, tgt, w_idx, d_idx, t.label)
+            combos = np.array(list(product(*read_idx)), dtype=np.intp).reshape(-1, n)
+            offsets = combos @ strides
+            if t.apply is None and t.guard is None and sm.sections[t.target] == ctx:
+                arrays = _copy_arrays(sm, t, ctx, size, combos, offsets)
+            else:
+                arrays = _mapped_arrays(sm, t, ctx, size, combos, offsets)
+            src = arrays[0]
+            if not src.size:
+                continue
+            hit = covered[src]
+            if hit.any():
+                xi, off = divmod(int(src[hit.argmax()]), size)
+                syms = np.unravel_index(off, (len(A),) * n)
+                raise ValueError(
+                    f"overlapping tracts at section {sid!r}, "
+                    f"context {ctx.elements[xi]!r}, "
+                    f"symbols {tuple(A.elements[k] for k in syms)!r}"
                 )
+            covered[src] = True
+            self.entries.append(_TractEntry(t.target, *arrays, t.label))
         self.uncovered = np.flatnonzero(~covered)
+
+
+def _copy_arrays(sm: SectionMachine, t, ctx, size: int, combos, offsets):
+    """Broadcast index arrays of a declarative tract that keeps the context."""
+    xi = np.arange(len(ctx), dtype=np.intp)
+    src = (xi[:, None] * size + offsets).reshape(-1)
+    tgt = np.repeat(xi, len(offsets))
+    w_idx = [
+        np.tile(combos[:, j], len(ctx)) if w is None
+        else np.full(src.size, sm.alphabet.index(w), dtype=np.intp)
+        for j, w in enumerate(t.write)
+    ]
+    d_idx = [np.full(src.size, d + 1, dtype=np.intp) for d in t.move]
+    return src, tgt, w_idx, d_idx
+
+
+def _mapped_arrays(sm: SectionMachine, t, ctx, size: int, combos, offsets):
+    """Index arrays of a tract enumerated entry by entry through its image."""
+    A = sm.alphabet
+    n = sm.num_tapes
+    tindex = sm.sections[t.target]._index
+    reads = [
+        (tuple(A.elements[k] for k in c), off)
+        for c, off in zip(combos.tolist(), offsets.tolist())
+    ]
+    image = t.apply or t.image
+    src, tgt, writes, dirs = [], [], [], []
+    for xi, x in enumerate(ctx.elements):
+        base = xi * size
+        for syms, off in reads:
+            if t.guard is not None and not t.guard(x, syms):
+                continue
+            x2, w, d = image(x, syms)
+            src.append(base + off)
+            tgt.append(tindex[x2])
+            writes.extend(w)
+            dirs.extend(d)
+    w_idx = np.array([A._index[w] for w in writes], dtype=np.intp).reshape(-1, n)
+    d_idx = np.array(dirs, dtype=np.intp).reshape(-1, n) + 1
+    return (
+        np.array(src, dtype=np.intp),
+        np.array(tgt, dtype=np.intp),
+        [w_idx[:, j].copy() for j in range(n)],
+        [d_idx[:, j].copy() for j in range(n)],
+    )
 
 
 def _table(sm: SectionMachine, sid: str) -> _SectionTable:

@@ -70,6 +70,12 @@ class Machine:
     def _validate(self):
         from itertools import product
 
+        # The loop below stops at the first missing key, which comes within
+        # len(delta) + 1 keys of the tape count's length.  With no
+        # transitions given, even that one key can be far larger than the
+        # input (a huge tape count), so an empty table is reported at once.
+        if self.states and not self.delta:
+            raise ValueError("delta is not total: no transitions given")
         for q in self.states:
             for syms in product(self.alphabet.elements, repeat=self.num_tapes):
                 key = (q, syms)

@@ -59,6 +59,7 @@ from .smooth import (
 )
 
 MARK_L, MARK_0, MARK_R = "#L", "#0", "#R"
+ECHO = None  # declarative write that puts back the read symbol
 
 
 def cell_position(n: int, tape_j: int, i: int) -> int:
@@ -132,6 +133,12 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     def emit(src, tgt, reads, apply, label):
         tracts.append(Tract(src, tgt, (frozenset(reads),), apply, label=label))
 
+    def copy(src, tgt, reads, write, move, label):
+        # keeps the context; ``write`` is a constant symbol, or ECHO
+        tracts.append(Tract(
+            src, tgt, (frozenset(reads),), label=label, write=(write,), move=(move,)
+        ))
+
     # read phase: R1..Rn down column 0, loading head cells
     for k in range(1, n + 1):
         sections[f"R{k}"] = Q if k == 1 else product_set(Q, *[SIGMA] * (k - 1))
@@ -184,19 +191,13 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         sections[f"MLB1.{j}"] = ctx_w
         sections[f"MLB2.{j}"] = ctx_w
         sections[f"MLB3.{j}"] = ctx_w
-        emit(f"MLB1.{j}", f"MLB1.{j}", SIG | H0,
-             lambda x, s: (x, (s[0],), (-1,)), f"seek-left.{j}")
-        emit(f"MLB1.{j}", f"MLB2.{j}", HL,
-             lambda x, s: (x, (blank,), (-1,)), f"erase-border.{j}")
-        emit(f"MLB2.{j}", f"MLB2.{j}", HL,
-             lambda x, s: (x, (MARK_L,), (-1,)), f"cross-border-out.{j}")
-        emit(f"MLB2.{j}", f"MLB3.{j}", BLANK,
-             lambda x, s: (x, (MARK_L,), (1,)), f"plant-border.{j}")
-        emit(f"MLB3.{j}", f"MLB3.{j}", HL,
-             lambda x, s: (x, (MARK_L,), (1,)), f"cross-border-back.{j}")
+        copy(f"MLB1.{j}", f"MLB1.{j}", SIG | H0, ECHO, -1, f"seek-left.{j}")
+        copy(f"MLB1.{j}", f"MLB2.{j}", HL, blank, -1, f"erase-border.{j}")
+        copy(f"MLB2.{j}", f"MLB2.{j}", HL, MARK_L, -1, f"cross-border-out.{j}")
+        copy(f"MLB2.{j}", f"MLB3.{j}", BLANK, MARK_L, 1, f"plant-border.{j}")
+        copy(f"MLB3.{j}", f"MLB3.{j}", HL, MARK_L, 1, f"cross-border-back.{j}")
         first_walk = f"MLE1.{j}" if n > 1 else f"MLEload.{j}"
-        emit(f"MLB3.{j}", first_walk, BLANK,
-             lambda x, s: (x, (blank,), (1,)), f"enter-edge.{j}")
+        copy(f"MLB3.{j}", first_walk, BLANK, blank, 1, f"enter-edge.{j}")
 
         # left edge: walk to the leftmost data column, load it, write the
         # superposition of the freshly opened column (both outer neighbours
@@ -204,8 +205,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         for s_ in range(1, n):
             sections[f"MLE{s_}.{j}"] = ctx_w
             tgt = f"MLE{s_+1}.{j}" if s_ < n - 1 else f"MLEload.{j}"
-            emit(f"MLE{s_}.{j}", tgt, SIG,
-                 lambda x, s: (x, (s[0],), (1,)), f"edge-walk{s_}.{j}")
+            copy(f"MLE{s_}.{j}", tgt, SIG, ECHO, 1, f"edge-walk{s_}.{j}")
         sections[f"MLEload.{j}"] = ctx_w
         back_or_write = f"MMLback1.{j}" if n > 1 else f"MMLwrite.{j}"
         emit(f"MLEload.{j}", back_or_write, SIG,
@@ -217,10 +217,9 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         for s_ in range(1, n):
             sections[f"MMLback{s_}.{j}"] = ctx_p3
             tgt = f"MMLback{s_+1}.{j}" if s_ < n - 1 else f"MMLwrite.{j}"
-            emit(f"MMLback{s_}.{j}", tgt, SIG,
-                 lambda x, s: (x, (s[0],), (-1,)), f"back{s_}.{j}")
-            emit(f"MMLback{s_}.{j}", f"MMLback{s_}.{j}", H0,
-                 lambda x, s: (x, (s[0],), (-1,)), f"back-skip{s_}.{j}")
+            copy(f"MMLback{s_}.{j}", tgt, SIG, ECHO, -1, f"back{s_}.{j}")
+            copy(f"MMLback{s_}.{j}", f"MMLback{s_}.{j}", H0, ECHO, -1,
+                 f"back-skip{s_}.{j}")
         sections[f"MMLwrite.{j}"] = ctx_p3
         emit(
             f"MMLwrite.{j}", f"MMLout1.{j}", SIG,
@@ -231,42 +230,34 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
             ),
             f"superpose.{j}",
         )
-        emit(f"MMLwrite.{j}", f"MMLwrite.{j}", H0,
-             lambda x, s: (x, (s[0],), (-1,)), f"write-skip.{j}")
+        copy(f"MMLwrite.{j}", f"MMLwrite.{j}", H0, ECHO, -1, f"write-skip.{j}")
         for s_ in range(1, 2 * n):
             sections[f"MMLout{s_}.{j}"] = ctx_p2
             tgt = f"MMLout{s_+1}.{j}" if s_ < 2 * n - 1 else f"MMLload.{j}"
             # border cells of not-yet-shifted rows sit at counted positions,
             # so #R advances the chain; the #0 column is extra, so it loops
-            emit(f"MMLout{s_}.{j}", tgt, SIG | HR,
-                 lambda x, s: (x, (s[0],), (1,)), f"out{s_}.{j}")
-            emit(f"MMLout{s_}.{j}", f"MMLout{s_}.{j}", H0,
-                 lambda x, s: (x, (s[0],), (1,)), f"out-skip{s_}.{j}")
+            copy(f"MMLout{s_}.{j}", tgt, SIG | HR, ECHO, 1, f"out{s_}.{j}")
+            copy(f"MMLout{s_}.{j}", f"MMLout{s_}.{j}", H0, ECHO, 1, f"out-skip{s_}.{j}")
         sections[f"MMLload.{j}"] = ctx_p2
         emit(f"MMLload.{j}", back_or_write, SIG,
              lambda x, s: (x + (s[0],), (s[0],), (-1,)), f"load.{j}")
-        emit(f"MMLload.{j}", f"MMLload.{j}", H0,
-             lambda x, s: (x, (s[0],), (1,)), f"load-skip.{j}")
+        copy(f"MMLload.{j}", f"MMLload.{j}", H0, ECHO, 1, f"load-skip.{j}")
 
         # right border shift: erase the row's #R, plant it one column out,
         # return to the erased cell
         out_or_write = f"MRBout1.{j}" if n > 1 else f"MRBwrite.{j}"
-        emit(f"MMLload.{j}", out_or_write, HR,
-             lambda x, s: (x, (blank,), (1,)), f"erase-right.{j}")
+        copy(f"MMLload.{j}", out_or_write, HR, blank, 1, f"erase-right.{j}")
         for s_ in range(1, n):
             sections[f"MRBout{s_}.{j}"] = ctx_p2
             tgt = f"MRBout{s_+1}.{j}" if s_ < n - 1 else f"MRBwrite.{j}"
-            emit(f"MRBout{s_}.{j}", tgt, SIG,
-                 lambda x, s: (x, (s[0],), (1,)), f"rb-out{s_}.{j}")
+            copy(f"MRBout{s_}.{j}", tgt, SIG, ECHO, 1, f"rb-out{s_}.{j}")
         sections[f"MRBwrite.{j}"] = ctx_p2
         back2_or_re = f"MRBback1.{j}" if n > 1 else f"MRE1.{j}"
-        emit(f"MRBwrite.{j}", back2_or_re, BLANK,
-             lambda x, s: (x, (MARK_R,), (-1,)), f"plant-right.{j}")
+        copy(f"MRBwrite.{j}", back2_or_re, BLANK, MARK_R, -1, f"plant-right.{j}")
         for s_ in range(1, n):
             sections[f"MRBback{s_}.{j}"] = ctx_p2
             tgt = f"MRBback{s_+1}.{j}" if s_ < n - 1 else f"MRE1.{j}"
-            emit(f"MRBback{s_}.{j}", tgt, SIG,
-                 lambda x, s: (x, (s[0],), (-1,)), f"rb-back{s_}.{j}")
+            copy(f"MRBback{s_}.{j}", tgt, SIG, ECHO, -1, f"rb-back{s_}.{j}")
 
         # right edge: the opened column sees (last data cell, blank, blank);
         # the last data column sees (loaded pair, blank)
@@ -280,8 +271,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         for s_ in range(1, n):
             sections[f"MREwalk{s_}.{j}"] = ctx_p2
             tgt = f"MREwalk{s_+1}.{j}" if s_ < n - 1 else f"MRE2.{j}"
-            emit(f"MREwalk{s_}.{j}", tgt, SIG | HR,
-                 lambda x, s: (x, (s[0],), (-1,)), f"re-walk{s_}.{j}")
+            copy(f"MREwalk{s_}.{j}", tgt, SIG | HR, ECHO, -1, f"re-walk{s_}.{j}")
         sections[f"MRE2.{j}"] = ctx_p2
         emit(
             f"MRE2.{j}", after_row, SIG,
@@ -297,8 +287,8 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     # then push the context joint through the state component
     sections["SU"] = ctx_w
     sections["S"] = ctx_w
-    emit("SU", "SU", SIG, lambda x, s: (x, (s[0],), (-1,)), "seek-head")
-    emit("SU", "S", H0, lambda x, s: (x, (MARK_0,), (1,)), "found-head")
+    copy("SU", "SU", SIG, ECHO, -1, "seek-head")
+    copy("SU", "S", H0, MARK_0, 1, "found-head")
     emit("S", "R1", SIG, lambda x, s: (trans(x)[0], (s[0],), (0,)), "state-update")
 
     sm = SectionMachine(sections, tracts, alphabet, blank, 1)

@@ -4,10 +4,13 @@ A section machine never names states individually: each section carries a
 finite context set, and transitions are given as tracts.  A tract connects a
 source section to a target section over a read-symbol set per tape, with one
 map sending (context element, read symbols) to (target context element,
-write symbols, move directions).  An optional guard restricts a tract to part
-of its (context x symbols) rectangle, so two tracts over the same read
-symbols may split a section by context; lowering checks that the pieces never
-overlap.
+write symbols, move directions).  The map is either a closure or, for copy
+tracts that keep the context, declarative: a per-tape write (a constant
+symbol, or ``None`` to write back the read symbol) and a per-tape move.
+:meth:`Tract.image` evaluates both forms, and every consumer goes through it.
+An optional guard restricts a tract to part of its (context x symbols)
+rectangle, so two tracts over the same read symbols may split a section by
+context; lowering checks that the pieces never overlap.
 
 Lowering produces an ordinary :class:`~smoothtm.machines.Machine` whose state
 set is the disjoint union of the contexts tagged by section id.  Pairs not
@@ -27,14 +30,44 @@ from .machines import Configuration, Machine
 
 @dataclass(frozen=True)
 class Tract:
-    """A family of transitions between two sections over fixed read sets."""
+    """A family of transitions between two sections over fixed read sets.
+
+    Give either ``apply`` or the declarative pair ``write``/``move``.  A
+    declarative tract keeps the context element, writes ``write[j]`` on tape
+    j (the read symbol when that entry is ``None``) and moves by ``move[j]``.
+    """
 
     source: str
     target: str
     reads: tuple[frozenset, ...]
-    apply: Callable  # (ctx_elem, syms) -> (ctx_elem', writes, dirs)
+    apply: Callable | None = None  # (ctx_elem, syms) -> (ctx_elem', writes, dirs)
     guard: Callable | None = None  # (ctx_elem, syms) -> bool
     label: str = ""
+    write: tuple | None = None  # per tape: constant symbol, or None to echo
+    move: tuple[int, ...] | None = None  # per tape, in -1/0/1
+
+    def __post_init__(self):
+        if self.apply is not None:
+            ok = self.write is None and self.move is None
+        else:
+            ok = (
+                self.write is not None
+                and self.move is not None
+                and len(self.write) == len(self.move) == len(self.reads)
+                and all(d in (-1, 0, 1) for d in self.move)
+            )
+        if not ok:
+            raise ValueError(
+                f"tract {self.label!r} needs either apply, or one write and "
+                f"one move in -1/0/1 per tape"
+            )
+
+    def image(self, x, syms) -> tuple:
+        """(target context element, writes, dirs) for one covered pair."""
+        if self.apply is not None:
+            return self.apply(x, syms)
+        writes = tuple(s if w is None else w for s, w in zip(syms, self.write))
+        return x, writes, self.move
 
 
 @dataclass
@@ -62,6 +95,9 @@ class SectionMachine:
                         raise ValueError(
                             f"tract {t.label!r} reads unknown symbol {s!r}"
                         )
+            for w in t.write or ():
+                if w is not None and w not in self.alphabet:
+                    raise ValueError(f"tract {t.label!r} writes unknown symbol {w!r}")
 
     def tracts_from(self, sid: str) -> list[Tract]:
         return [t for t in self.tracts if t.source == sid]
@@ -98,7 +134,7 @@ def section_step(sm: SectionMachine, c: Configuration) -> Configuration:
         raise RuntimeError(
             f"stuck: no tract from section {sid!r} context {x!r} on {syms!r}"
         )
-    x2, writes, dirs = tract.apply(x, syms)
+    x2, writes, dirs = tract.image(x, syms)
     tapes = tuple(
         t.write0(w).shift(d) for t, w, d in zip(c.tapes, writes, dirs)
     )
@@ -125,7 +161,7 @@ def lower_sections(sm: SectionMachine) -> Machine:
                     delta[key] = ((sid, x), syms, (0,) * sm.num_tapes)
                     fills.add(key)
                 else:
-                    x2, writes, dirs = tract.apply(x, syms)
+                    x2, writes, dirs = tract.image(x, syms)
                     if x2 not in sm.sections[tract.target]:
                         raise ValueError(
                             f"tract {tract.label!r} maps {x!r} outside the "
@@ -176,7 +212,7 @@ def format_section_machine(sm: SectionMachine, metadata: dict | None = None) -> 
             for syms in product(*[sorted(rs, key=render_label) for rs in t.reads]):
                 if t.guard is not None and not t.guard(x, syms):
                     continue
-                x2, writes, dirs = t.apply(x, syms)
+                x2, writes, dirs = t.image(x, syms)
                 lines.append(
                     "  map: "
                     + render_label(x)

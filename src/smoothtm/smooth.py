@@ -41,7 +41,7 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
     """Validate and canonicalize a (cells x symbols) block of distributions.
 
     Same contract as Dist construction, vectorized: rows must be simplex
-    vectors within 1e-12; tiny negatives are clamped and the row
+    vectors within 1e-12; tiny negatives are clamped and only their rows
     renormalized; single-support rows become exact 0.0/1.0 point masses.
     """
     rows = np.array(rows, dtype=np.float64)
@@ -52,9 +52,10 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
         bad = np.abs(sums - 1.0).max(initial=0.0)
         if not bad <= ATOL:  # also rejects NaN
             raise ValueError(f"cell weights off the simplex by {bad}")
-        if (rows < 0.0).any():
-            rows = np.where(rows < 0.0, 0.0, rows)
-            rows /= rows.sum(axis=1, keepdims=True)
+        neg = (rows < 0.0).any(axis=1)
+        if neg.any():
+            fixed = np.where(rows[neg] < 0.0, 0.0, rows[neg])
+            rows[neg] = fixed / fixed.sum(axis=1, keepdims=True)
         single = np.count_nonzero(rows, axis=1) == 1
         if single.any():
             rows[single] = rows[single] != 0.0
@@ -497,34 +498,59 @@ def json_field(obj: dict, key: str, kind: type, where: str = "", default=_REQUIR
     return json_value(obj[key], kind, path)
 
 
-def dist_from_obj(obj, base: FiniteSet, path: str, what: str) -> Dist:
-    """Read ``{label: weight}`` over ``base``; omitted labels weigh zero."""
-    lookup = {str(x): x for x in base.elements}
-    pairs = {}
+def _fill_weights(row: np.ndarray, obj, index: dict, path: str, what: str) -> None:
+    """Write ``{label: weight}`` into ``row``, checking labels and numbers."""
     for k, v in json_value(obj, dict, path).items():
-        if k not in lookup:
+        i = index.get(k)
+        if i is None:
             raise FormatError(f"{path}: unknown {what} {k!r}")
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
             raise FormatError(
                 f"{path}: weight of {what} {k!r} must be a finite number, got {v!r}"
             )
-        pairs[lookup[k]] = float(v)
+        row[i] = float(v)
+
+
+def _label_index(base: FiniteSet) -> dict:
+    return {str(x): i for i, x in enumerate(base.elements)}
+
+
+def dist_from_obj(obj, base: FiniteSet, path: str, what: str) -> Dist:
+    """Read ``{label: weight}`` over ``base``; omitted labels weigh zero."""
+    row = np.zeros(len(base))
+    _fill_weights(row, obj, _label_index(base), path, what)
     try:
-        return Dist.from_pairs(base, pairs)
+        return Dist(base, row)
     except ValueError as exc:
         raise FormatError(f"{path}: bad {what} distribution: {exc}") from None
 
 
 def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
-    """Read a tape; ``lo`` defaults to 0, and no cells means a blank tape."""
+    """Read a tape; ``lo`` defaults to 0, and no cells means a blank tape.
+
+    The cells fill one array that :class:`SmoothTape` validates at once; a
+    window off the simplex is reported at its first bad cell.
+    """
     json_value(obj, dict, path)
     lo = json_field(obj, "lo", int, path, default=0)
     cells = json_field(obj, "cells", list, path, default=[])
-    dists = [
-        dist_from_obj(c, alphabet, f"{path}.cells[{i}]", "symbol")
-        for i, c in enumerate(cells)
-    ]
-    return SmoothTape.from_dists(alphabet, blank, lo, dists)
+    if not cells:
+        return SmoothTape.blank_tape(alphabet, blank)
+    rows = np.zeros((len(cells), len(alphabet)))
+    index = _label_index(alphabet)
+    for i, c in enumerate(cells):
+        _fill_weights(rows[i], c, index, f"{path}.cells[{i}]", "symbol")
+    try:
+        return SmoothTape(alphabet, blank, lo, rows)
+    except ValueError:
+        for i, row in enumerate(rows):
+            try:
+                Dist(alphabet, row)
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path}.cells[{i}]: bad symbol distribution: {exc}"
+                ) from None
+        raise
 
 
 def format_config(s: SmoothConfig) -> str:

@@ -129,14 +129,15 @@ def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine
         "update": product_set(Q, alphabet, DIRECTIONS),
         "read": Q,
     }
+    echo = (None, None)  # declarative write of both read symbols
     tracts = [
         Tract(
             "wait", "wait", (NOTDIR, SS),
-            lambda x, s: (x, (s[0], s[1]), (1, 0)), label="wait-loop",
+            write=echo, move=(1, 0), label="wait-loop",
         ),
         Tract(
             "wait", "scan1", (DS, SS),
-            lambda x, s: (x, (s[0], s[1]), (1, 0)), label="next-tuple",
+            write=echo, move=(1, 0), label="next-tuple",
         ),
         Tract(
             "scan1", "scan2", (QS, SS),
@@ -172,7 +173,7 @@ def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine
         ),
         Tract(
             "update", "update", (NOTHASH, SS),
-            lambda x, s: (x, (s[0], s[1]), (1, 0)), label="await-close",
+            write=echo, move=(1, 0), label="await-close",
         ),
         Tract(
             "update", "read", (frozenset({HASH}), SS),
@@ -180,7 +181,7 @@ def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine
         ),
         Tract(
             "read", "read", (NOTHASH, SS),
-            lambda x, s: (x, (s[0], s[1]), (-1, 0)), label="rewind",
+            write=echo, move=(-1, 0), label="rewind",
         ),
         Tract(
             "read", "scan1", (frozenset({HASH}), SS),

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -290,3 +291,16 @@ def test_run_malformed_machine_exit_2(files, capsys, machine, expected):
     bad = files["dir"] / "bad.tm"
     bad.write_text(machine)
     assert_usage_error(["run", str(bad), files["blank.cfg"]], capsys, "bad.tm", expected)
+
+
+def test_run_huge_tape_count_exit_2(files, capsys):
+    # an empty table is rejected before the 10^8-long key of its first
+    # missing transition is built
+    bad = files["dir"] / "bad.tm"
+    bad.write_text("states: q\nalphabet: _\ntapes: 99999999\n")
+    start = time.perf_counter()
+    assert_usage_error(
+        ["run", str(bad), files["blank.cfg"]], capsys, "bad.tm",
+        "delta is not total: no transitions given",
+    )
+    assert time.perf_counter() - start < 1.0

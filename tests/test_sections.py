@@ -1,9 +1,16 @@
+import hashlib
+import random
+from itertools import product
+
 import numpy as np
 import pytest
 
+from smoothtm.cli import main
 from smoothtm.dists import Dist, FiniteSet
-from smoothtm.engine import point_config, section_smooth_step
-from smoothtm.machines import Configuration, Tape, step
+from smoothtm.engine import _SectionTable, point_config, section_smooth_step
+from smoothtm.machines import Configuration, Tape, parse_machine, step
+from smoothtm.multitape import compile_multitape
+from smoothtm.sampling import random_machine
 from smoothtm.sections import (
     SectionMachine,
     Tract,
@@ -12,6 +19,7 @@ from smoothtm.sections import (
     section_step,
 )
 from smoothtm.smooth import SmoothConfig, SmoothTape, embed, smooth_step
+from smoothtm.utm import build_utm
 
 AB = FiniteSet(["_", "A", "B"])
 STAR = FiniteSet(["*"])
@@ -183,3 +191,183 @@ def test_serialization_mentions_sections_and_tracts():
     assert "section: S0" in text
     assert "tract: S0 -> S0" in text
     assert "meta: n = 1" in text
+
+
+# ---------------------------------------------------------------------------
+# Declarative tracts and the broadcast section tables
+# ---------------------------------------------------------------------------
+
+
+def reference_table(sm, sid):
+    """Section table enumerated entry by entry through Tract.image."""
+    ctx, A, n = sm.sections[sid], sm.alphabet, sm.num_tapes
+    strides = [len(A) ** (n - 1 - k) for k in range(n)]
+    covered = np.zeros(len(ctx) * len(A) ** n, dtype=bool)
+    entries = []
+    for t in sm.tracts_from(sid):
+        src, tgt = [], []
+        w_idx, d_idx = [[] for _ in range(n)], [[] for _ in range(n)]
+        for xi, x in enumerate(ctx.elements):
+            for sym_idx in product(*[sorted(A.index(s) for s in rs) for rs in t.reads]):
+                syms = tuple(A.elements[k] for k in sym_idx)
+                if t.guard is not None and not t.guard(x, syms):
+                    continue
+                flat = xi * len(A) ** n + sum(k * s for k, s in zip(sym_idx, strides))
+                assert not covered[flat]
+                covered[flat] = True
+                x2, writes, dirs = t.image(x, syms)
+                src.append(flat)
+                tgt.append(sm.sections[t.target].index(x2))
+                for j in range(n):
+                    w_idx[j].append(A.index(writes[j]))
+                    d_idx[j].append(dirs[j] + 1)
+        if src:
+            entries.append((t.target, t.label, src, tgt, w_idx, d_idx))
+    return entries, np.flatnonzero(~covered)
+
+
+def compiled(n, q, s, seed=0):
+    return compile_multitape(random_machine(np.random.default_rng(seed), n, q, s)).machine
+
+
+SECTION_MACHINES = {
+    **{f"mt-{n}x{q}x{s}": (lambda n=n, q=q, s=s: compiled(n, q, s))
+       for n, q, s in [(1, 2, 2), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)]},
+    "mt-broken": lambda: compile_multitape(
+        random_machine(np.random.default_rng(1), 2, 2, 2), broken=True
+    ).machine,
+    **{f"utm-{q}x{s}": (lambda q=q, s=s: build_utm(
+        q, FiniteSet(["_", "A", "B", "C"][:s]), "_").machine)
+       for q, s in [(1, 2), (2, 2), (2, 3), (3, 4)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_MACHINES))
+def test_broadcast_tables_equal_enumerated_reference(name):
+    sm = SECTION_MACHINES[name]()
+    assert any(t.apply is None for t in sm.tracts)
+    for sid in sm.sections:
+        table = _SectionTable(sm, sid)
+        entries, uncovered = reference_table(sm, sid)
+        assert len(table.entries) == len(entries)
+        for e, (target, label, src, tgt, w_idx, d_idx) in zip(table.entries, entries):
+            assert (e.target, e.label) == (target, label)
+            for got, want in zip([e.src, e.tgt, *e.w_idx, *e.d_idx],
+                                 [src, tgt, *w_idx, *d_idx]):
+                assert got.dtype == np.intp
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(table.uncovered, uncovered)
+
+
+@pytest.mark.parametrize("name", ["mt-2x2x3", "mt-broken", "utm-2x3"])
+def test_lowering_agrees_with_section_tables(name):
+    sm = SECTION_MACHINES[name]()
+    m = lower_sections(sm)
+    A, n = sm.alphabet, sm.num_tapes
+    size = len(A) ** n
+
+    def key(sid, flat):
+        xi, off = divmod(int(flat), size)
+        idx = np.unravel_index(off, (len(A),) * n)
+        return (sid, sm.sections[sid].elements[xi]), tuple(A.elements[k] for k in idx)
+
+    for sid in sm.sections:
+        table = _SectionTable(sm, sid)
+        for e in table.entries:
+            tctx = sm.sections[e.target]
+            for k, flat in enumerate(e.src):
+                assert m.delta[key(sid, flat)] == (
+                    (e.target, tctx.elements[e.tgt[k]]),
+                    tuple(A.elements[w[k]] for w in e.w_idx),
+                    tuple(int(d[k]) - 1 for d in e.d_idx),
+                )
+        fills = {k for k in m.fills if k[0][0] == sid}
+        assert fills == {key(sid, flat) for flat in table.uncovered}
+
+
+@pytest.mark.parametrize("closure_first", [False, True])
+def test_declarative_overlapping_closure_tract_rejected(closure_first):
+    copy = Tract("S0", "S0", (frozenset({"A", "B"}),), write=(None,), move=(1,),
+                 label="copy")
+    mapped = Tract("S0", "S0", (frozenset({"B"}),),
+                   lambda x, s: (x, ("A",), (0,)), label="map")
+    tracts = [mapped, copy] if closure_first else [copy, mapped]
+    sm = SectionMachine({"S0": FiniteSet(["x", "y"])}, tracts, AB, "_", 1)
+    where = r"section 'S0', context 'x', symbols \('B',\)"
+    with pytest.raises(ValueError, match="overlapping tracts.*" + where):
+        section_smooth_step(
+            point_config(sm, "S0", "y", (SmoothTape.blank_tape(AB, "_"),))
+        )
+    with pytest.raises(ValueError, match="overlapping tracts.*" + where):
+        lower_sections(sm)
+
+
+def test_declarative_tract_image_and_validation():
+    copy = Tract("S0", "S1", (frozenset({"A"}), frozenset({"_", "B"})),
+                 write=(None, "A"), move=(-1, 1))
+    assert copy.image("x", ("A", "B")) == ("x", ("A", "A"), (-1, 1))
+    reads = (frozenset({"A"}),)
+    with pytest.raises(ValueError, match="either apply"):
+        Tract("S0", "S0", reads)
+    with pytest.raises(ValueError, match="either apply"):
+        Tract("S0", "S0", reads, lambda x, s: (x, s, (0,)), write=(None,), move=(0,))
+    with pytest.raises(ValueError, match="either apply"):
+        Tract("S0", "S0", reads, write=(None,), move=(2,))
+    with pytest.raises(ValueError, match="writes unknown symbol 'Z'"):
+        SectionMachine({"S0": STAR}, [Tract("S0", "S0", reads, write=("Z",), move=(0,))],
+                       AB, "_", 1)
+
+
+def golden_machine_text(seed, n, q, s):
+    rng = random.Random(seed)
+    states = [f"q{i}" for i in range(q)]
+    alphabet = ["_"] + [chr(ord("A") + i) for i in range(s - 1)]
+    lines = ["states: " + " ".join(states), "alphabet: " + " ".join(alphabet),
+             f"tapes: {n}"]
+    for st in states:
+        for syms in product(alphabet, repeat=n):
+            q2 = rng.choice(states)
+            writes = [rng.choice(alphabet) for _ in range(n)]
+            dirs = [rng.choice("LSR") for _ in range(n)]
+            lines.append(f"{st} {' '.join(syms)} -> {q2} {' '.join(writes)} "
+                         f"{' '.join(dirs)}")
+    return "\n".join(lines) + "\n"
+
+
+# (tapes, states, symbols, sha256 of `compile -o` output, sha256 of the
+# lowered table): a change to what any tract does, or to the serialization,
+# moves them
+GOLDEN_COMPILES = [
+    (1, 2, 2, "fc4896c88060f06f48e4b9f9bfd03a61ff8ace1dc998450c8b4945f033dd0131",
+     "b32068d7b3a560f3b39b42baa03fd4fc32ce3f20866dbcb35aa6cacd541eb12c"),
+    (1, 3, 3, "e78fbc0df0537714a1211a331e6786660cfd4df6855b88beb0866ca54389fbe9",
+     "5aab859adff82ba29ebc828786dd409b66ec2a0112eee17045c02eb3d3d82959"),
+    (1, 2, 4, "7eb15686556b9e706c1c5058f000bbdd8f716dbcc41973b3109a2d5e1d26fe29",
+     "9852d94db81943edaf35a4a4e2d8cc778726622b0b31a4823b9ea3873d390d16"),
+    (2, 2, 2, "284ec1e932d8b867f952a4850cc3652915f588a30d94d66b499c0d397fa723aa",
+     "a404b0afad1bd4e38d8d86ba1059ac963f0d80fb601b2d3f962c3d05d60f5023"),
+    (2, 3, 2, "5487b9135c41afeb85b0ac6dd311661eda66a3a3e14eff68d8cbb532fd4bef1c",
+     "be1b20833ee71906b528c2847f4608ffcd870b352b10ad9c851f2ae963c3d45c"),
+    (2, 2, 3, "821a62a51690a8bce95f4036e50a920b785e9be90d80b083a6d75833d7c9477b",
+     "578da62eb2b7566de0dad7612e4fe66c9c2a65162916cdfc5bb6c668f0bfcf91"),
+    (3, 2, 2, "1d7755bdedce8b3b42245bdb2503c4517c0d14f13d25417ce7d1b11e2bef02b0",
+     "db60b21624f6390eb60a7e1e49be0d67f2c3b398b9f1f2b81f168c44db031112"),
+    (3, 3, 2, "a7415ee833eea4ce88d7037d1c7c258764d008bc07c079e9f6565652de5a96c3",
+     "cb2ccf0ee6ecc6170b827c28d9a0f51cea5041ea88f7545dc08cd55cd7cb3cd1"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(GOLDEN_COMPILES)))
+def test_compile_output_and_lowering_unchanged(index, tmp_path, capsys):
+    n, q, s, sim_digest, lowered_digest = GOLDEN_COMPILES[index]
+    text = golden_machine_text(index, n, q, s)
+    src, out = tmp_path / "m.tm", tmp_path / "m.sim"
+    src.write_text(text)
+    assert main(["compile", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sim_digest
+    lowered = lower_sections(compile_multitape(parse_machine(text)).machine)
+    h = hashlib.sha256()
+    for key in sorted(lowered.delta, key=repr):
+        h.update(repr((key, lowered.delta[key], key in lowered.fills)).encode())
+    assert h.hexdigest() == lowered_digest

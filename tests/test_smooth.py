@@ -331,3 +331,66 @@ def test_check_simplex_never_below_full_rescan():
         for t in cfg.tapes:
             exact = max(exact, np.abs(t.cells.sum(axis=1) - 1.0).max(), -t.cells.min())
         assert exact <= cfg.check_simplex() <= 1e-12
+
+
+def _reference_tape_rows(cells, alphabet):
+    """Rows as one Dist per cell builds them, the path the parser used to take."""
+    dists = [Dist.from_pairs(alphabet, {a: c.get(str(a), 0.0) for a in alphabet})
+             for c in cells]
+    return SmoothTape.from_dists(alphabet, "_", 0, dists).cells
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_config_matches_per_cell_dists(seed):
+    import json
+
+    rng = np.random.default_rng(seed)
+    m = random_machine(rng, 1, 2, 4)
+    labels = [str(a) for a in m.alphabet]
+    cells = []
+    for _ in range(int(rng.choice([1, 7, 1200]))):
+        w = rng.dirichlet(np.ones(len(labels)))
+        kind = rng.integers(4)
+        if kind == 0:
+            w = np.eye(len(labels))[rng.integers(len(labels))]
+        elif kind == 1:  # a tiny negative, clamped and its row renormalized
+            w[1] += w[0] + 3e-13
+            w[0] = -3e-13
+        elif kind == 2:  # rounding-level mass error, kept as is
+            w[0] += 4e-13
+        cells.append({lab: float(x) for lab, x in zip(labels, w) if x != 0.0})
+    text = json.dumps({"state": {"q0": 1.0}, "tapes": [{"lo": 0, "cells": cells}]})
+    got = parse_config(text, m).tapes[0].cells
+    want = _reference_tape_rows(cells, m.alphabet)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad, expected",
+    [
+        ({"A": 0.5, "B": 0.6}, "tapes[0].cells[3]: bad symbol distribution: "
+                               "weights sum to 1.1, not 1 within 1e-12"),
+        ({"A": -0.5, "B": 1.5}, "tapes[0].cells[3]: bad symbol distribution: "
+                                "negative weight -0.5 below -1e-12"),
+    ],
+)
+def test_parse_config_names_first_bad_cell(bad, expected):
+    import json
+
+    from smoothtm.machines import FormatError
+
+    m = lr_machine()
+    cells = [{"A": 1.0}] * 3 + [bad, {"_": 1.0}, {"A": 0.2}]
+    text = json.dumps({"state": {"q": 1.0}, "tapes": [{"cells": cells}]})
+    with pytest.raises(FormatError) as exc:
+        parse_config(text, m)
+    assert str(exc.value) == expected
+
+
+def test_clean_rows_renormalizes_only_clamped_rows():
+    from smoothtm.smooth import clean_rows
+
+    rows = np.array([[0.3, 0.7 + 4e-13], [-2e-13, 1.0 + 2e-13]])
+    out = clean_rows(rows)
+    assert out[0].tobytes() == rows[0].tobytes()
+    assert out[1].tolist() == [0.0, 1.0]
