@@ -65,9 +65,7 @@ class GeneratingTriple:
     # construction-specific per-step invariants; returns violation strings
     step_checks: Callable[[int, Any, Any], list[str]] = lambda t, x, info: []
 
-    def step_bound(self, override: int | None = None) -> int:
-        if override is not None:
-            return override
+    def step_bound(self) -> int:
         env = env_step_bound()
         return self.max_steps if env is None else env
 
@@ -133,7 +131,6 @@ def compose(g1: GeneratingTriple, g2: GeneratingTriple) -> GeneratingTriple:
 def run_to_next_encoding(
     g: GeneratingTriple,
     x,
-    max_steps: int | None = None,
     observer: Callable[[int, Any, Any], None] | None = None,
 ):
     """Iterate the smooth step until the encoding predicate holds again.
@@ -141,7 +138,7 @@ def run_to_next_encoding(
     Returns (configuration, cycle length t).  Raises :class:`CycleOverrun`
     when the bound is exceeded, which signals a broken construction.
     """
-    bound = g.step_bound(max_steps)
+    bound = g.step_bound()
     for t in range(1, bound + 1):
         x, info = g.stepper(x)
         if observer is not None:
@@ -161,9 +158,7 @@ class WellBehavedReport:
         return self.cycle_length is not None and not self.violations
 
 
-def check_well_behaved(
-    g: GeneratingTriple, x, max_steps: int | None = None
-) -> tuple[Any, WellBehavedReport]:
+def check_well_behaved(g: GeneratingTriple, x) -> tuple[Any, WellBehavedReport]:
     """Run one cycle verifying every intermediate stays outside encodings.
 
     An intermediate configuration that cannot be certified disjoint from the
@@ -173,7 +168,7 @@ def check_well_behaved(
     from .engine import StuckError
 
     report = WellBehavedReport(cycle_length=None)
-    bound = g.step_bound(max_steps)
+    bound = g.step_bound()
     t = 0
     while t < bound:
         t += 1
@@ -209,8 +204,6 @@ def check_preserving(
     x,
     tol: float = 1e-9,
     cycles: int = 1,
-    max_steps: int | None = None,
-    well_behaved: bool = True,
 ) -> PreservationResult:
     """Drive the commuting square from one smooth encoding, cycle by cycle.
 
@@ -223,18 +216,14 @@ def check_preserving(
     violations: list[dict] = []
     dev = 0.0
     for _ in range(cycles):
-        if well_behaved:
-            x, rep = check_well_behaved(g, x, max_steps)
-            violations.extend(rep.violations)
-            if rep.cycle_length is None:
-                violations.append(
-                    {"step": g.step_bound(max_steps), "violation": "no encoding reached"}
-                )
-                break
-            lengths.append(rep.cycle_length)
-        else:
-            x, t = run_to_next_encoding(g, x, max_steps)
-            lengths.append(t)
+        x, rep = check_well_behaved(g, x)
+        violations.extend(rep.violations)
+        if rep.cycle_length is None:
+            violations.append(
+                {"step": g.step_bound(), "violation": "no encoding reached"}
+            )
+            break
+        lengths.append(rep.cycle_length)
         decoded = g.target_step(decoded)
         dev = max(dev, g.decode(x).deviation(decoded))
     return PreservationResult(lengths, dev, violations)

@@ -7,10 +7,14 @@ map sending (context element, read symbols) to (target context element,
 write symbols, move directions).  The map is either a closure or, for copy
 tracts that keep the context, declarative: a per-tape write (a constant
 symbol, or ``None`` to write back the read symbol) and a per-tape move.
-:meth:`Tract.image` evaluates both forms, and every consumer goes through it.
 An optional guard restricts a tract to part of its (context x symbols)
 rectangle, so two tracts over the same read symbols may split a section by
-context; lowering checks that the pieces never overlap.
+context.
+
+:meth:`SectionMachine.table` compiles one section into index arrays; it is
+the only code that evaluates guards and tract maps, validates their images
+and checks that no two tracts overlap.  Classical stepping, lowering, the
+serialization and the smooth engine all read these tables.
 
 Lowering produces an ordinary :class:`~smoothtm.machines.Machine` whose state
 set is the disjoint union of the contexts tagged by section id.  Pairs not
@@ -24,8 +28,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Hashable
 
+import numpy as np
+
 from .dists import FiniteSet
-from .machines import Configuration, Machine
+from .machines import DIRECTIONS, Configuration, Machine
 
 
 @dataclass(frozen=True)
@@ -105,20 +111,172 @@ class SectionMachine:
     def state_count(self) -> int:
         return sum(len(ctx) for ctx in self.sections.values())
 
-    def match_tract(self, sid: str, x, syms) -> Tract | None:
-        """The unique tract applying to (state, symbols), or None."""
-        found = None
-        for t in self.tracts_from(sid):
-            if all(s in rs for s, rs in zip(syms, t.reads)):
+    def table(self, sid: str) -> _SectionTable:
+        """The compiled section ``sid``, built on first use and cached."""
+        table = self._tables.get(sid)
+        if table is None:
+            table = self._tables[sid] = _SectionTable(self, sid)
+        return table
+
+
+@dataclass(slots=True)
+class _TractEntry:
+    target: str
+    src: np.ndarray  # flat (context, symbols) indices, strictly increasing
+    tgt: np.ndarray  # target context indices
+    w_idx: list  # per tape, alphabet indices
+    d_idx: list  # per tape, DIRECTIONS indices (move + 1)
+    label: str
+    tract: int  # position in the machine's tract list
+
+
+class _SectionTable:
+    """Index arrays of every tract leaving one section.
+
+    A (context element, read symbols) pair has the flat index
+    ``xi * |A|**n + offset``, with the symbols' alphabet indices as the
+    big-endian digits of ``offset``.  Entries run in (tract, context, read
+    symbols) order, the order in which the engine scatters mass, so sums are
+    reproducible bit for bit; tracts covering nothing have no entry.  A
+    declarative, unguarded tract into a section with the same context builds
+    its arrays by broadcasting; every other tract is enumerated through its
+    image, which is validated here once.  The table keeps no reference to its
+    machine, which caches it, so a machine is freed without the cycle
+    collector.
+    """
+
+    __slots__ = ("sid", "sections", "alphabet", "n", "entries", "uncovered")
+
+    def __init__(self, sm: SectionMachine, sid: str):
+        self.sid = sid
+        self.sections = sm.sections
+        self.alphabet = A = sm.alphabet
+        self.n = n = sm.num_tapes
+        ctx = sm.sections[sid]
+        size = len(A) ** n
+        strides = np.array([len(A) ** (n - 1 - k) for k in range(n)], dtype=np.intp)
+        covered = np.zeros(len(ctx) * size, dtype=bool)
+        self.entries = []
+        for i, t in enumerate(sm.tracts):
+            if t.source != sid:
+                continue
+            read_idx = [sorted(A.index(s) for s in rs) for rs in t.reads]
+            combos = np.array(list(product(*read_idx)), dtype=np.intp).reshape(-1, n)
+            offsets = combos @ strides
+            if t.apply is None and t.guard is None and sm.sections[t.target] == ctx:
+                arrays = self._copy_arrays(t, combos, offsets)
+            else:
+                arrays = self._mapped_arrays(t, combos, offsets)
+            src = arrays[0]
+            if not src.size:
+                continue
+            hit = covered[src]
+            if hit.any():
+                flat = int(src[hit.argmax()])
+                first, _ = self.find(flat)
+                x, syms = self.pair(flat)
+                raise ValueError(
+                    f"overlapping tracts {first.label!r} and {t.label!r} at "
+                    f"section {sid!r}, context {x!r}, symbols {syms!r}"
+                )
+            covered[src] = True
+            self.entries.append(_TractEntry(t.target, *arrays, t.label, i))
+        self.uncovered = np.flatnonzero(~covered)
+
+    def flat(self, x, syms) -> int:
+        """The flat index of a (context element, read symbols) pair."""
+        off = 0
+        for s in syms:
+            off = off * len(self.alphabet) + self.alphabet.index(s)
+        return self.sections[self.sid].index(x) * len(self.alphabet) ** self.n + off
+
+    def pair(self, flat: int) -> tuple:
+        """The (context element, read symbols) pair at a flat index."""
+        A = self.alphabet
+        xi, off = divmod(int(flat), len(A) ** self.n)
+        digits = np.unravel_index(off, (len(A),) * self.n)
+        return (
+            self.sections[self.sid].elements[xi],
+            tuple(A.elements[k] for k in digits),
+        )
+
+    def find(self, flat: int) -> tuple[_TractEntry, int] | None:
+        """The entry covering a flat index and the position in it, or None."""
+        for e in self.entries:
+            k = int(np.searchsorted(e.src, flat))
+            if k < e.src.size and e.src[k] == flat:
+                return e, k
+        return None
+
+    def _copy_arrays(self, t: Tract, combos, offsets):
+        """Broadcast index arrays of a declarative tract that keeps the context."""
+        xi = np.arange(len(self.sections[self.sid]), dtype=np.intp)
+        src = (xi[:, None] * len(self.alphabet) ** self.n + offsets).reshape(-1)
+        tgt = np.repeat(xi, len(offsets))
+        w_idx = [
+            np.tile(combos[:, j], len(xi)) if w is None
+            else np.full(src.size, self.alphabet.index(w), dtype=np.intp)
+            for j, w in enumerate(t.write)
+        ]
+        d_idx = [np.full(src.size, d + 1, dtype=np.intp) for d in t.move]
+        return src, tgt, w_idx, d_idx
+
+    def _mapped_arrays(self, t: Tract, combos, offsets):
+        """Index arrays of a tract enumerated entry by entry through its image,
+        which must land in the target context and give one alphabet symbol and
+        one move in -1/0/1 per tape."""
+        A, n = self.alphabet, self.n
+        size = len(A) ** n
+        tget = self.sections[t.target]._index.get
+        reads = [
+            (tuple(A.elements[k] for k in c), off)
+            for c, off in zip(combos.tolist(), offsets.tolist())
+        ]
+        image = t.apply or t.image
+        src, tgt, writes, dirs = [], [], [], []
+        for xi, x in enumerate(self.sections[self.sid].elements):
+            base = xi * size
+            for syms, off in reads:
                 if t.guard is not None and not t.guard(x, syms):
                     continue
-                if found is not None:
-                    raise ValueError(
-                        f"overlapping tracts {found.label!r} and {t.label!r} "
-                        f"at section {sid!r}, context {x!r}, symbols {syms!r}"
+                x2, w, d = image(x, syms)
+                if len(w) != n or len(d) != n:
+                    raise self._bad(
+                        t, x, syms,
+                        f"gives {len(w)} writes and {len(d)} moves for {n} tapes",
                     )
-                found = t
-        return found
+                src.append(base + off)
+                tgt.append(tget(x2, -1))
+                writes.extend(w)
+                dirs.extend(d)
+        aget, dget = A._index.get, DIRECTIONS._index.get
+        tgt = np.array(tgt, dtype=np.intp)
+        w_idx = np.array([aget(w, -1) for w in writes], dtype=np.intp).reshape(-1, n)
+        d_idx = np.array([dget(d, -1) for d in dirs], dtype=np.intp).reshape(-1, n)
+        bad = (tgt < 0) | (w_idx < 0).any(axis=1) | (d_idx < 0).any(axis=1)
+        if bad.any():
+            x, syms = self.pair(src[bad.argmax()])
+            x2, w, d = image(x, syms)
+            if x2 not in self.sections[t.target]:
+                what = f"maps to {x2!r}, outside the context of section {t.target!r}"
+            elif any(s not in A for s in w):
+                bad_write = next(s for s in w if s not in A)
+                what = f"writes {bad_write!r}, not in the alphabet"
+            else:
+                what = f"moves {tuple(d)!r}, not each in -1/0/1"
+            raise self._bad(t, x, syms, what)
+        return (
+            np.array(src, dtype=np.intp),
+            tgt,
+            [w_idx[:, j].copy() for j in range(n)],
+            [d_idx[:, j].copy() for j in range(n)],
+        )
+
+    def _bad(self, t: Tract, x, syms, what: str) -> ValueError:
+        return ValueError(
+            f"tract {t.label!r} at section {self.sid!r}, context {x!r}, "
+            f"symbols {syms!r}: {what}"
+        )
 
 
 def section_step(sm: SectionMachine, c: Configuration) -> Configuration:
@@ -129,16 +287,18 @@ def section_step(sm: SectionMachine, c: Configuration) -> Configuration:
     """
     sid, x = c.state
     syms = tuple(t.cell(0) for t in c.tapes)
-    tract = sm.match_tract(sid, x, syms)
-    if tract is None:
+    table = sm.table(sid)
+    found = table.find(table.flat(x, syms))
+    if found is None:
         raise RuntimeError(
             f"stuck: no tract from section {sid!r} context {x!r} on {syms!r}"
         )
-    x2, writes, dirs = tract.image(x, syms)
+    e, k = found
     tapes = tuple(
-        t.write0(w).shift(d) for t, w, d in zip(c.tapes, writes, dirs)
+        t.write0(sm.alphabet.elements[w[k]]).shift(int(d[k]) - 1)
+        for t, w, d in zip(c.tapes, e.w_idx, e.d_idx)
     )
-    return Configuration((tract.target, x2), tapes)
+    return Configuration((e.target, sm.sections[e.target].elements[e.tgt[k]]), tapes)
 
 
 def lower_sections(sm: SectionMachine) -> Machine:
@@ -147,27 +307,27 @@ def lower_sections(sm: SectionMachine) -> Machine:
     States are (section id, context element) pairs in section order;
     uncovered (state, symbols) pairs become flagged stuck fills.
     """
+    A, n = sm.alphabet, sm.num_tapes
     states = FiniteSet(
         [(sid, x) for sid, ctx in sm.sections.items() for x in ctx]
     )
     delta = {}
     fills = set()
     for sid, ctx in sm.sections.items():
-        for x in ctx:
-            for syms in product(sm.alphabet.elements, repeat=sm.num_tapes):
-                tract = sm.match_tract(sid, x, syms)
-                key = ((sid, x), syms)
-                if tract is None:
-                    delta[key] = ((sid, x), syms, (0,) * sm.num_tapes)
-                    fills.add(key)
-                else:
-                    x2, writes, dirs = tract.image(x, syms)
-                    if x2 not in sm.sections[tract.target]:
-                        raise ValueError(
-                            f"tract {tract.label!r} maps {x!r} outside the "
-                            f"context of section {tract.target!r}"
-                        )
-                    delta[key] = ((tract.target, x2), tuple(writes), tuple(dirs))
+        table = sm.table(sid)
+        keys = [((sid, x), syms) for x in ctx for syms in product(A.elements, repeat=n)]
+        rows = [None] * len(keys)
+        for e in table.entries:
+            tctx = sm.sections[e.target].elements
+            targets = [(e.target, tctx[i]) for i in e.tgt.tolist()]
+            writes = zip(*[[A.elements[i] for i in w.tolist()] for w in e.w_idx])
+            dirs = zip(*[(d - 1).tolist() for d in e.d_idx])
+            for f, row in zip(e.src.tolist(), zip(targets, writes, dirs)):
+                rows[f] = row
+        for f in table.uncovered.tolist():
+            rows[f] = (*keys[f], (0,) * n)
+            fills.add(keys[f])
+        delta.update(zip(keys, rows))
     return Machine(
         states, sm.alphabet, sm.blank, sm.num_tapes, delta, frozenset(fills)
     )
@@ -185,7 +345,9 @@ def render_label(x) -> str:
 
 
 def format_section_machine(sm: SectionMachine, metadata: dict | None = None) -> str:
-    """Serialize with section:/tract: records; tract maps listed per entry."""
+    """Serialize with section:/tract: records; tract maps listed per entry,
+    by context and then by the rendered labels of the read symbols."""
+    A, n = sm.alphabet, sm.num_tapes
     lines = []
     if metadata:
         for k in sorted(metadata):
@@ -194,35 +356,44 @@ def format_section_machine(sm: SectionMachine, metadata: dict | None = None) -> 
         "alphabet: "
         + " ".join(
             render_label(s)
-            for s in (sm.blank,) + tuple(x for x in sm.alphabet if x != sm.blank)
+            for s in (sm.blank,) + tuple(x for x in A if x != sm.blank)
         )
     )
-    lines.append(f"tapes: {sm.num_tapes}")
+    lines.append(f"tapes: {n}")
+    ctx_labels = {}
     for sid, ctx in sm.sections.items():
-        lines.append(
-            f"section: {sid} context: " + " ".join(render_label(x) for x in ctx)
-        )
-    dirnames = {-1: "L", 0: "S", 1: "R"}
-    for t in sm.tracts:
+        ctx_labels[sid] = [render_label(x) for x in ctx]
+        lines.append(f"section: {sid} context: " + " ".join(ctx_labels[sid]))
+    # every symbol and move tuple rendered once, indexed by its offset digits
+    labels = [render_label(s) for s in A]
+    syms_text = [",".join(c) for c in product(labels, repeat=n)]
+    dirs_text = [",".join(c) for c in product("LSR", repeat=n)]
+    rank = np.empty(len(A), dtype=np.intp)
+    rank[sorted(range(len(A)), key=labels.__getitem__)] = np.arange(len(A))
+    digit_shape = (len(A),) * n
+    entries = {
+        e.tract: e for sid in sm.sections for e in sm.table(sid).entries
+    }
+    for i, t in enumerate(sm.tracts):
         reads = ";".join(
             ",".join(sorted(render_label(s) for s in rs)) for rs in t.reads
         )
         lines.append(f"tract: {t.source} -> {t.target} reads: {reads} label: {t.label}")
-        for x in sm.sections[t.source]:
-            for syms in product(*[sorted(rs, key=render_label) for rs in t.reads]):
-                if t.guard is not None and not t.guard(x, syms):
-                    continue
-                x2, writes, dirs = t.image(x, syms)
-                lines.append(
-                    "  map: "
-                    + render_label(x)
-                    + " | "
-                    + ",".join(render_label(s) for s in syms)
-                    + " -> "
-                    + render_label(x2)
-                    + " | "
-                    + ",".join(render_label(w) for w in writes)
-                    + " | "
-                    + ",".join(dirnames[d] for d in dirs)
-                )
+        e = entries.get(i)
+        if e is None:
+            continue
+        xi, off = np.divmod(e.src, len(A) ** n)
+        digits = np.unravel_index(off, digit_shape)
+        order = np.lexsort([rank[d] for d in reversed(digits)] + [xi])
+        w_off = np.ravel_multi_index(e.w_idx, digit_shape)
+        d_off = np.ravel_multi_index(e.d_idx, (3,) * n)
+        src_labels, tgt_labels = ctx_labels[t.source], ctx_labels[t.target]
+        lines.extend(
+            f"  map: {src_labels[x]} | {syms_text[o]} -> {tgt_labels[x2]} | "
+            f"{syms_text[w]} | {dirs_text[d]}"
+            for x, o, x2, w, d in zip(
+                xi[order].tolist(), off[order].tolist(), e.tgt[order].tolist(),
+                w_off[order].tolist(), d_off[order].tolist(),
+            )
+        )
     return "\n".join(lines) + "\n"

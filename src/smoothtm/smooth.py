@@ -246,19 +246,24 @@ def machine_ops(m: Machine) -> dict:
     return ops
 
 
-def superpose_tape(tape: SmoothTape, write: Dist, dirs: Dist) -> SmoothTape:
+def superpose_tape(
+    tape: SmoothTape, write: np.ndarray, dirs: np.ndarray
+) -> SmoothTape:
     """Write at the head, then form the per-cell superposition over moves.
+
+    ``write`` is the weight vector over the alphabet, ``dirs`` the one over
+    DIRECTIONS.
 
     A point-mass move is a pure re-indexing of the written tape, so it writes
     one row and shifts the window; any other move takes the general
     superposition.  Both give the same canonical tape bit for bit.
     """
-    moves = np.flatnonzero(dirs.weights)
+    moves = np.flatnonzero(dirs)
     if len(moves) != 1:
         return _superpose_general(tape, write, dirs)
     d = DIRECTIONS.elements[moves[0]]
     bidx = tape.alphabet.index(tape.blank)
-    lo, cells, row = tape.lo, tape.cells, write.weights
+    lo, cells, row = tape.lo, tape.cells, write
     if lo <= 0 <= tape.hi:
         cells = cells.copy()
         cells[-lo] = row
@@ -286,7 +291,9 @@ def superpose_tape(tape: SmoothTape, write: Dist, dirs: Dist) -> SmoothTape:
     )
 
 
-def _superpose_general(tape: SmoothTape, write: Dist, dirs: Dist) -> SmoothTape:
+def _superpose_general(
+    tape: SmoothTape, write: np.ndarray, dirs: np.ndarray
+) -> SmoothTape:
     """The superposition over all three moves.
 
     The window grows by one cell each side and is then canonically trimmed.
@@ -299,10 +306,10 @@ def _superpose_general(tape: SmoothTape, write: Dist, dirs: Dist) -> SmoothTape:
     bidx = tape.alphabet.index(tape.blank)
     written[:, bidx] = 1.0
     written[lo - (lo2 - 1) : hi - (lo2 - 1) + 1] = tape.cells
-    written[0 - (lo2 - 1)] = write.weights
+    written[0 - (lo2 - 1)] = write
     out = np.zeros((hi2 - lo2 + 1, A))
     for k, d in enumerate(DIRECTIONS.elements):
-        c = float(dirs.weights[k])
+        c = float(dirs[k])
         if c != 0.0:
             # new[i] = sum_d c_d * written[i+d]
             out += c * written[1 + d : 1 + d + len(out)]
@@ -332,7 +339,10 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
 def apply_step(s: SmoothConfig, state: Dist, writes, dirs) -> SmoothConfig:
     """The configuration after a step with the given state, per-tape write
     and per-tape direction distributions."""
-    tapes = tuple(superpose_tape(t, w, d) for t, w, d in zip(s.tapes, writes, dirs))
+    tapes = tuple(
+        superpose_tape(t, w.weights, d.weights)
+        for t, w, d in zip(s.tapes, writes, dirs)
+    )
     return SmoothConfig(state, tapes)
 
 

@@ -76,7 +76,6 @@ def test_max_steps_env_override(monkeypatch):
     assert g.step_bound() == 3
     monkeypatch.delenv("SMOOTHTM_MAX_STEPS")
     assert g.step_bound() == 1
-    assert g.step_bound(9) == 9
 
 
 def test_compose_identity_identity():

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import random
+import re
+import weakref
 from itertools import product
 
 import numpy as np
@@ -7,13 +10,14 @@ import pytest
 
 from smoothtm.cli import main
 from smoothtm.dists import Dist, FiniteSet
-from smoothtm.engine import _SectionTable, point_config, section_smooth_step
+from smoothtm.engine import point_config, section_smooth_step
 from smoothtm.machines import Configuration, Tape, parse_machine, step
 from smoothtm.multitape import compile_multitape
 from smoothtm.sampling import random_machine
 from smoothtm.sections import (
     SectionMachine,
     Tract,
+    _SectionTable,
     format_section_machine,
     lower_sections,
     section_step,
@@ -316,6 +320,96 @@ def test_declarative_tract_image_and_validation():
     with pytest.raises(ValueError, match="writes unknown symbol 'Z'"):
         SectionMachine({"S0": STAR}, [Tract("S0", "S0", reads, write=("Z",), move=(0,))],
                        AB, "_", 1)
+
+
+def consumer_errors(sm, sid, x, sym):
+    """The ValueError messages of the engine, lowering, classical stepping
+    and serialization on a machine whose section ``sid`` is malformed."""
+    runs = [
+        lambda: section_smooth_step(point_config(
+            sm, sid, x, (SmoothTape.blank_tape(sm.alphabet, sm.blank),))),
+        lambda: lower_sections(sm),
+        lambda: section_step(
+            sm, Configuration((sid, x), (Tape.from_cells("_", 0, [sym]),))),
+        lambda: format_section_machine(sm),
+    ]
+    messages = []
+    for run in runs:
+        with pytest.raises(ValueError) as err:
+            run()
+        messages.append(str(err.value))
+    return messages
+
+
+MALFORMED_IMAGES = {
+    "outside-target-context": (
+        lambda x, s: ("zz", ("A",), (0,)),
+        r"maps to 'zz', outside the context of section 'S1'",
+    ),
+    "unknown-write": (
+        lambda x, s: (x, ("Z",), (0,)),
+        r"writes 'Z', not in the alphabet",
+    ),
+    "move-minus-2": (
+        lambda x, s: (x, ("A",), (-2,)),
+        r"moves \(-2,\), not each in -1/0/1",
+    ),
+    "two-writes": (
+        lambda x, s: (x, ("A", "A"), (0,)),
+        r"gives 2 writes and 1 moves for 1 tapes",
+    ),
+    "two-moves": (
+        lambda x, s: (x, ("A",), (0, 1)),
+        r"gives 1 writes and 2 moves for 1 tapes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_IMAGES))
+def test_malformed_closure_image_named_by_every_consumer(case):
+    apply, what = MALFORMED_IMAGES[case]
+    ctx = FiniteSet(["x", "y"])
+    tracts = [
+        Tract("S0", "S0", (frozenset({"_", "B"}),), write=(None,), move=(1,),
+              label="copy"),
+        Tract("S0", "S1", (frozenset({"A"}),), apply, label="bad"),
+        Tract("S1", "S1", (frozenset(AB.elements),), write=(None,), move=(0,),
+              label="rest"),
+    ]
+    sm = SectionMachine({"S0": ctx, "S1": ctx}, tracts, AB, "_", 1)
+    messages = consumer_errors(sm, "S0", "x", "A")
+    assert len(set(messages)) == 1
+    where = r"^tract 'bad' at section 'S0', context 'x', symbols \('A',\): "
+    assert re.match(where + what + "$", messages[0])
+
+
+def test_overlap_error_names_both_tracts():
+    one = Tract("S0", "S0", (frozenset({"_", "A"}),), lambda x, s: (x, ("A",), (0,)),
+                label="one")
+    two = Tract("S0", "S0", (frozenset({"A", "B"}),), write=(None,), move=(0,),
+                label="two")
+    sm = SectionMachine({"S0": STAR}, [one, two], AB, "_", 1)
+    messages = consumer_errors(sm, "S0", "*", "A")
+    assert len(set(messages)) == 1
+    assert messages[0] == (
+        "overlapping tracts 'one' and 'two' at section 'S0', context '*', "
+        "symbols ('A',)"
+    )
+
+
+@pytest.mark.parametrize("name", ["mt-2x2x3", "utm-2x3"])
+def test_machine_with_built_tables_freed_by_reference_counting(name):
+    """Tables must not refer back to the machine that caches them."""
+    sm = SECTION_MACHINES[name]()
+    for sid in sm.sections:
+        sm.table(sid)
+    ref = weakref.ref(sm)
+    gc.disable()
+    try:
+        del sm
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def golden_machine_text(seed, n, q, s):

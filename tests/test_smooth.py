@@ -262,11 +262,11 @@ def assert_same_tape(got: SmoothTape, want: SmoothTape):
 
 def assert_fast_path_exact(tape: SmoothTape, write: Dist):
     for d in DIRECTIONS:
-        move = Dist.point(DIRECTIONS, d)
+        move = Dist.point(DIRECTIONS, d).weights
         # the fast path re-validates no rows
         with mock.patch("smoothtm.smooth.clean_rows", side_effect=AssertionError):
-            got = superpose_tape(tape, write, move)
-        assert_same_tape(got, _superpose_general(tape, write, move))
+            got = superpose_tape(tape, write.weights, move)
+        assert_same_tape(got, _superpose_general(tape, write.weights, move))
         assert got.err >= np.abs(got.cells.sum(axis=1) - 1.0).max()
         assert not got.cells.flags.writeable
 
@@ -300,7 +300,7 @@ def test_fast_path_blank_write_trims_window_end(lo):
     cells = [Dist.point(AB_, "A"), BLANK, BLANK, Dist.point(AB_, "B")]
     tape = SmoothTape.from_dists(AB_, "_", lo, cells)
     assert_fast_path_exact(tape, BLANK)
-    out = superpose_tape(tape, BLANK, Dist.point(DIRECTIONS, 0))
+    out = superpose_tape(tape, BLANK.weights, Dist.point(DIRECTIONS, 0).weights)
     assert len(out.cells) == 1
 
 
@@ -310,7 +310,7 @@ def test_fast_path_all_blank_tape():
     assert_fast_path_exact(tape, Dist.point(AB_, "A"))
     # blanking the only non-blank cell gives the canonical blank tape
     lone = SmoothTape.from_dists(AB_, "_", 0, [Dist.point(AB_, "A")])
-    out = superpose_tape(lone, BLANK, Dist.point(DIRECTIONS, 1))
+    out = superpose_tape(lone, BLANK.weights, Dist.point(DIRECTIONS, 1).weights)
     assert out.lo == 0 and np.array_equal(out.cells, tape.cells)
 
 
