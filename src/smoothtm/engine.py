@@ -85,7 +85,7 @@ class StepInfo:
     flows: dict[tuple[str, str], float]  # (source, target) -> mass moved
 
     def direction_point_mass(self, tape_index: int) -> bool:
-        return int(np.count_nonzero(self.dirs[tape_index])) == 1
+        return sum(c != 0.0 for c in self.dirs[tape_index].tolist()) == 1
 
 
 def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
@@ -129,9 +129,8 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     tapes = tuple(
         superpose_tape(t, w, d) for t, w, d in zip(cfg.tapes, writes, dirs)
     )
-    state = {
-        sid: acc[sid] for sid in sm.sections if sid in acc and acc[sid].any()
-    }
+    occupied = sorted((sid for sid, v in acc.items() if v.any()), key=sm.rank.get)
+    state = {sid: acc[sid] for sid in occupied}
     total = float(sum(v.sum() for v in state.values()))
     if abs(total - 1.0) > ATOL:
         raise ValueError(f"state mass {total} off 1 by more than {ATOL}")

@@ -194,6 +194,9 @@ class PreservationResult:
     cycle_lengths: list[int]
     max_deviation: float
     violations: list[dict]
+    # the configuration reached at the end of each completed cycle; only
+    # ``encodings[0]`` is read in src/ (verify_utm's shuffled-order check)
+    encodings: list = field(default_factory=list)
 
     def passes(self, tol: float) -> bool:
         return not self.violations and self.max_deviation <= tol
@@ -213,6 +216,7 @@ def check_preserving(
     """
     decoded = g.decode(x)
     lengths: list[int] = []
+    encodings: list = []
     violations: list[dict] = []
     dev = 0.0
     for _ in range(cycles):
@@ -224,6 +228,7 @@ def check_preserving(
             )
             break
         lengths.append(rep.cycle_length)
+        encodings.append(x)
         decoded = g.target_step(decoded)
         dev = max(dev, g.decode(x).deviation(decoded))
-    return PreservationResult(lengths, dev, violations)
+    return PreservationResult(lengths, dev, violations, encodings)

@@ -86,8 +86,11 @@ class SectionMachine:
     blank: Hashable
     num_tapes: int
     _tables: dict = field(default_factory=dict, repr=False)
+    # position of each section id in ``sections``
+    rank: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.rank = {sid: i for i, sid in enumerate(self.sections)}
         if self.blank not in self.alphabet:
             raise ValueError("blank symbol must be in the alphabet")
         for t in self.tracts:

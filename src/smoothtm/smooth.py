@@ -258,7 +258,7 @@ def superpose_tape(
     one row and shifts the window; any other move takes the general
     superposition.  Both give the same canonical tape bit for bit.
     """
-    moves = np.flatnonzero(dirs)
+    moves = [k for k, c in enumerate(dirs.tolist()) if c != 0.0]
     if len(moves) != 1:
         return _superpose_general(tape, write, dirs)
     d = DIRECTIONS.elements[moves[0]]
@@ -283,7 +283,7 @@ def superpose_tape(
         first += 1
     while last > first and _exact_blank(cells[last], bidx):
         last -= 1
-    err = max(tape.err, _row_error(row[None]))
+    err = max(tape.err, abs(float(row.sum()) - 1.0))
     if first > last:  # every cell is blank
         return SmoothTape._trusted(tape.alphabet, tape.blank, 0, cells[:1], err)
     return SmoothTape._trusted(

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import multitape, utm
 from .dists import Dist, FiniteSet
-from .framework import check_preserving, run_to_next_encoding
+from .engine import StuckError
+from .framework import CycleOverrun, check_preserving, run_to_next_encoding
 from .machines import DIRECTIONS, Machine
 from .sampling import random_dist, random_machine, random_smooth_config
 from .smooth import SmoothConfig, SmoothTape, smooth_step
@@ -94,8 +95,9 @@ def verify_utm(
 ) -> dict:
     """Preservation trials for the pseudo-universal machine.
 
-    Every trial also re-runs one cycle under a shuffled tuple order and
-    requires the decoded output to be unchanged within ``shuffle_tol``.
+    Every trial whose first cycle reaches an encoding also runs that cycle
+    under a shuffled tuple order and requires the decoded output to be
+    unchanged within ``shuffle_tol``.
     """
     report = {
         "construction": "utm",
@@ -129,29 +131,57 @@ def verify_utm(
         res = check_preserving(
             triple, utm.encode_config(machine, code, s), tol=tol, cycles=cycles
         )
-        shuffled = code.shuffled(rng)
-        striple = utm.make_triple(machine, shuffled)
-        c1, _ = run_to_next_encoding(triple, utm.encode_config(machine, code, s))
-        c2, _ = run_to_next_encoding(
-            striple, utm.encode_config(machine, shuffled, s)
-        )
-        shuffle_dev = utm.decode_config(machine, code, c1).deviation(
-            utm.decode_config(machine, shuffled, c2)
-        )
-        report["results"].append(
-            {
-                "trial": i,
-                "seed": tseed,
-                "dims": {"states": nq, "symbols": ns},
-                "cycle_lengths": res.cycle_lengths,
-                "max_deviation": res.max_deviation,
-                "shuffle_deviation": shuffle_dev,
-                "well_behaved": not res.violations,
-                "violations": res.violations[:8],
-                "pass": res.passes(tol) and shuffle_dev <= shuffle_tol,
-            }
-        )
+        shuffle_dev = None
+        if res.encodings:
+            shuffled = code.shuffled(rng)
+            c2, violation = _shuffled_cycle(machine, shuffled, s)
+            if violation is None:
+                shuffle_dev = utm.decode_config(
+                    machine, code, res.encodings[0]
+                ).deviation(utm.decode_config(machine, shuffled, c2))
+            else:
+                res.violations.append(violation)
+        result = {
+            "trial": i,
+            "seed": tseed,
+            "dims": {"states": nq, "symbols": ns},
+            "cycle_lengths": res.cycle_lengths,
+            "max_deviation": res.max_deviation,
+            "well_behaved": not res.violations,
+            "violations": res.violations[:8],
+            "pass": (
+                res.passes(tol)
+                and shuffle_dev is not None
+                and shuffle_dev <= shuffle_tol
+            ),
+        }
+        if shuffle_dev is not None:
+            result["shuffle_deviation"] = shuffle_dev
+        report["results"].append(result)
     return _finish(report)
+
+
+def _shuffled_cycle(machine, code, s: SmoothConfig):
+    """Run ``s`` encoded under the shuffled ``code`` to its next encoding.
+
+    Returns (configuration, None), or (None, violation) when the run gets
+    stuck or reaches no encoding within the step bound.
+    """
+    taken = 0
+
+    def count(t, x, info):
+        nonlocal taken
+        taken = t
+
+    try:
+        x, _ = run_to_next_encoding(
+            utm.make_triple(machine, code), utm.encode_config(machine, code, s), count
+        )
+    except StuckError as exc:
+        return None, {"step": taken + 1, "violation": f"shuffled run: {exc}"}
+    except CycleOverrun as exc:
+        return None, {"step": exc.steps, "violation": f"shuffled run: {exc}"}
+    return x, None
 
 
 def staged_instance() -> tuple[Machine, SmoothConfig]:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -167,6 +169,41 @@ def test_verify_broken_multitape_fails(files):
         )
         == 1
     )
+
+
+# SHA-256 of ``verify --seed 0 --trials 4 --report OUT``: any change to the
+# sampling, the stepping arithmetic or the report layout moves a digest
+REPORT_DIGESTS = {
+    "multitape": "75039c1d51080a5d70ff3410ad128d8aa0f30b87d5979d40c4128083c2ffb923",
+    "broken-multitape": "a096c50e812187940fcda9f76fa6bf8d3ad6339b931ce24ff8aeb93807f89733",
+    "utm": "892fa8e15b5e69eea0fe34b2b63279605cbd1bdcfd5520773953b911bbed9778",
+    "utm --uncertain-codes": "41630ec2aea231e12b5b6b32b724626d67f5924c96f76f536f0af0b3ddfc6ece",
+    "staged-counterexample": "a19e476621786d25c895dec3103de48dee17eae3a36b50a2e4bc5177331e4ddc",
+}
+
+
+@pytest.mark.parametrize("construction", list(REPORT_DIGESTS))
+def test_verify_report_bytes_pinned(construction, tmp_path):
+    rep = tmp_path / "rep.json"
+    main(["verify", "--construction", *construction.split(), "--seed", "0",
+          "--trials", "4", "--report", str(rep)])
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == REPORT_DIGESTS[construction]
+
+
+def test_verify_utm_without_encoding_fails_cleanly(files):
+    """A first cycle that reaches no encoding is a reported failure."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "smoothtm.cli", "verify", "--construction",
+         "utm", "--trials", "1"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, SMOOTHTM_MAX_STEPS="5"),
+    )
+    assert proc.returncode == 1
+    assert "FAIL" in proc.stderr and "Traceback" not in proc.stderr
+    (result,) = json.loads(proc.stdout)["results"]
+    assert result["violations"] == [{"step": 5, "violation": "no encoding reached"}]
+    assert "shuffle_deviation" not in result and result["pass"] is False
 
 
 def test_usage_error_exit_2():

@@ -147,3 +147,60 @@ def test_decoder_linearity_in_one_component():
     db = multitape.decode(sim, enc_with_cell(b)).tapes[0].row(0)
     dm = multitape.decode(sim, enc_with_cell(mixed)).tapes[0].row(0)
     assert np.abs(dm - (lam * da + (1 - lam) * db)).max() <= 1e-12
+
+
+def _utm_case():
+    """A UTM with uncertain codes and its starting encoding."""
+    from smoothtm import utm
+    from smoothtm.machines import DIRECTIONS
+    from smoothtm.sampling import random_dist
+
+    rng = np.random.default_rng(21)
+    m = random_machine(rng, 1, 2, 3)
+    overrides = {
+        (q, a): (
+            random_dist(m.states, rng),
+            random_dist(m.alphabet, rng),
+            random_dist(DIRECTIONS, rng),
+        )
+        for q in m.states
+        for a in m.alphabet
+        if rng.random() < 0.5
+    }
+    machine = utm.build_utm(m.states, m.alphabet, m.blank)
+    code = utm.encode_code(m, overrides)
+    s = random_smooth_config(m, rng, radius=2)
+    return utm.make_triple(machine, code), utm.encode_config(machine, code, s)
+
+
+def _multitape_case():
+    """A compiled 2-tape machine and its starting encoding."""
+    from smoothtm import multitape
+
+    rng = np.random.default_rng(22)
+    m = random_machine(rng, 2, 2, 2)
+    sim = multitape.compile_multitape(m)
+    s = random_smooth_config(m, rng, radius=2)
+    x0 = multitape.to_section_config(sim, multitape.encode(sim, s))
+    return multitape.make_triple(sim), x0
+
+
+def assert_same_bits(a, b):
+    assert list(a.state) == list(b.state)
+    for sid in a.state:
+        assert a.state[sid].tobytes() == b.state[sid].tobytes()
+    assert len(a.tapes) == len(b.tapes)
+    for ta, tb in zip(a.tapes, b.tapes):
+        assert ta.lo == tb.lo
+        assert ta.cells.tobytes() == tb.cells.tobytes()
+
+
+@pytest.mark.parametrize("case", [_utm_case, _multitape_case])
+def test_preservation_encodings_equal_chained_cycles(case):
+    g, x = case()
+    res = check_preserving(g, x, tol=1e-9, cycles=3)
+    assert res.passes(1e-9) and len(res.encodings) == 3
+    for k in range(3):
+        x, t = run_to_next_encoding(g, x)
+        assert t == res.cycle_lengths[k]
+        assert_same_bits(res.encodings[k], x)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smoothtm.dists import Dist, FiniteSet, convex_combine, tensor_many
+from smoothtm.engine import StepInfo
 from smoothtm.machines import DIRECTIONS, Configuration, Machine, Tape, step
 from smoothtm.sampling import (
     random_machine,
@@ -13,6 +14,7 @@ from smoothtm.sampling import (
 from smoothtm.smooth import (
     SmoothConfig,
     SmoothTape,
+    _row_error,
     _superpose_general,
     embed,
     extract_classical,
@@ -312,6 +314,37 @@ def test_fast_path_all_blank_tape():
     lone = SmoothTape.from_dists(AB_, "_", 0, [Dist.point(AB_, "A")])
     out = superpose_tape(lone, BLANK.weights, Dist.point(DIRECTIONS, 1).weights)
     assert out.lo == 0 and np.array_equal(out.cells, tape.cells)
+
+
+@pytest.mark.parametrize("size", range(2, 13))
+def test_fast_path_err_is_row_error_of_written_row(size):
+    """The fast path bounds the written row's error by its exact mass error."""
+    alphabet = FiniteSet(["_"] + [f"s{k}" for k in range(1, size)])
+    blank = SmoothTape.blank_tape(alphabet, "_")
+    stay = Dist.point(DIRECTIONS, 0).weights
+    rng = np.random.default_rng(size)
+    errs = []
+    for _ in range(200):
+        row = rng.dirichlet(np.ones(size))
+        row = row / row.sum()
+        out = superpose_tape(blank, row, stay)
+        assert out.err == _row_error(row[None])
+        errs.append(out.err)
+    assert max(errs) > 0.0  # some rows miss unit mass by rounding
+
+
+def test_subnormal_side_move_takes_general_path():
+    """A 5e-324 weight off the main move is not a point-mass move."""
+    dirs = np.array([5e-324, 1.0, 0.0])
+    tape = SmoothTape.from_dists(AB_, "_", 0, [Dist.point(AB_, "A")])
+    with mock.patch(
+        "smoothtm.smooth._superpose_general", wraps=_superpose_general
+    ) as general:
+        superpose_tape(tape, Dist.point(AB_, "B").weights, dirs)
+    assert general.call_count == 1
+    for d in (dirs, np.array([0.0, 1.0, 0.0]), np.array([0.0, 5e-324, 0.0])):
+        info = StepInfo([], [d], {})
+        assert info.direction_point_mass(0) == (np.count_nonzero(d) == 1)
 
 
 def test_check_simplex_never_below_full_rescan():

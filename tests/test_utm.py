@@ -367,3 +367,24 @@ def test_psi_update_dimension_mismatch():
     blank = Dist.point(m.alphabet, "_")
     with pytest.raises(ValueError, match="dimension mismatch"):
         psi_update(m, 0, bad_local, blank, blank, blank)
+
+
+@pytest.mark.parametrize("error", ["stuck", "overrun"])
+def test_verify_utm_shuffled_run_failure_is_a_violation(monkeypatch, error):
+    from smoothtm import verify
+    from smoothtm.engine import StuckError
+    from smoothtm.framework import CycleOverrun
+
+    def failing(g, x, observer=None):
+        for t in (1, 2):
+            observer(t, x, None)
+        raise StuckError("mass 0.5 stuck") if error == "stuck" else CycleOverrun(2)
+
+    monkeypatch.setattr(verify, "run_to_next_encoding", failing)
+    (result,) = verify.verify_utm(trials=1, seed=3)["results"]
+    step = 3 if error == "stuck" else 2
+    assert result["violations"][-1]["step"] == step
+    assert result["violations"][-1]["violation"].startswith("shuffled run: ")
+    assert "shuffle_deviation" not in result
+    assert result["cycle_lengths"] and not result["pass"]
+    assert not result["well_behaved"]
