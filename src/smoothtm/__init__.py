@@ -15,7 +15,6 @@ from .dists import (
     convex_combine,
     direct_sum,
     induced_op,
-    inner,
     marginal,
     product_set,
     tensor,
@@ -60,7 +59,6 @@ __all__ = [
     "convex_combine",
     "direct_sum",
     "induced_op",
-    "inner",
     "marginal",
     "product_set",
     "tensor",

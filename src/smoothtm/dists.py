@@ -86,16 +86,16 @@ class ProductSet(FiniteSet):
         return tuple(len(f) for f in self.factors)
 
 
-def _factors_of(s: FiniteSet) -> tuple[FiniteSet, ...]:
-    return s.factors if isinstance(s, ProductSet) else (s,)
+def factors_of(*sets: FiniteSet) -> tuple[FiniteSet, ...]:
+    """The factors of the product of ``sets``, nested products flattened."""
+    return tuple(
+        f for s in sets for f in (s.factors if isinstance(s, ProductSet) else (s,))
+    )
 
 
 def product_set(*sets: FiniteSet) -> ProductSet:
     """Product of the given sets, flattening factors of nested products."""
-    factors: list[FiniteSet] = []
-    for s in sets:
-        factors.extend(_factors_of(s))
-    return ProductSet(factors)
+    return ProductSet(factors_of(*sets))
 
 
 class Dist:
@@ -285,11 +285,6 @@ def convex_combine(coeffs: Dist, parts: Sequence[Dist]) -> Dist:
     for c, p in zip(coeffs.weights, parts):
         w += c * p.weights
     return Dist(base, w)
-
-
-def inner(x, d: Dist) -> float:
-    """The weight of label ``x`` in ``d`` (standard inner product with x)."""
-    return d[x]
 
 
 def disjoint_union(sets: Sequence[FiniteSet], tags: Sequence[Hashable]) -> FiniteSet:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import ATOL, Dist
+from .dists import ATOL
 from .sections import SectionMachine
 from .smooth import SmoothTape, renormalized, superpose_tape
 
@@ -41,24 +41,6 @@ class SectionConfig:
 
     def total_mass(self) -> float:
         return float(sum(v.sum() for v in self.state.values()))
-
-    def section_mass(self, sid: str) -> float:
-        v = self.state.get(sid)
-        return float(v.sum()) if v is not None else 0.0
-
-    def state_direct_sum(self) -> Dist:
-        """The state distribution as a direct sum over occupied sections."""
-        from .dists import direct_sum
-
-        parts = []
-        tags = []
-        for sid, v in self.state.items():
-            mass = float(v.sum())
-            if mass == 0.0:
-                continue
-            parts.append((mass, Dist(self.machine.sections[sid], v / mass)))
-            tags.append(sid)
-        return direct_sum(parts, tags)
 
     def check_simplex(self, tol: float = ATOL) -> float:
         """Worst simplex violation across state mass and all tape cells.

@@ -30,6 +30,7 @@ from .dists import (
     ATOL,
     Dist,
     FiniteSet,
+    factors_of,
     induced_op,
     product_set,
     tensor_many,
@@ -48,18 +49,29 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
     if rows.size:
         if rows.min() < -ATOL:
             raise ValueError(f"negative cell weight {rows.min()}")
-        sums = rows.sum(axis=1)
-        bad = np.abs(sums - 1.0).max(initial=0.0)
-        if not bad <= ATOL:  # also rejects NaN
-            raise ValueError(f"cell weights off the simplex by {bad}")
+        _check_row_sums(rows.sum(axis=1))
         neg = (rows < 0.0).any(axis=1)
         if neg.any():
             fixed = np.where(rows[neg] < 0.0, 0.0, rows[neg])
             rows[neg] = fixed / fixed.sum(axis=1, keepdims=True)
-        single = np.count_nonzero(rows, axis=1) == 1
-        if single.any():
-            rows[single] = rows[single] != 0.0
+        _point_masses(rows, np.count_nonzero(rows, axis=1))
     return rows
+
+
+def _check_row_sums(sums: np.ndarray) -> None:
+    bad = np.abs(sums - 1.0).max(initial=0.0)
+    if not bad <= ATOL:  # also rejects NaN
+        raise ValueError(f"cell weights off the simplex by {bad}")
+
+
+def _point_masses(rows: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
+    """Make every row with one nonzero weight (``nonzero`` counts them per
+    row) an exact 0.0/1.0 point mass, in place; returns the mask of those
+    rows."""
+    single = nonzero == 1
+    if single.any():
+        rows[single] = rows[single] != 0.0
+    return single
 
 
 def _row_error(rows: np.ndarray) -> float:
@@ -77,8 +89,8 @@ class SmoothTape:
     Stored as a (window length x alphabet size) array plus the window start.
     Canonical form trims exact blank point masses from both ends; a cell that
     is merely close to blank is kept.  ``err`` bounds the worst row-mass
-    error from above: it is exact when the rows are validated here, and
-    trusted tapes built from validated rows carry their parent's bound.
+    error from above: it is exact when the rows are validated here or by the
+    general superposition, and a point-move step carries its parent's bound.
     """
 
     __slots__ = ("alphabet", "blank", "lo", "cells", "err")
@@ -297,23 +309,47 @@ def _superpose_general(
     """The superposition over all three moves.
 
     The window grows by one cell each side and is then canonically trimmed.
+    The rows are validated here in one pass, to the contract of
+    :func:`clean_rows`: the tape's rows are non-negative already, so
+    non-negative ``write`` and ``dirs`` make every new row non-negative, and
+    only the row sums are left to check.
     """
+    for what, v in (("write", write), ("direction", dirs)):
+        if v.min() < 0.0:
+            raise ValueError(f"negative {what} weight {v.min()}")
     A = len(tape.alphabet)
     lo, hi = tape.lo, tape.hi
     lo2, hi2 = min(lo, 0) - 1, max(hi, 0) + 1
+    n = hi2 - lo2 + 1
     # written tape over [lo2-1, hi2+1], so every new cell can see i-1..i+1
-    written = np.zeros((hi2 - lo2 + 3, A))
+    written = np.zeros((n + 2, A))
     bidx = tape.alphabet.index(tape.blank)
     written[:, bidx] = 1.0
     written[lo - (lo2 - 1) : hi - (lo2 - 1) + 1] = tape.cells
     written[0 - (lo2 - 1)] = write
-    out = np.zeros((hi2 - lo2 + 1, A))
-    for k, d in enumerate(DIRECTIONS.elements):
-        c = float(dirs[k])
+    # new[i] = sum_d c_d * written[i+d], summed in DIRECTIONS order
+    out = None
+    for c, d in zip(dirs.tolist(), DIRECTIONS.elements):
         if c != 0.0:
-            # new[i] = sum_d c_d * written[i+d]
-            out += c * written[1 + d : 1 + d + len(out)]
-    return SmoothTape(tape.alphabet, tape.blank, lo2, out)
+            term = c * written[1 + d : 1 + d + n]
+            if out is None:
+                out = term
+            else:
+                out += term
+    if out is None:
+        raise ValueError("direction weights off the simplex by 1.0")
+    sums = out.sum(axis=1)
+    _check_row_sums(sums)
+    single = _point_masses(out, np.count_nonzero(out, axis=1))
+    sums[single] = 1.0
+    keep = np.flatnonzero(~(single & (out[:, bidx] != 0.0)))
+    if len(keep) == 0:  # every cell is an exact blank
+        return SmoothTape._trusted(tape.alphabet, tape.blank, 0, out[:1], 0.0)
+    first, last = int(keep[0]), int(keep[-1]) + 1
+    err = float(np.abs(sums[first:last] - 1.0).max())
+    return SmoothTape._trusted(
+        tape.alphabet, tape.blank, lo2 + first, out[first:last], err
+    )
 
 
 def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]]:
@@ -322,12 +358,23 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
     Forms the local joint of the state and the head cells once and pushes it
     through ``ops``: an operator ``"state"`` and per-tape operator lists
     ``"write"`` and ``"dir"`` on that joint.  Each output is renormalized.
+
+    The joint is a plain weight vector, flat in the order :func:`tensor`
+    uses, and every operator's domain must have the factors
+    (state set, tape alphabets...).
     """
-    local = tensor_many([s.state] + [t.cell(0) for t in s.tapes])
+    factors = factors_of(s.state.base, *(t.alphabet for t in s.tapes))
+    local = s.state.weights
+    for t in s.tapes:
+        local = np.outer(local, t.row(0)).reshape(-1)
+    total = float(local.sum())
+    if not abs(total - 1.0) <= ATOL:  # also rejects NaN
+        raise ValueError(f"local joint mass {total} off 1 by more than {ATOL}")
 
     def pushed(op, what: str) -> Dist:
-        d = op(local)
-        return Dist(d.base, renormalized(d.weights, what))
+        if factors_of(op.domain) != factors:
+            raise ValueError("local joint does not match the operator domain")
+        return Dist(op.codomain, renormalized(op.matrix @ local, what))
 
     return (
         pushed(ops["state"], "state"),

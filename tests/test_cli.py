@@ -5,9 +5,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from smoothtm.cli import main
+from smoothtm.machines import parse_machine
+from smoothtm.sampling import random_smooth_config
+from smoothtm.smooth import format_config
 
 ID_TM = """\
 states: q
@@ -221,6 +225,48 @@ def test_console_entry_point(files):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["state"] == {"q": 1.0}
+
+
+# a 3-state, 3-symbol machine whose state, write and move maps are all onto,
+# so from a full-support start every step keeps all three moves uncertain and
+# the window grows by two cells a step
+DENSE_TM = """\
+states: q0 q1 q2
+alphabet: _ A B
+tapes: 1
+q0 _ -> q1 A R
+q0 A -> q2 B L
+q0 B -> q0 _ S
+q1 _ -> q2 B S
+q1 A -> q0 _ R
+q1 B -> q1 A L
+q2 _ -> q0 A L
+q2 A -> q1 B S
+q2 B -> q2 _ R
+"""
+# SHA-256 of stdout and of the --trace file of ``run --smooth --steps 300``
+# from DENSE_TM's seed-0 start: any change to the dense step's arithmetic,
+# its canonical trimming or the JSON layout moves a digest
+DENSE_RUN_DIGESTS = {
+    "stdout": "da2dd083142becccb101142f5abd49d7d7eab009f5b98bbb7ded326863eeccd5",
+    "trace": "f92ddfd6e23201c5acecc577f642c925d2b49ed084a4bccbe6c7350aadd73c4f",
+}
+
+
+def test_run_smooth_dense_bytes_pinned(tmp_path, capsys):
+    tm, cfg, trace = tmp_path / "dense.tm", tmp_path / "c0.json", tmp_path / "t.jsonl"
+    tm.write_text(DENSE_TM)
+    start = random_smooth_config(
+        parse_machine(DENSE_TM), np.random.default_rng(0), radius=3
+    )
+    cfg.write_text(format_config(start))
+    argv = ["run", str(tm), str(cfg), "--smooth", "--steps", "300", "--trace", str(trace)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert {
+        "stdout": hashlib.sha256(out).hexdigest(),
+        "trace": hashlib.sha256(trace.read_bytes()).hexdigest(),
+    } == DENSE_RUN_DIGESTS
 
 
 def assert_usage_error(argv, capsys, *expected):

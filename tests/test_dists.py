@@ -7,7 +7,6 @@ from smoothtm.dists import (
     convex_combine,
     direct_sum,
     induced_op,
-    inner,
     marginal,
     product_set,
     tensor,
@@ -158,14 +157,6 @@ def test_tensor_bilinearity_random():
         lhs = tensor(convex_combine(c, [a1, a2]), b)
         rhs = convex_combine(c, [tensor(a1, b), tensor(a2, b)])
         assert np.abs(lhs.weights - rhs.weights).max() <= 1e-12
-
-
-def test_inner():
-    assert inner("A", Dist.point(AB, "A")) == 1.0
-    assert inner("B", Dist.point(AB, "A")) == 0.0
-    assert inner("A", Dist.from_pairs(AB, {"A": 0.375, "B": 0.625})) == 0.375
-    with pytest.raises(KeyError):
-        inner("C", Dist.point(AB, "A"))
 
 
 def test_direct_sum_embeddings():

@@ -255,18 +255,6 @@ def test_engine_agrees_with_lowered_dense_step_on_compiled_sim():
             assert abs(mass - float(dense.state.weights[i])) <= 1e-12
 
 
-def test_state_direct_sum_view():
-    rng = np.random.default_rng(43)
-    m = random_machine(rng, 1, 2, 2)
-    sim = compile_multitape(m)
-    s = random_smooth_config(m, rng, radius=1)
-    cfg = to_section_config(sim, encode(sim, s))
-    for _ in range(20):
-        cfg, _ = section_smooth_step(cfg)
-        total = cfg.state_direct_sum()
-        assert abs(total.weights.sum() - 1.0) <= 1e-12
-
-
 def test_metadata_counts_and_cycle_formula():
     m = identity_1tape()
     sim = compile_multitape(m)

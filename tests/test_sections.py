@@ -174,7 +174,7 @@ def test_engine_point_mass_matches_classical():
         cfg, info = section_smooth_step(cfg)
         assert info.direction_point_mass(0)
         sid, x = c.state
-        assert cfg.section_mass(sid) == 1.0
+        assert cfg.state[sid].sum() == 1.0
         for i in range(c.tapes[0].lo, c.tapes[0].hi + 1):
             assert cfg.tapes[0].cell(i).point_value() == c.tapes[0].cell(i)
 

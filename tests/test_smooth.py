@@ -19,8 +19,11 @@ from smoothtm.smooth import (
     embed,
     extract_classical,
     format_config,
+    machine_ops,
     parse_config,
     psi_update,
+    push_local,
+    renormalized,
     smooth_step,
     smooth_step_dists,
     smooth_step_oracle,
@@ -427,3 +430,188 @@ def test_clean_rows_renormalizes_only_clamped_rows():
     out = clean_rows(rows)
     assert out[0].tobytes() == rows[0].tobytes()
     assert out[1].tolist() == [0.0, 1.0]
+
+
+def _reference_superposition(tape: SmoothTape, write, dirs):
+    """The general superposition summed into a zeros buffer, term by term in
+    DIRECTIONS order, as (lo, raw rows) before any validation."""
+    lo2, hi2 = min(tape.lo, 0) - 1, max(tape.hi, 0) + 1
+
+    def written(i):
+        return write if i == 0 else tape.row(i)
+
+    out = np.zeros((hi2 - lo2 + 1, len(tape.alphabet)))
+    for c, d in zip(dirs.tolist(), DIRECTIONS.elements):
+        if c != 0.0:
+            out += c * np.array([written(i + d) for i in range(lo2, hi2 + 1)])
+    return lo2, out
+
+
+def point_run_tape(n: int, lo: int) -> SmoothTape:
+    """n point masses of A between two half-blank cells."""
+    half = Dist.from_pairs(AB_, {"_": 0.5, "A": 0.5})
+    return SmoothTape.from_dists(AB_, "_", lo, [half] + [Dist.point(AB_, "A")] * n + [half])
+
+
+def random_general_case(rng):
+    """(tape, write, dirs) with at least two moves carrying weight."""
+    kind = rng.integers(4)
+    if kind == 0:  # every new cell an exact blank
+        tape, write = SmoothTape.blank_tape(AB_, "_"), BLANK
+    elif kind == 1:  # point masses of one symbol: rows that sum to 1 +- an ulp
+        n = int(rng.integers(1, 5))
+        tape = point_run_tape(n, -int(rng.integers(1, n + 1)))
+        write = Dist.point(AB_, "A")
+    else:
+        cells = [random_cell(rng) for _ in range(int(rng.integers(1, 7)))]
+        tape = SmoothTape.from_dists(AB_, "_", int(rng.integers(-8, 9)), cells)
+        write = random_cell(rng)
+    dirs = rng.dirichlet(np.ones(3))
+    if rng.random() < 0.3:
+        dirs[rng.integers(3)] = 0.0
+        dirs = dirs / dirs.sum()
+    return tape, write.weights, dirs
+
+
+def test_general_superposition_matches_validated_constructor():
+    rng = np.random.default_rng(21)
+    # the only rows off unit mass here are point masses of A, whose mass
+    # 1 - 2^-53 canonicalizes to 1.0, so the exact error is 0.0
+    rounded = (point_run_tape(3, -3), Dist.point(AB_, "A").weights,
+               np.array([0.5967051270998771, 0.25731448325457446, 0.1459803896455484]))
+    assert _superpose_general(*rounded).err == 0.0
+    seen = set()
+    for tape, write, dirs in [rounded] + [random_general_case(rng) for _ in range(200)]:
+        lo2, raw = _reference_superposition(tape, write, dirs)
+        want = SmoothTape(AB_, "_", lo2, raw)
+        got = _superpose_general(tape, write, dirs)
+        assert got.lo == want.lo
+        assert got.cells.shape == want.cells.shape
+        assert got.cells.tobytes() == want.cells.tobytes()
+        assert got.err == want.err == _row_error(got.cells)
+        assert not got.cells.flags.writeable
+        single = np.count_nonzero(raw, axis=1) == 1
+        if (raw[single].max(axis=1) != 1.0).any():
+            seen.add("rounded point mass")
+        if want.lo == 0 and np.array_equal(want.cells, BLANK.weights[None]):
+            seen.add("all blank")
+        elif want.lo > lo2 or want.hi < lo2 + len(raw) - 1:
+            seen.add("trimmed end")
+        if (dirs == 0.0).any():
+            seen.add("zero direction")
+    assert seen == {"rounded point mass", "all blank", "trimmed end", "zero direction"}
+
+
+@pytest.mark.parametrize(
+    "write, dirs, message",
+    [
+        ([0.2, 0.3, 0.5 + 1e-9], [0.25, 0.5, 0.25], "off the simplex"),
+        ([-1e-13, 0.5 + 1e-13, 0.5], [0.25, 0.5, 0.25], "negative write weight"),
+        ([0.2, 0.3, 0.5], [-0.25, 0.75, 0.5], "negative direction weight"),
+        ([0.2, 0.3, 0.5], [0.0, 0.0, 0.0], "off the simplex"),
+    ],
+    ids=["write-mass", "write-negative", "direction-negative", "no-move"],
+)
+def test_general_superposition_rejects_bad_inputs(write, dirs, message):
+    tape = SmoothTape.from_dists(AB_, "_", 0, [Dist.from_pairs(AB_, {"A": 0.5, "B": 0.5})])
+    with pytest.raises(ValueError, match=message):
+        _superpose_general(tape, np.array(write), np.array(dirs))
+
+
+def _reference_push(s: SmoothConfig, ops: dict):
+    """The step's distributions from a validated Dist joint pushed through
+    ``LinearOp.__call__``."""
+    local = tensor_many([s.state] + [t.cell(0) for t in s.tapes])
+
+    def pushed(op, what):
+        d = op(local)
+        return Dist(d.base, renormalized(d.weights, what))
+
+    return (
+        pushed(ops["state"], "state"),
+        [pushed(op, "write") for op in ops["write"]],
+        [pushed(op, "direction") for op in ops["dir"]],
+    )
+
+
+def assert_push_matches_reference(s: SmoothConfig, ops: dict):
+    got, want = push_local(s, ops), _reference_push(s, ops)
+    got = [got[0], *got[1], *got[2]]
+    want = [want[0], *want[1], *want[2]]
+    assert len(got) == len(want) == 1 + 2 * len(s.tapes)
+    for g, w in zip(got, want):
+        assert g.base == w.base
+        assert g.weights.tobytes() == w.weights.tobytes()
+
+
+@pytest.mark.parametrize("tapes", [1, 2, 3])
+def test_push_local_matches_validated_reference(tapes):
+    rng = np.random.default_rng(30 + tapes)
+    for trial in range(12):
+        m = random_machine(rng, tapes, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        if trial % 3 == 0:
+            _, s = random_point_config(m, rng, radius=1)
+        else:
+            s = random_smooth_config(m, rng, radius=int(rng.integers(0, 3)))
+        ops = machine_ops(m)
+        for _ in range(3):  # the steps move the heads about the windows
+            assert_push_matches_reference(s, ops)
+            s = smooth_step(m, s)
+
+
+def test_push_local_matches_reference_on_uncertain_codes():
+    from smoothtm.sampling import random_dist
+    from smoothtm.utm import encode_code, utm_cycle_semantics
+
+    captured = []
+
+    def spy(s, ops):
+        captured.append((s, ops))
+        return push_local(s, ops)
+
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        m = random_machine(rng, 1, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        overrides = {
+            (q, a): (random_dist(m.states, rng), random_dist(m.alphabet, rng),
+                     random_dist(DIRECTIONS, rng))
+            for q in m.states
+            for a in m.alphabet
+            if rng.random() < 0.5
+        }
+        code = encode_code(m, overrides or None)
+        s = random_smooth_config(m, rng, radius=int(rng.integers(0, 3)))
+        with mock.patch("smoothtm.utm.push_local", spy):
+            for _ in range(3):
+                s = utm_cycle_semantics(code, s)
+    assert len(captured) == 24
+    for s, ops in captured:
+        assert_push_matches_reference(s, ops)
+
+
+def test_push_local_rejects_ops_over_another_domain():
+    m = lr_machine()
+    # same shapes, another state label: the matrices would multiply silently
+    relabeled = Machine(
+        FiniteSet(["p"]), m.alphabet, m.blank, 1,
+        {("p", syms): ("p", w, d) for (_, syms), (_, w, d) in m.delta.items()},
+    )
+    s = embed(m, Configuration("q", (Tape.from_cells("_", 0, ["A"]),)))
+    for other in (relabeled, random_machine(np.random.default_rng(0), 1, 2, 3)):
+        with pytest.raises(ValueError, match="operator domain"):
+            push_local(s, machine_ops(other))
+
+
+def test_push_local_checks_joint_mass():
+    """Factors each within 1e-12 of unit mass can multiply to a joint that
+    is not; the joint's one mass check catches it as the Dist chain did."""
+    rng = np.random.default_rng(4)
+    m = random_machine(rng, 2, 2, 3)
+    heavy = np.array([0.25, 0.25, 0.5 + 9e-13])
+    tape = SmoothTape(m.alphabet, m.blank, 0, heavy[None])
+    s = SmoothConfig(Dist(m.states, [0.5, 0.5 + 9e-13]), (tape, tape))
+    for push in (push_local, _reference_push):
+        with pytest.raises(ValueError):
+            push(s, machine_ops(m))
+    with pytest.raises(ValueError, match="local joint mass"):
+        push_local(s, machine_ops(m))
