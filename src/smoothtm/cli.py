@@ -10,7 +10,9 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
 
 from . import multitape
@@ -18,7 +20,7 @@ from . import utm as utm_mod
 from . import verify as verify_mod
 from .dists import Dist, FiniteSet
 from .framework import CycleOverrun, env_step_bound, run_to_next_encoding
-from .machines import DIRECTIONS, FormatError, parse_machine
+from .machines import DIR_VALUES, DIRECTIONS, FormatError, parse_machine
 from .sections import format_section_machine
 from .smooth import (
     SmoothConfig,
@@ -49,12 +51,19 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str):
+    """``path`` open for writing; a failure to open or write it exits 2."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write(path: str, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _load_machine(path: str):
@@ -74,6 +83,11 @@ def _load_config(path: str, machine) -> SmoothConfig:
 def _require_positive(option: str, value: int) -> None:
     if value < 1:
         raise CliError(f"{option} must be a positive count, got {value}")
+
+
+def _require_tolerance(value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise CliError(f"--tol must be a finite number >= 0, got {value}")
 
 
 def _check_environment() -> None:
@@ -104,14 +118,12 @@ def cmd_run(args) -> int:
                 "configuration carries uncertainty; pass --smooth to run the "
                 "smooth relaxation"
             ) from None
-    trace_lines = []
-    for k in range(args.steps):
-        state, writes, dirs = smooth_step_dists(m, s)
-        s = apply_step(s, state, writes, dirs)
-        if args.trace:
-            trace_lines.append(_trace_record(k + 1, s, dirs))
-    if args.trace:
-        _write(args.trace, "\n".join(trace_lines) + ("\n" if trace_lines else ""))
+    with _output(args.trace) if args.trace else contextlib.nullcontext() as trace:
+        for k in range(args.steps):
+            state, writes, dirs = smooth_step_dists(m, s)
+            s = apply_step(s, state, writes, dirs)
+            if trace is not None:
+                trace.write(_trace_record(k + 1, s, dirs) + "\n")
     print(format_config(s))
     return 0
 
@@ -162,7 +174,6 @@ def _parse_override_dist(text: str, base: FiniteSet, names: dict | None = None):
 def _parse_overrides(text: str, m) -> dict:
     """Lines of the form  (q,a) -> {q2: p, ...} / {b: p, ...} / {L: p, ...}."""
     out = {}
-    dirnames = {"L": -1, "S": 0, "R": 1}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -185,13 +196,14 @@ def _parse_overrides(text: str, m) -> dict:
         out[(q, a)] = (
             _parse_override_dist(parts[0], m.states),
             _parse_override_dist(parts[1], m.alphabet),
-            _parse_override_dist(parts[2], DIRECTIONS, dirnames),
+            _parse_override_dist(parts[2], DIRECTIONS, DIR_VALUES),
         )
     return out
 
 
 def cmd_utm(args) -> int:
     _require_positive("--cycles", args.cycles)
+    _require_tolerance(args.tol)
     m = _load_machine(args.code)
     alphabet_tokens = _read(args.alphabet).split()
     if not alphabet_tokens:
@@ -244,6 +256,9 @@ def cmd_utm(args) -> int:
 
 def cmd_verify(args) -> int:
     _require_positive("--trials", args.trials)
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
+    _require_tolerance(args.tol)
     if args.construction == "multitape":
         report = verify_mod.verify_multitape(
             trials=args.trials, seed=args.seed, tol=args.tol

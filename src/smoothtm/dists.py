@@ -140,10 +140,6 @@ class Dist:
         return cls(base, w)
 
     @classmethod
-    def uniform(cls, base: FiniteSet) -> "Dist":
-        return cls(base, np.full(len(base), 1.0 / len(base)))
-
-    @classmethod
     def from_pairs(cls, base: FiniteSet, pairs: dict) -> "Dist":
         w = np.zeros(len(base))
         for x, p in pairs.items():
@@ -155,9 +151,6 @@ class Dist:
 
     def support(self) -> tuple:
         return tuple(self.base.elements[i] for i in np.flatnonzero(self.weights))
-
-    def is_point_mass(self) -> bool:
-        return len(np.flatnonzero(self.weights)) == 1
 
     def point_value(self):
         """The supported element, for a point mass."""

@@ -42,7 +42,7 @@ class SectionConfig:
     def total_mass(self) -> float:
         return float(sum(v.sum() for v in self.state.values()))
 
-    def check_simplex(self, tol: float = ATOL) -> float:
+    def check_simplex(self) -> float:
         """Worst simplex violation across state mass and all tape cells.
 
         Tape cells are validated non-negative on construction, and each tape
@@ -62,7 +62,6 @@ class SectionConfig:
 class StepInfo:
     """Diagnostics of one engine step."""
 
-    write: list[np.ndarray]  # per tape, over the alphabet
     dirs: list[np.ndarray]  # per tape, over (-1, 0, 1)
     flows: dict[tuple[str, str], float]  # (source, target) -> mass moved
 
@@ -118,7 +117,7 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
         raise ValueError(f"state mass {total} off 1 by more than {ATOL}")
     if total != 1.0:
         state = {sid: v / total for sid, v in state.items()}
-    return SectionConfig(sm, state, tapes), StepInfo(writes, dirs, flows)
+    return SectionConfig(sm, state, tapes), StepInfo(dirs, flows)
 
 
 def point_config(

@@ -47,21 +47,17 @@ class EncPredicate:
 
     holds: Callable[[Any], bool]
     certify_outside: Callable[[Any], bool]
-    describe: str = ""
 
 
 @dataclass
 class GeneratingTriple:
     """A machine that generates another, with its smooth counterparts."""
 
-    name: str
     stepper: Callable[[Any], tuple[Any, Any]]  # state -> (state', step info)
     enc: EncPredicate
     decode: Callable[[Any], SmoothConfig]
     target_step: Callable[[SmoothConfig], SmoothConfig]
     max_steps: int
-    machine: Any = None
-    target: Any = None
     # construction-specific per-step invariants; returns violation strings
     step_checks: Callable[[int, Any, Any], list[str]] = lambda t, x, info: []
 
@@ -82,50 +78,6 @@ def env_step_bound() -> int | None:
     if bound <= 0:
         raise ValueError(f"{MAX_STEPS_ENV} must be a positive integer, got {env!r}")
     return bound
-
-
-def identity_triple(m, stepper=None) -> GeneratingTriple:
-    """The trivial triple: every configuration encodes itself."""
-    from .smooth import smooth_step
-
-    step_fn = stepper or (lambda s: (smooth_step(m, s), None))
-    return GeneratingTriple(
-        name="identity",
-        stepper=step_fn,
-        enc=EncPredicate(lambda x: True, lambda x: False, "everything"),
-        decode=lambda x: x,
-        target_step=lambda s: smooth_step(m, s),
-        max_steps=1,
-        machine=m,
-        target=m,
-    )
-
-
-def compose(g1: GeneratingTriple, g2: GeneratingTriple) -> GeneratingTriple:
-    """The composite triple generating g2's target through g1's machine.
-
-    g1 decodes into the configuration space g2 runs on, so the composite
-    encodes x iff x encodes under g1 and its decoding encodes under g2, and
-    decodes by g2's decoder after g1's.
-    """
-    if g2.machine is not None and g1.target is not None and g2.machine is not g1.target:
-        raise ValueError("machine mismatch: g1 must generate the machine g2 runs")
-    enc = EncPredicate(
-        holds=lambda x: g1.enc.holds(x) and g2.enc.holds(g1.decode(x)),
-        certify_outside=g1.enc.certify_outside,
-        describe=f"{g1.enc.describe} refined by {g2.enc.describe}",
-    )
-    return GeneratingTriple(
-        name=f"{g1.name}.{g2.name}",
-        stepper=g1.stepper,
-        enc=enc,
-        decode=lambda x: g2.decode(g1.decode(x)),
-        target_step=g2.target_step,
-        max_steps=g1.max_steps * max(1, g2.max_steps),
-        machine=g1.machine,
-        target=g2.target,
-        step_checks=g1.step_checks,
-    )
 
 
 def run_to_next_encoding(

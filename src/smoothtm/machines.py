@@ -18,8 +18,9 @@ from .dists import FiniteSet
 
 DIRECTIONS = FiniteSet((-1, 0, 1))
 
-_DIR_NAMES = {-1: "L", 0: "S", 1: "R"}
-_DIR_VALUES = {"L": -1, "S": 0, "R": 1}
+# direction names of the machine text format (and of UTM overrides)
+DIR_VALUES = {"L": -1, "S": 0, "R": 1}
+_DIR_NAMES = {d: name for name, d in DIR_VALUES.items()}
 
 
 class FormatError(ValueError):
@@ -157,11 +158,6 @@ class Tape:
         """Re-index so the new cell i holds the old cell i+d."""
         return Tape(self.blank, self.lo - d, self.cells)._trim()
 
-    def nonblank(self) -> dict:
-        return {
-            self.lo + j: s for j, s in enumerate(self.cells) if s != self.blank
-        }
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -256,11 +252,11 @@ def parse_machine(text: str) -> Machine:
                 )
         dirs = []
         for d in dirtoks:
-            if d not in _DIR_VALUES:
+            if d not in DIR_VALUES:
                 raise FormatError(
                     f"unknown direction {d!r} (want L/S/R)", lineno, raw.find(d) + 1
                 )
-            dirs.append(_DIR_VALUES[d])
+            dirs.append(DIR_VALUES[d])
         key = (q, syms)
         if key in delta:
             raise FormatError(f"duplicate transition for {q} {' '.join(syms)}", lineno)

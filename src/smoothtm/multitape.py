@@ -35,7 +35,6 @@ deterministic function of the geometry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +42,9 @@ import numpy as np
 from .dists import ATOL, Dist, FiniteSet, product_set
 from .engine import SectionConfig, section_smooth_step
 from .framework import EncPredicate, GeneratingTriple
-from .machines import FormatError, Machine
+from .machines import Machine
 from .sections import SectionMachine, Tract
-from .smooth import (
-    SmoothConfig,
-    SmoothTape,
-    dist_from_obj,
-    dist_obj,
-    json_field,
-    json_value,
-    load_json,
-    smooth_step,
-    tape_from_obj,
-    tape_obj,
-)
+from .smooth import SmoothConfig, SmoothTape, exact_point_row, smooth_step
 
 MARK_L, MARK_0, MARK_R = "#L", "#0", "#R"
 ECHO = None  # declarative write that puts back the read symbol
@@ -79,7 +67,6 @@ def cell_position(n: int, tape_j: int, i: int) -> int:
 class InterleavedEncoding:
     """A source configuration laid out on the single tape."""
 
-    n: int
     L: int
     R: int
     state_local: Dist  # over the source machine's states
@@ -338,19 +325,13 @@ def encode(
             p = cell_position(n, j, i)
             rows[p - lo] = 0.0
             rows[p - lo, :nsym] = tape.row(i)
-    return InterleavedEncoding(
-        n, L, R, s.state, SmoothTape(alphabet, m.blank, lo, rows)
-    )
+    return InterleavedEncoding(L, R, s.state, SmoothTape(alphabet, m.blank, lo, rows))
 
 
 def to_section_config(sim: CompiledSim, enc: InterleavedEncoding) -> SectionConfig:
     return SectionConfig(
         sim.machine, {"R1": np.array(enc.state_local.weights)}, (enc.tape,)
     )
-
-
-def _exact_point_row(row: np.ndarray, idx: int) -> bool:
-    return row[idx] == 1.0 and np.count_nonzero(row) == 1
 
 
 def encoding_of(sim: CompiledSim, cfg: SectionConfig, strict: bool = False):
@@ -381,10 +362,10 @@ def encoding_of(sim: CompiledSim, cfg: SectionConfig, strict: bool = False):
     for j in range(1, n + 1):
         for marker, col in ((MARK_L, L - 1), (MARK_R, R + 1)):
             p = cell_position(n, j, col)
-            if not _exact_point_row(tape.row(p), alphabet.index(marker)):
+            if not exact_point_row(tape.row(p), alphabet.index(marker)):
                 return fail(f"marker {marker} missing at row {j}")
     for p in range(-n, 0):
-        if not _exact_point_row(tape.row(p), alphabet.index(MARK_0)):
+        if not exact_point_row(tape.row(p), alphabet.index(MARK_0)):
             return fail("head marker column corrupted")
     nsym = len(m.alphabet)
     for j in range(1, n + 1):
@@ -393,7 +374,7 @@ def encoding_of(sim: CompiledSim, cfg: SectionConfig, strict: bool = False):
             if row[nsym:].any():
                 return fail(f"marker mass in data cell (tape {j}, index {i})")
     state = Dist(m.states, cfg.state["R1"])
-    return InterleavedEncoding(n, L, R, state, tape)
+    return InterleavedEncoding(L, R, state, tape)
 
 
 def decode(sim: CompiledSim, enc) -> SmoothConfig:
@@ -413,38 +394,6 @@ def decode(sim: CompiledSim, enc) -> SmoothConfig:
         ]
         tapes.append(SmoothTape.from_dists(m.alphabet, m.blank, parsed.L, dists))
     return SmoothConfig(parsed.state_local, tuple(tapes))
-
-
-def encoding_to_json(enc: InterleavedEncoding) -> str:
-    """Serialize an encoding: cell distributions plus the {L, R, n} record."""
-    obj = {
-        "L": enc.L,
-        "R": enc.R,
-        "n": enc.n,
-        "state": dist_obj(enc.state_local.base, enc.state_local.weights),
-        "tape": tape_obj(enc.tape),
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
-def encoding_from_json(sim: CompiledSim, text: str) -> InterleavedEncoding:
-    obj = json_value(load_json(text), dict, "encoding")
-    L, R, n = (json_field(obj, key, int) for key in ("L", "R", "n"))
-    if n != sim.n:
-        raise FormatError(f"encoding is for {n} tapes, machine has {sim.n}")
-    m = sim.source
-    state = dist_from_obj(json_field(obj, "state", dict), m.states, "state", "state")
-    tape = tape_from_obj(
-        json_field(obj, "tape", dict), sim.machine.alphabet, m.blank, "tape"
-    )
-    enc = InterleavedEncoding(n, L, R, state, tape)
-    try:
-        parsed = encoding_of(sim, to_section_config(sim, enc), strict=True)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
-    if (parsed.L, parsed.R) != (enc.L, enc.R):
-        raise FormatError("side record disagrees with the marker geometry")
-    return enc
 
 
 def _sim_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
@@ -470,17 +419,13 @@ def make_triple(sim: CompiledSim, width_hint: int = 24) -> GeneratingTriple:
     enc = EncPredicate(
         holds=lambda cfg: encoding_of(sim, cfg) is not None,
         certify_outside=lambda cfg: "R1" not in cfg.state,
-        describe="interleaved encoding with state on R1",
     )
     return GeneratingTriple(
-        name="multitape-sim",
         stepper=section_smooth_step,
         enc=enc,
         decode=lambda cfg: decode(sim, cfg),
         target_step=lambda s: smooth_step(sim.source, s),
         max_steps=10 * cycle_steps_bound(sim.n, width_hint),
-        machine=sim.machine,
-        target=sim.source,
         step_checks=_sim_step_checks,
     )
 

@@ -108,9 +108,6 @@ class SectionMachine:
                 if w is not None and w not in self.alphabet:
                     raise ValueError(f"tract {t.label!r} writes unknown symbol {w!r}")
 
-    def tracts_from(self, sid: str) -> list[Tract]:
-        return [t for t in self.tracts if t.source == sid]
-
     def state_count(self) -> int:
         return sum(len(ctx) for ctx in self.sections.values())
 

@@ -79,8 +79,9 @@ def _row_error(rows: np.ndarray) -> float:
     return float(np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0))
 
 
-def _exact_blank(row: np.ndarray, blank_idx: int) -> bool:
-    return row[blank_idx] == 1.0 and np.count_nonzero(row) == 1
+def exact_point_row(row: np.ndarray, idx: int) -> bool:
+    """Whether ``row`` is exactly the point mass at ``idx``."""
+    return row[idx] == 1.0 and np.count_nonzero(row) == 1
 
 
 class SmoothTape:
@@ -159,9 +160,6 @@ class SmoothTape:
     def cell(self, i: int) -> Dist:
         return Dist(self.alphabet, self.row(i))
 
-    def allclose(self, other: "SmoothTape", tol: float = ATOL) -> bool:
-        return self.deviation(other) <= tol
-
     def deviation(self, other: "SmoothTape") -> float:
         if self.alphabet != other.alphabet:
             raise ValueError("tapes over different alphabets")
@@ -185,9 +183,6 @@ class SmoothConfig:
         for a, b in zip(self.tapes, other.tapes):
             dev = max(dev, a.deviation(b))
         return dev
-
-    def allclose(self, other: "SmoothConfig", tol: float = ATOL) -> bool:
-        return self.deviation(other) <= tol
 
 
 def embed(m: Machine, c: Configuration) -> SmoothConfig:
@@ -279,7 +274,7 @@ def superpose_tape(
     if lo <= 0 <= tape.hi:
         cells = cells.copy()
         cells[-lo] = row
-    elif not _exact_blank(row, bidx):
+    elif not exact_point_row(row, bidx):
         # grow the window to the head, blank cells in between
         gap = np.zeros((max(lo, -tape.hi), len(row)))
         gap[:, bidx] = 1.0
@@ -291,9 +286,9 @@ def superpose_tape(
             cells = np.concatenate([cells, gap])
     # the old window ends are not exact blanks unless the write made them so
     first, last = 0, len(cells) - 1
-    while first <= last and _exact_blank(cells[first], bidx):
+    while first <= last and exact_point_row(cells[first], bidx):
         first += 1
-    while last > first and _exact_blank(cells[last], bidx):
+    while last > first and exact_point_row(cells[last], bidx):
         last -= 1
     err = max(tape.err, abs(float(row.sum()) - 1.0))
     if first > last:  # every cell is blank
@@ -533,7 +528,7 @@ def load_json(text: str):
         raise FormatError("invalid JSON: nested too deeply") from None
 
 
-_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
 _REQUIRED = object()
 
 

@@ -36,7 +36,6 @@ the distribution unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,20 +43,9 @@ import numpy as np
 from .dists import ATOL, Dist, FiniteSet, product_set, stochastic_op
 from .engine import SectionConfig, section_smooth_step
 from .framework import EncPredicate, GeneratingTriple
-from .machines import DIRECTIONS, FormatError, Machine
+from .machines import DIRECTIONS, Machine
 from .sections import SectionMachine, Tract
-from .smooth import (
-    SmoothConfig,
-    SmoothTape,
-    apply_step,
-    dist_from_obj,
-    dist_obj,
-    json_field,
-    json_value,
-    load_json,
-    push_local,
-    smooth_step_dists,
-)
+from .smooth import SmoothConfig, SmoothTape, apply_step, push_local, smooth_step_dists
 
 HASH = "#"
 
@@ -256,70 +244,6 @@ def encode_code(m: Machine, overrides: dict | None = None) -> DescriptionTape:
     return DescriptionTape(m.states, m.alphabet, entries)
 
 
-def decode_code(code: DescriptionTape) -> dict:
-    """Recover the classical transition table; entries must be point masses."""
-    delta = {}
-    for q, a, t, w, d in code.entries:
-        delta[(q, (a,))] = (
-            t.point_value(),
-            (w.point_value(),),
-            (d.point_value(),),
-        )
-    return delta
-
-
-def code_to_json(code: DescriptionTape) -> str:
-    """Serialize a description tape, tuple cells in the config cell format."""
-    obj = {
-        "states": [str(q) for q in code.states.elements],
-        "alphabet": [str(a) for a in code.alphabet.elements],
-        "entries": [
-            {"state": str(q), "symbol": str(a),
-             "target": dist_obj(t.base, t.weights),
-             "write": dist_obj(w.base, w.weights),
-             "move": dist_obj(d.base, d.weights)}
-            for q, a, t, w, d in code.entries
-        ],
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
-def code_from_json(text: str) -> DescriptionTape:
-    obj = json_value(load_json(text), dict, "code")
-
-    def labels(key: str) -> FiniteSet:
-        items = json_field(obj, key, list)
-        try:
-            return FiniteSet(
-                json_value(x, str, f"{key}[{i}]") for i, x in enumerate(items)
-            )
-        except ValueError as exc:
-            raise FormatError(f"{key}: {exc}") from None
-
-    states, alphabet = labels("states"), labels("alphabet")
-    entries = []
-    for i, e in enumerate(json_field(obj, "entries", list)):
-        where = f"entries[{i}]"
-        json_value(e, dict, where)
-        q = json_field(e, "state", str, where)
-        a = json_field(e, "symbol", str, where)
-        if q not in states or a not in alphabet:
-            raise FormatError(f"{where}: pair ({q}, {a}) outside states x alphabet")
-        cells = [
-            dist_from_obj(json_field(e, key, dict, where), base, f"{where}.{key}", what)
-            for key, base, what in (
-                ("target", states, "state"),
-                ("write", alphabet, "symbol"),
-                ("move", DIRECTIONS, "direction"),
-            )
-        ]
-        entries.append((q, a, *cells))
-    try:
-        return DescriptionTape(states, alphabet, entries)
-    except ValueError as exc:
-        raise FormatError(f"entries: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # Encoding / decoding of configurations
 # ---------------------------------------------------------------------------
@@ -461,17 +385,13 @@ def make_triple(utm: UtmMachine, code: DescriptionTape) -> GeneratingTriple:
         holds=holds,
         certify_outside=lambda cfg: "read" not in cfg.state
         or cfg.tapes[0].row(0)[utm.machine.alphabet.index(HASH)] == 0.0,
-        describe="code in place, state on the read section",
     )
     return GeneratingTriple(
-        name="pseudo-utm",
         stepper=section_smooth_step,
         enc=enc,
         decode=lambda cfg: decode_config(utm, code, cfg, code_rows),
         target_step=lambda s: utm_cycle_semantics(code, s),
         max_steps=10 * utm.cycle_length(),
-        machine=utm.machine,
-        target=None,
         step_checks=_utm_step_checks,
     )
 

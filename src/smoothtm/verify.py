@@ -21,6 +21,16 @@ from .sampling import random_dist, random_machine, random_smooth_config
 from .smooth import SmoothConfig, SmoothTape, smooth_step
 from .utm import staged_smooth_step
 
+# Trial sizes: each trial draws its tape and state counts from 1, its symbol
+# count from 2 and its window radius from 0, uniformly up to these bounds.
+MT_MAX_TAPES = 3
+MT_MAX_STATES = 4
+UTM_MAX_STATES = 3
+MAX_SYMBOLS = 3
+MAX_RADIUS = 3
+# a shuffled tuple order may change the decoded UTM output by rounding only
+SHUFFLE_TOL = 1e-12
+
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:
     master = np.random.default_rng(seed)
@@ -41,10 +51,6 @@ def verify_multitape(
     seed: int = 0,
     tol: float = 1e-9,
     cycles: int = 3,
-    max_tapes: int = 3,
-    max_states: int = 4,
-    max_symbols: int = 3,
-    max_radius: int = 3,
     broken: bool = False,
 ) -> dict:
     """Preservation trials for the multitape-to-single-tape compiler."""
@@ -58,12 +64,12 @@ def verify_multitape(
     }
     for i, tseed in enumerate(_trial_seeds(seed, trials)):
         rng = np.random.default_rng(tseed)
-        n = int(rng.integers(1, max_tapes + 1))
-        nq = int(rng.integers(1, max_states + 1))
-        ns = int(rng.integers(2, max_symbols + 1))
+        n = int(rng.integers(1, MT_MAX_TAPES + 1))
+        nq = int(rng.integers(1, MT_MAX_STATES + 1))
+        ns = int(rng.integers(2, MAX_SYMBOLS + 1))
         m = random_machine(rng, n, nq, ns)
         sim = multitape.compile_multitape(m, broken=broken)
-        s = random_smooth_config(m, rng, radius=int(rng.integers(0, max_radius + 1)))
+        s = random_smooth_config(m, rng, radius=int(rng.integers(0, MAX_RADIUS + 1)))
         triple = multitape.make_triple(sim)
         x0 = multitape.to_section_config(sim, multitape.encode(sim, s))
         res = check_preserving(triple, x0, tol=tol, cycles=cycles)
@@ -88,16 +94,12 @@ def verify_utm(
     tol: float = 1e-9,
     cycles: int = 3,
     uncertain_codes: bool = False,
-    max_states: int = 3,
-    max_symbols: int = 3,
-    max_radius: int = 3,
-    shuffle_tol: float = 1e-12,
 ) -> dict:
     """Preservation trials for the pseudo-universal machine.
 
     Every trial whose first cycle reaches an encoding also runs that cycle
     under a shuffled tuple order and requires the decoded output to be
-    unchanged within ``shuffle_tol``.
+    unchanged within ``SHUFFLE_TOL``.
     """
     report = {
         "construction": "utm",
@@ -110,8 +112,8 @@ def verify_utm(
     }
     for i, tseed in enumerate(_trial_seeds(seed, trials)):
         rng = np.random.default_rng(tseed)
-        nq = int(rng.integers(1, max_states + 1))
-        ns = int(rng.integers(2, max_symbols + 1))
+        nq = int(rng.integers(1, UTM_MAX_STATES + 1))
+        ns = int(rng.integers(2, MAX_SYMBOLS + 1))
         m = random_machine(rng, 1, nq, ns)
         overrides = None
         if uncertain_codes:
@@ -126,7 +128,7 @@ def verify_utm(
                         )
         machine = utm.build_utm(nq, m.alphabet, m.blank)
         code = utm.encode_code(m, overrides)
-        s = random_smooth_config(m, rng, radius=int(rng.integers(0, max_radius + 1)))
+        s = random_smooth_config(m, rng, radius=int(rng.integers(0, MAX_RADIUS + 1)))
         triple = utm.make_triple(machine, code)
         res = check_preserving(
             triple, utm.encode_config(machine, code, s), tol=tol, cycles=cycles
@@ -152,7 +154,7 @@ def verify_utm(
             "pass": (
                 res.passes(tol)
                 and shuffle_dev is not None
-                and shuffle_dev <= shuffle_tol
+                and shuffle_dev <= SHUFFLE_TOL
             ),
         }
         if shuffle_dev is not None:

@@ -301,6 +301,28 @@ def test_utm_zero_cycles_exit_2(files, capsys):
     assert_usage_error(argv, capsys, "--cycles")
 
 
+def test_verify_negative_seed_exit_2(capsys):
+    argv = ["verify", "--construction", "multitape", "--trials", "1", "--seed", "-1"]
+    assert_usage_error(argv, capsys, "--seed", "-1")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["verify", "utm"])
+def test_tol_not_finite_non_negative_exit_2(files, capsys, command, tol):
+    if command == "verify":
+        argv = ["verify", "--construction", "utm", "--trials", "1"]
+    else:
+        argv = ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
+                "--code", files["id.tm"]]
+    assert_usage_error(argv + ["--tol", tol], capsys, "--tol", tol)
+
+
+def test_run_trace_in_missing_directory_exit_2(files, capsys):
+    trace = str(files["dir"] / "missing" / "trace.jsonl")
+    argv = ["run", files["id.tm"], files["blank.cfg"], "--trace", trace]
+    assert_usage_error(argv, capsys, "cannot write", trace)
+
+
 def test_max_steps_env_not_integer_exit_2(monkeypatch, capsys):
     monkeypatch.setenv("SMOOTHTM_MAX_STEPS", "abc")
     argv = ["verify", "--construction", "multitape", "--trials", "1"]

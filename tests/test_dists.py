@@ -72,7 +72,7 @@ def test_induced_parity_preimage_enumeration():
     four = FiniteSet([0, 1, 2, 3])
     par = FiniteSet(["even", "odd"])
     f = lambda x: "even" if x % 2 == 0 else "odd"
-    d = induced_op(f, four, par)(Dist.uniform(four))
+    d = induced_op(f, four, par)(Dist(four, np.full(4, 0.25)))
     # oracle: enumerate preimages
     expected = {"even": 0.0, "odd": 0.0}
     for x in four:
@@ -124,7 +124,7 @@ def test_convex_combine_point_and_uniform():
     idx = FiniteSet([0, 1])
     a, b = Dist.point(AB, "A"), Dist.point(AB, "B")
     assert convex_combine(Dist.point(idx, 0), [a, b]).allclose(a)
-    got = convex_combine(Dist.uniform(idx), [a, b])
+    got = convex_combine(Dist(idx, [0.5, 0.5]), [a, b])
     assert got["A"] == 0.5 and got["B"] == 0.5
 
 
@@ -143,7 +143,7 @@ def test_convex_combine_hand_expansion():
 def test_convex_combine_base_mismatch():
     idx = FiniteSet([0, 1])
     with pytest.raises(ValueError):
-        convex_combine(Dist.uniform(idx), [Dist.point(AB, "A"), Dist.point(LR, "L")])
+        convex_combine(Dist(idx, [0.5, 0.5]), [Dist.point(AB, "A"), Dist.point(LR, "L")])
 
 
 def test_tensor_bilinearity_random():
@@ -198,7 +198,7 @@ def test_single_support_canonicalized():
 
 
 def test_marginals_of_product():
-    d = tensor(Dist.from_pairs(AB, {"A": 0.25, "B": 0.75}), Dist.uniform(LR))
+    d = tensor(Dist.from_pairs(AB, {"A": 0.25, "B": 0.75}), Dist(LR, [0.5, 0.5]))
     ma = marginal(d, 0)
     assert ma["A"] == pytest.approx(0.25, abs=1e-12)
     mb = marginal(d, 1)

@@ -8,8 +8,6 @@ from smoothtm.framework import (
     GeneratingTriple,
     check_preserving,
     check_well_behaved,
-    compose,
-    identity_triple,
     run_to_next_encoding,
 )
 from smoothtm.sampling import random_machine, random_smooth_config
@@ -19,6 +17,17 @@ from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step
 def small_machine(seed=0):
     rng = np.random.default_rng(seed)
     return random_machine(rng, 1, 2, 2)
+
+
+def identity_triple(m):
+    """The trivial triple: every configuration encodes itself."""
+    return GeneratingTriple(
+        stepper=lambda s: (smooth_step(m, s), None),
+        enc=EncPredicate(lambda x: True, lambda x: False),
+        decode=lambda x: x,
+        target_step=lambda s: smooth_step(m, s),
+        max_steps=1,
+    )
 
 
 def test_identity_triple_single_step_cycle():
@@ -55,13 +64,11 @@ def test_run_to_next_encoding_overrun():
     m = small_machine()
     g = identity_triple(m)
     g = GeneratingTriple(
-        name="never",
         stepper=g.stepper,
-        enc=EncPredicate(lambda x: False, lambda x: True, "nothing"),
+        enc=EncPredicate(lambda x: False, lambda x: True),
         decode=g.decode,
         target_step=g.target_step,
         max_steps=17,
-        machine=m,
     )
     rng = np.random.default_rng(4)
     s = random_smooth_config(m, rng, radius=0)
@@ -76,37 +83,6 @@ def test_max_steps_env_override(monkeypatch):
     assert g.step_bound() == 3
     monkeypatch.delenv("SMOOTHTM_MAX_STEPS")
     assert g.step_bound() == 1
-
-
-def test_compose_identity_identity():
-    m = small_machine()
-    g = compose(identity_triple(m), identity_triple(m))
-    rng = np.random.default_rng(5)
-    s = random_smooth_config(m, rng, radius=1)
-    res = check_preserving(g, s, tol=0.0, cycles=2)
-    assert res.max_deviation == 0.0
-
-
-def test_compose_sim_with_identity():
-    from smoothtm import multitape
-
-    rng = np.random.default_rng(6)
-    m = random_machine(rng, 2, 2, 2)
-    sim = multitape.compile_multitape(m)
-    g1 = multitape.make_triple(sim)
-    g2 = identity_triple(m)
-    g = compose(g1, g2)
-    s = random_smooth_config(m, rng, radius=1)
-    x0 = multitape.to_section_config(sim, multitape.encode(sim, s))
-    res = check_preserving(g, x0, tol=1e-9, cycles=2)
-    assert res.passes(1e-9)
-
-
-def test_compose_machine_mismatch():
-    m1, m2 = small_machine(0), small_machine(99)
-    g1, g2 = identity_triple(m1), identity_triple(m2)
-    with pytest.raises(ValueError, match="mismatch"):
-        compose(g1, g2)
 
 
 def test_point_mass_encodings_commute_exactly():

@@ -29,7 +29,7 @@ def oracle_step(m, c):
     """Head-moves-over-absolute-tape oracle, recentred to head at 0."""
     tapes = []
     for t, d_index in zip(c.tapes, range(m.num_tapes)):
-        tapes.append(dict(t.nonblank()))
+        tapes.append({t.lo + j: s for j, s in enumerate(t.cells) if s != t.blank})
     syms = tuple(t.cell(0) for t in c.tapes)
     q2, writes, dirs = m.delta[(c.state, syms)]
     new_tapes = []

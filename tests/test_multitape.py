@@ -263,47 +263,3 @@ def test_metadata_counts_and_cycle_formula():
     assert meta["sections"] == len(sim.machine.sections)
     # measured directly: length 34 at R-L=4, growing 4 steps per column
     assert meta["cycle_length_base"] + 4 * meta["cycle_length_per_width"] == 34
-
-
-def test_encoding_json_round_trip():
-    from smoothtm.multitape import encoding_from_json, encoding_to_json
-
-    rng = np.random.default_rng(47)
-    m = random_machine(rng, 2, 2, 3)
-    sim = compile_multitape(m)
-    s = random_smooth_config(m, rng, radius=1)
-    enc = encode(sim, s)
-    back = encoding_from_json(sim, encoding_to_json(enc))
-    assert (back.L, back.R, back.n) == (enc.L, enc.R, enc.n)
-    assert back.tape.deviation(enc.tape) <= 1e-15
-    assert decode(sim, back).deviation(s) <= 1e-15
-
-
-def test_encoding_json_rejects_bad_side_record():
-    from smoothtm.machines import FormatError
-    from smoothtm.multitape import encoding_from_json, encoding_to_json
-    import json
-
-    rng = np.random.default_rng(48)
-    m = random_machine(rng, 1, 1, 2)
-    sim = compile_multitape(m)
-    s = random_smooth_config(m, rng, radius=0)
-    obj = json.loads(encoding_to_json(encode(sim, s)))
-    obj["R"] = obj["R"] + 1
-    with pytest.raises(FormatError, match="side record"):
-        encoding_from_json(sim, json.dumps(obj))
-
-
-def test_encoding_json_rejects_unknown_state():
-    from smoothtm.machines import FormatError
-    from smoothtm.multitape import encoding_from_json, encoding_to_json
-    import json
-
-    rng = np.random.default_rng(49)
-    m = random_machine(rng, 1, 2, 2)
-    sim = compile_multitape(m)
-    s = random_smooth_config(m, rng, radius=0)
-    obj = json.loads(encoding_to_json(encode(sim, s)))
-    obj["state"]["q7"] = 0.0
-    with pytest.raises(FormatError, match="unknown state 'q7'"):
-        encoding_from_json(sim, json.dumps(obj))

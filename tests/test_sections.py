@@ -208,7 +208,7 @@ def reference_table(sm, sid):
     strides = [len(A) ** (n - 1 - k) for k in range(n)]
     covered = np.zeros(len(ctx) * len(A) ** n, dtype=bool)
     entries = []
-    for t in sm.tracts_from(sid):
+    for t in filter(lambda t: t.source == sid, sm.tracts):
         src, tgt = [], []
         w_idx, d_idx = [[] for _ in range(n)], [[] for _ in range(n)]
         for xi, x in enumerate(ctx.elements):

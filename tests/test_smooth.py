@@ -120,10 +120,10 @@ def test_uniform_state_permutation_invariance():
     }
     m = Machine(states, alphabet, "_", 1, delta)
     s = SmoothConfig(
-        Dist.uniform(states), (SmoothTape.blank_tape(alphabet, "_"),)
+        Dist(states, [0.5, 0.5]), (SmoothTape.blank_tape(alphabet, "_"),)
     )
     s2 = smooth_step(m, s)
-    assert s2.state.allclose(Dist.uniform(states))
+    assert s2.state.allclose(Dist(states, [0.5, 0.5]))
 
 
 def test_psi_update_constant_directions():
@@ -346,7 +346,7 @@ def test_subnormal_side_move_takes_general_path():
         superpose_tape(tape, Dist.point(AB_, "B").weights, dirs)
     assert general.call_count == 1
     for d in (dirs, np.array([0.0, 1.0, 0.0]), np.array([0.0, 5e-324, 0.0])):
-        info = StepInfo([], [d], {})
+        info = StepInfo([d], {})
         assert info.direction_point_mass(0) == (np.count_nonzero(d) == 1)
 
 
