@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from smoothtm import cli
 from smoothtm.cli import main
 from smoothtm.machines import parse_machine
 from smoothtm.sampling import random_smooth_config
@@ -317,7 +318,13 @@ def test_tol_not_finite_non_negative_exit_2(files, capsys, command, tol):
     assert_usage_error(argv + ["--tol", tol], capsys, "--tol", tol)
 
 
-def test_run_trace_in_missing_directory_exit_2(files, capsys):
+def test_run_trace_in_missing_directory_exit_2(files, capsys, monkeypatch):
+    """The trace file is opened before the first step, not after the run."""
+
+    def no_step(*args):
+        raise AssertionError("stepped before opening the trace file")
+
+    monkeypatch.setattr(cli, "smooth_step_dists", no_step)
     trace = str(files["dir"] / "missing" / "trace.jsonl")
     argv = ["run", files["id.tm"], files["blank.cfg"], "--trace", trace]
     assert_usage_error(argv, capsys, "cannot write", trace)
