@@ -54,7 +54,9 @@ class FiniteSet:
             raise KeyError(f"{x!r} is not an element of this set") from None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteSet) and self.elements == other.elements
+        return self is other or (
+            isinstance(other, FiniteSet) and self.elements == other.elements
+        )
 
     def __hash__(self):
         return hash(self.elements)

@@ -5,7 +5,9 @@ computes on the lowered machine; it only exploits the section structure.  The
 global state distribution is a direct sum of local distributions over the
 contexts of the occupied sections, and the pushforwards through the
 transition components decompose by linearity into per-tract gather/scatter
-passes over each occupied section's (context x read symbols) joint.
+passes over each occupied section's (context x read symbols) joint.  A
+tract none of whose read symbols the head rows support moves exactly zero
+mass and is skipped.
 
 Mass landing on a (state, symbols) pair no tract covers means the machine
 stepped into an unspecified transition; that raises :class:`StuckError`
@@ -69,15 +71,32 @@ class StepInfo:
         return sum(c != 0.0 for c in self.dirs[tape_index].tolist()) == 1
 
 
+def _scatter(acc: np.ndarray | None, idx: np.ndarray, vals: np.ndarray, size: int):
+    """``acc`` with ``vals`` added at ``idx``.  The first scatter into an
+    accumulator is a bincount, which adds in the same order as ``np.add.at``
+    into zeros and so gives the same bits."""
+    if acc is None:
+        return np.bincount(idx, vals, size)
+    np.add.at(acc, idx, vals)
+    return acc
+
+
 def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     """One smooth step; returns the new configuration and diagnostics."""
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
     head_rows = [t.row(0) for t in cfg.tapes]
+    # the read offsets with positive joint mass, as a bit mask
+    offsets = [0]
+    for r in head_rows:
+        offsets = [o * A + k for o in offsets for k in r.nonzero()[0].tolist()]
+    supported = 0
+    for o in offsets:
+        supported |= 1 << o
     acc: dict[str, np.ndarray] = {}
-    write_acc = [np.zeros(A) for _ in range(n)]
-    dir_acc = [np.zeros(3) for _ in range(n)]
+    write_acc = [None] * n
+    dir_acc = [None] * n
     flows: dict[tuple[str, str], float] = {}
     for sid, local in cfg.state.items():
         joint = local
@@ -85,7 +104,7 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
             joint = np.multiply.outer(joint, r)
         flat = joint.reshape(-1)
         table = sm.table(sid)
-        if table.uncovered.size:
+        if table.uncovered_bits & supported:
             lost = float(flat[table.uncovered].sum())
             if lost != 0.0:
                 raise StuckError(
@@ -93,20 +112,23 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
                     f"of section {sid!r}"
                 )
         for e in table.entries:
+            if not e.bits & supported:
+                continue
             vals = flat[e.src]
             moved = float(vals.sum())
             if moved == 0.0:
                 continue
-            tgt = acc.get(e.target)
-            if tgt is None:
-                tgt = acc[e.target] = np.zeros(len(sm.sections[e.target]))
-            np.add.at(tgt, e.tgt, vals)
+            acc[e.target] = _scatter(
+                acc.get(e.target), e.tgt, vals, len(sm.sections[e.target])
+            )
             flows[(sid, e.target)] = flows.get((sid, e.target), 0.0) + moved
             for j in range(n):
-                np.add.at(write_acc[j], e.w_idx[j], vals)
-                np.add.at(dir_acc[j], e.d_idx[j], vals)
-    writes = [renormalized(w, "write") for w in write_acc]
-    dirs = [renormalized(d, "direction") for d in dir_acc]
+                write_acc[j] = _scatter(write_acc[j], e.w_idx[j], vals, A)
+                dir_acc[j] = _scatter(dir_acc[j], e.d_idx[j], vals, 3)
+    writes = [renormalized(np.zeros(A) if w is None else w, "write")
+              for w in write_acc]
+    dirs = [renormalized(np.zeros(3) if d is None else d, "direction")
+            for d in dir_acc]
     tapes = tuple(
         superpose_tape(t, w, d) for t, w, d in zip(cfg.tapes, writes, dirs)
     )

@@ -105,20 +105,39 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     ctx_w = product_set(Q, *[SIGMA] * n)  # (q, s1..sn)
     ctx_p2 = product_set(Q, *[SIGMA] * (n + 2))  # + two loaded cells
     ctx_p3 = product_set(Q, *[SIGMA] * (n + 3))  # + three loaded cells
+    # Contexts are row-major with radix S = |SIGMA|: loading symbol c onto the
+    # context at index xi gives index xi*S + c, dropping the last k symbols
+    # gives xi // S**k, and the digit k places from the end is xi // S**k % S.
+    # A SIGMA symbol has the same index in SIGMA and in the single tape's
+    # alphabet.  delta over ctx_w, as arrays of target state, writes and moves:
+    S, b = len(SIGMA), SIGMA.index(blank)
+    rows = [m.delta[(x[0], x[1:])] for x in ctx_w]
+    to_q = np.array([Q.index(q2) for q2, _, _ in rows], dtype=np.intp)
+    to_w = np.array(
+        [[SIGMA.index(w) for w in ws] for _, ws, _ in rows], dtype=np.intp
+    ).reshape(-1, n)
+    to_d = np.array([ds for _, _, ds in rows], dtype=np.intp).reshape(-1, n)
 
-    def trans(x):
-        return m.delta[(x[0], tuple(x[1 : 1 + n]))]
-
-    def psi(x, j0, c1, c2, c3):
+    def psi(xw, j0, c1, c2, c3):
         # selector over written neighbours by the row's move direction
-        d = trans(x)[2][j0]
-        return c1 if d == -1 else (c2 if d == 0 else c3)
+        return np.choose(to_d[xw, j0] + 1, (c1, c2, c3))
+
+    def load(xi, s):
+        return xi * S + s, s
 
     sections: dict[str, FiniteSet] = {}
     tracts: list[Tract] = []
 
-    def emit(src, tgt, reads, apply, label):
-        tracts.append(Tract(src, tgt, (frozenset(reads),), apply, label=label))
+    def emit(src, tgt, reads, fn, move, label):
+        # fn(context indices, read symbol indices) -> (target context
+        # indices, write indices); every pair moves by ``move``
+        def index_map(xi, syms):
+            to, w = fn(xi, syms[:, 0])
+            return to, w[:, None], np.full((xi.size, 1), move)
+
+        tracts.append(
+            Tract(src, tgt, (frozenset(reads),), label=label, index_map=index_map)
+        )
 
     def copy(src, tgt, reads, write, move, label):
         # keeps the context; ``write`` is a constant symbol, or ECHO
@@ -132,15 +151,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     sections["W1"] = ctx_w
     for k in range(1, n + 1):
         tgt = f"R{k+1}" if k < n else "W1"
-        move = 1 if k < n else 0
-        if k == 1:
-            emit("R1", tgt, SIG, lambda x, s, d=move: ((x, s[0]), (s[0],), (d,)), "read1")
-        else:
-            emit(
-                f"R{k}", tgt, SIG,
-                lambda x, s, d=move: (x + (s[0],), (s[0],), (d,)),
-                f"read{k}",
-            )
+        emit(f"R{k}", tgt, SIG, load, 1 if k < n else 0, f"read{k}")
 
     # write phase: Wk at position n-k writes tape (n-k+1)'s symbol
     for k in range(1, n + 1):
@@ -156,18 +167,14 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
             # mutation: perform the state update here, skipping the move phase
             emit(
                 f"W{k}", tgt, SIG,
-                lambda x, s, t0=tape0: (trans(x)[0], (trans(x)[1][t0],), (-1,)),
+                lambda xi, s, t0=tape0: (to_q[xi], to_w[xi, t0]), -1,
                 f"write{k}-broken",
             )
         else:
             emit(
                 f"W{k}", tgt, SIG,
-                lambda x, s, t0=tape0: (x, (trans(x)[1][t0],), (-1,)),
-                f"write{k}",
+                lambda xi, s, t0=tape0: (xi, to_w[xi, t0]), -1, f"write{k}",
             )
-
-    drop_first_load = lambda x: x[: n + 1] + x[n + 2 :]
-    drop_loads = lambda x: x[: n + 1]
 
     for j in range(n, 0, -1):
         j0 = j - 1
@@ -196,7 +203,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         sections[f"MLEload.{j}"] = ctx_w
         back_or_write = f"MMLback1.{j}" if n > 1 else f"MMLwrite.{j}"
         emit(f"MLEload.{j}", back_or_write, SIG,
-             lambda x, s: (x + (blank, blank, s[0]), (s[0],), (-1,)),
+             lambda xi, s: (((xi * S + b) * S + b) * S + s, s), -1,
              f"edge-load.{j}")
 
         # main loop: load the next cell, walk back, write the superposition,
@@ -208,14 +215,14 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
             copy(f"MMLback{s_}.{j}", f"MMLback{s_}.{j}", H0, ECHO, -1,
                  f"back-skip{s_}.{j}")
         sections[f"MMLwrite.{j}"] = ctx_p3
+        # (q, s1..sn, c1, c2, c3) -> (q, s1..sn, c2, c3)
         emit(
             f"MMLwrite.{j}", f"MMLout1.{j}", SIG,
-            lambda x, s, j0=j0: (
-                drop_first_load(x),
-                (psi(x, j0, x[n + 1], x[n + 2], x[n + 3]),),
-                (1,),
+            lambda xi, s, j0=j0: (
+                xi // S**3 * S**2 + xi % S**2,
+                psi(xi // S**3, j0, xi // S**2 % S, xi // S % S, xi % S),
             ),
-            f"superpose.{j}",
+            1, f"superpose.{j}",
         )
         copy(f"MMLwrite.{j}", f"MMLwrite.{j}", H0, ECHO, -1, f"write-skip.{j}")
         for s_ in range(1, 2 * n):
@@ -226,8 +233,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
             copy(f"MMLout{s_}.{j}", tgt, SIG | HR, ECHO, 1, f"out{s_}.{j}")
             copy(f"MMLout{s_}.{j}", f"MMLout{s_}.{j}", H0, ECHO, 1, f"out-skip{s_}.{j}")
         sections[f"MMLload.{j}"] = ctx_p2
-        emit(f"MMLload.{j}", back_or_write, SIG,
-             lambda x, s: (x + (s[0],), (s[0],), (-1,)), f"load.{j}")
+        emit(f"MMLload.{j}", back_or_write, SIG, load, -1, f"load.{j}")
         copy(f"MMLload.{j}", f"MMLload.{j}", H0, ECHO, 1, f"load-skip.{j}")
 
         # right border shift: erase the row's #R, plant it one column out,
@@ -252,7 +258,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         walk_or_re2 = f"MREwalk1.{j}" if n > 1 else f"MRE2.{j}"
         emit(
             f"MRE1.{j}", walk_or_re2, BLANK,
-            lambda x, s, j0=j0: (x, (psi(x, j0, x[n + 2], blank, blank),), (-1,)),
+            lambda xi, s, j0=j0: (xi, psi(xi // S**2, j0, xi % S, b, b)), -1,
             f"edge-right1.{j}",
         )
         for s_ in range(1, n):
@@ -262,12 +268,10 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         sections[f"MRE2.{j}"] = ctx_p2
         emit(
             f"MRE2.{j}", after_row, SIG,
-            lambda x, s, j0=j0: (
-                drop_loads(x),
-                (psi(x, j0, x[n + 1], x[n + 2], blank),),
-                (-1,),
+            lambda xi, s, j0=j0: (
+                xi // S**2, psi(xi // S**2, j0, xi // S % S, xi % S, b)
             ),
-            f"edge-right2.{j}",
+            -1, f"edge-right2.{j}",
         )
 
     # state update: return to the cell formerly holding tape 1's head cell,
@@ -276,7 +280,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     sections["S"] = ctx_w
     copy("SU", "SU", SIG, ECHO, -1, "seek-head")
     copy("SU", "S", H0, MARK_0, 1, "found-head")
-    emit("S", "R1", SIG, lambda x, s: (trans(x)[0], (s[0],), (0,)), "state-update")
+    emit("S", "R1", SIG, lambda xi, s: (to_q[xi], s), 0, "state-update")
 
     sm = SectionMachine(sections, tracts, alphabet, blank, 1)
     return CompiledSim(source=m, machine=sm, broken=broken)

@@ -4,10 +4,12 @@ A section machine never names states individually: each section carries a
 finite context set, and transitions are given as tracts.  A tract connects a
 source section to a target section over a read-symbol set per tape, with one
 map sending (context element, read symbols) to (target context element,
-write symbols, move directions).  The map is either a closure or, for copy
-tracts that keep the context, declarative: a per-tape write (a constant
-symbol, or ``None`` to write back the read symbol) and a per-tape move.
-An optional guard restricts a tract to part of its (context x symbols)
+write symbols, move directions).  The map takes one of three forms: a
+closure over elements, called once per pair; an index map over int arrays,
+called once for all of the tract's pairs; or, for copy tracts that keep the
+context, a declaration: a per-tape write (a constant symbol, or ``None`` to
+write back the read symbol) and a per-tape move.  An optional guard
+restricts a closure or declarative tract to part of its (context x symbols)
 rectangle, so two tracts over the same read symbols may split a section by
 context.
 
@@ -38,9 +40,14 @@ from .machines import DIRECTIONS, Configuration, Machine
 class Tract:
     """A family of transitions between two sections over fixed read sets.
 
-    Give either ``apply`` or the declarative pair ``write``/``move``.  A
-    declarative tract keeps the context element, writes ``write[j]`` on tape
-    j (the read symbol when that entry is ``None``) and moves by ``move[j]``.
+    Give ``apply``, ``index_map`` or the declarative pair ``write``/``move``.
+    A declarative tract keeps the context element, writes ``write[j]`` on
+    tape j (the read symbol when that entry is ``None``) and moves by
+    ``move[j]``.  An index map gets the context indices ``xi`` (shape (P,))
+    and the read symbols' alphabet indices ``syms`` (shape (P, n)) of all P
+    pairs the tract covers, in table order, and returns int arrays of target
+    context indices (P,), written alphabet indices (P, n) and moves in
+    -1/0/1 (P, n); it takes no guard.
     """
 
     source: str
@@ -51,9 +58,14 @@ class Tract:
     label: str = ""
     write: tuple | None = None  # per tape: constant symbol, or None to echo
     move: tuple[int, ...] | None = None  # per tape, in -1/0/1
+    index_map: Callable | None = None  # (xi, syms) -> (tgt, writes, moves)
 
     def __post_init__(self):
-        if self.apply is not None:
+        if self.index_map is not None:
+            ok = all(
+                v is None for v in (self.apply, self.guard, self.write, self.move)
+            )
+        elif self.apply is not None:
             ok = self.write is None and self.move is None
         else:
             ok = (
@@ -64,12 +76,13 @@ class Tract:
             )
         if not ok:
             raise ValueError(
-                f"tract {self.label!r} needs either apply, or one write and "
-                f"one move in -1/0/1 per tape"
+                f"tract {self.label!r} needs either apply, an index map without "
+                f"a guard, or one write and one move in -1/0/1 per tape"
             )
 
     def image(self, x, syms) -> tuple:
-        """(target context element, writes, dirs) for one covered pair."""
+        """(target context element, writes, dirs) for one covered pair of a
+        closure or declarative tract."""
         if self.apply is not None:
             return self.apply(x, syms)
         writes = tuple(s if w is None else w for s, w in zip(syms, self.write))
@@ -86,11 +99,18 @@ class SectionMachine:
     blank: Hashable
     num_tapes: int
     _tables: dict = field(default_factory=dict, repr=False)
+    # per read-set tuple: read combos, offsets and offset bits
+    _reads: dict = field(default_factory=dict, repr=False, compare=False)
+    # broadcast copy-tract arrays, read-only and shared by every table
+    _copies: dict = field(default_factory=dict, repr=False, compare=False)
     # position of each section id in ``sections``
     rank: dict = field(init=False, repr=False, compare=False)
+    # section id -> positions of the tracts leaving it, in tract order
+    leaving: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rank = {sid: i for i, sid in enumerate(self.sections)}
+        self.leaving = {sid: [] for sid in self.sections}
         if self.blank not in self.alphabet:
             raise ValueError("blank symbol must be in the alphabet")
         for t in self.tracts:
@@ -107,6 +127,8 @@ class SectionMachine:
             for w in t.write or ():
                 if w is not None and w not in self.alphabet:
                     raise ValueError(f"tract {t.label!r} writes unknown symbol {w!r}")
+        for i, t in enumerate(self.tracts):
+            self.leaving[t.source].append(i)
 
     def state_count(self) -> int:
         return sum(len(ctx) for ctx in self.sections.values())
@@ -118,16 +140,51 @@ class SectionMachine:
             table = self._tables[sid] = _SectionTable(self, sid)
         return table
 
+    def _read_combos(self, reads: tuple) -> tuple:
+        """The alphabet indices of every read combination in product order,
+        their offsets and the offsets' bit mask; built once per read sets."""
+        found = self._reads.get(reads)
+        if found is None:
+            A, n = self.alphabet, self.num_tapes
+            read_idx = [sorted(A.index(s) for s in rs) for rs in reads]
+            combos = np.array(list(product(*read_idx)), dtype=np.intp).reshape(-1, n)
+            offsets = np.ravel_multi_index(tuple(combos.T), (len(A),) * n)
+            found = self._reads[reads] = (combos, offsets, _bits(offsets))
+        return found
+
+    def _copy_arrays(self, contexts: int, t: Tract) -> tuple:
+        """Index arrays of a declarative tract that keeps a context of size
+        ``contexts``; built by broadcasting once per shape and then shared."""
+        key = (contexts, t.reads, t.write, t.move)
+        arrays = self._copies.get(key)
+        if arrays is None:
+            A = self.alphabet
+            combos, offsets, _ = self._read_combos(t.reads)
+            xi = np.arange(contexts, dtype=np.intp)
+            src = (xi[:, None] * len(A) ** self.num_tapes + offsets).reshape(-1)
+            tgt = np.repeat(xi, len(offsets))
+            w_idx = tuple(
+                np.tile(combos[:, j], contexts) if w is None
+                else np.full(src.size, A.index(w), dtype=np.intp)
+                for j, w in enumerate(t.write)
+            )
+            d_idx = tuple(np.full(src.size, d + 1, dtype=np.intp) for d in t.move)
+            for a in (src, tgt, *w_idx, *d_idx):
+                a.flags.writeable = False
+            arrays = self._copies[key] = (src, tgt, w_idx, d_idx)
+        return arrays
+
 
 @dataclass(slots=True)
 class _TractEntry:
     target: str
     src: np.ndarray  # flat (context, symbols) indices, strictly increasing
     tgt: np.ndarray  # target context indices
-    w_idx: list  # per tape, alphabet indices
-    d_idx: list  # per tape, DIRECTIONS indices (move + 1)
+    w_idx: tuple  # per tape, alphabet indices
+    d_idx: tuple  # per tape, DIRECTIONS indices (move + 1)
     label: str
     tract: int  # position in the machine's tract list
+    bits: int  # bit k set when the tract reads symbols at offset k
 
 
 class _SectionTable:
@@ -138,14 +195,18 @@ class _SectionTable:
     big-endian digits of ``offset``.  Entries run in (tract, context, read
     symbols) order, the order in which the engine scatters mass, so sums are
     reproducible bit for bit; tracts covering nothing have no entry.  A
-    declarative, unguarded tract into a section with the same context builds
-    its arrays by broadcasting; every other tract is enumerated through its
-    image, which is validated here once.  The table keeps no reference to its
-    machine, which caches it, so a machine is freed without the cycle
-    collector.
+    declarative, unguarded tract into a section with the same context takes
+    the machine's shared broadcast arrays; an index map is called once for
+    all pairs; every other tract is enumerated through its image.  Images
+    are validated here once.  ``bits`` of an entry and ``uncovered_bits``
+    mark the read offsets they touch, so the engine can skip what the head
+    cannot read.  The table keeps no reference to its machine, which caches
+    it, so a machine is freed without the cycle collector.
     """
 
-    __slots__ = ("sid", "sections", "alphabet", "n", "entries", "uncovered")
+    __slots__ = (
+        "sid", "sections", "alphabet", "n", "entries", "uncovered", "uncovered_bits"
+    )
 
     def __init__(self, sm: SectionMachine, sid: str):
         self.sid = sid
@@ -154,17 +215,15 @@ class _SectionTable:
         self.n = n = sm.num_tapes
         ctx = sm.sections[sid]
         size = len(A) ** n
-        strides = np.array([len(A) ** (n - 1 - k) for k in range(n)], dtype=np.intp)
         covered = np.zeros(len(ctx) * size, dtype=bool)
         self.entries = []
-        for i, t in enumerate(sm.tracts):
-            if t.source != sid:
-                continue
-            read_idx = [sorted(A.index(s) for s in rs) for rs in t.reads]
-            combos = np.array(list(product(*read_idx)), dtype=np.intp).reshape(-1, n)
-            offsets = combos @ strides
-            if t.apply is None and t.guard is None and sm.sections[t.target] == ctx:
-                arrays = self._copy_arrays(t, combos, offsets)
+        for i in sm.leaving[sid]:
+            t = sm.tracts[i]
+            combos, offsets, bits = sm._read_combos(t.reads)
+            if t.index_map is not None:
+                arrays = self._index_arrays(t, combos, offsets)
+            elif t.apply is None and t.guard is None and sm.sections[t.target] == ctx:
+                arrays = sm._copy_arrays(len(ctx), t)
             else:
                 arrays = self._mapped_arrays(t, combos, offsets)
             src = arrays[0]
@@ -180,8 +239,10 @@ class _SectionTable:
                     f"section {sid!r}, context {x!r}, symbols {syms!r}"
                 )
             covered[src] = True
-            self.entries.append(_TractEntry(t.target, *arrays, t.label, i))
+            self.entries.append(_TractEntry(t.target, *arrays, t.label, i, bits))
         self.uncovered = np.flatnonzero(~covered)
+        partly_covered = ~covered.reshape(-1, size).all(axis=0)
+        self.uncovered_bits = _bits(np.flatnonzero(partly_covered))
 
     def flat(self, x, syms) -> int:
         """The flat index of a (context element, read symbols) pair."""
@@ -208,18 +269,48 @@ class _SectionTable:
                 return e, k
         return None
 
-    def _copy_arrays(self, t: Tract, combos, offsets):
-        """Broadcast index arrays of a declarative tract that keeps the context."""
-        xi = np.arange(len(self.sections[self.sid]), dtype=np.intp)
-        src = (xi[:, None] * len(self.alphabet) ** self.n + offsets).reshape(-1)
-        tgt = np.repeat(xi, len(offsets))
-        w_idx = [
-            np.tile(combos[:, j], len(xi)) if w is None
-            else np.full(src.size, self.alphabet.index(w), dtype=np.intp)
-            for j, w in enumerate(t.write)
-        ]
-        d_idx = [np.full(src.size, d + 1, dtype=np.intp) for d in t.move]
-        return src, tgt, w_idx, d_idx
+    def _index_arrays(self, t: Tract, combos, offsets):
+        """Index arrays of a tract given by an index map, called once for all
+        its pairs; the image is validated as in :meth:`_mapped_arrays`."""
+        A, n = self.alphabet, self.n
+        contexts, per_context = len(self.sections[self.sid]), len(offsets)
+        xi = np.repeat(np.arange(contexts, dtype=np.intp), per_context)
+        src = (xi.reshape(contexts, per_context) * len(A) ** n + offsets).reshape(-1)
+        syms = np.broadcast_to(combos, (contexts, per_context, n)).reshape(-1, n)
+        tgt, w, d = map(np.asarray, t.index_map(xi, syms))
+        shapes = (tgt.shape, w.shape, d.shape)
+        want = ((src.size,), (src.size, n), (src.size, n))
+        if shapes != want or any(a.dtype.kind not in "iu" for a in (tgt, w, d)):
+            raise ValueError(
+                f"tract {t.label!r} at section {self.sid!r}: index map gives "
+                f"{tgt.dtype.kind}/{w.dtype.kind}/{d.dtype.kind} arrays of shapes "
+                f"{shapes}, not int arrays of shapes {want}"
+            )
+        contexts_out = len(self.sections[t.target])
+        if src.size and (
+            tgt.min() < 0 or tgt.max() >= contexts_out or w.min() < 0
+            or w.max() >= len(A) or d.min() < -1 or d.max() > 1
+        ):
+            bad_tgt = (tgt < 0) | (tgt >= contexts_out)
+            bad_w = (w < 0) | (w >= len(A))
+            bad = bad_tgt | bad_w.any(axis=1) | (np.abs(d) > 1).any(axis=1)
+            k = int(bad.argmax())
+            x, syms = self.pair(src[k])
+            if bad_tgt[k]:
+                what = (f"maps to context index {tgt[k]}, outside the context "
+                        f"of section {t.target!r}")
+            elif bad_w[k].any():
+                what = (f"writes alphabet index {w[k][bad_w[k]][0]}, not in "
+                        f"the alphabet")
+            else:
+                what = f"moves {tuple(d[k].tolist())!r}, not each in -1/0/1"
+            raise self._bad(t, x, syms, what)
+        return (
+            src,
+            tgt.astype(np.intp),
+            tuple(w[:, j].astype(np.intp) for j in range(n)),
+            tuple((d[:, j] + 1).astype(np.intp, copy=False) for j in range(n)),
+        )
 
     def _mapped_arrays(self, t: Tract, combos, offsets):
         """Index arrays of a tract enumerated entry by entry through its image,
@@ -268,8 +359,8 @@ class _SectionTable:
         return (
             np.array(src, dtype=np.intp),
             tgt,
-            [w_idx[:, j].copy() for j in range(n)],
-            [d_idx[:, j].copy() for j in range(n)],
+            tuple(w_idx[:, j].copy() for j in range(n)),
+            tuple(d_idx[:, j].copy() for j in range(n)),
         )
 
     def _bad(self, t: Tract, x, syms, what: str) -> ValueError:
@@ -277,6 +368,14 @@ class _SectionTable:
             f"tract {t.label!r} at section {self.sid!r}, context {x!r}, "
             f"symbols {syms!r}: {what}"
         )
+
+
+def _bits(offsets: np.ndarray) -> int:
+    """A bit mask with bit k set for each offset k."""
+    mask = 0
+    for k in offsets.tolist():
+        mask |= 1 << k
+    return mask
 
 
 def section_step(sm: SectionMachine, c: Configuration) -> Configuration:

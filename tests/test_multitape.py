@@ -164,6 +164,22 @@ def test_preservation_randomized():
         assert res.passes(1e-9), (trial, res.violations[:3], res.max_deviation)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_preservation_beyond_three_tapes(n):
+    rng = np.random.default_rng(n)
+    m = random_machine(rng, n, 2, 2)
+    sim = compile_multitape(m)
+    enc = encode(sim, random_smooth_config(m, rng, radius=1))
+    res = check_preserving(make_triple(sim), to_section_config(sim, enc), tol=1e-9)
+    assert not res.violations, res.violations[:3]
+    assert res.max_deviation <= 1e-9
+    meta = metadata(sim)
+    width = enc.R - enc.L
+    assert res.cycle_lengths == [
+        meta["cycle_length_base"] + meta["cycle_length_per_width"] * width
+    ]
+
+
 def test_cycle_length_deterministic_in_geometry():
     rng = np.random.default_rng(31)
     lengths = {}

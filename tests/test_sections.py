@@ -203,7 +203,8 @@ def test_serialization_mentions_sections_and_tracts():
 
 
 def reference_table(sm, sid):
-    """Section table enumerated entry by entry through Tract.image."""
+    """Section table enumerated entry by entry: through Tract.image, or
+    through the index map called on one pair at a time."""
     ctx, A, n = sm.sections[sid], sm.alphabet, sm.num_tapes
     strides = [len(A) ** (n - 1 - k) for k in range(n)]
     covered = np.zeros(len(ctx) * len(A) ** n, dtype=bool)
@@ -219,8 +220,15 @@ def reference_table(sm, sid):
                 flat = xi * len(A) ** n + sum(k * s for k, s in zip(sym_idx, strides))
                 assert not covered[flat]
                 covered[flat] = True
-                x2, writes, dirs = t.image(x, syms)
                 src.append(flat)
+                if t.index_map is not None:
+                    to, writes, dirs = t.index_map(np.array([xi]), np.array([sym_idx]))
+                    tgt.append(int(to[0]))
+                    for j in range(n):
+                        w_idx[j].append(int(writes[0][j]))
+                        d_idx[j].append(int(dirs[0][j]) + 1)
+                    continue
+                x2, writes, dirs = t.image(x, syms)
                 tgt.append(sm.sections[t.target].index(x2))
                 for j in range(n):
                     w_idx[j].append(A.index(writes[j]))
@@ -383,6 +391,80 @@ def test_malformed_closure_image_named_by_every_consumer(case):
     assert re.match(where + what + "$", messages[0])
 
 
+MALFORMED_INDEX_MAPS = {
+    "outside-target-context": (
+        lambda xi, s: (xi + 5, s, np.zeros_like(s)),
+        r"^tract 'bad' at section 'S0', context 'x', symbols \('A',\): "
+        r"maps to context index 5, outside the context of section 'S1'$",
+    ),
+    "unknown-write": (
+        lambda xi, s: (xi, s + 3, np.zeros_like(s)),
+        r"^tract 'bad' at section 'S0', context 'x', symbols \('A',\): "
+        r"writes alphabet index 4, not in the alphabet$",
+    ),
+    "move-2": (
+        lambda xi, s: (xi, s, np.full_like(s, 2)),
+        r"^tract 'bad' at section 'S0', context 'x', symbols \('A',\): "
+        r"moves \(2,\), not each in -1/0/1$",
+    ),
+    "wrong-shape": (
+        lambda xi, s: (xi, s[:, 0], np.zeros_like(s)),
+        r"^tract 'bad' at section 'S0': index map gives i/i/i arrays of shapes "
+        r"\(\(2,\), \(2,\), \(2, 1\)\), not int arrays of shapes "
+        r"\(\(2,\), \(2, 1\), \(2, 1\)\)$",
+    ),
+    "float-moves": (
+        lambda xi, s: (xi, s, np.zeros(s.shape)),
+        r"^tract 'bad' at section 'S0': index map gives i/i/f arrays",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INDEX_MAPS))
+def test_malformed_index_map_named_by_every_consumer(case):
+    index_map, what = MALFORMED_INDEX_MAPS[case]
+    ctx = FiniteSet(["x", "y"])
+    tracts = [
+        Tract("S0", "S0", (frozenset({"_", "B"}),), write=(None,), move=(1,),
+              label="copy"),
+        Tract("S0", "S1", (frozenset({"A"}),), index_map=index_map, label="bad"),
+        Tract("S1", "S1", (frozenset(AB.elements),), write=(None,), move=(0,),
+              label="rest"),
+    ]
+    sm = SectionMachine({"S0": ctx, "S1": ctx}, tracts, AB, "_", 1)
+    messages = consumer_errors(sm, "S0", "x", "A")
+    assert len(set(messages)) == 1
+    assert re.match(what, messages[0])
+
+
+def test_index_map_takes_no_guard_nor_other_form():
+    reads = (frozenset({"A"}),)
+
+    def imap(xi, s):
+        return xi, s, np.zeros_like(s)
+
+    for extra in ({"guard": lambda x, s: True}, {"apply": lambda x, s: (x, s, (0,))},
+                  {"write": (None,), "move": (0,)}):
+        with pytest.raises(ValueError, match="either apply, an index map"):
+            Tract("S0", "S0", reads, index_map=imap, **extra)
+
+
+def test_copy_tracts_share_read_only_arrays():
+    """Same-shape copy tracts share one set of arrays, which nothing may
+    write through."""
+    sm = SECTION_MACHINES["mt-2x2x3"]()
+    one, two = (
+        next(e for e in sm.table(f"MLB1.{j}").entries if e.label == f"seek-left.{j}")
+        for j in (1, 2)
+    )
+    for a, b in zip([one.src, one.tgt, *one.w_idx, *one.d_idx],
+                    [two.src, two.tgt, *two.w_idx, *two.d_idx]):
+        assert np.shares_memory(a, b)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 def test_overlap_error_names_both_tracts():
     one = Tract("S0", "S0", (frozenset({"_", "A"}),), lambda x, s: (x, ("A",), (0,)),
                 label="one")
@@ -465,3 +547,47 @@ def test_compile_output_and_lowering_unchanged(index, tmp_path, capsys):
     for key in sorted(lowered.delta, key=repr):
         h.update(repr((key, lowered.delta[key], key in lowered.fills)).encode())
     assert h.hexdigest() == lowered_digest
+
+
+def table_digest(sm):
+    """sha256 over every section table: entry targets and labels, the
+    src/tgt/write/move arrays and the uncovered pairs, in section order."""
+    h = hashlib.sha256()
+    for sid in sm.sections:
+        table = sm.table(sid)
+        for e in table.entries:
+            h.update(repr((sid, e.target, e.label)).encode())
+            for a in (e.src, e.tgt, *e.w_idx, *e.d_idx):
+                h.update(np.asarray(a, dtype=np.int64).tobytes())
+        h.update(table.uncovered.astype(np.int64).tobytes())
+    return h.hexdigest()
+
+
+# (name, machine, sha256 of its tables): the compiled machines are drawn by
+# random_machine(default_rng(n), n, q, s); a change to any table entry moves them
+TABLE_DIGESTS = [
+    ("mt-1x3x3", lambda: compiled(1, 3, 3, seed=1),
+     "421c48e79cf0cb480ab53403b563e5aed128d52a9e8cf348a1e6b185bb7e3eb6"),
+    ("mt-2x3x3", lambda: compiled(2, 3, 3, seed=2),
+     "075152afb1d315b8c85a2ab1ff4aaa3604f197a2880b55ff6a433642c12d212e"),
+    ("mt-3x2x3", lambda: compiled(3, 2, 3, seed=3),
+     "d1ed87bc67af72f2714cc46f62b2e4c63b018a079124715c79db7984ddc4905f"),
+    ("mt-4x2x2", lambda: compiled(4, 2, 2, seed=4),
+     "ded54326c99c54e94ae93b66873ba2c0846baccb3bd54662eaa23d3b631458e4"),
+    ("mt-4x3x3", lambda: compiled(4, 3, 3, seed=4),
+     "d80b23e9e95fc2a508d2b0627a3e1244ad484b5d6877b4db1dfd07a32ae21e60"),
+    ("mt-broken-2x2x3", lambda: compile_multitape(
+        random_machine(np.random.default_rng(2), 2, 2, 3), broken=True).machine,
+     "64f722c270fc706849125d5e85277d153b17361aca74547fa5454af51bba0786"),
+    ("utm-2x3", SECTION_MACHINES["utm-2x3"],
+     "96b5309968ac868dd3a437025afc128054f8b48e053d6031c0f2882861f95079"),
+    ("utm-3x4", SECTION_MACHINES["utm-3x4"],
+     "49e401419962f0be092fc29b62f7b3017f1eb9f80e700a668c6a6329eaa0da78"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, digest", TABLE_DIGESTS, ids=[d[0] for d in TABLE_DIGESTS]
+)
+def test_section_tables_unchanged(name, build, digest):
+    assert table_digest(build()) == digest
