@@ -148,56 +148,62 @@ def _parse_override_dist(text: str, base: FiniteSet, names: dict | None = None):
     pairs = {}
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
-        raise CliError(f"override distribution {text!r} is not brace-delimited")
+        raise ValueError(f"override distribution {text!r} is not brace-delimited")
     for item in body[1:-1].split(","):
         if not item.strip():
             continue
         if ":" not in item:
-            raise CliError(f"bad override entry {item!r}")
+            raise ValueError(f"bad override entry {item!r}")
         key, val = item.split(":", 1)
         key = key.strip()
         label = names[key] if names and key in names else key
         if label not in base:
-            raise CliError(f"unknown label {key!r} in override")
+            raise ValueError(f"unknown label {key!r} in override")
+        if label in pairs:
+            raise ValueError(f"label {key!r} given twice in override {body!r}")
         try:
             pairs[label] = float(val)
         except ValueError:
-            raise CliError(
+            raise ValueError(
                 f"bad override entry {item.strip()!r}: weight is not a number"
             ) from None
     try:
         return Dist.from_pairs(base, pairs)
     except ValueError as exc:
-        raise CliError(f"bad override distribution {text!r}: {exc}") from None
+        raise ValueError(f"bad override distribution {body!r}: {exc}") from None
 
 
 def _parse_overrides(text: str, m) -> dict:
-    """Lines of the form  (q,a) -> {q2: p, ...} / {b: p, ...} / {L: p, ...}."""
+    """Lines of the form  (q,a) -> {q2: p, ...} / {b: p, ...} / {L: p, ...},
+    at most one per pair; every error names its line."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "->" not in line:
-            raise CliError(f"overrides line {lineno}: expected '(q,a) -> ...'")
-        lhs, rhs = line.split("->", 1)
-        lhs = lhs.strip()
-        if not (lhs.startswith("(") and lhs.endswith(")")):
-            raise CliError(f"overrides line {lineno}: bad pair {lhs!r}")
-        q, _, a = lhs[1:-1].partition(",")
-        q, a = q.strip(), a.strip()
-        if q not in m.states or a not in m.alphabet:
-            raise CliError(f"overrides line {lineno}: unknown pair ({q},{a})")
-        parts = rhs.split("/")
-        if len(parts) != 3:
-            raise CliError(
-                f"overrides line {lineno}: need target/write/move distributions"
+        try:
+            if "->" not in line:
+                raise ValueError("expected '(q,a) -> ...'")
+            lhs, rhs = line.split("->", 1)
+            lhs = lhs.strip()
+            if not (lhs.startswith("(") and lhs.endswith(")")):
+                raise ValueError(f"bad pair {lhs!r}")
+            q, _, a = lhs[1:-1].partition(",")
+            q, a = q.strip(), a.strip()
+            if q not in m.states or a not in m.alphabet:
+                raise ValueError(f"unknown pair ({q},{a})")
+            if (q, a) in out:
+                raise ValueError(f"pair ({q},{a}) given twice")
+            parts = rhs.split("/")
+            if len(parts) != 3:
+                raise ValueError("need target/write/move distributions")
+            out[(q, a)] = (
+                _parse_override_dist(parts[0], m.states),
+                _parse_override_dist(parts[1], m.alphabet),
+                _parse_override_dist(parts[2], DIRECTIONS, DIR_VALUES),
             )
-        out[(q, a)] = (
-            _parse_override_dist(parts[0], m.states),
-            _parse_override_dist(parts[1], m.alphabet),
-            _parse_override_dist(parts[2], DIRECTIONS, DIR_VALUES),
-        )
+        except ValueError as exc:
+            raise CliError(f"overrides line {lineno}: {exc}") from None
     return out
 
 

@@ -4,17 +4,16 @@ A section machine never names states individually: each section carries a
 finite context set, and transitions are given as tracts.  A tract connects a
 source section to a target section over a read-symbol set per tape, with one
 map sending (context element, read symbols) to (target context element,
-write symbols, move directions).  The map takes one of three forms: a
-closure over elements, called once per pair; an index map over int arrays,
-called once for all of the tract's pairs; or, for copy tracts that keep the
-context, a declaration: a per-tape write (a constant symbol, or ``None`` to
-write back the read symbol) and a per-tape move.  An optional guard
-restricts a closure or declarative tract to part of its (context x symbols)
-rectangle, so two tracts over the same read symbols may split a section by
-context.
+write symbols, move directions).  The map takes one of two forms: an index
+map over int arrays, called once for all of the tract's pairs, or, for copy
+tracts that keep the context, a declaration: a per-tape write (a constant
+symbol, or ``None`` to write back the read symbol) and a per-tape move.  An
+index map may carry a guard, a bool mask over the same pairs, which
+restricts the tract to part of its (context x symbols) rectangle, so two
+tracts over the same read symbols may split a section by context.
 
 :meth:`SectionMachine.table` compiles one section into index arrays; it is
-the only code that evaluates guards and tract maps, validates their images
+the only code that evaluates guards and index maps, validates what they give
 and checks that no two tracts overlap.  Classical stepping, lowering, the
 serialization and the smooth engine all read these tables.
 
@@ -33,28 +32,28 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .dists import FiniteSet
-from .machines import DIRECTIONS, Configuration, Machine
+from .machines import Configuration, Machine
 
 
 @dataclass(frozen=True)
 class Tract:
     """A family of transitions between two sections over fixed read sets.
 
-    Give ``apply``, ``index_map`` or the declarative pair ``write``/``move``.
-    A declarative tract keeps the context element, writes ``write[j]`` on
-    tape j (the read symbol when that entry is ``None``) and moves by
-    ``move[j]``.  An index map gets the context indices ``xi`` (shape (P,))
-    and the read symbols' alphabet indices ``syms`` (shape (P, n)) of all P
-    pairs the tract covers, in table order, and returns int arrays of target
-    context indices (P,), written alphabet indices (P, n) and moves in
-    -1/0/1 (P, n); it takes no guard.
+    Give ``index_map`` or the declarative pair ``write``/``move``.  A
+    declarative tract keeps the context element, writes ``write[j]`` on tape
+    j (the read symbol when that entry is ``None``) and moves by ``move[j]``.
+    An index map gets the context indices ``xi`` (shape (P,)) and the read
+    symbols' alphabet indices ``syms`` (shape (P, n)) of the P pairs the
+    tract covers, in table order, and returns int arrays of target context
+    indices (P,), written alphabet indices (P, n) and moves in -1/0/1 (P, n).
+    Its optional guard gets the same two arrays for all pairs of the tract's
+    rectangle and returns a bool mask (P,) of the pairs it covers.
     """
 
     source: str
     target: str
     reads: tuple[frozenset, ...]
-    apply: Callable | None = None  # (ctx_elem, syms) -> (ctx_elem', writes, dirs)
-    guard: Callable | None = None  # (ctx_elem, syms) -> bool
+    guard: Callable | None = None  # (xi, syms) -> bool mask
     label: str = ""
     write: tuple | None = None  # per tape: constant symbol, or None to echo
     move: tuple[int, ...] | None = None  # per tape, in -1/0/1
@@ -62,31 +61,20 @@ class Tract:
 
     def __post_init__(self):
         if self.index_map is not None:
-            ok = all(
-                v is None for v in (self.apply, self.guard, self.write, self.move)
-            )
-        elif self.apply is not None:
             ok = self.write is None and self.move is None
         else:
             ok = (
-                self.write is not None
+                self.guard is None
+                and self.write is not None
                 and self.move is not None
                 and len(self.write) == len(self.move) == len(self.reads)
                 and all(d in (-1, 0, 1) for d in self.move)
             )
         if not ok:
             raise ValueError(
-                f"tract {self.label!r} needs either apply, an index map without "
-                f"a guard, or one write and one move in -1/0/1 per tape"
+                f"tract {self.label!r} needs either an index map, with or "
+                f"without a guard, or one write and one move in -1/0/1 per tape"
             )
-
-    def image(self, x, syms) -> tuple:
-        """(target context element, writes, dirs) for one covered pair of a
-        closure or declarative tract."""
-        if self.apply is not None:
-            return self.apply(x, syms)
-        writes = tuple(s if w is None else w for s, w in zip(syms, self.write))
-        return x, writes, self.move
 
 
 @dataclass
@@ -127,6 +115,12 @@ class SectionMachine:
             for w in t.write or ():
                 if w is not None and w not in self.alphabet:
                     raise ValueError(f"tract {t.label!r} writes unknown symbol {w!r}")
+            declarative = t.index_map is None
+            if declarative and self.sections[t.target] != self.sections[t.source]:
+                raise ValueError(
+                    f"tract {t.label!r} keeps the context, but section "
+                    f"{t.target!r} has a different context from {t.source!r}"
+                )
         for i, t in enumerate(self.tracts):
             self.leaving[t.source].append(i)
 
@@ -195,10 +189,9 @@ class _SectionTable:
     big-endian digits of ``offset``.  Entries run in (tract, context, read
     symbols) order, the order in which the engine scatters mass, so sums are
     reproducible bit for bit; tracts covering nothing have no entry.  A
-    declarative, unguarded tract into a section with the same context takes
-    the machine's shared broadcast arrays; an index map is called once for
-    all pairs; every other tract is enumerated through its image.  Images
-    are validated here once.  ``bits`` of an entry and ``uncovered_bits``
+    declarative tract takes the machine's shared broadcast arrays; an index
+    map is called once for all pairs its guard keeps, and what it gives is
+    validated here once.  ``bits`` of an entry and ``uncovered_bits``
     mark the read offsets they touch, so the engine can skip what the head
     cannot read.  The table keeps no reference to its machine, which caches
     it, so a machine is freed without the cycle collector.
@@ -222,10 +215,8 @@ class _SectionTable:
             combos, offsets, bits = sm._read_combos(t.reads)
             if t.index_map is not None:
                 arrays = self._index_arrays(t, combos, offsets)
-            elif t.apply is None and t.guard is None and sm.sections[t.target] == ctx:
-                arrays = sm._copy_arrays(len(ctx), t)
             else:
-                arrays = self._mapped_arrays(t, combos, offsets)
+                arrays = sm._copy_arrays(len(ctx), t)
             src = arrays[0]
             if not src.size:
                 continue
@@ -271,12 +262,22 @@ class _SectionTable:
 
     def _index_arrays(self, t: Tract, combos, offsets):
         """Index arrays of a tract given by an index map, called once for all
-        its pairs; the image is validated as in :meth:`_mapped_arrays`."""
+        the pairs its guard keeps.  The map must land in the target context
+        and give one alphabet index and one move in -1/0/1 per tape."""
         A, n = self.alphabet, self.n
         contexts, per_context = len(self.sections[self.sid]), len(offsets)
         xi = np.repeat(np.arange(contexts, dtype=np.intp), per_context)
         src = (xi.reshape(contexts, per_context) * len(A) ** n + offsets).reshape(-1)
         syms = np.broadcast_to(combos, (contexts, per_context, n)).reshape(-1, n)
+        if t.guard is not None:
+            keep = np.asarray(t.guard(xi, syms))
+            if keep.dtype != bool or keep.shape != xi.shape:
+                raise ValueError(
+                    f"tract {t.label!r} at section {self.sid!r}: guard gives a "
+                    f"mask of dtype {keep.dtype} and shape {keep.shape}, not a "
+                    f"bool mask of shape {xi.shape}"
+                )
+            xi, src, syms = xi[keep], src[keep], syms[keep]
         tgt, w, d = map(np.asarray, t.index_map(xi, syms))
         shapes = (tgt.shape, w.shape, d.shape)
         want = ((src.size,), (src.size, n), (src.size, n))
@@ -310,57 +311,6 @@ class _SectionTable:
             tgt.astype(np.intp),
             tuple(w[:, j].astype(np.intp) for j in range(n)),
             tuple((d[:, j] + 1).astype(np.intp, copy=False) for j in range(n)),
-        )
-
-    def _mapped_arrays(self, t: Tract, combos, offsets):
-        """Index arrays of a tract enumerated entry by entry through its image,
-        which must land in the target context and give one alphabet symbol and
-        one move in -1/0/1 per tape."""
-        A, n = self.alphabet, self.n
-        size = len(A) ** n
-        tget = self.sections[t.target]._index.get
-        reads = [
-            (tuple(A.elements[k] for k in c), off)
-            for c, off in zip(combos.tolist(), offsets.tolist())
-        ]
-        image = t.apply or t.image
-        src, tgt, writes, dirs = [], [], [], []
-        for xi, x in enumerate(self.sections[self.sid].elements):
-            base = xi * size
-            for syms, off in reads:
-                if t.guard is not None and not t.guard(x, syms):
-                    continue
-                x2, w, d = image(x, syms)
-                if len(w) != n or len(d) != n:
-                    raise self._bad(
-                        t, x, syms,
-                        f"gives {len(w)} writes and {len(d)} moves for {n} tapes",
-                    )
-                src.append(base + off)
-                tgt.append(tget(x2, -1))
-                writes.extend(w)
-                dirs.extend(d)
-        aget, dget = A._index.get, DIRECTIONS._index.get
-        tgt = np.array(tgt, dtype=np.intp)
-        w_idx = np.array([aget(w, -1) for w in writes], dtype=np.intp).reshape(-1, n)
-        d_idx = np.array([dget(d, -1) for d in dirs], dtype=np.intp).reshape(-1, n)
-        bad = (tgt < 0) | (w_idx < 0).any(axis=1) | (d_idx < 0).any(axis=1)
-        if bad.any():
-            x, syms = self.pair(src[bad.argmax()])
-            x2, w, d = image(x, syms)
-            if x2 not in self.sections[t.target]:
-                what = f"maps to {x2!r}, outside the context of section {t.target!r}"
-            elif any(s not in A for s in w):
-                bad_write = next(s for s in w if s not in A)
-                what = f"writes {bad_write!r}, not in the alphabet"
-            else:
-                what = f"moves {tuple(d)!r}, not each in -1/0/1"
-            raise self._bad(t, x, syms, what)
-        return (
-            np.array(src, dtype=np.intp),
-            tgt,
-            tuple(w_idx[:, j].copy() for j in range(n)),
-            tuple(d_idx[:, j].copy() for j in range(n)),
         )
 
     def _bad(self, t: Tract, x, syms, what: str) -> ValueError:

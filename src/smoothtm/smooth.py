@@ -519,9 +519,19 @@ def config_obj(s: SmoothConfig) -> dict:
     }
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        dup = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise FormatError(f"invalid JSON: duplicate key {dup!r}")
+    return obj
+
+
 def load_json(text: str):
+    """The JSON value of ``text``; an object may not repeat a key."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except RecursionError:

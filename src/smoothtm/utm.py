@@ -117,64 +117,58 @@ def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine
         "update": product_set(Q, alphabet, DIRECTIONS),
         "read": Q,
     }
-    echo = (None, None)  # declarative write of both read symbols
+    # Index arithmetic: alphabet indices run symbols (0..S-1), states
+    # (S..S+|Q|-1), directions -1/0/1 and the marker; contexts are row-major,
+    # (q, a) at q*S + a and (q, a, d) at (q*S + a)*3 + d + 1.  Every tract
+    # reads a simulated symbol on the working tape.
+    S, nq = len(alphabet), len(Q)
+    HS = frozenset({HASH})
+
+    def copy(src, tgt, reads, move, label):
+        # keeps the context and writes both read symbols back
+        return Tract(src, tgt, (reads, SS), write=(None, None), move=move, label=label)
+
+    def forward(src, tgt, reads, label, to, guard=None):
+        # writes both read symbols back and moves (1, 0); ``to(xi, s)`` gives
+        # the target context indices
+        def index_map(xi, s):
+            return to(xi, s), s, np.broadcast_to((1, 0), s.shape)
+
+        return Tract(src, tgt, (reads, SS), guard, label, index_map=index_map)
+
+    def close(xi, s):
+        # to the loaded target state, writing the loaded symbol on the working
+        # tape and moving its head by the loaded direction
+        writes = np.stack([s[:, 0], xi // 3 % S], axis=1)
+        moves = np.stack([np.full_like(xi, -1), xi % 3 - 1], axis=1)
+        return xi // (3 * S), writes, moves
+
+    def keep(xi, s):
+        return xi
+
+    def on_state(xi, s):
+        return s[:, 0] == S + xi // S
+
+    def on_symbol(xi, s):
+        return s[:, 0] == xi % S
+
     tracts = [
-        Tract(
-            "wait", "wait", (NOTDIR, SS),
-            write=echo, move=(1, 0), label="wait-loop",
-        ),
-        Tract(
-            "wait", "scan1", (DS, SS),
-            write=echo, move=(1, 0), label="next-tuple",
-        ),
-        Tract(
-            "scan1", "scan2", (QS, SS),
-            lambda x, s: (x, (s[0], s[1]), (1, 0)),
-            guard=lambda x, s: s[0] == _st(x[0]), label="match-state",
-        ),
-        Tract(
-            "scan1", "wait", (QS, SS),
-            lambda x, s: (x, (s[0], s[1]), (1, 0)),
-            guard=lambda x, s: s[0] != _st(x[0]), label="reject-state",
-        ),
-        Tract(
-            "scan2", "load1", (SS, SS),
-            lambda x, s: (x, (s[0], s[1]), (1, 0)),
-            guard=lambda x, s: s[0] == _sym(x[1]), label="match-symbol",
-        ),
-        Tract(
-            "scan2", "wait", (SS, SS),
-            lambda x, s: (x, (s[0], s[1]), (1, 0)),
-            guard=lambda x, s: s[0] != _sym(x[1]), label="reject-symbol",
-        ),
-        Tract(
-            "load1", "load2", (QS, SS),
-            lambda x, s: (s[0][1], (s[0], s[1]), (1, 0)), label="load-target",
-        ),
-        Tract(
-            "load2", "load3", (SS, SS),
-            lambda x, s: ((x, s[0][1]), (s[0], s[1]), (1, 0)), label="load-write",
-        ),
-        Tract(
-            "load3", "update", (DS, SS),
-            lambda x, s: (x + (s[0][1],), (s[0], s[1]), (1, 0)), label="load-move",
-        ),
-        Tract(
-            "update", "update", (NOTHASH, SS),
-            write=echo, move=(1, 0), label="await-close",
-        ),
-        Tract(
-            "update", "read", (frozenset({HASH}), SS),
-            lambda x, s: (x[0], (s[0], _sym(x[1])), (-1, x[2])), label="close",
-        ),
-        Tract(
-            "read", "read", (NOTHASH, SS),
-            write=echo, move=(-1, 0), label="rewind",
-        ),
-        Tract(
-            "read", "scan1", (frozenset({HASH}), SS),
-            lambda x, s: ((x, s[1][1]), (s[0], s[1]), (1, 0)), label="load-read",
-        ),
+        copy("wait", "wait", NOTDIR, (1, 0), "wait-loop"),
+        copy("wait", "scan1", DS, (1, 0), "next-tuple"),
+        forward("scan1", "scan2", QS, "match-state", keep, on_state),
+        forward("scan1", "wait", QS, "reject-state", keep,
+                lambda xi, s: ~on_state(xi, s)),
+        forward("scan2", "load1", SS, "match-symbol", keep, on_symbol),
+        forward("scan2", "wait", SS, "reject-symbol", keep,
+                lambda xi, s: ~on_symbol(xi, s)),
+        forward("load1", "load2", QS, "load-target", lambda xi, s: s[:, 0] - S),
+        forward("load2", "load3", SS, "load-write", lambda xi, s: xi * S + s[:, 0]),
+        forward("load3", "update", DS, "load-move",
+                lambda xi, s: xi * 3 + s[:, 0] - S - nq),
+        copy("update", "update", NOTHASH, (1, 0), "await-close"),
+        Tract("update", "read", (HS, SS), index_map=close, label="close"),
+        copy("read", "read", NOTHASH, (-1, 0), "rewind"),
+        forward("read", "scan1", HS, "load-read", lambda xi, s: xi * S + s[:, 1]),
     ]
     sm = SectionMachine(sections, tracts, alpha_u, _sym(blank), 2)
     return UtmMachine(sm, Q, alphabet, blank)

@@ -367,10 +367,13 @@ TAPE = '{"lo": 0, "cells": [{"A": 0.5, "B": 0.5}]}'
         ("[1]", "configuration must be an object"),
         ("[" * 100000, "nested too deeply"),
         (b'{"state": {"q": 1.0}, "tapes": [{}]}\xff', "not UTF-8 text"),
+        ('{"state": {"q": 1.0}, "tapes": [{"cells": [{"A": 0.5, "A": 0.5, "_": 0.5}]}]}',
+         "duplicate key 'A'"),
     ],
     ids=["lo-string", "lo-fraction", "weight-string", "weight-nan", "state-nan",
          "tapes-number", "tape-number", "cell-number", "state-list",
-         "state-missing", "top-level-list", "deep-nesting", "not-utf8"],
+         "state-missing", "top-level-list", "deep-nesting", "not-utf8",
+         "duplicate-cell-key"],
 )
 def test_run_malformed_config_exit_2(files, capsys, config, expected):
     bad = files["dir"] / "bad.cfg"
@@ -385,6 +388,31 @@ def test_utm_override_weight_not_number_exit_2(files, capsys):
     argv = ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
             "--code", files["id.tm"], "--overrides", str(ov)]
     assert_usage_error(argv, capsys, "'q: x'", "not a number")
+
+
+OVERRIDE = "(q,A) -> {q: 1.0} / {A: 1.0} / {S: 1.0}\n"
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        ("(q,A) -> {q: 0.7, q: 1} / {A: 1.0} / {S: 1.0}\n",
+         "overrides line 1: label 'q' given twice in override '{q: 0.7, q: 1}'"),
+        (OVERRIDE + "# again\n" + OVERRIDE,
+         "overrides line 3: pair (q,A) given twice"),
+        ("\n(q,A) -> {q: 1.0} / {A: 1.0} / {L: nan}\n",
+         "overrides line 2: bad override distribution '{L: nan}'"),
+        ("(q,A) -> {q: 1.0} / {A: 1.0}\n",
+         "overrides line 1: need target/write/move distributions"),
+    ],
+    ids=["duplicate-label", "duplicate-pair", "nan-weight", "two-parts"],
+)
+def test_utm_malformed_overrides_exit_2(files, capsys, overrides, expected):
+    ov = files["dir"] / "ov.txt"
+    ov.write_text(overrides)
+    argv = ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
+            "--code", files["id.tm"], "--overrides", str(ov)]
+    assert_usage_error(argv, capsys, expected)
 
 
 @pytest.mark.parametrize(

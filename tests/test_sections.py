@@ -34,7 +34,8 @@ def self_loop_machine():
         source="S0",
         target="S0",
         reads=(frozenset(AB.elements),),
-        apply=lambda x, syms: (x, (syms[0],), (0,)),
+        write=(None,),
+        move=(0,),
         label="loop",
     )
     return SectionMachine({"S0": STAR}, [tract], AB, "_", 1)
@@ -43,23 +44,18 @@ def self_loop_machine():
 def two_phase_machine():
     """Walk right over A/B writing B, bounce back left on blank."""
     ctx = FiniteSet(["*"])
-    fwd = Tract(
-        "F", "F", (frozenset({"A", "B"}),),
-        lambda x, syms: (x, ("B",), (1,)), label="fwd",
-    )
-    turn = Tract(
-        "F", "Bk", (frozenset({"_"}),),
-        lambda x, syms: (x, ("_",), (-1,)), label="turn",
-    )
-    back = Tract(
-        "Bk", "Bk", (frozenset({"A", "B"}),),
-        lambda x, syms: (x, (syms[0],), (-1,)), label="back",
-    )
-    done = Tract(
-        "Bk", "F", (frozenset({"_"}),),
-        lambda x, syms: (x, ("_",), (1,)), label="done",
-    )
+    fwd = Tract("F", "F", (frozenset({"A", "B"}),), write=("B",), move=(1,), label="fwd")
+    turn = Tract("F", "Bk", (frozenset({"_"}),), write=("_",), move=(-1,), label="turn")
+    back = Tract("Bk", "Bk", (frozenset({"A", "B"}),), write=(None,), move=(-1,),
+                 label="back")
+    done = Tract("Bk", "F", (frozenset({"_"}),), write=("_",), move=(1,), label="done")
     return SectionMachine({"F": ctx, "Bk": ctx}, [fwd, turn, back, done], AB, "_", 1)
+
+
+def partial_machine():
+    """One tract over A only: the blank and B are left uncovered."""
+    tract = Tract("S0", "S0", (frozenset({"A"}),), write=("A",), move=(0,))
+    return SectionMachine({"S0": STAR}, [tract], AB, "_", 1)
 
 
 def test_single_section_self_loop_lowers_to_one_state():
@@ -75,21 +71,14 @@ def test_lowering_flags_fills():
     m = lower_sections(sm)
     assert len(m.states) == 2
     assert not m.fills  # both sections fully covered
-    partial = SectionMachine(
-        {"S0": STAR},
-        [Tract("S0", "S0", (frozenset({"A"}),), lambda x, s: (x, ("A",), (0,)))],
-        AB,
-        "_",
-        1,
-    )
-    lowered = lower_sections(partial)
+    lowered = lower_sections(partial_machine())
     assert (("S0", "*"), ("_",)) in lowered.fills
     assert lowered.delta[(("S0", "*"), ("_",))] == (("S0", "*"), ("_",), (0,))
 
 
 def test_overlapping_tracts_rejected():
-    t1 = Tract("S0", "S0", (frozenset({"A"}),), lambda x, s: (x, ("A",), (0,)))
-    t2 = Tract("S0", "S0", (frozenset({"A", "B"}),), lambda x, s: (x, ("B",), (0,)))
+    t1 = Tract("S0", "S0", (frozenset({"A"}),), write=("A",), move=(0,))
+    t2 = Tract("S0", "S0", (frozenset({"A", "B"}),), write=("B",), move=(0,))
     sm = SectionMachine({"S0": STAR}, [t1, t2], AB, "_", 1)
     with pytest.raises(ValueError, match="overlapping"):
         lower_sections(sm)
@@ -99,18 +88,20 @@ def test_guarded_tracts_partition_by_context():
     ctx = FiniteSet(["x", "y"])
     stay = Tract(
         "S0", "S0", (frozenset(AB.elements),),
-        lambda x, s: (x, (s[0],), (0,)),
-        guard=lambda x, s: x == "x", label="stay",
+        guard=lambda xi, s: xi == ctx.index("x"), label="stay",
+        index_map=lambda xi, s: (xi, s, np.zeros_like(s)),
     )
     move = Tract(
         "S0", "S1", (frozenset(AB.elements),),
-        lambda x, s: (x, (s[0],), (1,)),
-        guard=lambda x, s: x == "y", label="move",
+        guard=lambda xi, s: xi == ctx.index("y"), label="move",
+        index_map=lambda xi, s: (xi, s, np.ones_like(s)),
     )
     sm = SectionMachine({"S0": ctx, "S1": ctx}, [stay, move], AB, "_", 1)
     m = lower_sections(sm)
-    assert m.delta[(("S0", "x"), ("_",))][0] == ("S0", "x")
-    assert m.delta[(("S0", "y"), ("_",))][0] == ("S1", "y")
+    for a in AB:
+        assert m.delta[(("S0", "x"), (a,))] == (("S0", "x"), (a,), (0,))
+        assert m.delta[(("S0", "y"), (a,))] == (("S1", "y"), (a,), (1,))
+    assert not {k for k in m.fills if k[0][0] == "S0"}
 
 
 def test_section_step_matches_lowered_step():
@@ -125,16 +116,9 @@ def test_section_step_matches_lowered_step():
 
 
 def test_section_step_stuck_is_runtime_error():
-    partial = SectionMachine(
-        {"S0": STAR},
-        [Tract("S0", "S0", (frozenset({"A"}),), lambda x, s: (x, ("A",), (0,)))],
-        AB,
-        "_",
-        1,
-    )
     c = Configuration(("S0", "*"), (Tape.blank_tape("_"),))
     with pytest.raises(RuntimeError, match="stuck"):
-        section_step(partial, c)
+        section_step(partial_machine(), c)
 
 
 def test_engine_matches_dense_smooth_step_on_lowered_machine():
@@ -203,8 +187,9 @@ def test_serialization_mentions_sections_and_tracts():
 
 
 def reference_table(sm, sid):
-    """Section table enumerated entry by entry: through Tract.image, or
-    through the index map called on one pair at a time."""
+    """Section table enumerated entry by entry: a declarative tract keeps the
+    context and writes back or a constant; an index map and its guard are
+    called on one pair at a time."""
     ctx, A, n = sm.sections[sid], sm.alphabet, sm.num_tapes
     strides = [len(A) ** (n - 1 - k) for k in range(n)]
     covered = np.zeros(len(ctx) * len(A) ** n, dtype=bool)
@@ -212,27 +197,26 @@ def reference_table(sm, sid):
     for t in filter(lambda t: t.source == sid, sm.tracts):
         src, tgt = [], []
         w_idx, d_idx = [[] for _ in range(n)], [[] for _ in range(n)]
-        for xi, x in enumerate(ctx.elements):
+        for xi in range(len(ctx)):
             for sym_idx in product(*[sorted(A.index(s) for s in rs) for rs in t.reads]):
-                syms = tuple(A.elements[k] for k in sym_idx)
-                if t.guard is not None and not t.guard(x, syms):
+                one = (np.array([xi]), np.array([sym_idx]))
+                if t.guard is not None and not t.guard(*one)[0]:
                     continue
                 flat = xi * len(A) ** n + sum(k * s for k, s in zip(sym_idx, strides))
                 assert not covered[flat]
                 covered[flat] = True
                 src.append(flat)
                 if t.index_map is not None:
-                    to, writes, dirs = t.index_map(np.array([xi]), np.array([sym_idx]))
+                    to, writes, dirs = t.index_map(*one)
                     tgt.append(int(to[0]))
                     for j in range(n):
                         w_idx[j].append(int(writes[0][j]))
                         d_idx[j].append(int(dirs[0][j]) + 1)
                     continue
-                x2, writes, dirs = t.image(x, syms)
-                tgt.append(sm.sections[t.target].index(x2))
-                for j in range(n):
-                    w_idx[j].append(A.index(writes[j]))
-                    d_idx[j].append(dirs[j] + 1)
+                tgt.append(xi)
+                for j, (k, w, d) in enumerate(zip(sym_idx, t.write, t.move)):
+                    w_idx[j].append(k if w is None else A.index(w))
+                    d_idx[j].append(d + 1)
         if src:
             entries.append((t.target, t.label, src, tgt, w_idx, d_idx))
     return entries, np.flatnonzero(~covered)
@@ -257,7 +241,8 @@ SECTION_MACHINES = {
 @pytest.mark.parametrize("name", sorted(SECTION_MACHINES))
 def test_broadcast_tables_equal_enumerated_reference(name):
     sm = SECTION_MACHINES[name]()
-    assert any(t.apply is None for t in sm.tracts)
+    assert any(t.index_map is None for t in sm.tracts)
+    assert any(t.index_map is not None for t in sm.tracts)
     for sid in sm.sections:
         table = _SectionTable(sm, sid)
         entries, uncovered = reference_table(sm, sid)
@@ -297,13 +282,13 @@ def test_lowering_agrees_with_section_tables(name):
         assert fills == {key(sid, flat) for flat in table.uncovered}
 
 
-@pytest.mark.parametrize("closure_first", [False, True])
-def test_declarative_overlapping_closure_tract_rejected(closure_first):
+@pytest.mark.parametrize("index_map_first", [False, True])
+def test_declarative_overlapping_index_map_tract_rejected(index_map_first):
     copy = Tract("S0", "S0", (frozenset({"A", "B"}),), write=(None,), move=(1,),
                  label="copy")
-    mapped = Tract("S0", "S0", (frozenset({"B"}),),
-                   lambda x, s: (x, ("A",), (0,)), label="map")
-    tracts = [mapped, copy] if closure_first else [copy, mapped]
+    mapped = Tract("S0", "S0", (frozenset({"B"}),), label="map",
+                   index_map=lambda xi, s: (xi, np.ones_like(s), np.zeros_like(s)))
+    tracts = [mapped, copy] if index_map_first else [copy, mapped]
     sm = SectionMachine({"S0": FiniteSet(["x", "y"])}, tracts, AB, "_", 1)
     where = r"section 'S0', context 'x', symbols \('B',\)"
     with pytest.raises(ValueError, match="overlapping tracts.*" + where):
@@ -315,15 +300,19 @@ def test_declarative_overlapping_closure_tract_rejected(closure_first):
 
 
 def test_declarative_tract_image_and_validation():
+    ctx = FiniteSet(["x", "y"])
     copy = Tract("S0", "S1", (frozenset({"A"}), frozenset({"_", "B"})),
                  write=(None, "A"), move=(-1, 1))
-    assert copy.image("x", ("A", "B")) == ("x", ("A", "A"), (-1, 1))
+    sm = SectionMachine({"S0": ctx, "S1": ctx}, [copy], AB, "_", 2)
+    c = Configuration(("S0", "y"), (Tape.from_cells("_", 0, ["A"]),
+                                    Tape.from_cells("_", 0, ["B"])))
+    assert section_step(sm, c) == Configuration(
+        ("S1", "y"), (Tape.from_cells("_", 1, ["A"]), Tape.from_cells("_", -1, ["A"]))
+    )
     reads = (frozenset({"A"}),)
-    with pytest.raises(ValueError, match="either apply"):
+    with pytest.raises(ValueError, match="either an index map"):
         Tract("S0", "S0", reads)
-    with pytest.raises(ValueError, match="either apply"):
-        Tract("S0", "S0", reads, lambda x, s: (x, s, (0,)), write=(None,), move=(0,))
-    with pytest.raises(ValueError, match="either apply"):
+    with pytest.raises(ValueError, match="either an index map"):
         Tract("S0", "S0", reads, write=(None,), move=(2,))
     with pytest.raises(ValueError, match="writes unknown symbol 'Z'"):
         SectionMachine({"S0": STAR}, [Tract("S0", "S0", reads, write=("Z",), move=(0,))],
@@ -349,85 +338,65 @@ def consumer_errors(sm, sid, x, sym):
     return messages
 
 
-MALFORMED_IMAGES = {
-    "outside-target-context": (
-        lambda x, s: ("zz", ("A",), (0,)),
-        r"maps to 'zz', outside the context of section 'S1'",
-    ),
-    "unknown-write": (
-        lambda x, s: (x, ("Z",), (0,)),
-        r"writes 'Z', not in the alphabet",
-    ),
-    "move-minus-2": (
-        lambda x, s: (x, ("A",), (-2,)),
-        r"moves \(-2,\), not each in -1/0/1",
-    ),
-    "two-writes": (
-        lambda x, s: (x, ("A", "A"), (0,)),
-        r"gives 2 writes and 1 moves for 1 tapes",
-    ),
-    "two-moves": (
-        lambda x, s: (x, ("A",), (0, 1)),
-        r"gives 1 writes and 2 moves for 1 tapes",
-    ),
-}
+def stay(xi, s):
+    return xi, s, np.zeros_like(s)
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_IMAGES))
-def test_malformed_closure_image_named_by_every_consumer(case):
-    apply, what = MALFORMED_IMAGES[case]
-    ctx = FiniteSet(["x", "y"])
-    tracts = [
-        Tract("S0", "S0", (frozenset({"_", "B"}),), write=(None,), move=(1,),
-              label="copy"),
-        Tract("S0", "S1", (frozenset({"A"}),), apply, label="bad"),
-        Tract("S1", "S1", (frozenset(AB.elements),), write=(None,), move=(0,),
-              label="rest"),
-    ]
-    sm = SectionMachine({"S0": ctx, "S1": ctx}, tracts, AB, "_", 1)
-    messages = consumer_errors(sm, "S0", "x", "A")
-    assert len(set(messages)) == 1
-    where = r"^tract 'bad' at section 'S0', context 'x', symbols \('A',\): "
-    assert re.match(where + what + "$", messages[0])
-
-
+# (index map, error, guard)
 MALFORMED_INDEX_MAPS = {
     "outside-target-context": (
         lambda xi, s: (xi + 5, s, np.zeros_like(s)),
         r"^tract 'bad' at section 'S0', context 'x', symbols \('A',\): "
         r"maps to context index 5, outside the context of section 'S1'$",
+        None,
     ),
     "unknown-write": (
         lambda xi, s: (xi, s + 3, np.zeros_like(s)),
         r"^tract 'bad' at section 'S0', context 'x', symbols \('A',\): "
         r"writes alphabet index 4, not in the alphabet$",
+        None,
     ),
     "move-2": (
         lambda xi, s: (xi, s, np.full_like(s, 2)),
         r"^tract 'bad' at section 'S0', context 'x', symbols \('A',\): "
         r"moves \(2,\), not each in -1/0/1$",
+        None,
     ),
     "wrong-shape": (
         lambda xi, s: (xi, s[:, 0], np.zeros_like(s)),
         r"^tract 'bad' at section 'S0': index map gives i/i/i arrays of shapes "
         r"\(\(2,\), \(2,\), \(2, 1\)\), not int arrays of shapes "
         r"\(\(2,\), \(2, 1\), \(2, 1\)\)$",
+        None,
     ),
     "float-moves": (
         lambda xi, s: (xi, s, np.zeros(s.shape)),
         r"^tract 'bad' at section 'S0': index map gives i/i/f arrays",
+        None,
+    ),
+    "guard-not-bool": (
+        stay,
+        r"^tract 'bad' at section 'S0': guard gives a mask of dtype int64 and "
+        r"shape \(2,\), not a bool mask of shape \(2,\)$",
+        lambda xi, s: xi,
+    ),
+    "guard-wrong-shape": (
+        stay,
+        r"^tract 'bad' at section 'S0': guard gives a mask of dtype bool and "
+        r"shape \(2, 1\), not a bool mask of shape \(2,\)$",
+        lambda xi, s: s == 1,
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INDEX_MAPS))
 def test_malformed_index_map_named_by_every_consumer(case):
-    index_map, what = MALFORMED_INDEX_MAPS[case]
+    index_map, what, guard = MALFORMED_INDEX_MAPS[case]
     ctx = FiniteSet(["x", "y"])
     tracts = [
         Tract("S0", "S0", (frozenset({"_", "B"}),), write=(None,), move=(1,),
               label="copy"),
-        Tract("S0", "S1", (frozenset({"A"}),), index_map=index_map, label="bad"),
+        Tract("S0", "S1", (frozenset({"A"}),), guard, "bad", index_map=index_map),
         Tract("S1", "S1", (frozenset(AB.elements),), write=(None,), move=(0,),
               label="rest"),
     ]
@@ -437,16 +406,24 @@ def test_malformed_index_map_named_by_every_consumer(case):
     assert re.match(what, messages[0])
 
 
-def test_index_map_takes_no_guard_nor_other_form():
+def test_tract_forms_exclusive_and_guard_only_on_index_maps():
     reads = (frozenset({"A"}),)
+    for extra in ({"write": (None,), "move": (0,)}, {"write": (None,)}, {"move": (0,)}):
+        with pytest.raises(ValueError, match="either an index map"):
+            Tract("S0", "S0", reads, index_map=stay, **extra)
+    with pytest.raises(ValueError, match="either an index map"):
+        Tract("S0", "S0", reads, lambda xi, s: xi == 0, write=(None,), move=(0,))
+    Tract("S0", "S0", reads, lambda xi, s: xi == 0, index_map=stay)
 
-    def imap(xi, s):
-        return xi, s, np.zeros_like(s)
 
-    for extra in ({"guard": lambda x, s: True}, {"apply": lambda x, s: (x, s, (0,))},
-                  {"write": (None,), "move": (0,)}):
-        with pytest.raises(ValueError, match="either apply, an index map"):
-            Tract("S0", "S0", reads, index_map=imap, **extra)
+def test_declarative_tract_into_other_context_rejected():
+    copy = Tract("S0", "S1", (frozenset(AB.elements),), write=(None,), move=(0,),
+                 label="copy")
+    with pytest.raises(ValueError, match=(
+        r"^tract 'copy' keeps the context, but section 'S1' has a different "
+        r"context from 'S0'$"
+    )):
+        SectionMachine({"S0": STAR, "S1": FiniteSet(["x", "y"])}, [copy], AB, "_", 1)
 
 
 def test_copy_tracts_share_read_only_arrays():
@@ -466,7 +443,7 @@ def test_copy_tracts_share_read_only_arrays():
 
 
 def test_overlap_error_names_both_tracts():
-    one = Tract("S0", "S0", (frozenset({"_", "A"}),), lambda x, s: (x, ("A",), (0,)),
+    one = Tract("S0", "S0", (frozenset({"_", "A"}),), write=("A",), move=(0,),
                 label="one")
     two = Tract("S0", "S0", (frozenset({"A", "B"}),), write=(None,), move=(0,),
                 label="two")
@@ -583,6 +560,10 @@ TABLE_DIGESTS = [
      "96b5309968ac868dd3a437025afc128054f8b48e053d6031c0f2882861f95079"),
     ("utm-3x4", SECTION_MACHINES["utm-3x4"],
      "49e401419962f0be092fc29b62f7b3017f1eb9f80e700a668c6a6329eaa0da78"),
+    ("utm-5x2", lambda: build_utm(5, FiniteSet(["_", "A"]), "_").machine,
+     "a297191c981a458109836872b5290c0e551b91f7eda4bf5f1552e3c55276e8ac"),
+    ("utm-12x6", lambda: build_utm(12, FiniteSet(["_", *"ABCDE"]), "_").machine,
+     "5222f8cd1c6fd776caf9143e5386b12be1c81b519706c60bcff33a97813d10c8"),
 ]
 
 
