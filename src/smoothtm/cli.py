@@ -66,16 +66,10 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_machine(path: str):
+def _load(path: str, parse, *args):
+    """``parse(text of path, *args)``; a format error exits 2 naming ``path``."""
     try:
-        return parse_machine(_read(path))
-    except FormatError as exc:
-        raise CliError(f"{path}: {exc}") from None
-
-
-def _load_config(path: str, machine) -> SmoothConfig:
-    try:
-        return parse_config(_read(path), machine)
+        return parse(_read(path), *args)
     except FormatError as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -108,8 +102,8 @@ def _trace_record(step: int, s: SmoothConfig, dirs) -> str:
 
 def cmd_run(args) -> int:
     _require_positive("--steps", args.steps)
-    m = _load_machine(args.machine)
-    s = _load_config(args.config, m)
+    m = _load(args.machine, parse_machine)
+    s = _load(args.config, parse_config, m)
     if not args.smooth:
         try:
             extract_classical(m, s)
@@ -129,7 +123,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    m = _load_machine(args.machine)
+    m = _load(args.machine, parse_machine)
     try:
         sim = multitape.compile_multitape(m)
     except ValueError as exc:
@@ -210,7 +204,7 @@ def _parse_overrides(text: str, m) -> dict:
 def cmd_utm(args) -> int:
     _require_positive("--cycles", args.cycles)
     _require_tolerance(args.tol)
-    m = _load_machine(args.code)
+    m = _load(args.code, parse_machine)
     alphabet_tokens = _read(args.alphabet).split()
     if not alphabet_tokens:
         raise CliError(f"{args.alphabet}: alphabet file lists no symbols")
@@ -230,7 +224,7 @@ def cmd_utm(args) -> int:
     machine = utm_mod.build_utm(m.states, m.alphabet, m.blank)
     code = utm_mod.encode_code(m, overrides)
     if args.input:
-        s = _load_config(args.input, m)
+        s = _load(args.input, parse_config, m)
     else:
         s = SmoothConfig(
             Dist.point(m.states, m.states.elements[0]),
@@ -265,6 +259,8 @@ def cmd_verify(args) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     _require_tolerance(args.tol)
+    if args.uncertain_codes and args.construction != "utm":
+        raise CliError("--uncertain-codes applies to --construction utm only")
     if args.construction == "multitape":
         report = verify_mod.verify_multitape(
             trials=args.trials, seed=args.seed, tol=args.tol

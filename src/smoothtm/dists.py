@@ -135,6 +135,14 @@ class Dist:
         self.weights = w
 
     @classmethod
+    def _trusted(cls, base: FiniteSet, weights: np.ndarray) -> "Dist":
+        """Wrap weights the caller owns and has checked meet the invariants."""
+        weights.setflags(write=False)
+        d = cls.__new__(cls)
+        d.base, d.weights = base, weights
+        return d
+
+    @classmethod
     def point(cls, base: FiniteSet, x) -> "Dist":
         """Point mass at ``x``."""
         w = np.zeros(len(base))

@@ -141,11 +141,3 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
         state = {sid: v / total for sid, v in state.items()}
     return SectionConfig(sm, state, tapes), StepInfo(dirs, flows)
 
-
-def point_config(
-    sm: SectionMachine, sid: str, x, tapes: tuple[SmoothTape, ...]
-) -> SectionConfig:
-    """All mass on one (section, context element) state."""
-    v = np.zeros(len(sm.sections[sid]))
-    v[sm.sections[sid].index(x)] = 1.0
-    return SectionConfig(sm, {sid: v}, tapes)

@@ -47,15 +47,31 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
     """
     rows = np.array(rows, dtype=np.float64)
     if rows.size:
-        if rows.min() < -ATOL:
-            raise ValueError(f"negative cell weight {rows.min()}")
-        _check_row_sums(rows.sum(axis=1))
-        neg = (rows < 0.0).any(axis=1)
-        if neg.any():
+        low = rows.min()
+        if low < -ATOL:
+            raise ValueError(f"negative cell weight {low}")
+        sums, nonzero = row_stats(rows)
+        _check_row_sums(sums)
+        if low < 0.0:
+            neg = (rows < 0.0).any(axis=1)
             fixed = np.where(rows[neg] < 0.0, 0.0, rows[neg])
-            rows[neg] = fixed / fixed.sum(axis=1, keepdims=True)
-        _point_masses(rows, np.count_nonzero(rows, axis=1))
+            rows[neg] = fixed / row_stats(fixed)[0][:, None]
+            nonzero = row_stats(rows)[1]
+        _point_masses(rows, nonzero)
     return rows
+
+
+def row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows.sum(axis=1)`` and ``np.count_nonzero(rows, axis=1)``, bit for bit.
+
+    numpy reduces each short row of a row-major block in a loop of its own,
+    so under 8 symbols a column-major copy is reduced, column by column over
+    all rows at once: numpy adds under 8 elements left to right, the same
+    order."""
+    if not 0 < rows.shape[1] < 8:
+        return rows.sum(axis=1), np.count_nonzero(rows, axis=1)
+    cols = np.asfortranarray(rows)
+    return cols.sum(axis=1), np.count_nonzero(cols, axis=1)
 
 
 def _check_row_sums(sums: np.ndarray) -> None:
@@ -76,7 +92,7 @@ def _point_masses(rows: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
 
 def _row_error(rows: np.ndarray) -> float:
     """Worst distance of a row's mass from 1 (0.0 for no rows)."""
-    return float(np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0))
+    return float(np.abs(row_stats(rows)[0] - 1.0).max(initial=0.0))
 
 
 def exact_point_row(row: np.ndarray, idx: int) -> bool:
@@ -118,9 +134,7 @@ class SmoothTape:
 
     @staticmethod
     def _trimmed(blank_idx: int, lo: int, cells: np.ndarray):
-        exact_blank = (cells[:, blank_idx] == 1.0) & (
-            (cells != 0.0).sum(axis=1) == 1
-        )
+        exact_blank = (cells[:, blank_idx] == 1.0) & (row_stats(cells)[1] == 1)
         keep = np.flatnonzero(~exact_blank)
         if len(keep) == 0:
             row = np.zeros((1, cells.shape[1]))
@@ -137,13 +151,11 @@ class SmoothTape:
 
     @classmethod
     def from_dists(cls, alphabet: FiniteSet, blank, lo: int, dists) -> "SmoothTape":
-        rows = np.stack([d.weights for d in dists]) if dists else np.zeros((0, len(alphabet)))
-        for d in dists:
-            if d.base != alphabet:
-                raise ValueError("cell distribution over the wrong alphabet")
+        if any(d.base != alphabet for d in dists):
+            raise ValueError("cell distribution over the wrong alphabet")
         if not dists:
             return cls.blank_tape(alphabet, blank)
-        return cls(alphabet, blank, lo, rows)
+        return cls(alphabet, blank, lo, np.stack([d.weights for d in dists]))
 
     @property
     def hi(self) -> int:
@@ -163,12 +175,9 @@ class SmoothTape:
     def deviation(self, other: "SmoothTape") -> float:
         if self.alphabet != other.alphabet:
             raise ValueError("tapes over different alphabets")
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        dev = 0.0
-        for i in range(lo, hi + 1):
-            dev = max(dev, float(np.abs(self.row(i) - other.row(i)).max()))
-        return dev
+        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
+        diffs = (np.abs(self.row(i) - other.row(i)).max() for i in range(lo, hi + 1))
+        return float(max(diffs))
 
 
 @dataclass(frozen=True)
@@ -333,9 +342,9 @@ def _superpose_general(
                 out += term
     if out is None:
         raise ValueError("direction weights off the simplex by 1.0")
-    sums = out.sum(axis=1)
+    sums, nonzero = row_stats(out)
     _check_row_sums(sums)
-    single = _point_masses(out, np.count_nonzero(out, axis=1))
+    single = _point_masses(out, nonzero)
     sums[single] = 1.0
     keep = np.flatnonzero(~(single & (out[:, bidx] != 0.0)))
     if len(keep) == 0:  # every cell is an exact blank
@@ -356,7 +365,8 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
 
     The joint is a plain weight vector, flat in the order :func:`tensor`
     uses, and every operator's domain must have the factors
-    (state set, tape alphabets...).
+    (state set, tape alphabets...).  Operators and joint are non-negative,
+    so a renormalized output needs no re-validation as a :class:`Dist`.
     """
     factors = factors_of(s.state.base, *(t.alphabet for t in s.tapes))
     local = s.state.weights
@@ -365,11 +375,13 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
     total = float(local.sum())
     if not abs(total - 1.0) <= ATOL:  # also rejects NaN
         raise ValueError(f"local joint mass {total} off 1 by more than {ATOL}")
+    every = [ops["state"], *ops["write"], *ops["dir"]]
+    for domain in {id(op.domain): op.domain for op in every}.values():
+        if factors_of(domain) != factors:
+            raise ValueError("local joint does not match the operator domain")
 
     def pushed(op, what: str) -> Dist:
-        if factors_of(op.domain) != factors:
-            raise ValueError("local joint does not match the operator domain")
-        return Dist(op.codomain, renormalized(op.matrix @ local, what))
+        return Dist._trusted(op.codomain, renormalized(op.matrix @ local, what))
 
     return (
         pushed(ops["state"], "state"),

@@ -10,8 +10,8 @@ import pytest
 
 from smoothtm import cli
 from smoothtm.cli import main
-from smoothtm.machines import parse_machine
-from smoothtm.sampling import random_smooth_config
+from smoothtm.machines import format_machine, parse_machine
+from smoothtm.sampling import random_machine, random_smooth_config
 from smoothtm.smooth import format_config
 
 ID_TM = """\
@@ -270,6 +270,31 @@ def test_run_smooth_dense_bytes_pinned(tmp_path, capsys):
     } == DENSE_RUN_DIGESTS
 
 
+# SHA-256 of stdout and of the --trace file of ``run --smooth --steps 200``
+# for the random 1-tape, 3-state, 9-symbol machine of seed 0 (its state,
+# write and move maps are all onto), from a start drawn as DENSE_TM's is:
+# the dense step's row reductions over 8 or more symbols
+WIDE_DENSE_RUN_DIGESTS = {
+    "stdout": "5d1aac5c67be75732c25c837aa08690267e1889dd4ed10a9d6f4e111ba08dda4",
+    "trace": "c268b026687d1b8c97e5fabc57932592b340abb6cffd7c7a3a4496f7bdf2134b",
+}
+
+
+def test_run_smooth_dense_wide_alphabet_bytes_pinned(tmp_path, capsys):
+    m = random_machine(np.random.default_rng(0), 1, 3, 9)
+    tm, cfg, trace = tmp_path / "wide.tm", tmp_path / "c0.json", tmp_path / "t.jsonl"
+    tm.write_text(format_machine(m))
+    start = random_smooth_config(m, np.random.default_rng(0), radius=3)
+    cfg.write_text(format_config(start))
+    argv = ["run", str(tm), str(cfg), "--smooth", "--steps", "200", "--trace", str(trace)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert {
+        "stdout": hashlib.sha256(out).hexdigest(),
+        "trace": hashlib.sha256(trace.read_bytes()).hexdigest(),
+    } == WIDE_DENSE_RUN_DIGESTS
+
+
 def assert_usage_error(argv, capsys, *expected):
     """Exit 2 with one line on stderr naming the problem, no traceback."""
     assert main(argv) == 2
@@ -284,6 +309,15 @@ def assert_usage_error(argv, capsys, *expected):
 def test_verify_zero_trials_exit_2(capsys):
     argv = ["verify", "--construction", "multitape", "--trials", "0"]
     assert_usage_error(argv, capsys, "--trials", "positive")
+
+
+@pytest.mark.parametrize(
+    "construction", ["multitape", "broken-multitape", "staged-counterexample"]
+)
+def test_verify_uncertain_codes_outside_utm_exit_2(capsys, construction):
+    argv = ["verify", "--construction", construction, "--uncertain-codes",
+            "--trials", "1"]
+    assert_usage_error(argv, capsys, "--uncertain-codes", "utm only")
 
 
 def test_verify_negative_trials_exit_2(capsys):

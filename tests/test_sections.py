@@ -10,7 +10,7 @@ import pytest
 
 from smoothtm.cli import main
 from smoothtm.dists import Dist, FiniteSet
-from smoothtm.engine import point_config, section_smooth_step
+from smoothtm.engine import SectionConfig, section_smooth_step
 from smoothtm.machines import Configuration, Tape, parse_machine, step
 from smoothtm.multitape import compile_multitape
 from smoothtm.sampling import random_machine
@@ -27,6 +27,13 @@ from smoothtm.utm import build_utm
 
 AB = FiniteSet(["_", "A", "B"])
 STAR = FiniteSet(["*"])
+
+
+def point_config(sm: SectionMachine, sid: str, x, tapes) -> SectionConfig:
+    """All mass on one (section, context element) state."""
+    v = np.zeros(len(sm.sections[sid]))
+    v[sm.sections[sid].index(x)] = 1.0
+    return SectionConfig(sm, {sid: v}, tapes)
 
 
 def self_loop_machine():

@@ -24,6 +24,7 @@ from smoothtm.smooth import (
     psi_update,
     push_local,
     renormalized,
+    row_stats,
     smooth_step,
     smooth_step_dists,
     smooth_step_oracle,
@@ -252,12 +253,17 @@ AB_ = FiniteSet(["_", "A", "B"])
 BLANK = Dist.point(AB_, "_")
 
 
-def random_cell(rng) -> Dist:
+def alphabet_of(size: int) -> FiniteSet:
+    """The blank and ``size - 1`` letters (``AB_`` for size 3)."""
+    return FiniteSet(["_"] + [chr(ord("A") + i) for i in range(size - 1)])
+
+
+def random_cell(rng, alphabet: FiniteSet = AB_) -> Dist:
     """A mixture, a non-blank point mass or an exact blank."""
     kind = rng.integers(3)
     if kind == 0:
-        return Dist(AB_, rng.dirichlet(np.ones(3)))
-    return Dist.point(AB_, "A" if kind == 1 else "_")
+        return Dist(alphabet, rng.dirichlet(np.ones(len(alphabet))))
+    return Dist.point(alphabet, "A" if kind == 1 else "_")
 
 
 def assert_same_tape(got: SmoothTape, want: SmoothTape):
@@ -432,6 +438,28 @@ def test_clean_rows_renormalizes_only_clamped_rows():
     assert out[1].tolist() == [0.0, 1.0]
 
 
+def _random_rows(rng, n: int, size: int) -> np.ndarray:
+    """Simplex rows over ``size`` symbols, scaled from subnormal to huge,
+    with about a third of the weights exact zeros or subnormals."""
+    rows = rng.dirichlet(np.ones(size), n) * 10.0 ** rng.integers(-310, 300, (n, 1))
+    rows[rng.random(rows.shape) < 0.2] = 0.0
+    tiny = rng.random(rows.shape) < 0.1
+    rows[tiny] = rng.random(int(tiny.sum())) * 2.0**-1022
+    return rows
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_row_stats_equal_numpy_axis_reductions(size):
+    """Fails first if numpy's order for summing a short row ever changes."""
+    rng = np.random.default_rng(size)
+    rows = _random_rows(rng, 5000, size)
+    assert (rows == 0.0).any() and ((rows > 0.0) & (rows < 2.0**-1022)).any()
+    for block in (rows, np.asfortranarray(rows), rows[100:200], rows[:0]):
+        sums, nonzero = row_stats(block)
+        assert sums.tobytes() == block.sum(axis=1).tobytes()
+        assert np.array_equal(nonzero, np.count_nonzero(block, axis=1))
+
+
 def _reference_superposition(tape: SmoothTape, write, dirs):
     """The general superposition summed into a zeros buffer, term by term in
     DIRECTIONS order, as (lo, raw rows) before any validation."""
@@ -447,25 +475,27 @@ def _reference_superposition(tape: SmoothTape, write, dirs):
     return lo2, out
 
 
-def point_run_tape(n: int, lo: int) -> SmoothTape:
+def point_run_tape(n: int, lo: int, alphabet: FiniteSet = AB_) -> SmoothTape:
     """n point masses of A between two half-blank cells."""
-    half = Dist.from_pairs(AB_, {"_": 0.5, "A": 0.5})
-    return SmoothTape.from_dists(AB_, "_", lo, [half] + [Dist.point(AB_, "A")] * n + [half])
+    half = Dist.from_pairs(alphabet, {"_": 0.5, "A": 0.5})
+    cells = [half] + [Dist.point(alphabet, "A")] * n + [half]
+    return SmoothTape.from_dists(alphabet, "_", lo, cells)
 
 
-def random_general_case(rng):
+def random_general_case(rng, alphabet: FiniteSet = AB_):
     """(tape, write, dirs) with at least two moves carrying weight."""
     kind = rng.integers(4)
     if kind == 0:  # every new cell an exact blank
-        tape, write = SmoothTape.blank_tape(AB_, "_"), BLANK
+        tape = SmoothTape.blank_tape(alphabet, "_")
+        write = Dist.point(alphabet, "_")
     elif kind == 1:  # point masses of one symbol: rows that sum to 1 +- an ulp
         n = int(rng.integers(1, 5))
-        tape = point_run_tape(n, -int(rng.integers(1, n + 1)))
-        write = Dist.point(AB_, "A")
+        tape = point_run_tape(n, -int(rng.integers(1, n + 1)), alphabet)
+        write = Dist.point(alphabet, "A")
     else:
-        cells = [random_cell(rng) for _ in range(int(rng.integers(1, 7)))]
-        tape = SmoothTape.from_dists(AB_, "_", int(rng.integers(-8, 9)), cells)
-        write = random_cell(rng)
+        cells = [random_cell(rng, alphabet) for _ in range(int(rng.integers(1, 7)))]
+        tape = SmoothTape.from_dists(alphabet, "_", int(rng.integers(-8, 9)), cells)
+        write = random_cell(rng, alphabet)
     dirs = rng.dirichlet(np.ones(3))
     if rng.random() < 0.3:
         dirs[rng.integers(3)] = 0.0
@@ -474,32 +504,38 @@ def random_general_case(rng):
 
 
 def test_general_superposition_matches_validated_constructor():
-    rng = np.random.default_rng(21)
     # the only rows off unit mass here are point masses of A, whose mass
     # 1 - 2^-53 canonicalizes to 1.0, so the exact error is 0.0
     rounded = (point_run_tape(3, -3), Dist.point(AB_, "A").weights,
                np.array([0.5967051270998771, 0.25731448325457446, 0.1459803896455484]))
     assert _superpose_general(*rounded).err == 0.0
-    seen = set()
-    for tape, write, dirs in [rounded] + [random_general_case(rng) for _ in range(200)]:
-        lo2, raw = _reference_superposition(tape, write, dirs)
-        want = SmoothTape(AB_, "_", lo2, raw)
-        got = _superpose_general(tape, write, dirs)
-        assert got.lo == want.lo
-        assert got.cells.shape == want.cells.shape
-        assert got.cells.tobytes() == want.cells.tobytes()
-        assert got.err == want.err == _row_error(got.cells)
-        assert not got.cells.flags.writeable
-        single = np.count_nonzero(raw, axis=1) == 1
-        if (raw[single].max(axis=1) != 1.0).any():
-            seen.add("rounded point mass")
-        if want.lo == 0 and np.array_equal(want.cells, BLANK.weights[None]):
-            seen.add("all blank")
-        elif want.lo > lo2 or want.hi < lo2 + len(raw) - 1:
-            seen.add("trimmed end")
-        if (dirs == 0.0).any():
-            seen.add("zero direction")
-    assert seen == {"rounded point mass", "all blank", "trimmed end", "zero direction"}
+    # both sides of the 8-symbol switch in row_stats
+    for size in range(2, 13):
+        alphabet = alphabet_of(size)
+        blank = Dist.point(alphabet, "_").weights
+        rng = np.random.default_rng(21 if size == 3 else size)
+        cases = [random_general_case(rng, alphabet) for _ in range(200)]
+        seen = set()
+        for tape, write, dirs in [rounded] * (size == 3) + cases:
+            lo2, raw = _reference_superposition(tape, write, dirs)
+            want = SmoothTape(alphabet, "_", lo2, raw)
+            got = _superpose_general(tape, write, dirs)
+            assert got.lo == want.lo
+            assert got.cells.shape == want.cells.shape
+            assert got.cells.tobytes() == want.cells.tobytes()
+            assert got.err == want.err == _row_error(got.cells)
+            assert got.err == np.abs(got.cells.sum(axis=1) - 1.0).max()
+            assert not got.cells.flags.writeable
+            single = np.count_nonzero(raw, axis=1) == 1
+            if (raw[single].max(axis=1) != 1.0).any():
+                seen.add("rounded point mass")
+            if want.lo == 0 and np.array_equal(want.cells, blank[None]):
+                seen.add("all blank")
+            elif want.lo > lo2 or want.hi < lo2 + len(raw) - 1:
+                seen.add("trimmed end")
+            if (dirs == 0.0).any():
+                seen.add("zero direction")
+        assert seen == {"rounded point mass", "all blank", "trimmed end", "zero direction"}
 
 
 @pytest.mark.parametrize(
@@ -542,6 +578,7 @@ def assert_push_matches_reference(s: SmoothConfig, ops: dict):
     for g, w in zip(got, want):
         assert g.base == w.base
         assert g.weights.tobytes() == w.weights.tobytes()
+        assert not g.weights.flags.writeable
 
 
 @pytest.mark.parametrize("tapes", [1, 2, 3])
