@@ -34,30 +34,41 @@ class SectionConfig:
     """Smooth state of a section machine.
 
     ``state`` maps occupied section ids to sub-distribution vectors over the
-    section's context; the vectors' total mass is 1.
+    section's context; the vectors' total mass is 1.  ``err``, when set, is
+    the state's exact simplex violation ``abs(total_mass() - 1.0)`` and
+    vouches that every state weight is non-negative; the engine sets it, and
+    a configuration built by hand leaves it ``None``.
     """
 
     machine: SectionMachine
     state: dict[str, np.ndarray]
     tapes: tuple[SmoothTape, ...]
+    err: float | None = None
 
     def total_mass(self) -> float:
-        return float(sum(v.sum() for v in self.state.values()))
+        return _mass(self.state)
 
     def check_simplex(self) -> float:
         """Worst simplex violation across state mass and all tape cells.
 
         Tape cells are validated non-negative on construction, and each tape
         carries an upper bound on its row-mass error, so this never rescans
-        a window and never reports less than the exact violation.
+        a window and never reports less than the exact violation.  The state
+        is scanned only when ``err`` is not set.
         """
-        worst = abs(self.total_mass() - 1.0)
-        for v in self.state.values():
-            if v.size:
-                worst = max(worst, float(max(0.0, -v.min())))
+        worst = self.err
+        if worst is None:
+            worst = abs(self.total_mass() - 1.0)
+            for v in self.state.values():
+                if v.size:
+                    worst = max(worst, float(max(0.0, -v.min())))
         for t in self.tapes:
             worst = max(worst, t.err)
         return worst
+
+
+def _mass(state: dict[str, np.ndarray]) -> float:
+    return float(sum(np.add.reduce(v) for v in state.values()))
 
 
 @dataclass
@@ -71,32 +82,27 @@ class StepInfo:
         return sum(c != 0.0 for c in self.dirs[tape_index].tolist()) == 1
 
 
-def _scatter(acc: np.ndarray | None, idx: np.ndarray, vals: np.ndarray, size: int):
-    """``acc`` with ``vals`` added at ``idx``.  The first scatter into an
-    accumulator is a bincount, which adds in the same order as ``np.add.at``
-    into zeros and so gives the same bits."""
-    if acc is None:
-        return np.bincount(idx, vals, size)
-    np.add.at(acc, idx, vals)
-    return acc
-
-
 def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
-    """One smooth step; returns the new configuration and diagnostics."""
+    """One smooth step; returns the new configuration and diagnostics.
+
+    Every accumulator starts as a bincount, which adds in the same order as
+    ``np.add.at`` into zeros and so gives the same bits.  Tape rows are
+    non-negative, so the new state is too when the old one is, and then
+    its ``err`` is set.
+    """
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
     head_rows = [t.row(0) for t in cfg.tapes]
     # the read offsets with positive joint mass, as a bit mask
-    offsets = [0]
-    for r in head_rows:
+    offsets = head_rows[0].nonzero()[0].tolist()
+    for r in head_rows[1:]:
         offsets = [o * A + k for o in offsets for k in r.nonzero()[0].tolist()]
     supported = 0
     for o in offsets:
         supported |= 1 << o
     acc: dict[str, np.ndarray] = {}
-    write_acc = [None] * n
-    dir_acc = [None] * n
+    write_acc = dir_acc = None
     flows: dict[tuple[str, str], float] = {}
     for sid, local in cfg.state.items():
         joint = local
@@ -105,7 +111,7 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
         flat = joint.reshape(-1)
         table = sm.table(sid)
         if table.uncovered_bits & supported:
-            lost = float(flat[table.uncovered].sum())
+            lost = float(np.add.reduce(flat[table.uncovered]))
             if lost != 0.0:
                 raise StuckError(
                     f"mass {lost} stepped into unspecified transitions "
@@ -115,29 +121,40 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
             if not e.bits & supported:
                 continue
             vals = flat[e.src]
-            moved = float(vals.sum())
+            moved = float(np.add.reduce(vals))
             if moved == 0.0:
                 continue
-            acc[e.target] = _scatter(
-                acc.get(e.target), e.tgt, vals, len(sm.sections[e.target])
-            )
+            target = acc.get(e.target)
+            if target is None:
+                acc[e.target] = np.bincount(e.tgt, vals, len(sm.sections[e.target]))
+            else:
+                np.add.at(target, e.tgt, vals)
             flows[(sid, e.target)] = flows.get((sid, e.target), 0.0) + moved
-            for j in range(n):
-                write_acc[j] = _scatter(write_acc[j], e.w_idx[j], vals, A)
-                dir_acc[j] = _scatter(dir_acc[j], e.d_idx[j], vals, 3)
-    writes = [renormalized(np.zeros(A) if w is None else w, "write")
-              for w in write_acc]
-    dirs = [renormalized(np.zeros(3) if d is None else d, "direction")
-            for d in dir_acc]
+            if write_acc is None:
+                write_acc = [np.bincount(w, vals, A) for w in e.w_idx]
+                dir_acc = [np.bincount(d, vals, 3) for d in e.d_idx]
+            else:
+                for w_acc, w, d_acc, d in zip(write_acc, e.w_idx, dir_acc, e.d_idx):
+                    np.add.at(w_acc, w, vals)
+                    np.add.at(d_acc, d, vals)
+    writes = [renormalized(w, "write") for w in write_acc or [np.zeros(A)] * n]
+    dirs = [renormalized(d, "direction") for d in dir_acc or [np.zeros(3)] * n]
     tapes = tuple(
         superpose_tape(t, w, d) for t, w, d in zip(cfg.tapes, writes, dirs)
     )
-    occupied = sorted((sid for sid, v in acc.items() if v.any()), key=sm.rank.get)
-    state = {sid: acc[sid] for sid in occupied}
-    total = float(sum(v.sum() for v in state.values()))
+    if len(acc) == 1:
+        state = acc  # a zero vector fails the mass check below
+    else:
+        occupied = sorted((sid for sid, v in acc.items() if v.any()), key=sm.rank.get)
+        state = {sid: acc[sid] for sid in occupied}
+    total = _mass(state)
     if abs(total - 1.0) > ATOL:
         raise ValueError(f"state mass {total} off 1 by more than {ATOL}")
     if total != 1.0:
         state = {sid: v / total for sid, v in state.items()}
-    return SectionConfig(sm, state, tapes), StepInfo(dirs, flows)
-
+        total = _mass(state)
+    non_negative = cfg.err is not None or all(
+        v.min() >= 0.0 for v in cfg.state.values() if v.size
+    )
+    err = abs(total - 1.0) if non_negative else None
+    return SectionConfig(sm, state, tapes, err), StepInfo(dirs, flows)

@@ -371,14 +371,20 @@ def encoding_of(sim: CompiledSim, cfg: SectionConfig, strict: bool = False):
     for p in range(-n, 0):
         if not exact_point_row(tape.row(p), alphabet.index(MARK_0)):
             return fail("head marker column corrupted")
-    nsym = len(m.alphabet)
-    for j in range(1, n + 1):
-        for i in range(L, R + 1):
-            row = tape.row(cell_position(n, j, i))
-            if row[nsym:].any():
-                return fail(f"marker mass in data cell (tape {j}, index {i})")
+    markers = _data_rows(n, tape, L, R)[:, :, len(m.alphabet):]
+    if markers.any():
+        j, k = divmod(int(markers.any(axis=2).argmax()), R - L + 1)
+        return fail(f"marker mass in data cell (tape {j + 1}, index {L + k})")
     state = Dist(m.states, cfg.state["R1"])
     return InterleavedEncoding(L, R, state, tape)
+
+
+def _data_rows(n: int, tape: SmoothTape, L: int, R: int) -> np.ndarray:
+    """The (tape, index, symbol) block of an encoding's data cells in
+    columns L..R, gathered in one index at the positions cell_position gives."""
+    i = np.arange(L, R + 1)
+    pos = n * np.where(i >= 0, i, i - 1) + np.arange(n)[:, None]
+    return tape.cells[pos - tape.lo]
 
 
 def decode(sim: CompiledSim, enc) -> SmoothConfig:
@@ -388,16 +394,9 @@ def decode(sim: CompiledSim, enc) -> SmoothConfig:
     else:
         parsed = enc
     m = sim.source
-    n = sim.n
-    nsym = len(m.alphabet)
-    tapes = []
-    for j in range(1, n + 1):
-        dists = [
-            Dist(m.alphabet, parsed.tape.row(cell_position(n, j, i))[:nsym])
-            for i in range(parsed.L, parsed.R + 1)
-        ]
-        tapes.append(SmoothTape.from_dists(m.alphabet, m.blank, parsed.L, dists))
-    return SmoothConfig(parsed.state_local, tuple(tapes))
+    rows = _data_rows(sim.n, parsed.tape, parsed.L, parsed.R)[:, :, : len(m.alphabet)]
+    tapes = tuple(SmoothTape(m.alphabet, m.blank, parsed.L, r) for r in rows)
+    return SmoothConfig(parsed.state_local, tapes)
 
 
 def _sim_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:

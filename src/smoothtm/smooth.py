@@ -272,7 +272,10 @@ def superpose_tape(
 
     A point-mass move is a pure re-indexing of the written tape, so it writes
     one row and shifts the window; any other move takes the general
-    superposition.  Both give the same canonical tape bit for bit.
+    superposition.  Both give the same canonical tape bit for bit.  The
+    tape is canonical, so on a point-mass move only a written end row can
+    leave an exact blank at a window end, and only then are the ends
+    rescanned; a window grown to the head ends in the non-blank written row.
     """
     moves = [k for k, c in enumerate(dirs.tolist()) if c != 0.0]
     if len(moves) != 1:
@@ -293,12 +296,12 @@ def superpose_tape(
         else:
             gap[-1] = row
             cells = np.concatenate([cells, gap])
-    # the old window ends are not exact blanks unless the write made them so
     first, last = 0, len(cells) - 1
-    while first <= last and exact_point_row(cells[first], bidx):
-        first += 1
-    while last > first and exact_point_row(cells[last], bidx):
-        last -= 1
+    if tape.lo == 0 or tape.hi == 0:  # the head wrote an end row of the window
+        while first <= last and exact_point_row(cells[first], bidx):
+            first += 1
+        while last > first and exact_point_row(cells[last], bidx):
+            last -= 1
     err = max(tape.err, abs(float(row.sum()) - 1.0))
     if first > last:  # every cell is blank
         return SmoothTape._trusted(tape.alphabet, tape.blank, 0, cells[:1], err)

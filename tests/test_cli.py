@@ -195,6 +195,37 @@ def test_verify_report_bytes_pinned(construction, tmp_path):
     assert hashlib.sha256(rep.read_bytes()).hexdigest() == REPORT_DIGESTS[construction]
 
 
+# the same reports at seeds 1 and 2
+SEEDED_REPORT_DIGESTS = {
+    ("multitape", 1): "e6ca35df98fde114de08e4b7f3576af678aa386e14f3e1a67861ffa5fe9c79ec",
+    ("multitape", 2): "b7a2da83a01ec5ba2659829652086f26b313344179a7a8071e9e099419f133f7",
+    ("broken-multitape", 1): "e2c0694e4e19f42371a14dcd9d55c7d0c1452eb1700cc4a0c05f2464bdd0693c",
+    ("broken-multitape", 2): "45d19c110ed87420a0ed3e436d2ea13f36cd1b71ebe5183926bb81587da40cd1",
+    ("utm", 1): "0ddfce9802ed0effec19e35a64b2bc42451f1af27c69ed5ff9646162264db61c",
+    ("utm", 2): "d290aefd0157a3baf064ac3556a99f3a356e137eef16342b6053ae9a1edd5714",
+    ("utm --uncertain-codes", 1):
+        "6b2589d331fb17ea608c725ffa5ca41f79d181f9caba3d8325f6ed7a7a280569",
+    ("utm --uncertain-codes", 2):
+        "7cc56d9359990b1cc5c951441e083bd9daa3eb5c51437fd5f35fc8e79eb9aa59",
+    ("staged-counterexample", 1):
+        "fe43b2a8aac007ba8f60fd043c040e161ea1ec5d1f7f7f6b3b2470b9a2dc4f59",
+    ("staged-counterexample", 2):
+        "134e09ee289ebe63e37c3b22ba8251796c7cfa78cba9304f138045b8233b5cb6",
+}
+
+
+@pytest.mark.parametrize(
+    "construction,seed", list(SEEDED_REPORT_DIGESTS),
+    ids=[f"{c}-{s}" for c, s in SEEDED_REPORT_DIGESTS],
+)
+def test_verify_report_bytes_pinned_at_more_seeds(construction, seed, tmp_path):
+    rep = tmp_path / "rep.json"
+    main(["verify", "--construction", *construction.split(), "--seed", str(seed),
+          "--trials", "4", "--report", str(rep)])
+    digest = hashlib.sha256(rep.read_bytes()).hexdigest()
+    assert digest == SEEDED_REPORT_DIGESTS[(construction, seed)]
+
+
 def test_verify_utm_without_encoding_fails_cleanly(files):
     """A first cycle that reaches no encoding is a reported failure."""
     proc = subprocess.run(

@@ -279,3 +279,53 @@ def test_metadata_counts_and_cycle_formula():
     assert meta["sections"] == len(sim.machine.sections)
     # measured directly: length 34 at R-L=4, growing 4 steps per column
     assert meta["cycle_length_base"] + 4 * meta["cycle_length_per_width"] == 34
+
+
+def _decode_cell_by_cell(sim, enc) -> SmoothConfig:
+    """Decoding one ``Dist`` per simulated cell, the definition."""
+    m, n = sim.source, sim.n
+    tapes = []
+    for j in range(1, n + 1):
+        dists = [
+            Dist(m.alphabet, enc.tape.row(cell_position(n, j, i))[: len(m.alphabet)])
+            for i in range(enc.L, enc.R + 1)
+        ]
+        tapes.append(SmoothTape.from_dists(m.alphabet, m.blank, enc.L, dists))
+    return SmoothConfig(enc.state_local, tuple(tapes))
+
+
+def test_decode_matches_cell_by_cell_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(1, 4))
+        m = random_machine(rng, n, int(rng.integers(1, 3)), int(rng.integers(2, 4)))
+        sim = compile_multitape(m)
+        cfg = to_section_config(sim, encode(sim, random_smooth_config(m, rng, 2)))
+        cfg, _ = run_to_next_encoding(make_triple(sim), cfg)
+        got = decode(sim, cfg)
+        want = _decode_cell_by_cell(sim, encoding_of(sim, cfg))
+        assert np.array_equal(got.state.weights, want.state.weights)
+        for a, b in zip(got.tapes, want.tapes):
+            assert (a.lo, a.err) == (b.lo, b.err)
+            assert np.array_equal(a.cells, b.cells)
+
+
+def test_marker_mass_names_first_data_cell_in_tape_order():
+    m = random_machine(np.random.default_rng(3), 2, 1, 2)
+    sim = compile_multitape(m)
+    s = SmoothConfig(
+        Dist.point(m.states, "q0"),
+        tuple(SmoothTape.blank_tape(m.alphabet, m.blank) for _ in range(2)),
+    )
+    enc = encode(sim, s)
+    rows = np.array(enc.tape.cells)
+    mark = sim.machine.alphabet.index(multitape.MARK_R)
+    for j, i in ((2, -1), (1, 1)):
+        p = cell_position(2, j, i) - enc.tape.lo
+        rows[p] = 0.0
+        rows[p, 0] = rows[p, mark] = 0.5
+    tape = SmoothTape(enc.tape.alphabet, enc.tape.blank, enc.tape.lo, rows)
+    cfg = to_section_config(sim, multitape.InterleavedEncoding(enc.L, enc.R, s.state, tape))
+    assert encoding_of(sim, cfg) is None
+    with pytest.raises(ValueError, match=r"marker mass in data cell \(tape 1, index 1\)"):
+        decode(sim, cfg)

@@ -356,23 +356,81 @@ def test_subnormal_side_move_takes_general_path():
         assert info.direction_point_mass(0) == (np.count_nonzero(d) == 1)
 
 
-def test_check_simplex_never_below_full_rescan():
+def _compiled_start(n, seed):
     from smoothtm import multitape
-    from smoothtm.engine import section_smooth_step
 
-    rng = np.random.default_rng(11)
-    m = random_machine(rng, 2, 2, 3)
+    rng = np.random.default_rng(seed)
+    m = random_machine(rng, n, 2, 3)
     sim = multitape.compile_multitape(m)
     enc = multitape.encode(sim, random_smooth_config(m, rng, radius=2))
-    cfg = multitape.to_section_config(sim, enc)
-    for _ in range(300):
-        cfg, _ = section_smooth_step(cfg)
-        exact = abs(cfg.total_mass() - 1.0)
-        for v in cfg.state.values():
-            exact = max(exact, -v.min())
-        for t in cfg.tapes:
-            exact = max(exact, np.abs(t.cells.sum(axis=1) - 1.0).max(), -t.cells.min())
-        assert exact <= cfg.check_simplex() <= 1e-12
+    return multitape.to_section_config(sim, enc)
+
+
+def _uncertain_utm_start(seed):
+    from smoothtm import utm
+    from smoothtm.sampling import random_dist
+
+    rng = np.random.default_rng(seed)
+    m = random_machine(rng, 1, 3, 3)
+    overrides = {
+        (q, a): tuple(random_dist(base, rng) for base in (m.states, m.alphabet, DIRECTIONS))
+        for q in m.states for a in m.alphabet
+    }
+    machine = utm.build_utm(len(m.states), m.alphabet, m.blank)
+    code = utm.encode_code(m, overrides)
+    return utm.encode_config(machine, code, random_smooth_config(m, rng, radius=2))
+
+
+def _simplex_rescan(cfg) -> float:
+    """What ``check_simplex`` reports when it scans the state: mass error,
+    negated minimum weight, then each tape's row-error bound."""
+    worst = abs(cfg.total_mass() - 1.0)
+    for v in cfg.state.values():
+        if v.size:
+            worst = max(worst, float(max(0.0, -v.min())))
+    for t in cfg.tapes:
+        worst = max(worst, t.err)
+    return worst
+
+
+def test_check_simplex_never_below_full_rescan():
+    from smoothtm.engine import section_smooth_step
+
+    starts = [_compiled_start(1, 12), _compiled_start(2, 11),
+              _compiled_start(3, 13), _uncertain_utm_start(14)]
+    for cfg in starts:
+        assert cfg.err is None
+        for _ in range(300):
+            cfg, _ = section_smooth_step(cfg)
+            # the engine's cached state error is exactly what a scan finds
+            assert cfg.err is not None
+            assert cfg.check_simplex() == _simplex_rescan(cfg)
+            exact = abs(cfg.total_mass() - 1.0)
+            for v in cfg.state.values():
+                exact = max(exact, -v.min())
+            for t in cfg.tapes:
+                exact = max(exact, np.abs(t.cells.sum(axis=1) - 1.0).max(), -t.cells.min())
+            assert exact <= cfg.check_simplex() <= 1e-12
+
+
+def test_check_simplex_scans_hand_built_state():
+    """Configurations built by hand carry no ``err`` and are still scanned."""
+    from dataclasses import replace
+
+    from smoothtm.engine import section_smooth_step
+
+    cfg = _compiled_start(1, 12)
+    ((sid, v),) = cfg.state.items()
+    negative = v.copy()
+    negative[1] += negative[0] + 1e-6
+    negative[0] = -1e-6
+    cfg_neg = replace(cfg, state={sid: negative})
+    assert cfg_neg.err is None
+    assert cfg_neg.check_simplex() == _simplex_rescan(cfg_neg) >= 1e-6
+    # a step from a state with a negative weight vouches for nothing
+    assert section_smooth_step(cfg_neg)[0].err is None
+    heavy = replace(cfg, state={sid: v * (1.0 + 1e-9)})
+    assert heavy.check_simplex() == _simplex_rescan(heavy) >= 0.9e-9
 
 
 def _reference_tape_rows(cells, alphabet):
