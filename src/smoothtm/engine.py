@@ -82,14 +82,21 @@ class StepInfo:
         return sum(c != 0.0 for c in self.dirs[tape_index].tolist()) == 1
 
 
+_UNIT_DIRS = np.eye(3)  # the point masses over DIRECTIONS
+_UNIT_DIRS.flags.writeable = False
+
+
 def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     """One smooth step; returns the new configuration and diagnostics.
 
     Every accumulator starts as a bincount, which adds in the same order as
-    ``np.add.at`` into zeros and so gives the same bits.  Tape rows are
-    non-negative, so the new state is too when the old one is, and then
-    its ``err`` is set.
-    """
+    ``np.add.at`` into zeros and so gives the same bits.  When all entries
+    that move mass record one move, each tape's directions are its shared
+    unit vector, the bits a one-bin scatter renormalizes to; otherwise (the
+    UTM's closing tract) they are scattered.  So only a direction sum off 1
+    beside a write sum within 1e-12 loses its "direction mass" error.  Tape
+    rows are non-negative, and so is the new state when the old one is: then
+    its ``err`` is set."""
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
@@ -98,11 +105,10 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     offsets = head_rows[0].nonzero()[0].tolist()
     for r in head_rows[1:]:
         offsets = [o * A + k for o in offsets for k in r.nonzero()[0].tolist()]
-    supported = 0
-    for o in offsets:
-        supported |= 1 << o
+    supported = sum(1 << o for o in offsets)  # the offsets are distinct
     acc: dict[str, np.ndarray] = {}
-    write_acc = dir_acc = None
+    write_acc = None
+    moving = []  # (entry, gathered mass) of each entry that moves mass
     flows: dict[tuple[str, str], float] = {}
     for sid, local in cfg.state.items():
         joint = local
@@ -132,13 +138,20 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
             flows[(sid, e.target)] = flows.get((sid, e.target), 0.0) + moved
             if write_acc is None:
                 write_acc = [np.bincount(w, vals, A) for w in e.w_idx]
-                dir_acc = [np.bincount(d, vals, 3) for d in e.d_idx]
             else:
-                for w_acc, w, d_acc, d in zip(write_acc, e.w_idx, dir_acc, e.d_idx):
+                for w_acc, w in zip(write_acc, e.w_idx):
                     np.add.at(w_acc, w, vals)
-                    np.add.at(d_acc, d, vals)
+            moving.append((e, vals))
     writes = [renormalized(w, "write") for w in write_acc or [np.zeros(A)] * n]
-    dirs = [renormalized(d, "direction") for d in dir_acc or [np.zeros(3)] * n]
+    moves = {e.move for e, _ in moving}
+    if len(moves) == 1 and None not in moves:
+        dirs = [_UNIT_DIRS[k] for k in moves.pop()]
+    else:
+        dir_acc = np.zeros((n, 3))
+        for e, vals in moving:
+            for d_acc, d in zip(dir_acc, e.d_idx):
+                np.add.at(d_acc, d, vals)
+        dirs = [renormalized(d, "direction") for d in dir_acc]
     tapes = tuple(
         superpose_tape(t, w, d) for t, w, d in zip(cfg.tapes, writes, dirs)
     )

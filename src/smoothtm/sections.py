@@ -171,6 +171,9 @@ class SectionMachine:
 
 @dataclass(slots=True)
 class _TractEntry:
+    """One tract's pairs in a compiled section; ``move`` is set when all move
+    alike (a declarative tract's do; an index map's are checked)."""
+
     target: str
     src: np.ndarray  # flat (context, symbols) indices, strictly increasing
     tgt: np.ndarray  # target context indices
@@ -179,6 +182,7 @@ class _TractEntry:
     label: str
     tract: int  # position in the machine's tract list
     bits: int  # bit k set when the tract reads symbols at offset k
+    move: tuple | None  # per tape, the DIRECTIONS index the engine moves by
 
 
 class _SectionTable:
@@ -230,7 +234,10 @@ class _SectionTable:
                     f"section {sid!r}, context {x!r}, symbols {syms!r}"
                 )
             covered[src] = True
-            self.entries.append(_TractEntry(t.target, *arrays, t.label, i, bits))
+            move = tuple(int(d[0]) for d in arrays[3])
+            if t.index_map and any((d != k).any() for d, k in zip(arrays[3], move)):
+                move = None
+            self.entries.append(_TractEntry(t.target, *arrays, t.label, i, bits, move))
         self.uncovered = np.flatnonzero(~covered)
         partly_covered = ~covered.reshape(-1, size).all(axis=0)
         self.uncovered_bits = _bits(np.flatnonzero(partly_covered))

@@ -22,6 +22,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -172,12 +174,18 @@ class SmoothTape:
     def cell(self, i: int) -> Dist:
         return Dist(self.alphabet, self.row(i))
 
+    def padded(self, lo: int, hi: int) -> np.ndarray:
+        """The rows of cells lo..hi, a span holding the window."""
+        out = np.zeros((hi - lo + 1, len(self.alphabet)))
+        out[:, self.alphabet.index(self.blank)] = 1.0
+        out[self.lo - lo : self.hi - lo + 1] = self.cells
+        return out
+
     def deviation(self, other: "SmoothTape") -> float:
         if self.alphabet != other.alphabet:
             raise ValueError("tapes over different alphabets")
         lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
-        diffs = (np.abs(self.row(i) - other.row(i)).max() for i in range(lo, hi + 1))
-        return float(max(diffs))
+        return float(np.abs(self.padded(lo, hi) - other.padded(lo, hi)).max())
 
 
 @dataclass(frozen=True)
@@ -226,12 +234,20 @@ def renormalized(weights: np.ndarray, what: str = "distribution") -> np.ndarray:
     resets the error to rounding level each step, so it accumulates only
     linearly.  The mass must already be 1 within 1e-12 (anything worse is a
     bug, not drift), and an exact sum of 1.0 is returned untouched so point
-    masses stay bit-exact.
-    """
-    total = float(weights.sum())
+    masses stay bit-exact.  The mass is ``weights.sum()`` bit for bit, added
+    left to right in Python floats under 8 entries (:func:`_vector_sum`)."""
+    total = _vector_sum(weights)
     if not abs(total - 1.0) <= ATOL:  # also rejects NaN
         raise ValueError(f"{what} mass {total} off 1 by more than {ATOL}")
     return weights if total == 1.0 else weights / total
+
+
+def _vector_sum(v: np.ndarray) -> float:
+    """``float(v.sum())`` of a 1-D vector: numpy adds under 8 elements left to
+    right from 0.0, as this fold does (``sum`` compensates from Python 3.12)."""
+    if v.size < 8:
+        return reduce(add, v.tolist(), 0.0)
+    return float(v.sum())
 
 
 _OPS_CACHE: "WeakKeyDictionary[Machine, dict]" = WeakKeyDictionary()
@@ -288,21 +304,16 @@ def superpose_tape(
         cells[-lo] = row
     elif not exact_point_row(row, bidx):
         # grow the window to the head, blank cells in between
-        gap = np.zeros((max(lo, -tape.hi), len(row)))
-        gap[:, bidx] = 1.0
-        if lo > 0:
-            gap[0] = row
-            cells, lo = np.concatenate([gap, cells]), 0
-        else:
-            gap[-1] = row
-            cells = np.concatenate([cells, gap])
+        lo = min(lo, 0)
+        cells = tape.padded(lo, max(tape.hi, 0))
+        cells[-lo] = row
     first, last = 0, len(cells) - 1
     if tape.lo == 0 or tape.hi == 0:  # the head wrote an end row of the window
         while first <= last and exact_point_row(cells[first], bidx):
             first += 1
         while last > first and exact_point_row(cells[last], bidx):
             last -= 1
-    err = max(tape.err, abs(float(row.sum()) - 1.0))
+    err = max(tape.err, abs(_vector_sum(row) - 1.0))
     if first > last:  # every cell is blank
         return SmoothTape._trusted(tape.alphabet, tape.blank, 0, cells[:1], err)
     return SmoothTape._trusted(
@@ -324,16 +335,13 @@ def _superpose_general(
     for what, v in (("write", write), ("direction", dirs)):
         if v.min() < 0.0:
             raise ValueError(f"negative {what} weight {v.min()}")
-    A = len(tape.alphabet)
     lo, hi = tape.lo, tape.hi
     lo2, hi2 = min(lo, 0) - 1, max(hi, 0) + 1
     n = hi2 - lo2 + 1
     # written tape over [lo2-1, hi2+1], so every new cell can see i-1..i+1
-    written = np.zeros((n + 2, A))
+    written = tape.padded(lo2 - 1, hi2 + 1)
+    written[1 - lo2] = write
     bidx = tape.alphabet.index(tape.blank)
-    written[:, bidx] = 1.0
-    written[lo - (lo2 - 1) : hi - (lo2 - 1) + 1] = tape.cells
-    written[0 - (lo2 - 1)] = write
     # new[i] = sum_d c_d * written[i+d], summed in DIRECTIONS order
     out = None
     for c, d in zip(dirs.tolist(), DIRECTIONS.elements):

@@ -311,8 +311,10 @@ def encoding_of(
             raise ValueError(f"not a valid encoding: {msg}")
         return None
 
-    if set(cfg.state.keys()) != {"read"}:
-        return fail(f"state mass outside section read ({sorted(cfg.state)})")
+    if len(cfg.state) != 1 or "read" not in cfg.state:
+        if strict:  # the message is built only to be raised
+            fail(f"state mass outside section read ({sorted(cfg.state)})")
+        return None
     if code_rows is None:
         code_rows = _code_rows(utm, code)
     if not _is_code_restored(utm, code_rows, cfg.tapes[0]):

@@ -329,3 +329,30 @@ def test_marker_mass_names_first_data_cell_in_tape_order():
     assert encoding_of(sim, cfg) is None
     with pytest.raises(ValueError, match=r"marker mass in data cell \(tape 1, index 1\)"):
         decode(sim, cfg)
+
+
+def test_strict_predicate_messages_pinned():
+    """Outside R1 the predicate rejects before building its message; a
+    strict caller still gets the same text."""
+    from smoothtm.engine import SectionConfig
+
+    m = identity_1tape()
+    sim = compile_multitape(m)
+    s = SmoothConfig(
+        Dist.point(m.states, "q"), (SmoothTape.blank_tape(m.alphabet, m.blank),)
+    )
+    cfg = to_section_config(sim, encode(sim, s))
+    w1 = np.zeros(len(sim.machine.sections["W1"]))
+    cases = [
+        ({"R1": cfg.state["R1"], "W1": w1}, "['R1', 'W1']"),
+        ({"W1": w1}, "['W1']"),
+    ]
+    for state, names in cases:
+        bad = SectionConfig(cfg.machine, state, cfg.tapes)
+        assert encoding_of(sim, bad) is None
+        with pytest.raises(ValueError) as exc:
+            encoding_of(sim, bad, strict=True)
+        assert str(exc.value) == (
+            f"not a valid encoding: state mass outside section R1 ({names})"
+        )
+    assert encoding_of(sim, cfg, strict=True) is not None

@@ -3,17 +3,20 @@ import hashlib
 import random
 import re
 import weakref
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
+from smoothtm import multitape, utm
 from smoothtm.cli import main
 from smoothtm.dists import Dist, FiniteSet
 from smoothtm.engine import SectionConfig, section_smooth_step
-from smoothtm.machines import Configuration, Tape, parse_machine, step
+from smoothtm.framework import run_to_next_encoding
+from smoothtm.machines import DIRECTIONS, Configuration, Tape, parse_machine, step
 from smoothtm.multitape import compile_multitape
-from smoothtm.sampling import random_machine
+from smoothtm.sampling import random_dist, random_machine, random_smooth_config
 from smoothtm.sections import (
     SectionMachine,
     Tract,
@@ -22,7 +25,7 @@ from smoothtm.sections import (
     lower_sections,
     section_step,
 )
-from smoothtm.smooth import SmoothConfig, SmoothTape, embed, smooth_step
+from smoothtm.smooth import SmoothConfig, SmoothTape, embed, renormalized, smooth_step
 from smoothtm.utm import build_utm
 
 AB = FiniteSet(["_", "A", "B"])
@@ -256,6 +259,8 @@ def test_broadcast_tables_equal_enumerated_reference(name):
         assert len(table.entries) == len(entries)
         for e, (target, label, src, tgt, w_idx, d_idx) in zip(table.entries, entries):
             assert (e.target, e.label) == (target, label)
+            constant = all(len(set(d)) == 1 for d in d_idx)
+            assert e.move == (tuple(d[0] for d in d_idx) if constant else None)
             for got, want in zip([e.src, e.tgt, *e.w_idx, *e.d_idx],
                                  [src, tgt, *w_idx, *d_idx]):
                 assert got.dtype == np.intp
@@ -579,3 +584,108 @@ TABLE_DIGESTS = [
 )
 def test_section_tables_unchanged(name, build, digest):
     assert table_digest(build()) == digest
+
+
+# ---------------------------------------------------------------------------
+# Head moves taken from the tract table
+# ---------------------------------------------------------------------------
+
+
+def scattered_dirs(cfg):
+    """Each tape's direction distribution scattered from every entry that
+    moves mass, in the engine's scatter order, and renormalized, whatever
+    moves the entries record; also the set of the moves they record."""
+    head_rows = [t.row(0) for t in cfg.tapes]
+    acc, moves = None, set()
+    for sid, local in cfg.state.items():
+        joint = local
+        for r in head_rows:
+            joint = np.multiply.outer(joint, r)
+        flat = joint.reshape(-1)
+        for e in cfg.machine.table(sid).entries:
+            vals = flat[e.src]
+            if np.add.reduce(vals) == 0.0:
+                continue
+            moves.add(e.move)
+            if acc is None:
+                acc = [np.bincount(d, vals, 3) for d in e.d_idx]
+            else:
+                for a, d in zip(acc, e.d_idx):
+                    np.add.at(a, d, vals)
+    return [renormalized(a, "direction") for a in acc], moves
+
+
+def checked_stepper(counts):
+    """section_smooth_step, asserting its directions against the scatter;
+    counts[True] tallies the steps whose moving entries share one move."""
+
+    def stepper(cfg):
+        want, moves = scattered_dirs(cfg)
+        new, info = section_smooth_step(cfg)
+        assert [d.tobytes() for d in info.dirs] == [d.tobytes() for d in want]
+        shared = len(moves) == 1 and None not in moves
+        if shared:
+            assert not any(d.flags.writeable for d in info.dirs)
+        counts[shared] += 1
+        return new, info
+
+    return stepper
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recorded_moves_give_the_scattered_directions_multitape(seed):
+    counts = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        m = random_machine(rng, n, 2, 2 + (n == 1))
+        sim = compile_multitape(m)
+        s = random_smooth_config(m, rng, radius=2)
+        x = multitape.to_section_config(sim, multitape.encode(sim, s))
+        triple = replace(multitape.make_triple(sim), stepper=checked_stepper(counts))
+        for _ in range(2):
+            x, _ = run_to_next_encoding(triple, x)
+    assert counts[True] > 0 and counts[False] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recorded_moves_give_the_scattered_directions_utm(seed):
+    """Uncertain codes: the closing steps mix moves and scatter."""
+    rng = np.random.default_rng(seed)
+    counts = {True: 0, False: 0}
+    for nq, ns in ((1, 2), (2, 3)):
+        m = random_machine(rng, 1, nq, ns)
+        overrides = {
+            (q, a): (random_dist(m.states, rng), random_dist(m.alphabet, rng),
+                     random_dist(DIRECTIONS, rng))
+            for q in m.states for a in m.alphabet
+        }
+        machine = build_utm(nq, m.alphabet, m.blank)
+        code = utm.encode_code(m, overrides)
+        x = utm.encode_config(machine, code, random_smooth_config(m, rng, radius=1))
+        triple = replace(utm.make_triple(machine, code), stepper=checked_stepper(counts))
+        for _ in range(2):
+            x, _ = run_to_next_encoding(triple, x)
+    assert counts[True] > 0 and counts[False] > 0
+
+
+def test_entries_with_different_moves_mix_directions():
+    """Two moving tracts that move apart, and an index map whose pairs move
+    apart, give a mixture over DIRECTIONS, not a point mass."""
+    ctx = FiniteSet(["x", "y"])
+    right = Tract("S", "S", (frozenset({"A"}),), write=(None,), move=(1,), label="R")
+    left = Tract("S", "S", (frozenset({"B"}),), write=(None,), move=(-1,), label="L")
+    blank = Tract("S", "S", (frozenset({"_"}),), label="split", index_map=lambda xi, s: (
+        xi, s, np.where(xi == 0, -1, 0)[:, None]))
+    sm = SectionMachine({"S": ctx}, [right, left, blank], AB, "_", 1)
+    assert [e.move for e in sm.table("S").entries] == [(2,), (0,), None]
+    cell = Dist.from_pairs(AB, {"A": 0.25, "B": 0.75})
+    cfg = point_config(sm, "S", "x", (SmoothTape.from_dists(AB, "_", 0, [cell]),))
+    new, info = section_smooth_step(cfg)
+    assert info.dirs[0].tolist() == [0.75, 0.0, 0.25]
+    assert info.direction_point_mass(0) is False
+    assert info.dirs[0].tobytes() == scattered_dirs(cfg)[0][0].tobytes()
+    state = np.array([0.5, 0.5])
+    cfg = SectionConfig(sm, {"S": state}, (SmoothTape.blank_tape(AB, "_"),))
+    new, info = section_smooth_step(cfg)
+    assert info.dirs[0].tolist() == [0.5, 0.5, 0.0]
+    assert info.direction_point_mass(0) is False

@@ -518,6 +518,67 @@ def test_row_stats_equal_numpy_axis_reductions(size):
         assert np.array_equal(nonzero, np.count_nonzero(block, axis=1))
 
 
+@pytest.mark.parametrize("size", [*range(1, 8), 8, 11])
+def test_short_vector_sums_equal_numpy_reduction(size):
+    """renormalized and the point-move tape err take np.add.reduce's sum bit
+    for bit: folded in Python floats under 8 entries, reduced by numpy from
+    8 up.  Raw rows span magnitudes and miss unit mass; rescaled ones land
+    within 1e-12 of it, some off by rounding."""
+    rng = np.random.default_rng(40 + size)
+    raw = _random_rows(rng, 2000, size)
+    bump = np.flatnonzero(rng.random(len(raw)) < 0.5)
+    raw[bump, 0] += rng.random(bump.size) * 10.0 ** rng.integers(-30, 3, bump.size)
+    assert (raw == 0.0).any() and ((raw > 0.0) & (raw < 2.0**-1022)).any()
+    sums = np.add.reduce(raw, axis=1)
+    scaled = raw[sums > 0.0] / sums[sums > 0.0, None]
+    alphabet = FiniteSet(["_"] + [f"s{k}" for k in range(1, size)])
+    blank = SmoothTape.blank_tape(alphabet, "_")
+    stay = Dist.point(DIRECTIONS, 0).weights
+    near = 0
+    for v in [*raw, *scaled]:
+        v = v.copy()
+        total = float(np.add.reduce(v))
+        assert superpose_tape(blank, v, stay).err == abs(total - 1.0)
+        if abs(total - 1.0) <= 1e-12:
+            near += 1
+            want = v if total == 1.0 else v / total
+            assert renormalized(v).tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ValueError) as exc:
+                renormalized(v, "write")
+            assert str(exc.value).startswith(f"write mass {total} off 1")
+    assert near >= len(scaled)
+
+
+def test_tape_deviation_matches_per_cell_definition():
+    """One pass over both windows padded to their union gives the per-cell
+    maximum, for overlapping, nested and disjoint windows."""
+    rng = np.random.default_rng(37)
+    alphabet = FiniteSet(["_", "A", "B"])
+
+    def tape(lo, width):
+        cells = rng.dirichlet(np.ones(3), width)
+        cells[rng.random(width) < 0.3] = [0.0, 1.0, 0.0]
+        return SmoothTape(alphabet, "_", lo, cells)
+
+    def per_cell(a, b):
+        lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+        return max(float(np.abs(a.row(i) - b.row(i)).max()) for i in range(lo, hi + 1))
+
+    shapes = [((-2, 5), (1, 4)), ((-3, 8), (-1, 2)), ((-6, 2), (3, 3)), ((0, 1), (0, 1))]
+    shapes += [tuple((int(rng.integers(-6, 7)), int(rng.integers(1, 7))) for _ in "ab")
+               for _ in range(200)]
+    for (lo_a, w_a), (lo_b, w_b) in shapes:
+        a, b = tape(lo_a, w_a), tape(lo_b, w_b)
+        assert a.deviation(b) == per_cell(a, b) == b.deviation(a)
+        assert a.deviation(a) == 0.0
+    blank = SmoothTape.blank_tape(alphabet, "_")
+    assert blank.deviation(a) == per_cell(blank, a)
+    other = SmoothTape.blank_tape(FiniteSet(["_", "A"]), "_")
+    with pytest.raises(ValueError, match="tapes over different alphabets"):
+        blank.deviation(other)
+
+
 def _reference_superposition(tape: SmoothTape, write, dirs):
     """The general superposition summed into a zeros buffer, term by term in
     DIRECTIONS order, as (lo, raw rows) before any validation."""

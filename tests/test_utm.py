@@ -343,3 +343,28 @@ def test_verify_utm_shuffled_run_failure_is_a_violation(monkeypatch, error):
     assert "shuffle_deviation" not in result
     assert result["cycle_lengths"] and not result["pass"]
     assert not result["well_behaved"]
+
+
+def test_strict_predicate_messages_pinned():
+    """Outside the read section the predicate rejects before building its
+    message; a strict caller still gets the same text."""
+    from smoothtm.engine import SectionConfig
+
+    m = identity_machine()
+    utm = build_utm(m.states, m.alphabet, m.blank)
+    code = encode_code(m)
+    cfg = encode_config(utm, code, half_ab(m))
+    wait = np.zeros(len(utm.machine.sections["wait"]))
+    cases = [
+        ({"read": cfg.state["read"], "wait": wait}, "['read', 'wait']"),
+        ({"wait": wait}, "['wait']"),
+    ]
+    for state, names in cases:
+        bad = SectionConfig(cfg.machine, state, cfg.tapes)
+        assert encoding_of(utm, code, bad) is None
+        with pytest.raises(ValueError) as exc:
+            encoding_of(utm, code, bad, strict=True)
+        assert str(exc.value) == (
+            f"not a valid encoding: state mass outside section read ({names})"
+        )
+    assert encoding_of(utm, code, cfg, strict=True) is not None
