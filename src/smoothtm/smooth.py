@@ -53,13 +53,17 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
         if low < -ATOL:
             raise ValueError(f"negative cell weight {low}")
         sums, nonzero = row_stats(rows)
-        _check_row_sums(sums)
+        bad = np.abs(sums - 1.0).max()
+        if not bad <= ATOL:  # also rejects NaN
+            raise ValueError(f"cell weights off the simplex by {bad}")
         if low < 0.0:
             neg = (rows < 0.0).any(axis=1)
             fixed = np.where(rows[neg] < 0.0, 0.0, rows[neg])
             rows[neg] = fixed / row_stats(fixed)[0][:, None]
             nonzero = row_stats(rows)[1]
-        _point_masses(rows, nonzero)
+        single = nonzero == 1
+        if single.any():
+            rows[single] = rows[single] != 0.0
     return rows
 
 
@@ -74,22 +78,6 @@ def row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return rows.sum(axis=1), np.count_nonzero(rows, axis=1)
     cols = np.asfortranarray(rows)
     return cols.sum(axis=1), np.count_nonzero(cols, axis=1)
-
-
-def _check_row_sums(sums: np.ndarray) -> None:
-    bad = np.abs(sums - 1.0).max(initial=0.0)
-    if not bad <= ATOL:  # also rejects NaN
-        raise ValueError(f"cell weights off the simplex by {bad}")
-
-
-def _point_masses(rows: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
-    """Make every row with one nonzero weight (``nonzero`` counts them per
-    row) an exact 0.0/1.0 point mass, in place; returns the mask of those
-    rows."""
-    single = nonzero == 1
-    if single.any():
-        rows[single] = rows[single] != 0.0
-    return single
 
 
 def _row_error(rows: np.ndarray) -> float:
@@ -330,7 +318,10 @@ def _superpose_general(
     The rows are validated here in one pass, to the contract of
     :func:`clean_rows`: the tape's rows are non-negative already, so
     non-negative ``write`` and ``dirs`` make every new row non-negative, and
-    only the row sums are left to check.
+    only the row sums are left to check.  Under 8 symbols the row sums and
+    nonzero counts add the block's columns in order, which is what
+    :func:`row_stats` computes; each row's ``|sum - 1|`` serves both the
+    simplex check and the error bound.
     """
     for what, v in (("write", write), ("direction", dirs)):
         if v.min() < 0.0:
@@ -353,17 +344,39 @@ def _superpose_general(
                 out += term
     if out is None:
         raise ValueError("direction weights off the simplex by 1.0")
-    sums, nonzero = row_stats(out)
-    _check_row_sums(sums)
-    single = _point_masses(out, nonzero)
-    sums[single] = 1.0
-    keep = np.flatnonzero(~(single & (out[:, bidx] != 0.0)))
-    if len(keep) == 0:  # every cell is an exact blank
-        return SmoothTape._trusted(tape.alphabet, tape.blank, 0, out[:1], 0.0)
-    first, last = int(keep[0]), int(keep[-1]) + 1
-    err = float(np.abs(sums[first:last] - 1.0).max())
+    k = out.shape[1]
+    if k < 8:
+        sums = out[:, 0].copy()
+        for j in range(1, k):
+            sums += out[:, j]
+        mask = (out != 0.0).view(np.uint8)
+        nonzero = mask[:, 0].copy()
+        for j in range(1, k):
+            nonzero += mask[:, j]
+    else:
+        sums, nonzero = out.sum(axis=1), np.count_nonzero(out, axis=1)
+    sums -= 1.0
+    dev = np.abs(sums, out=sums)  # each row's |sum - 1|
+    bad = dev.max()
+    if not bad <= ATOL:  # also rejects NaN
+        raise ValueError(f"cell weights off the simplex by {bad}")
+    single = np.flatnonzero(nonzero == 1)
+    first, last = 0, n
+    if len(single):
+        rows = out[single] != 0.0
+        out[single] = rows
+        dev[single] = 0.0
+        blanks = single[rows[:, bidx]]  # the exact blank rows, in order
+        if len(blanks) and (blanks[0] == 0 or blanks[-1] == n - 1):
+            keep = np.ones(n, dtype=bool)
+            keep[blanks] = False
+            keep = np.flatnonzero(keep)
+            if len(keep) == 0:  # every cell is an exact blank
+                return SmoothTape._trusted(tape.alphabet, tape.blank, 0, out[:1], 0.0)
+            first, last = int(keep[0]), int(keep[-1]) + 1
     return SmoothTape._trusted(
-        tape.alphabet, tape.blank, lo2 + first, out[first:last], err
+        tape.alphabet, tape.blank, lo2 + first, out[first:last],
+        float(dev[first:last].max()),
     )
 
 
@@ -376,20 +389,17 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
 
     The joint is a plain weight vector, flat in the order :func:`tensor`
     uses, and every operator's domain must have the factors
-    (state set, tape alphabets...).  Operators and joint are non-negative,
+    (state set, tape alphabets...), checked once per operator set and sets
+    (:func:`_check_domains`).  Operators and joint are non-negative,
     so a renormalized output needs no re-validation as a :class:`Dist`.
     """
-    factors = factors_of(s.state.base, *(t.alphabet for t in s.tapes))
     local = s.state.weights
     for t in s.tapes:
-        local = np.outer(local, t.row(0)).reshape(-1)
+        local = np.multiply.outer(local, t.row(0)).reshape(-1)
     total = float(local.sum())
     if not abs(total - 1.0) <= ATOL:  # also rejects NaN
         raise ValueError(f"local joint mass {total} off 1 by more than {ATOL}")
-    every = [ops["state"], *ops["write"], *ops["dir"]]
-    for domain in {id(op.domain): op.domain for op in every}.values():
-        if factors_of(domain) != factors:
-            raise ValueError("local joint does not match the operator domain")
+    _check_domains(ops, (s.state.base, *(t.alphabet for t in s.tapes)))
 
     def pushed(op, what: str) -> Dist:
         return Dist._trusted(op.codomain, renormalized(op.matrix @ local, what))
@@ -399,6 +409,27 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
         [pushed(op, "write") for op in ops["write"]],
         [pushed(op, "direction") for op in ops["dir"]],
     )
+
+
+# ids of the operators and sets of the last domain check passed, and the
+# objects themselves, held so that no id is reused while it is remembered
+_checked_domains: tuple = ((), ())
+
+
+def _check_domains(ops: dict, sets: tuple) -> None:
+    """Every operator's domain must have the factors of the product of
+    ``sets``; a run steps one operator set over the same set objects, so
+    only a new combination is checked."""
+    global _checked_domains
+    held = (ops["state"], *ops["write"], *ops["dir"], *sets)
+    key = tuple(map(id, held))
+    if key == _checked_domains[0]:
+        return
+    factors = factors_of(*sets)
+    for op in held[: -len(sets)]:
+        if factors_of(op.domain) != factors:
+            raise ValueError("local joint does not match the operator domain")
+    _checked_domains = (key, held)
 
 
 def apply_step(s: SmoothConfig, state: Dist, writes, dirs) -> SmoothConfig:
@@ -532,7 +563,12 @@ def dist_obj(base: FiniteSet, weights) -> dict:
 
 
 def tape_obj(t: SmoothTape) -> dict:
-    return {"lo": t.lo, "cells": [dist_obj(t.alphabet, r) for r in t.cells]}
+    """:func:`dist_obj` of every cell, the rows read as Python floats."""
+    labels = [str(x) for x in t.alphabet.elements]
+    cells = [
+        {a: w for a, w in zip(labels, row) if w} for row in t.cells.tolist()
+    ]
+    return {"lo": t.lo, "cells": cells}
 
 
 def config_obj(s: SmoothConfig) -> dict:
@@ -560,6 +596,11 @@ def load_json(text: str):
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None
 
+
+# The most cells a tape's window and its head may span when read: the first
+# step pads the window out to the head, so a window far from it would
+# allocate rows for every cell in between.
+MAX_TAPE_SPAN = 10**6
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object"}
 _REQUIRED = object()
@@ -610,21 +651,46 @@ def dist_from_obj(obj, base: FiniteSet, path: str, what: str) -> Dist:
         raise FormatError(f"{path}: bad {what} distribution: {exc}") from None
 
 
+def _fill_rows(rows: np.ndarray, cells: list, index: dict) -> bool:
+    """Write every cell's ``{label: weight}`` into ``rows`` in one assignment
+    if all cells are objects of known labels and finite float weights;
+    returns whether they were, writing nothing otherwise."""
+    if not all(type(c) is dict for c in cells):
+        return False
+    labels = [index.get(k) for c in cells for k in c]
+    weights = [v for c in cells for v in c.values()]
+    if None in labels or not all(type(v) is float for v in weights):
+        return False
+    weights = np.array(weights)
+    if not np.isfinite(weights).all():
+        return False
+    rows[np.repeat(np.arange(len(cells)), [len(c) for c in cells]), labels] = weights
+    return True
+
+
 def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
     """Read a tape; ``lo`` defaults to 0, and no cells means a blank tape.
 
-    The cells fill one array that :class:`SmoothTape` validates at once; a
-    window off the simplex is reported at its first bad cell.
+    The window and the head (cell 0) may span at most :data:`MAX_TAPE_SPAN`
+    cells.  The cells fill one array that :class:`SmoothTape` validates at
+    once; a window off the simplex is reported at its first bad cell.
     """
     json_value(obj, dict, path)
     lo = json_field(obj, "lo", int, path, default=0)
     cells = json_field(obj, "cells", list, path, default=[])
     if not cells:
         return SmoothTape.blank_tape(alphabet, blank)
+    span = max(lo + len(cells) - 1, 0) - min(lo, 0) + 1
+    if span > MAX_TAPE_SPAN:
+        raise FormatError(
+            f"{path}.lo: the window and the head span {span} cells, "
+            f"more than {MAX_TAPE_SPAN}"
+        )
     rows = np.zeros((len(cells), len(alphabet)))
     index = _label_index(alphabet)
-    for i, c in enumerate(cells):
-        _fill_weights(rows[i], c, index, f"{path}.cells[{i}]", "symbol")
+    if not _fill_rows(rows, cells, index):
+        for i, c in enumerate(cells):
+            _fill_weights(rows[i], c, index, f"{path}.cells[{i}]", "symbol")
     try:
         return SmoothTape(alphabet, blank, lo, rows)
     except ValueError:

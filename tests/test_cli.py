@@ -509,3 +509,23 @@ def test_run_huge_tape_count_exit_2(files, capsys):
         "delta is not total: no transitions given",
     )
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("lo", [10**12, 10**30])
+@pytest.mark.parametrize("command", ["run", "run --smooth", "utm --input"])
+def test_far_tape_window_exit_2(files, capsys, command, lo):
+    # the head writes A on the blank at cell 0, so the first step would pad
+    # the window out to it
+    writer = files["dir"] / "writer.tm"
+    writer.write_text(LR_TM.replace("q _ -> q _ S", "q _ -> q A S"))
+    far = files["dir"] / "far.cfg"
+    far.write_text(json.dumps(
+        {"state": {"q": 1.0}, "tapes": [{"lo": lo, "cells": [{"A": 1.0}]}]}
+    ))
+    argv = {
+        "run": ["run", str(writer), str(far)],
+        "run --smooth": ["run", str(writer), str(far), "--smooth"],
+        "utm --input": ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
+                        "--code", str(writer), "--input", str(far)],
+    }[command]
+    assert_usage_error(argv, capsys, "far.cfg", "tapes[0].lo", str(lo + 1))

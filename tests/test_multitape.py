@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from smoothtm.multitape import (
     to_section_config,
 )
 from smoothtm.sampling import random_machine, random_smooth_config
+from smoothtm.sections import SectionMachine
 from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step
 
 
@@ -234,6 +237,44 @@ def test_broken_variant_fails_well_behavedness():
     assert not res.passes(1e-9)
     assert any("overlaps" in v["violation"] for v in res.violations)
     assert all(isinstance(v["step"], int) for v in res.violations)
+
+
+def _state_shifted(sim):
+    """``sim`` with its state-update tract sending each context to state
+    (delta's target + 1) mod |Q|: every cycle completes, to a wrong state."""
+    nq = len(sim.source.states)
+    tracts = []
+    for t in sim.machine.tracts:
+        if t.label == "state-update":
+            def shifted(xi, syms, index_map=t.index_map):
+                to, writes, moves = index_map(xi, syms)
+                return (to + 1) % nq, writes, moves
+
+            t = dataclasses.replace(t, index_map=shifted)
+        tracts.append(t)
+    sm = sim.machine
+    machine = SectionMachine(sm.sections, tracts, sm.alphabet, sm.blank, sm.num_tapes)
+    return dataclasses.replace(sim, machine=machine)
+
+
+@pytest.mark.parametrize("seed", [3, 6, 9])
+def test_commuting_square_catches_a_wrong_state_update(seed):
+    """A compile that completes every cycle with the wrong state fails on
+    the deviation alone, at the correct compile's cycle lengths."""
+    rng = np.random.default_rng(seed)
+    m = random_machine(rng, 2, int(rng.integers(2, 4)), 3)
+    s = random_smooth_config(m, rng, radius=2)
+    sim = compile_multitape(m)
+    results = []
+    for compiled in (sim, _state_shifted(sim)):
+        x0 = to_section_config(compiled, encode(compiled, s))
+        results.append(check_preserving(make_triple(compiled), x0, cycles=2))
+    good, bad = results
+    assert good.passes(1e-9), (good.violations[:3], good.max_deviation)
+    assert bad.cycle_lengths == good.cycle_lengths
+    assert not bad.violations
+    assert bad.max_deviation > 1e-3
+    assert not bad.passes(1e-9)
 
 
 def test_engine_agrees_with_lowered_dense_step_on_compiled_sim():

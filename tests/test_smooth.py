@@ -472,6 +472,17 @@ def test_parse_config_matches_per_cell_dists(seed):
                                "weights sum to 1.1, not 1 within 1e-12"),
         ({"A": -0.5, "B": 1.5}, "tapes[0].cells[3]: bad symbol distribution: "
                                 "negative weight -0.5 below -1e-12"),
+        ({"A": 0.5, "Z": 0.5}, "tapes[0].cells[3]: unknown symbol 'Z'"),
+        ({"A": 0.5, "B": True}, "tapes[0].cells[3]: weight of symbol 'B' must be "
+                                "a finite number, got True"),
+        ({"A": 0.5, "B": "0.5"}, "tapes[0].cells[3]: weight of symbol 'B' must be "
+                                 "a finite number, got '0.5'"),
+        ({"A": 0.5, "B": float("nan")}, "tapes[0].cells[3]: weight of symbol 'B' "
+                                        "must be a finite number, got nan"),
+        ([0.5], "tapes[0].cells[3] must be an object, got [0.5]"),
+        # an int weight is read, so the first bad cell is the last one
+        ({"A": 1}, "tapes[0].cells[5]: bad symbol distribution: "
+                   "weights sum to 0.2, not 1 within 1e-12"),
     ],
 )
 def test_parse_config_names_first_bad_cell(bad, expected):
@@ -485,6 +496,19 @@ def test_parse_config_names_first_bad_cell(bad, expected):
     with pytest.raises(FormatError) as exc:
         parse_config(text, m)
     assert str(exc.value) == expected
+
+
+def test_parse_config_reads_int_weights():
+    import json
+
+    m = lr_machine()
+    cells = [{"A": 1.0}, {"A": 1, "B": 0}, {"A": 0.5, "B": 0.5}, {"_": 0, "B": 1}]
+    text = json.dumps({"state": {"q": 1}, "tapes": [{"lo": -1, "cells": cells}]})
+    s = parse_config(text, m)
+    assert s.tapes[0].lo == -1
+    assert s.tapes[0].cells.tolist() == [
+        [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]
+    ]
 
 
 def test_clean_rows_renormalizes_only_clamped_rows():
