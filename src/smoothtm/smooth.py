@@ -53,9 +53,7 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
         if low < -ATOL:
             raise ValueError(f"negative cell weight {low}")
         sums, nonzero = row_stats(rows)
-        bad = np.abs(sums - 1.0).max()
-        if not bad <= ATOL:  # also rejects NaN
-            raise ValueError(f"cell weights off the simplex by {bad}")
+        _check_row_errors(np.abs(sums - 1.0))
         if low < 0.0:
             neg = (rows < 0.0).any(axis=1)
             fixed = np.where(rows[neg] < 0.0, 0.0, rows[neg])
@@ -68,16 +66,30 @@ def clean_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def row_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rows.sum(axis=1)`` and ``np.count_nonzero(rows, axis=1)``, bit for bit.
+    """``rows.sum(axis=1)`` and ``np.count_nonzero(rows, axis=1)``, equal
+    bit for bit (the counts as uint8 under 8 symbols).
 
     numpy reduces each short row of a row-major block in a loop of its own,
-    so under 8 symbols a column-major copy is reduced, column by column over
-    all rows at once: numpy adds under 8 elements left to right, the same
-    order."""
-    if not 0 < rows.shape[1] < 8:
+    so under 8 symbols the columns are added in order over all rows at once:
+    numpy adds under 8 elements left to right, the same order.  The counts
+    add the columns' ``!= 0`` masks."""
+    k = rows.shape[1]
+    if not 0 < k < 8:
         return rows.sum(axis=1), np.count_nonzero(rows, axis=1)
-    cols = np.asfortranarray(rows)
-    return cols.sum(axis=1), np.count_nonzero(cols, axis=1)
+    sums = rows[:, 0].copy()
+    mask = (rows != 0.0).view(np.uint8)
+    nonzero = mask[:, 0].copy()
+    for j in range(1, k):
+        sums += rows[:, j]
+        nonzero += mask[:, j]
+    return sums, nonzero
+
+
+def _check_row_errors(dev: np.ndarray) -> None:
+    """Reject rows whose ``|sum - 1|`` (``dev``) exceeds ATOL or is NaN."""
+    bad = dev.max()
+    if not bad <= ATOL:  # also rejects NaN
+        raise ValueError(f"cell weights off the simplex by {bad}")
 
 
 def _row_error(rows: np.ndarray) -> float:
@@ -318,10 +330,8 @@ def _superpose_general(
     The rows are validated here in one pass, to the contract of
     :func:`clean_rows`: the tape's rows are non-negative already, so
     non-negative ``write`` and ``dirs`` make every new row non-negative, and
-    only the row sums are left to check.  Under 8 symbols the row sums and
-    nonzero counts add the block's columns in order, which is what
-    :func:`row_stats` computes; each row's ``|sum - 1|`` serves both the
-    simplex check and the error bound.
+    only the row sums are left to check.  Each row's ``|sum - 1|`` serves
+    both the simplex check and the error bound.
     """
     for what, v in (("write", write), ("direction", dirs)):
         if v.min() < 0.0:
@@ -344,22 +354,10 @@ def _superpose_general(
                 out += term
     if out is None:
         raise ValueError("direction weights off the simplex by 1.0")
-    k = out.shape[1]
-    if k < 8:
-        sums = out[:, 0].copy()
-        for j in range(1, k):
-            sums += out[:, j]
-        mask = (out != 0.0).view(np.uint8)
-        nonzero = mask[:, 0].copy()
-        for j in range(1, k):
-            nonzero += mask[:, j]
-    else:
-        sums, nonzero = out.sum(axis=1), np.count_nonzero(out, axis=1)
+    sums, nonzero = row_stats(out)
     sums -= 1.0
     dev = np.abs(sums, out=sums)  # each row's |sum - 1|
-    bad = dev.max()
-    if not bad <= ATOL:  # also rejects NaN
-        raise ValueError(f"cell weights off the simplex by {bad}")
+    _check_row_errors(dev)
     single = np.flatnonzero(nonzero == 1)
     first, last = 0, n
     if len(single):
@@ -389,17 +387,20 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
 
     The joint is a plain weight vector, flat in the order :func:`tensor`
     uses, and every operator's domain must have the factors
-    (state set, tape alphabets...), checked once per operator set and sets
-    (:func:`_check_domains`).  Operators and joint are non-negative,
+    (state set, tape alphabets...).  Operators and joint are non-negative,
     so a renormalized output needs no re-validation as a :class:`Dist`.
     """
+    factors = factors_of(s.state.base, *(t.alphabet for t in s.tapes))
     local = s.state.weights
     for t in s.tapes:
         local = np.multiply.outer(local, t.row(0)).reshape(-1)
     total = float(local.sum())
     if not abs(total - 1.0) <= ATOL:  # also rejects NaN
         raise ValueError(f"local joint mass {total} off 1 by more than {ATOL}")
-    _check_domains(ops, (s.state.base, *(t.alphabet for t in s.tapes)))
+    every = [ops["state"], *ops["write"], *ops["dir"]]
+    for domain in {id(op.domain): op.domain for op in every}.values():
+        if factors_of(domain) != factors:
+            raise ValueError("local joint does not match the operator domain")
 
     def pushed(op, what: str) -> Dist:
         return Dist._trusted(op.codomain, renormalized(op.matrix @ local, what))
@@ -409,27 +410,6 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
         [pushed(op, "write") for op in ops["write"]],
         [pushed(op, "direction") for op in ops["dir"]],
     )
-
-
-# ids of the operators and sets of the last domain check passed, and the
-# objects themselves, held so that no id is reused while it is remembered
-_checked_domains: tuple = ((), ())
-
-
-def _check_domains(ops: dict, sets: tuple) -> None:
-    """Every operator's domain must have the factors of the product of
-    ``sets``; a run steps one operator set over the same set objects, so
-    only a new combination is checked."""
-    global _checked_domains
-    held = (ops["state"], *ops["write"], *ops["dir"], *sets)
-    key = tuple(map(id, held))
-    if key == _checked_domains[0]:
-        return
-    factors = factors_of(*sets)
-    for op in held[: -len(sets)]:
-        if factors_of(op.domain) != factors:
-            raise ValueError("local joint does not match the operator domain")
-    _checked_domains = (key, held)
 
 
 def apply_step(s: SmoothConfig, state: Dist, writes, dirs) -> SmoothConfig:
@@ -559,15 +539,18 @@ def psi_update(
 
 def dist_obj(base: FiniteSet, weights) -> dict:
     """``{label: weight}`` over the support of a weight vector on ``base``."""
-    return {str(x): float(w) for x, w in zip(base.elements, weights) if w != 0.0}
+    labels = [str(x) for x in base.elements]
+    return dist_obj_row(labels, np.asarray(weights, dtype=np.float64).tolist())
+
+
+def dist_obj_row(labels: list[str], row: list[float]) -> dict:
+    """:func:`dist_obj` of a row of Python floats under rendered labels."""
+    return {a: w for a, w in zip(labels, row) if w != 0.0}
 
 
 def tape_obj(t: SmoothTape) -> dict:
-    """:func:`dist_obj` of every cell, the rows read as Python floats."""
     labels = [str(x) for x in t.alphabet.elements]
-    cells = [
-        {a: w for a, w in zip(labels, row) if w} for row in t.cells.tolist()
-    ]
+    cells = [dist_obj_row(labels, row) for row in t.cells.tolist()]
     return {"lo": t.lo, "cells": cells}
 
 
@@ -671,28 +654,23 @@ def _fill_rows(rows: np.ndarray, cells: list, index: dict) -> bool:
 def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
     """Read a tape; ``lo`` defaults to 0, and no cells means a blank tape.
 
-    The window and the head (cell 0) may span at most :data:`MAX_TAPE_SPAN`
-    cells.  The cells fill one array that :class:`SmoothTape` validates at
-    once; a window off the simplex is reported at its first bad cell.
+    The cells fill one array that :class:`SmoothTape` validates at once; a
+    window off the simplex is reported at its first bad cell.  Once exact
+    blank ends are trimmed, the window and the head (cell 0) may span at
+    most :data:`MAX_TAPE_SPAN` cells.
     """
     json_value(obj, dict, path)
     lo = json_field(obj, "lo", int, path, default=0)
     cells = json_field(obj, "cells", list, path, default=[])
     if not cells:
         return SmoothTape.blank_tape(alphabet, blank)
-    span = max(lo + len(cells) - 1, 0) - min(lo, 0) + 1
-    if span > MAX_TAPE_SPAN:
-        raise FormatError(
-            f"{path}.lo: the window and the head span {span} cells, "
-            f"more than {MAX_TAPE_SPAN}"
-        )
     rows = np.zeros((len(cells), len(alphabet)))
     index = _label_index(alphabet)
     if not _fill_rows(rows, cells, index):
         for i, c in enumerate(cells):
             _fill_weights(rows[i], c, index, f"{path}.cells[{i}]", "symbol")
     try:
-        return SmoothTape(alphabet, blank, lo, rows)
+        tape = SmoothTape(alphabet, blank, lo, rows)
     except ValueError:
         for i, row in enumerate(rows):
             try:
@@ -702,6 +680,13 @@ def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
                     f"{path}.cells[{i}]: bad symbol distribution: {exc}"
                 ) from None
         raise
+    span = max(tape.hi, 0) - min(tape.lo, 0) + 1
+    if span > MAX_TAPE_SPAN:
+        raise FormatError(
+            f"{path}.lo: the window and the head span {span} cells, "
+            f"more than {MAX_TAPE_SPAN}"
+        )
+    return tape
 
 
 def format_config(s: SmoothConfig) -> str:

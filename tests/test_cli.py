@@ -518,14 +518,24 @@ def test_far_tape_window_exit_2(files, capsys, command, lo):
     # the window out to it
     writer = files["dir"] / "writer.tm"
     writer.write_text(LR_TM.replace("q _ -> q _ S", "q _ -> q A S"))
-    far = files["dir"] / "far.cfg"
-    far.write_text(json.dumps(
-        {"state": {"q": 1.0}, "tapes": [{"lo": lo, "cells": [{"A": 1.0}]}]}
-    ))
-    argv = {
-        "run": ["run", str(writer), str(far)],
-        "run --smooth": ["run", str(writer), str(far), "--smooth"],
-        "utm --input": ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
-                        "--code", str(writer), "--input", str(far)],
-    }[command]
-    assert_usage_error(argv, capsys, "far.cfg", "tapes[0].lo", str(lo + 1))
+
+    def argv(cells):
+        far = files["dir"] / "far.cfg"
+        far.write_text(json.dumps(
+            {"state": {"q": 1.0}, "tapes": [{"lo": lo, "cells": cells}]}
+        ))
+        return {
+            "run": ["run", str(writer), str(far)],
+            "run --smooth": ["run", str(writer), str(far), "--smooth"],
+            "utm --input": ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
+                            "--code", str(writer), "--input", str(far)],
+        }[command]
+
+    assert_usage_error(argv([{"A": 1.0}]), capsys, "far.cfg", "tapes[0].lo", str(lo + 1))
+    # exact blanks trim away, so a far blank window is the blank tape
+    assert main(argv([{"_": 1.0}, {"_": 1.0}])) == 0
+    captured = capsys.readouterr()
+    assert "error" not in captured.err
+    assert json.loads(captured.out.splitlines()[0]) == {
+        "state": {"q": 1.0}, "tapes": [{"lo": 0, "cells": [{"A": 1.0}]}]
+    }
