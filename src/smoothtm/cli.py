@@ -236,11 +236,11 @@ def cmd_utm(args) -> int:
     try:
         for _ in range(args.cycles):
             cfg, _t = run_to_next_encoding(triple, cfg)
-            reference = utm_mod.utm_cycle_semantics(code, reference)
+            reference = triple.target_step(reference)
     except CycleOverrun as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    decoded = utm_mod.decode_config(machine, code, cfg)
+    decoded = triple.decode(cfg)
     dev = decoded.deviation(reference)
     print(format_config(decoded))
     print(

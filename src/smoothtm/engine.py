@@ -104,7 +104,8 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     # the read offsets with positive joint mass, as a bit mask
     offsets = head_rows[0].nonzero()[0].tolist()
     for r in head_rows[1:]:
-        offsets = [o * A + k for o in offsets for k in r.nonzero()[0].tolist()]
+        ks = r.nonzero()[0].tolist()
+        offsets = [o * A + k for o in offsets for k in ks]
     supported = sum(1 << o for o in offsets)  # the offsets are distinct
     acc: dict[str, np.ndarray] = {}
     write_acc = None

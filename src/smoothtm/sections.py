@@ -89,7 +89,7 @@ class SectionMachine:
     _tables: dict = field(default_factory=dict, repr=False)
     # per read-set tuple: read combos, offsets and offset bits
     _reads: dict = field(default_factory=dict, repr=False, compare=False)
-    # broadcast copy-tract arrays, read-only and shared by every table
+    # broadcast copy-tract arrays, shared by every table
     _copies: dict = field(default_factory=dict, repr=False, compare=False)
     # position of each section id in ``sections``
     rank: dict = field(init=False, repr=False, compare=False)
@@ -163,8 +163,6 @@ class SectionMachine:
                 for j, w in enumerate(t.write)
             )
             d_idx = tuple(np.full(src.size, d + 1, dtype=np.intp) for d in t.move)
-            for a in (src, tgt, *w_idx, *d_idx):
-                a.flags.writeable = False
             arrays = self._copies[key] = (src, tgt, w_idx, d_idx)
         return arrays
 
@@ -197,8 +195,9 @@ class _SectionTable:
     map is called once for all pairs its guard keeps, and what it gives is
     validated here once.  ``bits`` of an entry and ``uncovered_bits``
     mark the read offsets they touch, so the engine can skip what the head
-    cannot read.  The table keeps no reference to its machine, which caches
-    it, so a machine is freed without the cycle collector.
+    cannot read.  Every array is read-only, so machines may share a table.
+    The table keeps no reference to its machine, which caches it, so a
+    machine is freed without the cycle collector.
     """
 
     __slots__ = (
@@ -224,6 +223,8 @@ class _SectionTable:
             src = arrays[0]
             if not src.size:
                 continue
+            for a in (src, arrays[1], *arrays[2], *arrays[3]):
+                a.flags.writeable = False  # shared by machines and tracts
             hit = covered[src]
             if hit.any():
                 flat = int(src[hit.argmax()])
@@ -239,6 +240,7 @@ class _SectionTable:
                 move = None
             self.entries.append(_TractEntry(t.target, *arrays, t.label, i, bits, move))
         self.uncovered = np.flatnonzero(~covered)
+        self.uncovered.flags.writeable = False
         partly_covered = ~covered.reshape(-1, size).all(axis=0)
         self.uncovered_bits = _bits(np.flatnonzero(partly_covered))
 

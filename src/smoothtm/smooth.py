@@ -613,7 +613,11 @@ def _fill_weights(row: np.ndarray, obj, index: dict, path: str, what: str) -> No
         i = index.get(k)
         if i is None:
             raise FormatError(f"{path}: unknown {what} {k!r}")
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        try:
+            finite = isinstance(v, (int, float)) and math.isfinite(v)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if isinstance(v, bool) or not finite:
             raise FormatError(
                 f"{path}: weight of {what} {k!r} must be a finite number, got {v!r}"
             )

@@ -37,6 +37,7 @@ the distribution unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,10 +79,17 @@ class UtmMachine:
         return 10 * self.tuples + 2
 
 
+@lru_cache(maxsize=16)
+def _shape_tables(shape: tuple) -> dict:
+    return {}
+
+
 def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine:
     """Emit the eight sections and all tracts of the universal machine.
 
     ``states`` is the simulated state set, or a count for fresh q0..qk names.
+    Its section tables depend only on the typed state labels, alphabet and
+    blank, so every machine of that shape in the process shares them.
     """
     if isinstance(states, int):
         if states < 1:
@@ -170,7 +178,11 @@ def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine
         copy("read", "read", NOTHASH, (-1, 0), "rewind"),
         forward("read", "scan1", HS, "load-read", lambda xi, s: xi * S + s[:, 1]),
     ]
-    sm = SectionMachine(sections, tracts, alpha_u, _sym(blank), 2)
+    # labels that compare equal across types (1 and True) get their own tables
+    shape = tuple(tuple((type(x), x) for x in xs) for xs in (Q, alphabet, [blank]))
+    sm = SectionMachine(
+        sections, tracts, alpha_u, _sym(blank), 2, _tables=_shape_tables(shape)
+    )
     return UtmMachine(sm, Q, alphabet, blank)
 
 
@@ -264,19 +276,22 @@ def _code_rows(utm: UtmMachine, code: DescriptionTape) -> np.ndarray:
 
 
 def encode_config(
-    utm: UtmMachine, code: DescriptionTape, s: SmoothConfig
+    utm: UtmMachine, code: DescriptionTape, s: SmoothConfig, code_rows=None
 ) -> SectionConfig:
     """Lay code and simulated configuration on the two tapes.
 
     The description head rests on the left marker; the working tape is the
-    simulated tape relabeled; the state sits on the read section.
+    simulated tape relabeled; the state sits on the read section.  Pass the
+    code's ``code_rows`` when the caller already has them.
     """
     if code.states != utm.states or code.alphabet != utm.alphabet:
         raise ValueError("code does not match the build parameters: size mismatch")
     if s.state.base != utm.states or len(s.tapes) != 1:
         raise ValueError("configuration does not match the build parameters")
     alpha_u = utm.machine.alphabet
-    desc = SmoothTape(alpha_u, _sym(utm.blank), 0, _code_rows(utm, code))
+    if code_rows is None:
+        code_rows = _code_rows(utm, code)
+    desc = SmoothTape(alpha_u, _sym(utm.blank), 0, code_rows)
     src = s.tapes[0]
     nsym = len(utm.alphabet)
     work_rows = np.zeros((len(src.cells), len(alpha_u)))
@@ -345,17 +360,22 @@ def decode_config(
 # ---------------------------------------------------------------------------
 
 
-def utm_cycle_semantics(code: DescriptionTape, s: SmoothConfig) -> SmoothConfig:
+def _code_ops(code: DescriptionTape) -> dict:
+    """The code's state, write and move operators over (state, symbol)."""
+    table, base = code.lookup(), product_set(code.states, code.alphabet)
+    state, write, move = (
+        stochastic_op(lambda e, k=k: table[e][k], base) for k in range(3)
+    )
+    return {"state": state, "write": [write], "dir": [move]}
+
+
+def utm_cycle_semantics(
+    code: DescriptionTape, s: SmoothConfig, ops: dict | None = None
+) -> SmoothConfig:
     """The generalized smooth step with the code's distribution-valued
-    transition components; equals the plain smooth step on classical codes."""
-    table = code.lookup()
-    base = product_set(code.states, code.alphabet)
-
-    def op(k):
-        return stochastic_op(lambda e: table[e][k], base)
-
-    ops = {"state": op(0), "write": [op(1)], "dir": [op(2)]}
-    return apply_step(s, *push_local(s, ops))
+    transition components; equals the plain smooth step on classical codes.
+    ``ops`` is the code's operators, when the caller already has them."""
+    return apply_step(s, *push_local(s, ops or _code_ops(code)))
 
 
 def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
@@ -371,8 +391,13 @@ def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
     return out
 
 
-def make_triple(utm: UtmMachine, code: DescriptionTape) -> GeneratingTriple:
-    code_rows = _code_rows(utm, code)
+def make_triple(
+    utm: UtmMachine, code: DescriptionTape, code_rows: np.ndarray | None = None
+) -> GeneratingTriple:
+    """The commuting square of ``code`` on ``utm``.  The code's rows (unless
+    given) and its operators are built once here and serve every cycle."""
+    code_rows = _code_rows(utm, code) if code_rows is None else code_rows
+    ops = _code_ops(code)
 
     def holds(cfg) -> bool:
         return encoding_of(utm, code, cfg, code_rows=code_rows) is not None
@@ -386,7 +411,7 @@ def make_triple(utm: UtmMachine, code: DescriptionTape) -> GeneratingTriple:
         stepper=section_smooth_step,
         enc=enc,
         decode=lambda cfg: decode_config(utm, code, cfg, code_rows),
-        target_step=lambda s: utm_cycle_semantics(code, s),
+        target_step=lambda s: utm_cycle_semantics(code, s, ops),
         max_steps=10 * utm.cycle_length(),
         step_checks=_utm_step_checks,
     )

@@ -129,18 +129,16 @@ def verify_utm(
         machine = utm.build_utm(nq, m.alphabet, m.blank)
         code = utm.encode_code(m, overrides)
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, MAX_RADIUS + 1)))
-        triple = utm.make_triple(machine, code)
+        rows = utm._code_rows(machine, code)
+        triple = utm.make_triple(machine, code, rows)
         res = check_preserving(
-            triple, utm.encode_config(machine, code, s), tol=tol, cycles=cycles
+            triple, utm.encode_config(machine, code, s, rows), tol=tol, cycles=cycles
         )
         shuffle_dev = None
         if res.encodings:
-            shuffled = code.shuffled(rng)
-            c2, violation = _shuffled_cycle(machine, shuffled, s)
+            decoded, violation = _shuffled_cycle(machine, code.shuffled(rng), s)
             if violation is None:
-                shuffle_dev = utm.decode_config(
-                    machine, code, res.encodings[0]
-                ).deviation(utm.decode_config(machine, shuffled, c2))
+                shuffle_dev = triple.decode(res.encodings[0]).deviation(decoded)
             else:
                 res.violations.append(violation)
         result = {
@@ -166,8 +164,8 @@ def verify_utm(
 def _shuffled_cycle(machine, code, s: SmoothConfig):
     """Run ``s`` encoded under the shuffled ``code`` to its next encoding.
 
-    Returns (configuration, None), or (None, violation) when the run gets
-    stuck or reaches no encoding within the step bound.
+    Returns (decoded configuration, None), or (None, violation) when the run
+    gets stuck or reaches no encoding within the step bound.
     """
     taken = 0
 
@@ -175,15 +173,17 @@ def _shuffled_cycle(machine, code, s: SmoothConfig):
         nonlocal taken
         taken = t
 
+    rows = utm._code_rows(machine, code)
+    triple = utm.make_triple(machine, code, rows)
     try:
         x, _ = run_to_next_encoding(
-            utm.make_triple(machine, code), utm.encode_config(machine, code, s), count
+            triple, utm.encode_config(machine, code, s, rows), count
         )
     except StuckError as exc:
         return None, {"step": taken + 1, "violation": f"shuffled run: {exc}"}
     except CycleOverrun as exc:
         return None, {"step": exc.steps, "violation": f"shuffled run: {exc}"}
-    return x, None
+    return triple.decode(x), None
 
 
 def staged_instance() -> tuple[Machine, SmoothConfig]:

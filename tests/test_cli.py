@@ -539,3 +539,30 @@ def test_far_tape_window_exit_2(files, capsys, command, lo):
     assert json.loads(captured.out.splitlines()[0]) == {
         "state": {"q": 1.0}, "tapes": [{"lo": 0, "cells": [{"A": 1.0}]}]
     }
+
+
+HUGE = str(10**400)  # an integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "config, label",
+    [
+        ('{"state": {"q": ' + HUGE + '}, "tapes": [' + TAPE + "]}", "state 'q'"),
+        ('{"state": {"q": 1.0}, "tapes": [{"cells": [{"A": ' + HUGE + "}]}]}",
+         "symbol 'A'"),
+    ],
+    ids=["state-weight", "cell-weight"],
+)
+@pytest.mark.parametrize("command", ["run", "run --smooth", "utm --input"])
+def test_huge_integer_weight_exit_2(files, capsys, command, config, label):
+    bad = files["dir"] / "huge.cfg"
+    bad.write_text(config)
+    argv = {
+        "run": ["run", files["lr.tm"], str(bad)],
+        "run --smooth": ["run", files["lr.tm"], str(bad), "--smooth"],
+        "utm --input": ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
+                        "--code", files["lr.tm"], "--input", str(bad)],
+    }[command]
+    assert_usage_error(
+        argv, capsys, "huge.cfg", f"weight of {label} must be a finite number"
+    )

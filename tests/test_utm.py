@@ -368,3 +368,71 @@ def test_strict_predicate_messages_pinned():
             f"not a valid encoding: state mass outside section read ({names})"
         )
     assert encoding_of(utm, code, cfg, strict=True) is not None
+
+
+# ---------------------------------------------------------------------------
+# Section tables shared by every machine of one shape
+# ---------------------------------------------------------------------------
+
+
+def test_same_shape_shares_every_table():
+    alphabet = FiniteSet(["_", "A", "B"])
+    one, two = (build_utm(2, alphabet, "_").machine for _ in range(2))
+    assert one is not two
+    for sid in one.sections:
+        assert one.table(sid) is two.table(sid)
+
+
+PQ = ["p", "q"]
+
+
+@pytest.mark.parametrize(
+    "one, two",
+    [
+        ((PQ, ["_", 1], "_"), (["p", "r"], ["_", 1], "_")),
+        ((PQ, ["_", 1], "_"), (PQ, ["_", 2], "_")),
+        ((PQ, ["_", 1], "_"), (PQ, ["_", 1], 1)),
+        ((PQ, ["_", 1], "_"), (PQ, ["_", True], "_")),
+    ],
+    ids=["states", "alphabet", "blank", "label-types"],
+)
+def test_other_shape_gets_other_tables(one, two):
+    a, b = (
+        build_utm(FiniteSet(states), FiniteSet(alphabet), blank).machine
+        for states, alphabet, blank in (one, two)
+    )
+    assert a._tables is not b._tables
+    for sid in a.sections:
+        assert a.table(sid) is not b.table(sid)
+        assert b.table(sid).alphabet is b.alphabet
+
+
+def test_shared_table_arrays_are_read_only():
+    sm = build_utm(3, FiniteSet(["_", "A"]), "_").machine
+    for sid in sm.sections:
+        table = sm.table(sid)
+        arrays = [table.uncovered]
+        for e in table.entries:
+            arrays += [e.src, e.tgt, *e.w_idx, *e.d_idx]
+        for a in arrays:
+            assert not a.flags.writeable
+            if a.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_utm_same_with_cold_or_warm_tables(seed):
+    from smoothtm import utm, verify
+
+    def campaign(s, trials=3):
+        return verify.report_json(
+            verify.verify_utm(trials=trials, seed=s, uncertain_codes=True)
+        )
+
+    utm._shape_tables.cache_clear()
+    cold = campaign(seed)
+    campaign(seed + 10, trials=6)
+    hits = utm._shape_tables.cache_info().hits
+    assert campaign(seed) == cold
+    assert utm._shape_tables.cache_info().hits == hits + 3
