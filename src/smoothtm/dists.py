@@ -1,11 +1,10 @@
 """Finite probability distributions and the linear operators they push through.
 
 Distributions are simplex vectors over named finite sets.  All machine
-semantics in this package reduce to four operations on them: tensor products
+semantics in this package reduce to three operations on them: tensor products
 (joint distributions of independent components), operators induced by total
-functions (pushforwards), convex combinations (superpositions weighted by a
-distribution), and direct sums over disjoint unions (mass split across
-sections).
+functions (pushforwards), and convex combinations (superpositions weighted by
+a distribution).
 
 Numerics: double precision throughout.  Operation-level comparisons use an
 absolute tolerance of 1e-12.  Point masses are kept canonical: a distribution
@@ -70,8 +69,8 @@ class FiniteSet:
 class ProductSet(FiniteSet):
     """Cartesian product of finite sets, stored flat in row-major order.
 
-    Elements are flat tuples, one coordinate per factor; the factor structure
-    is remembered so marginals are computable.
+    Elements are flat tuples, one coordinate per factor; the factors are
+    remembered, so a product of products flattens (:func:`factors_of`).
     """
 
     __slots__ = ("factors",)
@@ -82,10 +81,6 @@ class ProductSet(FiniteSet):
         for f in self.factors:
             elements = [e + (x,) for e in elements for x in f.elements]
         super().__init__(elements)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.factors)
 
 
 def factors_of(*sets: FiniteSet) -> tuple[FiniteSet, ...]:
@@ -247,8 +242,7 @@ def tensor(a: Dist, b: Dist) -> Dist:
     """Joint distribution of independent components, over the product set.
 
     Weights are stored flat, row-major in the declared factor order; factor
-    structure of the operands is flattened into the result so marginals stay
-    addressable.
+    structure of the operands is flattened into the result.
     """
     base = product_set(a.base, b.base)
     return Dist(base, np.outer(a.weights, b.weights).reshape(-1))
@@ -264,16 +258,6 @@ def tensor_many(dists: Sequence[Dist]) -> Dist:
     return out
 
 
-def marginal(d: Dist, k: int) -> Dist:
-    """Marginal of a product-set distribution onto its k-th factor."""
-    if not isinstance(d.base, ProductSet):
-        raise ValueError("marginal requires a distribution over a product set")
-    shape = d.base.shape
-    axes = tuple(i for i in range(len(shape)) if i != k)
-    w = d.weights.reshape(shape).sum(axis=axes)
-    return Dist(d.base.factors[k], w)
-
-
 def convex_combine(coeffs: Dist, parts: Sequence[Dist]) -> Dist:
     """Pointwise combination sum_k coeffs[k] * parts[k] over a common base."""
     if len(parts) != len(coeffs.base):
@@ -287,31 +271,4 @@ def convex_combine(coeffs: Dist, parts: Sequence[Dist]) -> Dist:
     w = np.zeros(len(base))
     for c, p in zip(coeffs.weights, parts):
         w += c * p.weights
-    return Dist(base, w)
-
-
-def disjoint_union(sets: Sequence[FiniteSet], tags: Sequence[Hashable]) -> FiniteSet:
-    """Disjoint union with elements (tag, label)."""
-    if len(sets) != len(tags):
-        raise ValueError("one tag per set")
-    elements = []
-    for t, s in zip(tags, sets):
-        elements.extend((t, x) for x in s.elements)
-    return FiniteSet(elements)
-
-
-def direct_sum(scaled: Sequence[tuple[float, Dist]], tags: Sequence[Hashable] | None = None) -> Dist:
-    """Concatenate scaled distributions into one over the disjoint union.
-
-    ``scaled`` is a sequence of (mass, distribution) pairs whose masses must
-    sum to 1 within 1e-12; the result gives each part's elements its scaled
-    weights, tagged by position (or by ``tags``).
-    """
-    total = sum(p for p, _ in scaled)
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"part masses sum to {total}, not 1: mass mismatch")
-    if tags is None:
-        tags = tuple(range(len(scaled)))
-    base = disjoint_union([d.base for _, d in scaled], tags)
-    w = np.concatenate([p * d.weights for p, d in scaled])
     return Dist(base, w)

@@ -79,7 +79,8 @@ class StepInfo:
     flows: dict[tuple[str, str], float]  # (source, target) -> mass moved
 
     def direction_point_mass(self, tape_index: int) -> bool:
-        return sum(c != 0.0 for c in self.dirs[tape_index].tolist()) == 1
+        # two of the three weights are zero (NaN is not), so one is not
+        return self.dirs[tape_index].tolist().count(0.0) == 2
 
 
 _UNIT_DIRS = np.eye(3)  # the point masses over DIRECTIONS
@@ -92,11 +93,11 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     Every accumulator starts as a bincount, which adds in the same order as
     ``np.add.at`` into zeros and so gives the same bits.  When all entries
     that move mass record one move, each tape's directions are its shared
-    unit vector, the bits a one-bin scatter renormalizes to; otherwise (the
-    UTM's closing tract) they are scattered.  So only a direction sum off 1
-    beside a write sum within 1e-12 loses its "direction mass" error.  Tape
-    rows are non-negative, and so is the new state when the old one is: then
-    its ``err`` is set."""
+    unit vector, the bits a one-bin scatter renormalizes to, and the move is
+    handed to ``superpose_tape``; otherwise (the UTM's closing tract) they
+    are scattered.  So only a direction sum off 1 beside a write sum within
+    1e-12 loses its "direction mass" error.  Tape rows are non-negative, and
+    so is the new state when the old one is: then its ``err`` is set."""
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
@@ -146,15 +147,18 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     writes = [renormalized(w, "write") for w in write_acc or [np.zeros(A)] * n]
     moves = {e.move for e, _ in moving}
     if len(moves) == 1 and None not in moves:
-        dirs = [_UNIT_DIRS[k] for k in moves.pop()]
+        move = moves.pop()
+        dirs = [_UNIT_DIRS[k] for k in move]
     else:
+        move = (None,) * n
         dir_acc = np.zeros((n, 3))
         for e, vals in moving:
             for d_acc, d in zip(dir_acc, e.d_idx):
                 np.add.at(d_acc, d, vals)
         dirs = [renormalized(d, "direction") for d in dir_acc]
     tapes = tuple(
-        superpose_tape(t, w, d) for t, w, d in zip(cfg.tapes, writes, dirs)
+        superpose_tape(t, w, d, k)
+        for t, w, d, k in zip(cfg.tapes, writes, dirs, move)
     )
     if len(acc) == 1:
         state = acc  # a zero vector fails the mass check below

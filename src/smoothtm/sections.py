@@ -86,7 +86,8 @@ class SectionMachine:
     alphabet: FiniteSet
     blank: Hashable
     num_tapes: int
-    _tables: dict = field(default_factory=dict, repr=False)
+    # section id -> compiled table, built on first use
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # per read-set tuple: read combos, offsets and offset bits
     _reads: dict = field(default_factory=dict, repr=False, compare=False)
     # broadcast copy-tract arrays, shared by every table

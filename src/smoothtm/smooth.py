@@ -244,10 +244,11 @@ def renormalized(weights: np.ndarray, what: str = "distribution") -> np.ndarray:
 
 def _vector_sum(v: np.ndarray) -> float:
     """``float(v.sum())`` of a 1-D vector: numpy adds under 8 elements left to
-    right from 0.0, as this fold does (``sum`` compensates from Python 3.12)."""
+    right from 0.0, as this fold does (``sum`` compensates from Python 3.12);
+    longer vectors go to ``np.add.reduce``, the call ``ndarray.sum`` makes."""
     if v.size < 8:
         return reduce(add, v.tolist(), 0.0)
-    return float(v.sum())
+    return float(np.add.reduce(v))
 
 
 _OPS_CACHE: "WeakKeyDictionary[Machine, dict]" = WeakKeyDictionary()
@@ -279,12 +280,13 @@ def machine_ops(m: Machine) -> dict:
 
 
 def superpose_tape(
-    tape: SmoothTape, write: np.ndarray, dirs: np.ndarray
+    tape: SmoothTape, write: np.ndarray, dirs: np.ndarray, move: int | None = None
 ) -> SmoothTape:
     """Write at the head, then form the per-cell superposition over moves.
 
     ``write`` is the weight vector over the alphabet, ``dirs`` the one over
-    DIRECTIONS.
+    DIRECTIONS.  A caller that knows ``dirs`` is the point mass at DIRECTIONS
+    index ``move`` passes it, and ``dirs`` is then not read.
 
     A point-mass move is a pure re-indexing of the written tape, so it writes
     one row and shifts the window; any other move takes the general
@@ -293,10 +295,12 @@ def superpose_tape(
     leave an exact blank at a window end, and only then are the ends
     rescanned; a window grown to the head ends in the non-blank written row.
     """
-    moves = [k for k, c in enumerate(dirs.tolist()) if c != 0.0]
-    if len(moves) != 1:
-        return _superpose_general(tape, write, dirs)
-    d = DIRECTIONS.elements[moves[0]]
+    if move is None:
+        moves = [k for k, c in enumerate(dirs.tolist()) if c != 0.0]
+        if len(moves) != 1:
+            return _superpose_general(tape, write, dirs)
+        move = moves[0]
+    d = DIRECTIONS.elements[move]
     bidx = tape.alphabet.index(tape.blank)
     lo, cells, row = tape.lo, tape.cells, write
     if lo <= 0 <= tape.hi:

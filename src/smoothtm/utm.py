@@ -37,7 +37,7 @@ the distribution unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def _dir(d):
     return ("d", d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UtmMachine:
     machine: SectionMachine  # 2-tape section machine
     states: FiniteSet  # simulated state set
@@ -79,22 +79,36 @@ class UtmMachine:
         return 10 * self.tuples + 2
 
 
-@lru_cache(maxsize=16)
-def _shape_tables(shape: tuple) -> dict:
-    return {}
-
-
 def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine:
-    """Emit the eight sections and all tracts of the universal machine.
+    """The universal machine for ``states`` and ``alphabet``.
 
     ``states`` is the simulated state set, or a count for fresh q0..qk names.
-    Its section tables depend only on the typed state labels, alphabet and
-    blank, so every machine of that shape in the process shares them.
+    The machine depends only on its shape, the state labels, alphabet and
+    blank compared with their types (``1`` and ``True`` differ), so every
+    call with one shape returns the same machine, built once and shared
+    read-only; the last 16 shapes are kept.
     """
     if isinstance(states, int):
         if states < 1:
             raise ValueError("need at least one simulated state")
         states = FiniteSet([f"q{i}" for i in range(states)])
+    shape = _typed((states.elements, alphabet.elements, blank))
+    return _built_utm(shape, states, alphabet, blank)
+
+
+def _typed(x):
+    """``x`` with the type of every label in it, nested tuples included."""
+    if type(x) is tuple:
+        return tuple(_typed(v) for v in x)
+    return type(x), x
+
+
+@lru_cache(maxsize=16)
+def _built_utm(
+    shape: tuple, states: FiniteSet, alphabet: FiniteSet, blank
+) -> UtmMachine:
+    """Emit the eight sections and all tracts of the universal machine; the
+    cache is keyed by ``shape``, which ``build_utm`` takes from the rest."""
     if len(states) < 1:
         raise ValueError("need at least one simulated state")
     if blank not in alphabet:
@@ -178,11 +192,7 @@ def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine
         copy("read", "read", NOTHASH, (-1, 0), "rewind"),
         forward("read", "scan1", HS, "load-read", lambda xi, s: xi * S + s[:, 1]),
     ]
-    # labels that compare equal across types (1 and True) get their own tables
-    shape = tuple(tuple((type(x), x) for x in xs) for xs in (Q, alphabet, [blank]))
-    sm = SectionMachine(
-        sections, tracts, alpha_u, _sym(blank), 2, _tables=_shape_tables(shape)
-    )
+    sm = SectionMachine(sections, tracts, alpha_u, _sym(blank), 2)
     return UtmMachine(sm, Q, alphabet, blank)
 
 
@@ -382,8 +392,7 @@ def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
     out = []
     if not info.direction_point_mass(0):
         out.append("description head direction is not a point mass")
-    closing = any(src == "update" and tgt == "read" for src, tgt in info.flows)
-    if not closing and not info.direction_point_mass(1):
+    if ("update", "read") not in info.flows and not info.direction_point_mass(1):
         out.append("working head moved outside the closing tract")
     worst = cfg.check_simplex()
     if worst > ATOL:
@@ -395,9 +404,10 @@ def make_triple(
     utm: UtmMachine, code: DescriptionTape, code_rows: np.ndarray | None = None
 ) -> GeneratingTriple:
     """The commuting square of ``code`` on ``utm``.  The code's rows (unless
-    given) and its operators are built once here and serve every cycle."""
+    given) are built once here, and its operators on the first reference
+    step; both serve every cycle."""
     code_rows = _code_rows(utm, code) if code_rows is None else code_rows
-    ops = _code_ops(code)
+    ops = cache(lambda: _code_ops(code))
 
     def holds(cfg) -> bool:
         return encoding_of(utm, code, cfg, code_rows=code_rows) is not None
@@ -411,7 +421,7 @@ def make_triple(
         stepper=section_smooth_step,
         enc=enc,
         decode=lambda cfg: decode_config(utm, code, cfg, code_rows),
-        target_step=lambda s: utm_cycle_semantics(code, s, ops),
+        target_step=lambda s: utm_cycle_semantics(code, s, ops()),
         max_steps=10 * utm.cycle_length(),
         step_checks=_utm_step_checks,
     )

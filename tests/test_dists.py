@@ -5,9 +5,7 @@ from smoothtm.dists import (
     Dist,
     FiniteSet,
     convex_combine,
-    direct_sum,
     induced_op,
-    marginal,
     product_set,
     tensor,
     tensor_many,
@@ -57,7 +55,7 @@ def test_tensor_against_nested_loop_product():
 def test_tensor_flattens_factors():
     d = tensor_many([Dist.point(QQ, "q"), Dist.point(AB, "A"), Dist.point(AB, "B")])
     assert d.point_value() == ("q", "A", "B")
-    assert marginal(d, 2).point_value() == "B"
+    assert d.base.factors == (QQ, AB, AB)
 
 
 def test_induced_identity_and_constant():
@@ -159,20 +157,6 @@ def test_tensor_bilinearity_random():
         assert np.abs(lhs.weights - rhs.weights).max() <= 1e-12
 
 
-def test_direct_sum_embeddings():
-    x, y = Dist.point(AB, "A"), Dist.point(LR, "L")
-    full = direct_sum([(1.0, x), (0.0, y)])
-    assert full[(0, "A")] == 1.0
-    assert direct_sum([(0.0, x), (1.0, y)])[(1, "L")] == 1.0
-    half = direct_sum([(0.5, x), (0.5, y)])
-    assert half[(0, "A")] == 0.5 and half[(1, "L")] == 0.5
-
-
-def test_direct_sum_mass_mismatch():
-    with pytest.raises(ValueError, match="mass mismatch"):
-        direct_sum([(0.7, Dist.point(AB, "A")), (0.7, Dist.point(LR, "L"))])
-
-
 def test_dist_invariants():
     with pytest.raises(ValueError):
         Dist(AB, [0.5, 0.6])
@@ -195,14 +179,6 @@ def test_single_support_canonicalized():
     assert d["B"] != 0.0
     e = Dist(AB, [1.0 - 1e-13, 0.0])
     assert e["A"] == 1.0
-
-
-def test_marginals_of_product():
-    d = tensor(Dist.from_pairs(AB, {"A": 0.25, "B": 0.75}), Dist(LR, [0.5, 0.5]))
-    ma = marginal(d, 0)
-    assert ma["A"] == pytest.approx(0.25, abs=1e-12)
-    mb = marginal(d, 1)
-    assert mb["L"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_product_set_unique_labels():

@@ -16,6 +16,7 @@ from smoothtm.smooth import (
     SmoothTape,
     _row_error,
     _superpose_general,
+    _vector_sum,
     embed,
     extract_classical,
     format_config,
@@ -356,6 +357,46 @@ def test_subnormal_side_move_takes_general_path():
         assert info.direction_point_mass(0) == (np.count_nonzero(d) == 1)
 
 
+@pytest.mark.parametrize("size", [3, 9])
+def test_known_move_superposes_like_read_move(size):
+    """Passing the point move's index gives the tape that reading it off the
+    direction vector gives, bit for bit, wherever the head is."""
+    alphabet = alphabet_of(size)
+    rng = np.random.default_rng(60 + size)
+    seen = set()
+    for _ in range(300):
+        width = int(rng.integers(1, 7))
+        cells = [random_cell(rng, alphabet) for _ in range(width)]
+        tape = SmoothTape.from_dists(alphabet, "_", int(rng.integers(-8, 5)), cells)
+        seen.add(
+            "left of" if tape.lo > 0 else "right of" if tape.hi < 0
+            else "left end" if tape.lo == 0 else "right end" if tape.hi == 0
+            else "inside"
+        )
+        write = random_cell(rng, alphabet).weights
+        for k, d in enumerate(DIRECTIONS):
+            dirs = Dist.point(DIRECTIONS, d).weights
+            got = superpose_tape(tape, write, dirs, k)
+            want = superpose_tape(tape, write, dirs)
+            assert (got.lo, got.err) == (want.lo, want.err)
+            assert got.cells.tobytes() == want.cells.tobytes()
+    assert seen == {"left of", "left end", "inside", "right end", "right of"}
+
+
+@pytest.mark.parametrize(
+    "dirs",
+    [
+        [np.nan, 1.0, 0.0], [np.nan, 0.0, 0.0], [np.nan, np.nan, np.nan],
+        [np.nan, -0.0, 0.0], [-0.0, 1.0, 0.0], [-0.0, -0.0, 1.0],
+        [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [0.5, 0.5, 0.0],
+    ],
+)
+def test_direction_point_mass_on_nan_and_negative_zero(dirs):
+    """Counting zeros answers as counting the weights that are not zero."""
+    info = StepInfo([np.array(dirs)], {})
+    assert info.direction_point_mass(0) == (sum(c != 0.0 for c in dirs) == 1)
+
+
 def _compiled_start(n, seed):
     from smoothtm import multitape
 
@@ -540,6 +581,13 @@ def test_row_stats_equal_numpy_axis_reductions(size):
         sums, nonzero = row_stats(block)
         assert sums.tobytes() == block.sum(axis=1).tobytes()
         assert np.array_equal(nonzero, np.count_nonzero(block, axis=1))
+
+
+@pytest.mark.parametrize("size", range(1, 21))
+def test_vector_sum_is_ndarray_sum(size):
+    rng = np.random.default_rng(80 + size)
+    for v in _random_rows(rng, 500, size):
+        assert np.float64(_vector_sum(v)).tobytes() == v.sum().tobytes()
 
 
 @pytest.mark.parametrize("size", [*range(1, 8), 8, 11])

@@ -371,16 +371,19 @@ def test_strict_predicate_messages_pinned():
 
 
 # ---------------------------------------------------------------------------
-# Section tables shared by every machine of one shape
+# One machine, with its section tables, shared by every call of one shape
 # ---------------------------------------------------------------------------
 
 
 def test_same_shape_shares_every_table():
-    alphabet = FiniteSet(["_", "A", "B"])
-    one, two = (build_utm(2, alphabet, "_").machine for _ in range(2))
-    assert one is not two
-    for sid in one.sections:
-        assert one.table(sid) is two.table(sid)
+    """One shape gives one machine, and so one table per section."""
+    one = build_utm(2, FiniteSet(["_", "A", "B"]), "_")
+    two = build_utm(FiniteSet(["q0", "q1"]), FiniteSet(["_", "A", "B"]), "_")
+    assert one is two
+    with pytest.raises(AttributeError):
+        one.blank = "A"
+    for sid in one.machine.sections:
+        assert one.machine.table(sid) is two.machine.table(sid)
 
 
 PQ = ["p", "q"]
@@ -393,15 +396,16 @@ PQ = ["p", "q"]
         ((PQ, ["_", 1], "_"), (PQ, ["_", 2], "_")),
         ((PQ, ["_", 1], "_"), (PQ, ["_", 1], 1)),
         ((PQ, ["_", 1], "_"), (PQ, ["_", True], "_")),
+        ((PQ, ["_", (1,)], "_"), (PQ, ["_", (True,)], "_")),
     ],
-    ids=["states", "alphabet", "blank", "label-types"],
+    ids=["states", "alphabet", "blank", "label-types", "nested-label-types"],
 )
 def test_other_shape_gets_other_tables(one, two):
     a, b = (
         build_utm(FiniteSet(states), FiniteSet(alphabet), blank).machine
         for states, alphabet, blank in (one, two)
     )
-    assert a._tables is not b._tables
+    assert a is not b
     for sid in a.sections:
         assert a.table(sid) is not b.table(sid)
         assert b.table(sid).alphabet is b.alphabet
@@ -430,9 +434,27 @@ def test_verify_utm_same_with_cold_or_warm_tables(seed):
             verify.verify_utm(trials=trials, seed=s, uncertain_codes=True)
         )
 
-    utm._shape_tables.cache_clear()
+    utm._built_utm.cache_clear()
     cold = campaign(seed)
     campaign(seed + 10, trials=6)
-    hits = utm._shape_tables.cache_info().hits
+    hits = utm._built_utm.cache_info().hits
     assert campaign(seed) == cold
-    assert utm._shape_tables.cache_info().hits == hits + 3
+    assert utm._built_utm.cache_info().hits == hits + 3
+
+
+def test_code_operators_built_on_first_reference_step(monkeypatch):
+    """A triple whose reference step is never taken, like the shuffled
+    cycle's, builds no operators; one that is builds them once."""
+    from smoothtm import utm
+
+    m = random_machine(np.random.default_rng(3), 1, 2, 2)
+    machine = build_utm(m.states, m.alphabet, m.blank)
+    code = encode_code(m)
+    s = random_smooth_config(m, np.random.default_rng(4), radius=1)
+    built, code_ops = [], utm._code_ops
+    monkeypatch.setattr(utm, "_code_ops", lambda c: built.append(c) or code_ops(c))
+    triple = make_triple(machine, code)
+    assert built == []
+    one, two = triple.target_step(s), triple.target_step(s)
+    assert built == [code]
+    assert one.deviation(smooth_step(m, s)) == 0.0 and one.deviation(two) == 0.0
