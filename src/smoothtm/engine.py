@@ -4,10 +4,10 @@ Semantically this computes exactly what :func:`smoothtm.smooth.smooth_step`
 computes on the lowered machine; it only exploits the section structure.  The
 global state distribution is a direct sum of local distributions over the
 contexts of the occupied sections, and the pushforwards through the
-transition components decompose by linearity into per-tract gather/scatter
-passes over each occupied section's (context x read symbols) joint.  A
-tract none of whose read symbols the head rows support moves exactly zero
-mass and is skipped.
+transition components decompose by linearity into per-tract scatter
+passes over the values of each occupied section's (context x read symbols)
+joint at the tract's pairs.  A tract none of whose read symbols the head
+rows support moves exactly zero mass and is skipped.
 
 Mass landing on a (state, symbols) pair no tract covers means the machine
 stepped into an unspecified transition; that raises :class:`StuckError`
@@ -68,7 +68,10 @@ class SectionConfig:
 
 
 def _mass(state: dict[str, np.ndarray]) -> float:
-    return float(sum(np.add.reduce(v) for v in state.values()))
+    total = 0.0
+    for v in state.values():
+        total += np.add.reduce(v)
+    return float(total)
 
 
 @dataclass
@@ -90,35 +93,44 @@ _UNIT_DIRS.flags.writeable = False
 def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     """One smooth step; returns the new configuration and diagnostics.
 
-    Every accumulator starts as a bincount, which adds in the same order as
-    ``np.add.at`` into zeros and so gives the same bits.  When all entries
-    that move mass record one move, each tape's directions are its shared
-    unit vector, the bits a one-bin scatter renormalizes to, and the move is
-    handed to ``superpose_tape``; otherwise (the UTM's closing tract) they
-    are scattered.  So only a direction sum off 1 beside a write sum within
-    1e-12 loses its "direction mass" error.  Tape rows are non-negative, and
-    so is the new state when the old one is: then its ``err`` is set."""
+    An unguarded entry's values are ``outer(...outer(local, r1[c1])...,
+    rn[cn])`` over its read columns: the products of the (context x read
+    symbols) joint at its pairs, in the same order, so the joint is formed
+    only for guarded entries and stuck checks.  When every head row is an
+    exact point mass and the state is vouched non-negative, only the column
+    of the read symbols can be nonzero, so its values are ``local`` itself,
+    scattered through that column of the entry's arrays; the exact zeros
+    left out change no sum.  Every accumulator starts as a bincount, which
+    adds in the same order as ``np.add.at`` into zeros and so gives the same
+    bits.  When all entries that move mass record one move, each tape's
+    directions are its shared unit vector, the bits a one-bin scatter
+    renormalizes to, and the move is handed to ``superpose_tape``; otherwise
+    (the UTM's closing tract) they are scattered.  So only a direction sum
+    off 1 beside a write sum within 1e-12 loses its "direction mass" error.
+    Tape rows are non-negative, and so is the new state when the old one
+    is: then its ``err`` is set."""
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
     head_rows = [t.row(0) for t in cfg.tapes]
-    # the read offsets with positive joint mass, as a bit mask
-    offsets = head_rows[0].nonzero()[0].tolist()
-    for r in head_rows[1:]:
+    # the read offsets with positive joint mass, and whether each head row is
+    # a point mass at 1.0 while the state is known non-negative
+    offsets = [0]
+    point = cfg.err is not None
+    for r in head_rows:
         ks = r.nonzero()[0].tolist()
+        point = point and len(ks) == 1 and r[ks[0]] == 1.0
         offsets = [o * A + k for o in offsets for k in ks]
-    supported = sum(1 << o for o in offsets)  # the offsets are distinct
+    supported = sum([1 << o for o in offsets])  # the offsets are distinct
     acc: dict[str, np.ndarray] = {}
     write_acc = None
-    moving = []  # (entry, gathered mass) of each entry that moves mass
+    moving = []  # (entry, values, their pairs) of each entry that moves mass
     flows: dict[tuple[str, str], float] = {}
     for sid, local in cfg.state.items():
-        joint = local
-        for r in head_rows:
-            joint = np.multiply.outer(joint, r)
-        flat = joint.reshape(-1)
         table = sm.table(sid)
+        flat = None
         if table.uncovered_bits & supported:
+            flat = _joint(local, head_rows)
             lost = float(np.add.reduce(flat[table.uncovered]))
             if lost != 0.0:
                 raise StuckError(
@@ -128,37 +140,51 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
         for e in table.entries:
             if not e.bits & supported:
                 continue
-            vals = flat[e.src]
+            # vals holds the joint's values at the entry's positions ``pairs``
+            if e.cols is None:  # guarded: gathered from the joint
+                if flat is None:
+                    flat = _joint(local, head_rows)
+                vals, pairs = flat[e.src], slice(None)
+            elif point:  # the read symbols' column of the (contexts, columns) grid
+                vals = local
+                pairs = slice(e.column[offsets[0]], None, len(e.column))
+            else:
+                vals, pairs = local, slice(None)
+                for r, c in zip(head_rows, e.cols):
+                    vals = np.multiply.outer(vals, r[c])
+                vals = vals.reshape(-1)
             moved = float(np.add.reduce(vals))
             if moved == 0.0:
                 continue
             target = acc.get(e.target)
             if target is None:
-                acc[e.target] = np.bincount(e.tgt, vals, len(sm.sections[e.target]))
+                acc[e.target] = np.bincount(e.tgt[pairs], vals, e.size)
             else:
-                np.add.at(target, e.tgt, vals)
+                np.add.at(target, e.tgt[pairs], vals)
             flows[(sid, e.target)] = flows.get((sid, e.target), 0.0) + moved
             if write_acc is None:
-                write_acc = [np.bincount(w, vals, A) for w in e.w_idx]
+                write_acc = [np.bincount(w[pairs], vals, A) for w in e.w_idx]
             else:
                 for w_acc, w in zip(write_acc, e.w_idx):
-                    np.add.at(w_acc, w, vals)
-            moving.append((e, vals))
-    writes = [renormalized(w, "write") for w in write_acc or [np.zeros(A)] * n]
-    moves = {e.move for e, _ in moving}
+                    np.add.at(w_acc, w[pairs], vals)
+            moving.append((e, vals, pairs))
+    raw = write_acc or [np.zeros(A)] * n
+    writes = [renormalized(w, "write") for w in raw]
+    moves = {e.move for e, _, _ in moving}
     if len(moves) == 1 and None not in moves:
         move = moves.pop()
         dirs = [_UNIT_DIRS[k] for k in move]
     else:
         move = (None,) * n
         dir_acc = np.zeros((n, 3))
-        for e, vals in moving:
+        for e, vals, pairs in moving:
             for d_acc, d in zip(dir_acc, e.d_idx):
-                np.add.at(d_acc, d, vals)
+                np.add.at(d_acc, d[pairs], vals)
         dirs = [renormalized(d, "direction") for d in dir_acc]
+    # a write returned untouched summed to exactly 1.0
     tapes = tuple(
-        superpose_tape(t, w, d, k)
-        for t, w, d, k in zip(cfg.tapes, writes, dirs, move)
+        superpose_tape(t, w, d, k, 0.0 if w is v else None)
+        for t, w, v, d, k in zip(cfg.tapes, writes, raw, dirs, move)
     )
     if len(acc) == 1:
         state = acc  # a zero vector fails the mass check below
@@ -176,3 +202,11 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     )
     err = abs(total - 1.0) if non_negative else None
     return SectionConfig(sm, state, tapes, err), StepInfo(dirs, flows)
+
+
+def _joint(local: np.ndarray, head_rows: list) -> np.ndarray:
+    """The flat (context x read symbols) joint of a section's state."""
+    for r in head_rows:
+        local = np.multiply.outer(local, r)
+    return local.reshape(-1)
+

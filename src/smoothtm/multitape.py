@@ -345,6 +345,14 @@ def encoding_of(sim: CompiledSim, cfg: SectionConfig, strict: bool = False):
     section, aligned exact marker columns for some L <= -2 and R >= 2, and
     data cells supported in the source alphabet.
     """
+    if len(cfg.state) != 1 or "R1" not in cfg.state:
+        if strict:  # the message is built only to be raised
+            raise ValueError(
+                f"not a valid encoding: state mass outside section R1 "
+                f"({sorted(cfg.state)})"
+            )
+        return None
+
     def fail(msg):
         if strict:
             raise ValueError(f"not a valid encoding: {msg}")
@@ -352,10 +360,6 @@ def encoding_of(sim: CompiledSim, cfg: SectionConfig, strict: bool = False):
 
     m = sim.source
     n = sim.n
-    if len(cfg.state) != 1 or "R1" not in cfg.state:
-        if strict:  # the message is built only to be raised
-            fail(f"state mass outside section R1 ({sorted(cfg.state)})")
-        return None
     tape = cfg.tapes[0]
     alphabet = tape.alphabet
     lo, hi = tape.lo, tape.hi

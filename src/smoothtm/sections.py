@@ -137,14 +137,19 @@ class SectionMachine:
 
     def _read_combos(self, reads: tuple) -> tuple:
         """The alphabet indices of every read combination in product order,
-        their offsets and the offsets' bit mask; built once per read sets."""
+        their offsets and the offsets' bit mask, the per-tape read columns
+        and each offset's position; built once per read sets."""
         found = self._reads.get(reads)
         if found is None:
             A, n = self.alphabet, self.num_tapes
             read_idx = [sorted(A.index(s) for s in rs) for rs in reads]
             combos = np.array(list(product(*read_idx)), dtype=np.intp).reshape(-1, n)
             offsets = np.ravel_multi_index(tuple(combos.T), (len(A),) * n)
-            found = self._reads[reads] = (combos, offsets, _bits(offsets))
+            cols = tuple(np.array(c, dtype=np.intp) for c in read_idx)
+            for c in cols:
+                c.flags.writeable = False
+            column = {o: k for k, o in enumerate(offsets.tolist())}
+            found = self._reads[reads] = (combos, offsets, _bits(offsets), cols, column)
         return found
 
     def _copy_arrays(self, contexts: int, t: Tract) -> tuple:
@@ -154,7 +159,7 @@ class SectionMachine:
         arrays = self._copies.get(key)
         if arrays is None:
             A = self.alphabet
-            combos, offsets, _ = self._read_combos(t.reads)
+            combos, offsets = self._read_combos(t.reads)[:2]
             xi = np.arange(contexts, dtype=np.intp)
             src = (xi[:, None] * len(A) ** self.num_tapes + offsets).reshape(-1)
             tgt = np.repeat(xi, len(offsets))
@@ -171,7 +176,12 @@ class SectionMachine:
 @dataclass(slots=True)
 class _TractEntry:
     """One tract's pairs in a compiled section; ``move`` is set when all move
-    alike (a declarative tract's do; an index map's are checked)."""
+    alike (a declarative tract's do; an index map's are checked).
+
+    An unguarded tract covers its whole (context x read combos) rectangle:
+    its pairs are the (contexts, columns) grid of every context with the
+    product of ``cols``, row-major, and ``column`` gives each read offset's
+    column in it.  A guarded entry has neither."""
 
     target: str
     src: np.ndarray  # flat (context, symbols) indices, strictly increasing
@@ -182,6 +192,9 @@ class _TractEntry:
     tract: int  # position in the machine's tract list
     bits: int  # bit k set when the tract reads symbols at offset k
     move: tuple | None  # per tape, the DIRECTIONS index the engine moves by
+    size: int  # the target section's context size
+    cols: tuple | None  # per tape, the read alphabet indices, sorted
+    column: dict | None  # read offset -> its column in the grid
 
 
 class _SectionTable:
@@ -196,9 +209,13 @@ class _SectionTable:
     map is called once for all pairs its guard keeps, and what it gives is
     validated here once.  ``bits`` of an entry and ``uncovered_bits``
     mark the read offsets they touch, so the engine can skip what the head
-    cannot read.  Every array is read-only, so machines may share a table.
-    The table keeps no reference to its machine, which caches it, so a
-    machine is freed without the cycle collector.
+    cannot read.  When no tract leaving the section has a guard, every entry
+    is a rectangle, so overlaps and the uncovered pairs follow from the
+    offset bits; otherwise a (context x symbols) array marks the covered
+    pairs, as it does to name the first pair two rectangles share.  Every
+    array is read-only, so machines may share a table.  The table keeps no
+    reference to its machine, which caches it, so a machine is freed
+    without the cycle collector.
     """
 
     __slots__ = (
@@ -210,40 +227,58 @@ class _SectionTable:
         self.sections = sm.sections
         self.alphabet = A = sm.alphabet
         self.n = n = sm.num_tapes
-        ctx = sm.sections[sid]
+        contexts = len(sm.sections[sid])
         size = len(A) ** n
-        covered = np.zeros(len(ctx) * size, dtype=bool)
+        rectangles = all(sm.tracts[i].guard is None for i in sm.leaving[sid])
+        covered = None if rectangles else np.zeros(contexts * size, dtype=bool)
+        covered_bits = 0
         self.entries = []
         for i in sm.leaving[sid]:
             t = sm.tracts[i]
-            combos, offsets, bits = sm._read_combos(t.reads)
+            combos, offsets, bits, cols, column = sm._read_combos(t.reads)
             if t.index_map is not None:
                 arrays = self._index_arrays(t, combos, offsets)
             else:
-                arrays = sm._copy_arrays(len(ctx), t)
+                arrays = sm._copy_arrays(contexts, t)
             src = arrays[0]
             if not src.size:
                 continue
             for a in (src, arrays[1], *arrays[2], *arrays[3]):
                 a.flags.writeable = False  # shared by machines and tracts
-            hit = covered[src]
-            if hit.any():
-                flat = int(src[hit.argmax()])
-                first, _ = self.find(flat)
-                x, syms = self.pair(flat)
-                raise ValueError(
-                    f"overlapping tracts {first.label!r} and {t.label!r} at "
-                    f"section {sid!r}, context {x!r}, symbols {syms!r}"
-                )
-            covered[src] = True
+            if covered is None and bits & covered_bits:
+                covered = np.zeros(contexts * size, dtype=bool)
+                for e in self.entries:
+                    covered[e.src] = True
+            if covered is not None:
+                hit = covered[src]
+                if hit.any():
+                    flat = int(src[hit.argmax()])
+                    first, _ = self.find(flat)
+                    x, syms = self.pair(flat)
+                    raise ValueError(
+                        f"overlapping tracts {first.label!r} and {t.label!r} at "
+                        f"section {sid!r}, context {x!r}, symbols {syms!r}"
+                    )
+                covered[src] = True
+            covered_bits |= bits
             move = tuple(int(d[0]) for d in arrays[3])
             if t.index_map and any((d != k).any() for d, k in zip(arrays[3], move)):
                 move = None
-            self.entries.append(_TractEntry(t.target, *arrays, t.label, i, bits, move))
-        self.uncovered = np.flatnonzero(~covered)
+            grid = (None, None) if t.guard is not None else (cols, column)
+            self.entries.append(_TractEntry(
+                t.target, *arrays, t.label, i, bits, move,
+                len(sm.sections[t.target]), *grid,
+            ))
+        if covered is None:
+            free = ~covered_bits & ((1 << size) - 1) if contexts else 0
+            xi = np.arange(contexts, dtype=np.intp)
+            self.uncovered = (xi[:, None] * size + _offsets(free, size)).reshape(-1)
+            self.uncovered_bits = free
+        else:
+            self.uncovered = np.flatnonzero(~covered)
+            partly_covered = ~covered.reshape(-1, size).all(axis=0)
+            self.uncovered_bits = _bits(np.flatnonzero(partly_covered))
         self.uncovered.flags.writeable = False
-        partly_covered = ~covered.reshape(-1, size).all(axis=0)
-        self.uncovered_bits = _bits(np.flatnonzero(partly_covered))
 
     def flat(self, x, syms) -> int:
         """The flat index of a (context element, read symbols) pair."""
@@ -336,6 +371,11 @@ def _bits(offsets: np.ndarray) -> int:
     for k in offsets.tolist():
         mask |= 1 << k
     return mask
+
+
+def _offsets(mask: int, size: int) -> np.ndarray:
+    """The offsets k < ``size`` whose bit is set in ``mask``, ascending."""
+    return np.array([k for k in range(size) if mask >> k & 1], dtype=np.intp)
 
 
 def section_step(sm: SectionMachine, c: Configuration) -> Configuration:

@@ -280,13 +280,19 @@ def machine_ops(m: Machine) -> dict:
 
 
 def superpose_tape(
-    tape: SmoothTape, write: np.ndarray, dirs: np.ndarray, move: int | None = None
+    tape: SmoothTape,
+    write: np.ndarray,
+    dirs: np.ndarray,
+    move: int | None = None,
+    row_err: float | None = None,
 ) -> SmoothTape:
     """Write at the head, then form the per-cell superposition over moves.
 
     ``write`` is the weight vector over the alphabet, ``dirs`` the one over
     DIRECTIONS.  A caller that knows ``dirs`` is the point mass at DIRECTIONS
-    index ``move`` passes it, and ``dirs`` is then not read.
+    index ``move`` passes it, and ``dirs`` is then not read; one that knows
+    ``abs(sum(write) - 1.0)`` passes it as ``row_err``, and ``write`` is then
+    not summed on a point-mass move.
 
     A point-mass move is a pure re-indexing of the written tape, so it writes
     one row and shifts the window; any other move takes the general
@@ -317,7 +323,9 @@ def superpose_tape(
             first += 1
         while last > first and exact_point_row(cells[last], bidx):
             last -= 1
-    err = max(tape.err, abs(_vector_sum(row) - 1.0))
+    if row_err is None:
+        row_err = abs(_vector_sum(row) - 1.0)
+    err = max(tape.err, row_err)
     if first > last:  # every cell is blank
         return SmoothTape._trusted(tape.alphabet, tape.blank, 0, cells[:1], err)
     return SmoothTape._trusted(

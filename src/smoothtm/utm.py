@@ -330,16 +330,19 @@ def encoding_of(
     ``code_rows`` is the code's description-tape layout, when the caller
     already has it.
     """
+    if len(cfg.state) != 1 or "read" not in cfg.state:
+        if strict:  # the message is built only to be raised
+            raise ValueError(
+                f"not a valid encoding: state mass outside section read "
+                f"({sorted(cfg.state)})"
+            )
+        return None
 
     def fail(msg):
         if strict:
             raise ValueError(f"not a valid encoding: {msg}")
         return None
 
-    if len(cfg.state) != 1 or "read" not in cfg.state:
-        if strict:  # the message is built only to be raised
-            fail(f"state mass outside section read ({sorted(cfg.state)})")
-        return None
     if code_rows is None:
         code_rows = _code_rows(utm, code)
     if not _is_code_restored(utm, code_rows, cfg.tapes[0]):

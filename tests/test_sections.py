@@ -16,7 +16,12 @@ from smoothtm.engine import SectionConfig, section_smooth_step
 from smoothtm.framework import run_to_next_encoding
 from smoothtm.machines import DIRECTIONS, Configuration, Tape, parse_machine, step
 from smoothtm.multitape import compile_multitape
-from smoothtm.sampling import random_dist, random_machine, random_smooth_config
+from smoothtm.sampling import (
+    random_dist,
+    random_machine,
+    random_point_config,
+    random_smooth_config,
+)
 from smoothtm.sections import (
     SectionMachine,
     Tract,
@@ -25,7 +30,14 @@ from smoothtm.sections import (
     lower_sections,
     section_step,
 )
-from smoothtm.smooth import SmoothConfig, SmoothTape, embed, renormalized, smooth_step
+from smoothtm.smooth import (
+    SmoothConfig,
+    SmoothTape,
+    embed,
+    renormalized,
+    smooth_step,
+    superpose_tape,
+)
 from smoothtm.utm import build_utm
 
 AB = FiniteSet(["_", "A", "B"])
@@ -693,3 +705,240 @@ def test_entries_with_different_moves_mix_directions():
     new, info = section_smooth_step(cfg)
     assert info.dirs[0].tolist() == [0.5, 0.5, 0.0]
     assert info.direction_point_mass(0) is False
+
+
+# ---------------------------------------------------------------------------
+# The step against a full-joint reference
+# ---------------------------------------------------------------------------
+
+
+def reference_step(cfg):
+    """One step with every entry's values gathered from the full (context x
+    read symbols) joint as ``flat[e.src]``, each write summed by the tape and
+    the directions as :func:`scattered_dirs` gives them unless all moving
+    entries share one move; returns the new state, tapes, directions and
+    error, and the (source, target) pairs that moved mass."""
+    sm = cfg.machine
+    A = len(sm.alphabet)
+    head_rows = [t.row(0) for t in cfg.tapes]
+    acc, writes, flows = {}, None, set()
+    for sid, local in cfg.state.items():
+        joint = local
+        for r in head_rows:
+            joint = np.multiply.outer(joint, r)
+        flat = joint.reshape(-1)
+        for e in sm.table(sid).entries:
+            vals = flat[e.src]
+            if np.add.reduce(vals) == 0.0:
+                continue
+            if e.target in acc:
+                np.add.at(acc[e.target], e.tgt, vals)
+            else:
+                acc[e.target] = np.bincount(e.tgt, vals, len(sm.sections[e.target]))
+            flows.add((sid, e.target))
+            if writes is None:
+                writes = [np.bincount(w, vals, A) for w in e.w_idx]
+            else:
+                for a, w in zip(writes, e.w_idx):
+                    np.add.at(a, w, vals)
+    dirs, moves = scattered_dirs(cfg)
+    if len(moves) == 1 and None not in moves:
+        move = moves.pop()
+        dirs = [np.eye(3)[k] for k in move]
+    else:
+        move = (None,) * sm.num_tapes
+    tapes = [
+        superpose_tape(t, renormalized(w, "write"), d, k)
+        for t, w, d, k in zip(cfg.tapes, writes, dirs, move)
+    ]
+    occupied = sorted((sid for sid, v in acc.items() if v.any()), key=sm.rank.get)
+    state = acc if len(acc) == 1 else {sid: acc[sid] for sid in occupied}
+    total = float(sum(np.add.reduce(v) for v in state.values()))
+    if total != 1.0:
+        state = {sid: v / total for sid, v in state.items()}
+        total = float(sum(np.add.reduce(v) for v in state.values()))
+    non_negative = all(v.min() >= 0.0 for v in cfg.state.values() if v.size)
+    err = abs(total - 1.0) if cfg.err is not None or non_negative else None
+    return state, tapes, dirs, err, flows
+
+
+def point_heads(cfg) -> bool:
+    """Whether the engine takes each entry's values as the state itself."""
+    return cfg.err is not None and all(
+        np.count_nonzero(t.row(0)) == 1 and t.row(0).max() == 1.0 for t in cfg.tapes
+    )
+
+
+def reference_stepper(counts):
+    """section_smooth_step, asserting every bit against reference_step;
+    counts[True] tallies the steps with point-mass heads."""
+
+    def stepper(cfg):
+        state, tapes, dirs, err, flows = reference_step(cfg)
+        new, info = section_smooth_step(cfg)
+        assert list(new.state) == list(state)
+        for sid, v in state.items():
+            assert new.state[sid].tobytes() == v.tobytes()
+        for got, want in zip(new.tapes, tapes):
+            assert (got.lo, got.cells.tobytes(), got.err) == (
+                want.lo, want.cells.tobytes(), want.err
+            )
+        assert [d.tobytes() for d in info.dirs] == [d.tobytes() for d in dirs]
+        assert new.err == err
+        assert set(info.flows) == flows
+        counts[point_heads(cfg)] += 1
+        return new, info
+
+    return stepper
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_step_matches_full_joint_reference_multitape(n):
+    """Smooth and point-mass starts of compiled machines, one cycle each."""
+    rng = np.random.default_rng(n)
+    m = random_machine(rng, n, 2, 2 + (n < 3))
+    sim = compile_multitape(m)
+    triple = multitape.make_triple(sim)
+    starts = [random_smooth_config(m, rng, radius=1),
+              random_point_config(m, rng, radius=1)[1]]
+    for s in starts:
+        counts = {True: 0, False: 0}
+        x = multitape.to_section_config(sim, multitape.encode(sim, s))
+        run_to_next_encoding(replace(triple, stepper=reference_stepper(counts)), x)
+        assert counts[True] > 0 and counts[False] > 0
+
+
+def test_step_matches_full_joint_reference_utm():
+    """Guarded and unguarded entries: uncertain codes on smooth tapes, whose
+    closing steps scatter their moves, and certain codes on point tapes."""
+    rng = np.random.default_rng(5)
+    for nq, ns in ((1, 2), (2, 3)):
+        m = random_machine(rng, 1, nq, ns)
+        overrides = {
+            (q, a): (random_dist(m.states, rng), random_dist(m.alphabet, rng),
+                     random_dist(DIRECTIONS, rng))
+            for q in m.states for a in m.alphabet
+        }
+        machine = build_utm(nq, m.alphabet, m.blank)
+        guarded = [t.guard is not None for t in machine.machine.tracts]
+        assert any(guarded) and not all(guarded)
+        starts = [(overrides, random_smooth_config(m, rng, radius=1), False),
+                  (None, random_point_config(m, rng, radius=1)[1], True)]
+        for ov, s, point in starts:
+            counts = {True: 0, False: 0}
+            code = utm.encode_code(m, ov)
+            x = utm.encode_config(machine, code, s)
+            triple = replace(
+                utm.make_triple(machine, code), stepper=reference_stepper(counts)
+            )
+            for _ in range(2):
+                x, _ = run_to_next_encoding(triple, x)
+            assert counts[point] > counts[not point] and counts[False] > 0
+
+
+def test_step_with_negative_weight_matches_full_joint_reference():
+    """A hand-built state with a negative weight has no ``err``, so the
+    engine multiplies the columns even under a point-mass head."""
+    ctx = FiniteSet(["x", "y"])
+    right = Tract("S", "S", (frozenset({"A"}),), write=(None,), move=(1,), label="R")
+    left = Tract("S", "S", (frozenset({"B"}),), write=(None,), move=(-1,), label="L")
+    swap = Tract("S", "S", (frozenset({"_"}),), label="swap", index_map=lambda xi, s: (
+        1 - xi, np.ones_like(s), np.zeros_like(s)))
+    sm = SectionMachine({"S": ctx}, [right, left, swap], AB, "_", 1)
+    state = np.array([1.5, -0.5])
+    cells = [[Dist.point(AB, "A")], [Dist.from_pairs(AB, {"A": 0.25, "B": 0.75})]]
+    for cell in cells:
+        cfg = SectionConfig(sm, {"S": state}, (SmoothTape.from_dists(AB, "_", 0, cell),))
+        counts = {True: 0, False: 0}
+        new, _ = reference_stepper(counts)(cfg)
+        assert counts == {True: 0, False: 1}
+        assert new.err is None and new.state["S"].min() < 0.0
+    point = replace(cfg, tapes=(SmoothTape.blank_tape(AB, "_"),))
+    counts = {True: 0, False: 0}
+    new, _ = reference_stepper(counts)(point)
+    assert new.state["S"].tolist() == [-0.5, 1.5]
+
+
+# ---------------------------------------------------------------------------
+# Tables of unguarded sections from the offset bits
+# ---------------------------------------------------------------------------
+
+
+def array_walk(table, contexts, size):
+    """``uncovered`` and ``uncovered_bits`` from a (context x symbols) bool
+    array that marks every entry's pairs."""
+    covered = np.zeros(contexts * size, dtype=bool)
+    for e in table.entries:
+        assert not covered[e.src].any()
+        covered[e.src] = True
+    partly = np.flatnonzero(~covered.reshape(-1, size).all(axis=0))
+    return np.flatnonzero(~covered), sum(1 << int(k) for k in partly)
+
+
+def assert_tables_match_array_walk(sm) -> list[bool]:
+    """Every section's uncovered pairs and offsets against the array walk,
+    and every unguarded entry's columns against its pairs; returns whether
+    each section is unguarded."""
+    A, n = len(sm.alphabet), sm.num_tapes
+    size = A**n
+    unguarded = []
+    for sid, ctx in sm.sections.items():
+        table = _SectionTable(sm, sid)
+        uncovered, bits = array_walk(table, len(ctx), size)
+        assert table.uncovered.dtype == np.intp
+        np.testing.assert_array_equal(table.uncovered, uncovered)
+        assert table.uncovered_bits == bits
+        rectangles = all(sm.tracts[i].guard is None for i in sm.leaving[sid])
+        unguarded.append(rectangles)
+        for e in table.entries:
+            assert e.size == len(sm.sections[e.target])
+            if sm.tracts[e.tract].guard is not None:
+                assert e.cols is None and e.column is None
+                continue
+            offsets = np.ravel_multi_index(
+                np.meshgrid(*e.cols, indexing="ij"), (A,) * n
+            ).reshape(-1)
+            xi = np.arange(len(ctx))
+            np.testing.assert_array_equal(
+                e.src, (xi[:, None] * size + offsets).reshape(-1)
+            )
+            assert e.column == {o: k for k, o in enumerate(offsets.tolist())}
+            assert e.bits == sum(1 << int(o) for o in offsets)
+    return unguarded
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("broken", [False, True])
+def test_offset_bit_tables_match_array_walk_multitape(seed, broken):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 3):
+        m = random_machine(rng, n, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        sm = compile_multitape(m, broken=broken).machine
+        assert all(assert_tables_match_array_walk(sm))
+
+
+@pytest.mark.parametrize("name", ["utm-1x2", "utm-2x3", "utm-3x4"])
+def test_offset_bit_tables_match_array_walk_utm(name):
+    sm = SECTION_MACHINES[name]()
+    sm = SectionMachine(sm.sections, sm.tracts, sm.alphabet, sm.blank, sm.num_tapes)
+    unguarded = assert_tables_match_array_walk(sm)
+    assert any(unguarded) and not all(unguarded)
+
+
+def test_partly_covered_rectangles_and_empty_context():
+    """Rectangles that leave offsets free, over two tapes, and a section with
+    no context, whose every offset counts as covered."""
+    ab = frozenset({"A", "B"})
+    one = Tract("S", "S", (ab, frozenset({"_"})), write=(None, "A"), move=(0, 1),
+                label="one")
+    two = Tract("S", "S", (frozenset({"_"}), ab), label="two", index_map=lambda xi, s: (
+        2 - xi, s, np.zeros_like(s)))
+    three = Tract("E", "E", (ab, ab), write=(None, None), move=(0, 0), label="three")
+    sm = SectionMachine(
+        {"S": FiniteSet(["x", "y", "z"]), "E": FiniteSet([])},
+        [one, two, three], AB, "_", 2,
+    )
+    assert assert_tables_match_array_walk(sm) == [True, True]
+    table = sm.table("S")
+    assert table.uncovered.size == 3 * 5
+    assert sm.table("E").uncovered_bits == 0 and not sm.table("E").entries
