@@ -19,7 +19,7 @@ from . import multitape
 from . import utm as utm_mod
 from . import verify as verify_mod
 from .dists import Dist, FiniteSet
-from .framework import CycleOverrun, env_step_bound, run_to_next_encoding
+from .framework import check_preserving, env_step_bound
 from .machines import DIR_VALUES, DIRECTIONS, FormatError, parse_machine
 from .sections import format_section_machine
 from .smooth import (
@@ -36,9 +36,7 @@ from .smooth import (
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A usage or input error; the command exits 2."""
 
 
 def _read(path: str) -> str:
@@ -231,18 +229,14 @@ def cmd_utm(args) -> int:
             (SmoothTape.blank_tape(m.alphabet, m.blank),),
         )
     triple = utm_mod.make_triple(machine, code)
-    cfg = utm_mod.encode_config(machine, code, s)
-    reference = s
-    try:
-        for _ in range(args.cycles):
-            cfg, _t = run_to_next_encoding(triple, cfg)
-            reference = triple.target_step(reference)
-    except CycleOverrun as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
+    x0 = utm_mod.encode_config(machine, code, s)
+    res = check_preserving(triple, x0, cycles=args.cycles)
+    if res.violations:
+        first = res.violations[0]
+        print(f"FAIL: step {first['step']}: {first['violation']}", file=sys.stderr)
         return 1
-    decoded = triple.decode(cfg)
-    dev = decoded.deviation(reference)
-    print(format_config(decoded))
+    dev = res.max_deviation
+    print(format_config(triple.decode(res.encodings[-1])))
     print(
         f"cycles: {args.cycles}, cycle length: {machine.cycle_length()}, "
         f"max deviation vs direct semantics: {dev:.3e}",
@@ -358,7 +352,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
 
 
 if __name__ == "__main__":

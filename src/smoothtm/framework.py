@@ -146,8 +146,7 @@ class PreservationResult:
     cycle_lengths: list[int]
     max_deviation: float
     violations: list[dict]
-    # the configuration reached at the end of each completed cycle; only
-    # ``encodings[0]`` is read in src/ (verify_utm's shuffled-order check)
+    # the configuration reached at the end of each completed cycle
     encodings: list = field(default_factory=list)
 
     def passes(self, tol: float) -> bool:

@@ -205,7 +205,10 @@ def parse_machine(text: str) -> Machine:
         if not line:
             continue
         if line.startswith("states:"):
-            states = _labels(line[len("states:"):].split(), "state", lineno)
+            labels = line[len("states:"):].split()
+            if not labels:
+                raise FormatError("states line lists no states", lineno)
+            states = _labels(labels, "state", lineno)
             continue
         if line.startswith("alphabet:"):
             symbols = line[len("alphabet:"):].split()

@@ -439,44 +439,20 @@ def make_triple(sim: CompiledSim, width_hint: int = 24) -> GeneratingTriple:
     )
 
 
-def _blank_encoding(sim: CompiledSim, radius: int) -> SectionConfig:
-    m = sim.source
-    state = Dist.point(m.states, m.states.elements[0])
-    tapes = tuple(
-        SmoothTape.blank_tape(m.alphabet, m.blank) for _ in range(sim.n)
-    )
-    enc = encode(sim, SmoothConfig(state, tapes), L=-radius, R=radius)
-    return to_section_config(sim, enc)
-
-
-def measure_cycle_length(sim: CompiledSim, radius: int) -> int:
-    """Steps of one cycle at window half-width ``radius`` (blank input)."""
-    cfg = _blank_encoding(sim, radius)
-    bound = 10 * cycle_steps_bound(sim.n, 2 * radius + 4)
-    for t in range(1, bound + 1):
-        cfg, _ = section_smooth_step(cfg)
-        if encoding_of(sim, cfg) is not None:
-            return t
-    raise RuntimeError("compiled machine does not cycle")
-
-
 def metadata(sim: CompiledSim) -> dict:
-    """Section counts and cycle-length parameters for the compile report."""
-    m = sim.source
-    meta = {
-        "tapes": sim.n,
+    """Section counts and cycle-length parameters for the compile report.
+
+    One cycle takes base + per_width*(R-L) steps whatever the tape holds:
+    the head path of every phase depends only on n and the border distance,
+    which grows by 2 each cycle.
+    """
+    m, n = sim.source, sim.n
+    return {
+        "tapes": n,
         "source_states": len(m.states),
         "source_symbols": len(m.alphabet),
         "sections": len(sim.machine.sections),
         "states": sim.machine.state_count(),
+        "cycle_length_base": 14 * n * n + 2 * n + 2,
+        "cycle_length_per_width": 4 * n * n,
     }
-    if sim.broken:
-        meta["broken"] = True
-        return meta
-    # cycle length is base + per_width*(R-L); fit from two geometries
-    t4 = measure_cycle_length(sim, 2)
-    t6 = measure_cycle_length(sim, 3)
-    b = (t6 - t4) // 2
-    meta["cycle_length_base"] = t4 - 4 * b
-    meta["cycle_length_per_width"] = b
-    return meta

@@ -37,7 +37,7 @@ the distribution unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,9 +89,9 @@ def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine
     read-only; the last 16 shapes are kept.
     """
     if isinstance(states, int):
-        if states < 1:
-            raise ValueError("need at least one simulated state")
         states = FiniteSet([f"q{i}" for i in range(states)])
+    if len(states) < 1:
+        raise ValueError("need at least one simulated state")
     shape = _typed((states.elements, alphabet.elements, blank))
     return _built_utm(shape, states, alphabet, blank)
 
@@ -103,24 +103,24 @@ def _typed(x):
     return type(x), x
 
 
+def _utm_alphabet(states: FiniteSet, alphabet: FiniteSet) -> FiniteSet:
+    """The universal alphabet: simulated symbols, states, directions, #."""
+    return FiniteSet(
+        [_sym(a) for a in alphabet]
+        + [_st(q) for q in states]
+        + [_dir(d) for d in DIRECTIONS]
+        + [HASH]
+    )
+
+
 @lru_cache(maxsize=16)
 def _built_utm(
     shape: tuple, states: FiniteSet, alphabet: FiniteSet, blank
 ) -> UtmMachine:
     """Emit the eight sections and all tracts of the universal machine; the
     cache is keyed by ``shape``, which ``build_utm`` takes from the rest."""
-    if len(states) < 1:
-        raise ValueError("need at least one simulated state")
-    if blank not in alphabet:
-        raise ValueError("blank symbol must be in the alphabet")
     Q = states
-    sym_u = (
-        [_sym(a) for a in alphabet]
-        + [_st(q) for q in Q]
-        + [_dir(d) for d in DIRECTIONS]
-        + [HASH]
-    )
-    alpha_u = FiniteSet(sym_u)
+    alpha_u = _utm_alphabet(Q, alphabet)
     SS = frozenset(_sym(a) for a in alphabet)
     QS = frozenset(_st(q) for q in Q)
     DS = frozenset(_dir(d) for d in DIRECTIONS)
@@ -201,7 +201,7 @@ def _built_utm(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DescriptionTape:
     """The simulated transition table as tuple entries in scan order.
 
@@ -209,6 +209,8 @@ class DescriptionTape:
     move distribution).  Classical codes use point masses throughout; codes
     with uncertainty may put any distribution in the last three fields.  The
     (state, symbol) fields enumerate the state/symbol product bijectively.
+    The code's description-tape rows and its operators are built on first
+    use and serve every later one.
     """
 
     states: FiniteSet
@@ -230,6 +232,36 @@ class DescriptionTape:
         return DescriptionTape(
             self.states, self.alphabet, [self.entries[i] for i in order]
         )
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The description-tape rows over the universal alphabet: #, then
+        state, symbol, target, write and move rows per entry, then #."""
+        alpha_u = _utm_alphabet(self.states, self.alphabet)
+        rows = np.zeros((5 * len(self.entries) + 2, len(alpha_u)))
+        rows[0, alpha_u.index(HASH)] = 1.0
+        rows[-1, alpha_u.index(HASH)] = 1.0
+        for k, (q, a, t, w, d) in enumerate(self.entries):
+            base = 5 * k + 1
+            rows[base, alpha_u.index(_st(q))] = 1.0
+            rows[base + 1, alpha_u.index(_sym(a))] = 1.0
+            for i, q2 in enumerate(self.states.elements):
+                rows[base + 2, alpha_u.index(_st(q2))] = t.weights[i]
+            for i, a2 in enumerate(self.alphabet.elements):
+                rows[base + 3, alpha_u.index(_sym(a2))] = w.weights[i]
+            for i, d2 in enumerate(DIRECTIONS.elements):
+                rows[base + 4, alpha_u.index(_dir(d2))] = d.weights[i]
+        rows.flags.writeable = False  # shared by every use of the code
+        return rows
+
+    @cached_property
+    def ops(self) -> dict:
+        """The state, write and move operators over (state, symbol)."""
+        table, base = self.lookup(), product_set(self.states, self.alphabet)
+        state, write, move = (
+            stochastic_op(lambda e, k=k: table[e][k], base) for k in range(3)
+        )
+        return {"state": state, "write": [write], "dir": [move]}
 
 
 def encode_code(m: Machine, overrides: dict | None = None) -> DescriptionTape:
@@ -265,43 +297,20 @@ def encode_code(m: Machine, overrides: dict | None = None) -> DescriptionTape:
 # ---------------------------------------------------------------------------
 
 
-def _code_rows(utm: UtmMachine, code: DescriptionTape) -> np.ndarray:
-    alpha_u = utm.machine.alphabet
-    A = len(alpha_u)
-    N = len(code.entries)
-    rows = np.zeros((5 * N + 2, A))
-    rows[0, alpha_u.index(HASH)] = 1.0
-    rows[-1, alpha_u.index(HASH)] = 1.0
-    for k, (q, a, t, w, d) in enumerate(code.entries):
-        base = 5 * k + 1
-        rows[base, alpha_u.index(_st(q))] = 1.0
-        rows[base + 1, alpha_u.index(_sym(a))] = 1.0
-        for i, q2 in enumerate(code.states.elements):
-            rows[base + 2, alpha_u.index(_st(q2))] = t.weights[i]
-        for i, a2 in enumerate(code.alphabet.elements):
-            rows[base + 3, alpha_u.index(_sym(a2))] = w.weights[i]
-        for i, d2 in enumerate(DIRECTIONS.elements):
-            rows[base + 4, alpha_u.index(_dir(d2))] = d.weights[i]
-    return rows
-
-
 def encode_config(
-    utm: UtmMachine, code: DescriptionTape, s: SmoothConfig, code_rows=None
+    utm: UtmMachine, code: DescriptionTape, s: SmoothConfig
 ) -> SectionConfig:
     """Lay code and simulated configuration on the two tapes.
 
     The description head rests on the left marker; the working tape is the
-    simulated tape relabeled; the state sits on the read section.  Pass the
-    code's ``code_rows`` when the caller already has them.
+    simulated tape relabeled; the state sits on the read section.
     """
     if code.states != utm.states or code.alphabet != utm.alphabet:
         raise ValueError("code does not match the build parameters: size mismatch")
     if s.state.base != utm.states or len(s.tapes) != 1:
         raise ValueError("configuration does not match the build parameters")
     alpha_u = utm.machine.alphabet
-    if code_rows is None:
-        code_rows = _code_rows(utm, code)
-    desc = SmoothTape(alpha_u, _sym(utm.blank), 0, code_rows)
+    desc = SmoothTape(alpha_u, _sym(utm.blank), 0, code.rows)
     src = s.tapes[0]
     nsym = len(utm.alphabet)
     work_rows = np.zeros((len(src.cells), len(alpha_u)))
@@ -311,7 +320,7 @@ def encode_config(
     return SectionConfig(utm.machine, state, (desc, work))
 
 
-def _is_code_restored(utm: UtmMachine, code_rows: np.ndarray, tape: SmoothTape) -> bool:
+def _is_code_restored(code_rows: np.ndarray, tape: SmoothTape) -> bool:
     # the code is part of the encoding and must be back in place each cycle
     if tape.lo != 0 or tape.hi != len(code_rows) - 1:
         return False
@@ -319,17 +328,9 @@ def _is_code_restored(utm: UtmMachine, code_rows: np.ndarray, tape: SmoothTape) 
 
 
 def encoding_of(
-    utm: UtmMachine,
-    code: DescriptionTape,
-    cfg: SectionConfig,
-    strict=False,
-    code_rows: np.ndarray | None = None,
+    utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig, strict=False
 ):
-    """Parse a runner state as an encoding of a simulated configuration.
-
-    ``code_rows`` is the code's description-tape layout, when the caller
-    already has it.
-    """
+    """Parse a runner state as an encoding of a simulated configuration."""
     if len(cfg.state) != 1 or "read" not in cfg.state:
         if strict:  # the message is built only to be raised
             raise ValueError(
@@ -343,9 +344,7 @@ def encoding_of(
             raise ValueError(f"not a valid encoding: {msg}")
         return None
 
-    if code_rows is None:
-        code_rows = _code_rows(utm, code)
-    if not _is_code_restored(utm, code_rows, cfg.tapes[0]):
+    if not _is_code_restored(code.rows, cfg.tapes[0]):
         return fail("description tape differs from the code")
     work = cfg.tapes[1]
     nsym = len(utm.alphabet)
@@ -355,13 +354,10 @@ def encoding_of(
 
 
 def decode_config(
-    utm: UtmMachine,
-    code: DescriptionTape,
-    cfg: SectionConfig,
-    code_rows: np.ndarray | None = None,
+    utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig
 ) -> SmoothConfig:
     """State from the read section, working tape relabeled back."""
-    state = encoding_of(utm, code, cfg, strict=True, code_rows=code_rows)
+    state = encoding_of(utm, code, cfg, strict=True)
     work = cfg.tapes[1]
     nsym = len(utm.alphabet)
     tape = SmoothTape(utm.alphabet, utm.blank, work.lo, work.cells[:, :nsym])
@@ -373,22 +369,10 @@ def decode_config(
 # ---------------------------------------------------------------------------
 
 
-def _code_ops(code: DescriptionTape) -> dict:
-    """The code's state, write and move operators over (state, symbol)."""
-    table, base = code.lookup(), product_set(code.states, code.alphabet)
-    state, write, move = (
-        stochastic_op(lambda e, k=k: table[e][k], base) for k in range(3)
-    )
-    return {"state": state, "write": [write], "dir": [move]}
-
-
-def utm_cycle_semantics(
-    code: DescriptionTape, s: SmoothConfig, ops: dict | None = None
-) -> SmoothConfig:
+def utm_cycle_semantics(code: DescriptionTape, s: SmoothConfig) -> SmoothConfig:
     """The generalized smooth step with the code's distribution-valued
-    transition components; equals the plain smooth step on classical codes.
-    ``ops`` is the code's operators, when the caller already has them."""
-    return apply_step(s, *push_local(s, ops or _code_ops(code)))
+    transition components; equals the plain smooth step on classical codes."""
+    return apply_step(s, *push_local(s, code.ops))
 
 
 def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
@@ -403,28 +387,18 @@ def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
     return out
 
 
-def make_triple(
-    utm: UtmMachine, code: DescriptionTape, code_rows: np.ndarray | None = None
-) -> GeneratingTriple:
-    """The commuting square of ``code`` on ``utm``.  The code's rows (unless
-    given) are built once here, and its operators on the first reference
-    step; both serve every cycle."""
-    code_rows = _code_rows(utm, code) if code_rows is None else code_rows
-    ops = cache(lambda: _code_ops(code))
-
-    def holds(cfg) -> bool:
-        return encoding_of(utm, code, cfg, code_rows=code_rows) is not None
-
+def make_triple(utm: UtmMachine, code: DescriptionTape) -> GeneratingTriple:
+    """The commuting square of ``code`` on ``utm``."""
     enc = EncPredicate(
-        holds=holds,
+        holds=lambda cfg: encoding_of(utm, code, cfg) is not None,
         certify_outside=lambda cfg: "read" not in cfg.state
         or cfg.tapes[0].row(0)[utm.machine.alphabet.index(HASH)] == 0.0,
     )
     return GeneratingTriple(
         stepper=section_smooth_step,
         enc=enc,
-        decode=lambda cfg: decode_config(utm, code, cfg, code_rows),
-        target_step=lambda s: utm_cycle_semantics(code, s, ops()),
+        decode=lambda cfg: decode_config(utm, code, cfg),
+        target_step=lambda s: utm_cycle_semantics(code, s),
         max_steps=10 * utm.cycle_length(),
         step_checks=_utm_step_checks,
     )
@@ -456,7 +430,7 @@ def staged_write_update(read_dist: Dist, tuples) -> Dist:
     return Dist(read_dist.base, acc + placeholder * read_dist.weights)
 
 
-def staged_smooth_step(m: Machine, s: SmoothConfig, order=None) -> SmoothConfig:
+def staged_smooth_step(m: Machine, s: SmoothConfig) -> SmoothConfig:
     """A smooth step whose head-cell write uses the staged update rule.
 
     State and move direction update as usual; only the written cell follows
@@ -467,12 +441,11 @@ def staged_smooth_step(m: Machine, s: SmoothConfig, order=None) -> SmoothConfig:
     if m.num_tapes != 1:
         raise ValueError("staged model covers single-tape machines")
     y0 = s.tapes[0].cell(0)
-    pairs = order or [(q, a) for q in m.states for a in m.alphabet]
-    tuples = []
-    for q, a in pairs:
-        p = s.state[q] * y0[a]
-        w = Dist.point(m.alphabet, m.delta[(q, (a,))][1][0])
-        tuples.append((p, w))
+    tuples = [
+        (s.state[q] * y0[a], Dist.point(m.alphabet, m.delta[(q, (a,))][1][0]))
+        for q in m.states
+        for a in m.alphabet
+    ]
     staged = staged_write_update(y0, tuples)
     state, _, dirs = smooth_step_dists(m, s)
     return apply_step(s, state, [staged], dirs)

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import multitape, utm
 from .dists import Dist, FiniteSet
-from .engine import StuckError
-from .framework import CycleOverrun, check_preserving, run_to_next_encoding
+from .framework import check_preserving, check_well_behaved
 from .machines import DIRECTIONS, Machine
 from .sampling import random_dist, random_machine, random_smooth_config
 from .smooth import SmoothConfig, SmoothTape, smooth_step
@@ -35,6 +34,20 @@ SHUFFLE_TOL = 1e-12
 def _trial_seeds(seed: int, trials: int) -> list[int]:
     master = np.random.default_rng(seed)
     return [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
+
+
+def _record(i: int, tseed: int, dims: dict, res, passed: bool) -> dict:
+    """One trial's report record; reports are dumped with sorted keys."""
+    return {
+        "trial": i,
+        "seed": tseed,
+        "dims": dims,
+        "cycle_lengths": res.cycle_lengths,
+        "max_deviation": res.max_deviation,
+        "well_behaved": not res.violations,
+        "violations": res.violations[:8],
+        "pass": passed,
+    }
 
 
 def _finish(report: dict) -> dict:
@@ -73,18 +86,8 @@ def verify_multitape(
         triple = multitape.make_triple(sim)
         x0 = multitape.to_section_config(sim, multitape.encode(sim, s))
         res = check_preserving(triple, x0, tol=tol, cycles=cycles)
-        report["results"].append(
-            {
-                "trial": i,
-                "seed": tseed,
-                "dims": {"tapes": n, "states": nq, "symbols": ns},
-                "cycle_lengths": res.cycle_lengths,
-                "max_deviation": res.max_deviation,
-                "well_behaved": not res.violations,
-                "violations": res.violations[:8],
-                "pass": res.passes(tol),
-            }
-        )
+        dims = {"tapes": n, "states": nq, "symbols": ns}
+        report["results"].append(_record(i, tseed, dims, res, res.passes(tol)))
     return _finish(report)
 
 
@@ -129,61 +132,33 @@ def verify_utm(
         machine = utm.build_utm(nq, m.alphabet, m.blank)
         code = utm.encode_code(m, overrides)
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, MAX_RADIUS + 1)))
-        rows = utm._code_rows(machine, code)
-        triple = utm.make_triple(machine, code, rows)
+        triple = utm.make_triple(machine, code)
         res = check_preserving(
-            triple, utm.encode_config(machine, code, s, rows), tol=tol, cycles=cycles
+            triple, utm.encode_config(machine, code, s), tol=tol, cycles=cycles
         )
         shuffle_dev = None
         if res.encodings:
-            decoded, violation = _shuffled_cycle(machine, code.shuffled(rng), s)
-            if violation is None:
-                shuffle_dev = triple.decode(res.encodings[0]).deviation(decoded)
+            shuffled = code.shuffled(rng)
+            again = utm.make_triple(machine, shuffled)
+            x, rep = check_well_behaved(again, utm.encode_config(machine, shuffled, s))
+            if rep.cycle_length is None:
+                rep.violations.append(
+                    {"step": again.step_bound(), "violation": "no encoding reached"}
+                )
             else:
-                res.violations.append(violation)
-        result = {
-            "trial": i,
-            "seed": tseed,
-            "dims": {"states": nq, "symbols": ns},
-            "cycle_lengths": res.cycle_lengths,
-            "max_deviation": res.max_deviation,
-            "well_behaved": not res.violations,
-            "violations": res.violations[:8],
-            "pass": (
-                res.passes(tol)
-                and shuffle_dev is not None
-                and shuffle_dev <= SHUFFLE_TOL
-            ),
-        }
+                shuffle_dev = triple.decode(res.encodings[0]).deviation(again.decode(x))
+            res.violations += [
+                {"step": v["step"], "violation": f"shuffled run: {v['violation']}"}
+                for v in rep.violations
+            ]
+        passed = (
+            res.passes(tol) and shuffle_dev is not None and shuffle_dev <= SHUFFLE_TOL
+        )
+        result = _record(i, tseed, {"states": nq, "symbols": ns}, res, passed)
         if shuffle_dev is not None:
             result["shuffle_deviation"] = shuffle_dev
         report["results"].append(result)
     return _finish(report)
-
-
-def _shuffled_cycle(machine, code, s: SmoothConfig):
-    """Run ``s`` encoded under the shuffled ``code`` to its next encoding.
-
-    Returns (decoded configuration, None), or (None, violation) when the run
-    gets stuck or reaches no encoding within the step bound.
-    """
-    taken = 0
-
-    def count(t, x, info):
-        nonlocal taken
-        taken = t
-
-    rows = utm._code_rows(machine, code)
-    triple = utm.make_triple(machine, code, rows)
-    try:
-        x, _ = run_to_next_encoding(
-            triple, utm.encode_config(machine, code, s, rows), count
-        )
-    except StuckError as exc:
-        return None, {"step": taken + 1, "violation": f"shuffled run: {exc}"}
-    except CycleOverrun as exc:
-        return None, {"step": exc.steps, "violation": f"shuffled run: {exc}"}
-    return triple.decode(x), None
 
 
 def staged_instance() -> tuple[Machine, SmoothConfig]:

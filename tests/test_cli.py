@@ -37,6 +37,8 @@ TWO_TAPE_TM = "\n".join(
     + [f"q {a} {b} -> q A _ R L" for a in "_A" for b in "_A"]
 ) + "\n"
 
+NO_STATES_TM = "states:\nalphabet: _ A\ntapes: 1\n"
+
 HALF_CFG = '{"state": {"q": 1.0}, "tapes": [{"lo": 0, "cells": [{"A": 0.5, "B": 0.5}]}]}'
 BLANK_CFG = '{"state": {"q": 1.0}, "tapes": [{"lo": 0, "cells": [{"_": 1.0}]}]}'
 
@@ -136,6 +138,64 @@ def test_utm_size_mismatch(files, capsys):
         == 2
     )
     assert "size mismatch" in capsys.readouterr().err
+
+
+# a 2-state code whose three cycles from UTM_INPUT under UTM_OVERRIDES
+# deviate from the generalized step by 2.220e-16, 1.110e-16 and 1.249e-16
+UTM_TM = """\
+states: a b
+alphabet: _ A B
+tapes: 1
+a _ -> b A R
+a A -> a B L
+a B -> b _ S
+b _ -> a B L
+b A -> b A R
+b B -> a _ R
+"""
+UTM_OVERRIDES = """\
+(a,A) -> {a: 0.3, b: 0.7} / {A: 0.2, B: 0.3, _: 0.5} / {L: 0.1, S: 0.2, R: 0.7}
+(b,_) -> {a: 0.5, b: 0.5} / {A: 0.6, _: 0.4} / {L: 0.4, R: 0.6}
+"""
+UTM_INPUT = (
+    '{"state": {"a": 0.4, "b": 0.6}, "tapes": [{"lo": -1, "cells": '
+    '[{"A": 0.5, "_": 0.5}, {"B": 0.9, "A": 0.1}, {"_": 0.2, "B": 0.8}]}]}'
+)
+
+
+def utm_argv(files, *extra):
+    texts = {"u.tm": UTM_TM, "u.ov": UTM_OVERRIDES, "u.json": UTM_INPUT}
+    for name, text in texts.items():
+        (files["dir"] / name).write_text(text)
+    return ["utm", "--states", "2", "--alphabet", files["alpha.txt"],
+            "--code", str(files["dir"] / "u.tm"),
+            "--overrides", str(files["dir"] / "u.ov"),
+            "--input", str(files["dir"] / "u.json"), *extra]
+
+
+def test_utm_reports_the_max_deviation_over_cycles(files, capsys):
+    """The first of three cycles deviates most; the last alone would pass
+    ``--tol 1.5e-16``."""
+    assert main(utm_argv(files, "--cycles", "3")) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "cycles: 3, cycle length: 62, max deviation vs direct semantics: 2.220e-16\n"
+    )
+    out = captured.out
+    assert main(utm_argv(files, "--cycles", "3", "--tol", "1.5e-16")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err.splitlines()[1] == (
+        "FAIL: deviation 2.220446049250313e-16 exceeds 1.5e-16"
+    )
+
+
+def test_utm_without_encoding_fails_with_one_line(files, capsys, monkeypatch):
+    monkeypatch.setenv("SMOOTHTM_MAX_STEPS", "5")
+    assert main(utm_argv(files)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "FAIL: step 5: no encoding reached\n"
 
 
 def test_verify_multitape_passes(files, capsys):
@@ -489,13 +549,36 @@ def test_utm_malformed_overrides_exit_2(files, capsys, overrides, expected):
         ("states: q\nalphabet: _ A _\ntapes: 1\n", "line 2: duplicate symbol label"),
         ("states: q\nalphabet: _ A\ntapes: 1\nq _ -> q _ S\n",
          "delta is not total: missing ('q', ('A',))"),
+        (NO_STATES_TM, "line 1: states line lists no states"),
     ],
-    ids=["no-tapes", "duplicate-state", "duplicate-symbol", "partial-table"],
+    ids=["no-tapes", "duplicate-state", "duplicate-symbol", "partial-table",
+         "no-states"],
 )
 def test_run_malformed_machine_exit_2(files, capsys, machine, expected):
     bad = files["dir"] / "bad.tm"
     bad.write_text(machine)
     assert_usage_error(["run", str(bad), files["blank.cfg"]], capsys, "bad.tm", expected)
+
+
+@pytest.mark.parametrize("command", ["compile", "utm"])
+def test_no_states_machine_exit_2(files, capsys, command):
+    bad = files["dir"] / "bad.tm"
+    bad.write_text(NO_STATES_TM)
+    argv = {
+        "compile": ["compile", str(bad), "-o", str(files["dir"] / "bad.sec")],
+        "utm": ["utm", "--states", "0", "--alphabet", files["alpha.txt"],
+                "--code", str(bad)],
+    }[command]
+    assert_usage_error(argv, capsys, "bad.tm", "states line lists no states")
+
+
+def test_compile_reserved_marker_symbol_exit_2(files, capsys):
+    bad = files["dir"] / "marked.tm"
+    bad.write_text(
+        "states: q\nalphabet: _ #L\ntapes: 1\nq _ -> q _ S\nq #L -> q _ S\n"
+    )
+    argv = ["compile", str(bad), "-o", str(files["dir"] / "marked.sec")]
+    assert_usage_error(argv, capsys, "reserves '#L'")
 
 
 def test_run_huge_tape_count_exit_2(files, capsys):

@@ -76,6 +76,37 @@ def test_run_to_next_encoding_overrun():
         run_to_next_encoding(g, s)
 
 
+def test_well_behaved_records_step_checks_up_to_the_bound():
+    """A step check that fires is recorded at its step; a run that reaches
+    no encoding stops at the bound with no cycle length, and the checked
+    cycle reports that at the bound."""
+    from dataclasses import replace
+
+    m = small_machine()
+    s = random_smooth_config(m, np.random.default_rng(5), radius=1)
+    g = replace(
+        identity_triple(m),
+        enc=EncPredicate(lambda x: False, lambda x: True),
+        max_steps=3,
+        step_checks=lambda t, x, info: ["odd step"] if t % 2 else [],
+    )
+    x, rep = check_well_behaved(g, s)
+    assert rep.cycle_length is None and not rep.ok
+    assert rep.violations == [
+        {"step": 1, "violation": "odd step"},
+        {"step": 3, "violation": "odd step"},
+    ]
+    assert x.deviation(smooth_step(m, smooth_step(m, smooth_step(m, s)))) == 0.0
+    res = check_preserving(g, s, cycles=2)
+    assert res.cycle_lengths == [] and not res.passes(1.0)
+    assert res.violations[-1] == {"step": 3, "violation": "no encoding reached"}
+    # the step check fires on a cycle that does reach an encoding too
+    _, rep = check_well_behaved(replace(identity_triple(m), step_checks=g.step_checks), s)
+    assert rep.cycle_length == 1 and rep.violations == [
+        {"step": 1, "violation": "odd step"}
+    ]
+
+
 def test_max_steps_env_override(monkeypatch):
     m = small_machine()
     g = identity_triple(m)

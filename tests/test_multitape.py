@@ -322,6 +322,48 @@ def test_metadata_counts_and_cycle_formula():
     assert meta["cycle_length_base"] + 4 * meta["cycle_length_per_width"] == 34
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_metadata_matches_measured_blank_cycles(n):
+    """The phase-count formula equals a measured cycle of a blank encoding
+    at radius 2 and 3."""
+    m = random_machine(np.random.default_rng(n), n, 1, 2)
+    sim = compile_multitape(m)
+    meta = metadata(sim)
+    blank = SmoothConfig(
+        Dist.point(m.states, m.states.elements[0]),
+        tuple(SmoothTape.blank_tape(m.alphabet, m.blank) for _ in range(n)),
+    )
+    for radius in (2, 3):
+        x = to_section_config(sim, encode(sim, blank, L=-radius, R=radius))
+        _, t = run_to_next_encoding(make_triple(sim), x)
+        width = 2 * radius
+        assert t == meta["cycle_length_base"] + meta["cycle_length_per_width"] * width
+
+
+def test_step_checks_name_each_violation():
+    """Each per-step check of the compiled construction fires on a
+    hand-built configuration or step record."""
+    from smoothtm.engine import SectionConfig, StepInfo
+
+    sim = compile_multitape(identity_1tape())
+    x = to_section_config(sim, encode(sim, SmoothConfig(
+        Dist.point(sim.source.states, "q"),
+        (SmoothTape.blank_tape(sim.source.alphabet, "_"),),
+    )))
+    point, smeared = np.array([0.0, 1.0, 0.0]), np.array([0.5, 0.5, 0.0])
+    checks = multitape._sim_step_checks
+    assert checks(1, x, StepInfo([point], {})) == []
+    assert checks(1, x, StepInfo([smeared], {})) == [
+        "single-tape direction distribution is not a point mass"
+    ]
+    split = {"R1": np.array([0.5]), "W1": np.array([0.5, 0.0, 0.0])}
+    assert checks(1, dataclasses.replace(x, state=split), StepInfo([point], {})) == [
+        "state mass split across sections ['R1', 'W1']"
+    ]
+    heavy = SectionConfig(x.machine, {"R1": np.array([1.5])}, x.tapes)
+    assert checks(1, heavy, StepInfo([point], {})) == ["simplex violation 0.5"]
+
+
 def _decode_cell_by_cell(sim, enc) -> SmoothConfig:
     """Decoding one ``Dist`` per simulated cell, the definition."""
     m, n = sim.source, sim.n

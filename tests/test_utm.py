@@ -326,23 +326,70 @@ def test_psi_update_dimension_mismatch():
 
 @pytest.mark.parametrize("error", ["stuck", "overrun"])
 def test_verify_utm_shuffled_run_failure_is_a_violation(monkeypatch, error):
-    from smoothtm import verify
+    """The shuffled re-run is the trial's second triple: it gets stuck on
+    its third step, or reaches no encoding within a bound of two steps."""
+    from dataclasses import replace
+
+    from smoothtm import utm, verify
     from smoothtm.engine import StuckError
-    from smoothtm.framework import CycleOverrun
+    from smoothtm.framework import EncPredicate
 
-    def failing(g, x, observer=None):
-        for t in (1, 2):
-            observer(t, x, None)
-        raise StuckError("mass 0.5 stuck") if error == "stuck" else CycleOverrun(2)
+    built, taken, make = [], [], utm.make_triple
 
-    monkeypatch.setattr(verify, "run_to_next_encoding", failing)
+    def stuck_on_third(x):
+        taken.append(x)
+        if len(taken) == 3:
+            raise StuckError("mass 0.5 stuck")
+        return section_smooth_step(x)
+
+    def failing_second(machine, code):
+        triple = make(machine, code)
+        if built and error == "stuck":
+            triple = replace(triple, stepper=stuck_on_third)
+        elif built:
+            never = EncPredicate(lambda x: False, lambda x: True)
+            triple = replace(triple, enc=never, max_steps=2)
+        built.append(triple)
+        return triple
+
+    monkeypatch.setattr(utm, "make_triple", failing_second)
     (result,) = verify.verify_utm(trials=1, seed=3)["results"]
-    step = 3 if error == "stuck" else 2
-    assert result["violations"][-1]["step"] == step
-    assert result["violations"][-1]["violation"].startswith("shuffled run: ")
+    overrun = {
+        "step": built[1].step_bound(),
+        "violation": "shuffled run: no encoding reached",
+    }
+    if error == "stuck":
+        stuck = {"step": 3, "violation": "shuffled run: mass 0.5 stuck"}
+        assert result["violations"] == [stuck, overrun]
+    else:
+        assert overrun["step"] == 2 and result["violations"] == [overrun]
     assert "shuffle_deviation" not in result
     assert result["cycle_lengths"] and not result["pass"]
     assert not result["well_behaved"]
+
+
+def test_step_checks_name_each_violation():
+    """Each per-step check of the universal machine fires on a hand-built
+    configuration or step record."""
+    from smoothtm import utm
+    from smoothtm.engine import SectionConfig, StepInfo
+
+    m = identity_machine()
+    machine = build_utm(m.states, m.alphabet, m.blank)
+    x = encode_config(machine, encode_code(m), half_ab(m))
+    point, smeared = np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.5])
+    checks = utm._utm_step_checks
+    assert checks(1, x, StepInfo([point, point], {})) == []
+    assert checks(1, x, StepInfo([smeared, point], {})) == [
+        "description head direction is not a point mass"
+    ]
+    assert checks(1, x, StepInfo([point, smeared], {})) == [
+        "working head moved outside the closing tract"
+    ]
+    closing = {("update", "read"): 1.0}
+    assert checks(1, x, StepInfo([point, smeared], closing)) == []
+    heavy = SectionConfig(x.machine, {"read": np.array([1.5])}, x.tapes)
+    assert checks(1, heavy, StepInfo([point, point], {})) == ["simplex violation 0.5"]
 
 
 def test_strict_predicate_messages_pinned():
@@ -445,16 +492,22 @@ def test_verify_utm_same_with_cold_or_warm_tables(seed):
 def test_code_operators_built_on_first_reference_step(monkeypatch):
     """A triple whose reference step is never taken, like the shuffled
     cycle's, builds no operators; one that is builds them once."""
-    from smoothtm import utm
+    from smoothtm import utm, verify
 
     m = random_machine(np.random.default_rng(3), 1, 2, 2)
     machine = build_utm(m.states, m.alphabet, m.blank)
     code = encode_code(m)
     s = random_smooth_config(m, np.random.default_rng(4), radius=1)
-    built, code_ops = [], utm._code_ops
-    monkeypatch.setattr(utm, "_code_ops", lambda c: built.append(c) or code_ops(c))
+    built, stochastic_op = [], utm.stochastic_op
+    monkeypatch.setattr(
+        utm, "stochastic_op", lambda *a: built.append(a) or stochastic_op(*a)
+    )
     triple = make_triple(machine, code)
-    assert built == []
+    assert built == [] and "ops" not in vars(code)
     one, two = triple.target_step(s), triple.target_step(s)
-    assert built == [code]
+    assert len(built) == 3  # state, write and move, once
     assert one.deviation(smooth_step(m, s)) == 0.0 and one.deviation(two) == 0.0
+    # a trial's checked cycles build its code's three; the shuffled code none
+    built.clear()
+    verify.verify_utm(trials=1, seed=3)
+    assert len(built) == 3
