@@ -154,9 +154,6 @@ class Dist:
     def __getitem__(self, x) -> float:
         return float(self.weights[self.base.index(x)])
 
-    def support(self) -> tuple:
-        return tuple(self.base.elements[i] for i in np.flatnonzero(self.weights))
-
     def point_value(self):
         """The supported element, for a point mass."""
         nz = np.flatnonzero(self.weights)

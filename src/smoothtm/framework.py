@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .engine import StuckError
 from .smooth import SmoothConfig
 
 MAX_STEPS_ENV = "SMOOTHTM_MAX_STEPS"
@@ -117,8 +118,6 @@ def check_well_behaved(g: GeneratingTriple, x) -> tuple[Any, WellBehavedReport]:
     encoding set (or that trips a construction-specific step invariant) is
     reported with its step index.
     """
-    from .engine import StuckError
-
     report = WellBehavedReport(cycle_length=None)
     bound = g.step_bound()
     t = 0

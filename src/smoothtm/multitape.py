@@ -77,7 +77,6 @@ class InterleavedEncoding:
 class CompiledSim:
     source: Machine
     machine: SectionMachine
-    broken: bool = False
 
     @property
     def n(self) -> int:
@@ -87,9 +86,9 @@ class CompiledSim:
 def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     """Emit the simulator's sections and tracts for all n rows.
 
-    ``broken=True`` redirects the state-update tract to fire right after the
-    write phase (skipping the parallel move), a deliberate mutation used to
-    show the verifier is not vacuous.
+    ``broken=True`` writes tape 1 the symbol after delta's write (mod
+    |Sigma|), a deliberate mutation that completes every cycle with the
+    wrong tape and shows the commuting-square check is not vacuous.
     """
     n = m.num_tapes
     Q, SIGMA = m.states, m.alphabet
@@ -117,6 +116,8 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         [[SIGMA.index(w) for w in ws] for _, ws, _ in rows], dtype=np.intp
     ).reshape(-1, n)
     to_d = np.array([ds for _, _, ds in rows], dtype=np.intp).reshape(-1, n)
+    if broken:  # only W_n reads column 0: W_k writes tape n-k+1
+        to_w[:, 0] = (to_w[:, 0] + 1) % S
 
     def psi(xw, j0, c1, c2, c3):
         # selector over written neighbours by the row's move direction
@@ -156,25 +157,11 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     # write phase: Wk at position n-k writes tape (n-k+1)'s symbol
     for k in range(1, n + 1):
         sections[f"W{k}"] = ctx_w
-        if k < n:
-            tgt = f"W{k+1}"
-        elif broken:
-            tgt = "R1"
-        else:
-            tgt = f"MLB1.{n}"
-        tape0 = n - k  # 0-based tape written here
-        if k == n and broken:
-            # mutation: perform the state update here, skipping the move phase
-            emit(
-                f"W{k}", tgt, SIG,
-                lambda xi, s, t0=tape0: (to_q[xi], to_w[xi, t0]), -1,
-                f"write{k}-broken",
-            )
-        else:
-            emit(
-                f"W{k}", tgt, SIG,
-                lambda xi, s, t0=tape0: (xi, to_w[xi, t0]), -1, f"write{k}",
-            )
+        tgt = f"W{k+1}" if k < n else f"MLB1.{n}"
+        emit(
+            f"W{k}", tgt, SIG,
+            lambda xi, s, t0=n - k: (xi, to_w[xi, t0]), -1, f"write{k}",
+        )
 
     for j in range(n, 0, -1):
         j0 = j - 1
@@ -283,7 +270,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     emit("S", "R1", SIG, lambda xi, s: (to_q[xi], s), 0, "state-update")
 
     sm = SectionMachine(sections, tracts, alphabet, blank, 1)
-    return CompiledSim(source=m, machine=sm, broken=broken)
+    return CompiledSim(source=m, machine=sm)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +380,9 @@ def _data_rows(n: int, tape: SmoothTape, L: int, R: int) -> np.ndarray:
     return tape.cells[pos - tape.lo]
 
 
-def decode(sim: CompiledSim, enc) -> SmoothConfig:
+def decode(sim: CompiledSim, cfg: SectionConfig) -> SmoothConfig:
     """Read the encoded configuration back off the single tape."""
-    if isinstance(enc, SectionConfig):
-        parsed = encoding_of(sim, enc, strict=True)
-    else:
-        parsed = enc
+    parsed = encoding_of(sim, cfg, strict=True)
     m = sim.source
     rows = _data_rows(sim.n, parsed.tape, parsed.L, parsed.R)[:, :, : len(m.alphabet)]
     tapes = tuple(SmoothTape(m.alphabet, m.blank, parsed.L, r) for r in rows)
@@ -417,10 +401,11 @@ def _sim_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
     return out
 
 
-def cycle_steps_bound(n: int, width: int) -> int:
-    """Loose upper bound on one cycle's step count for window width R-L."""
-    per_row = 8 * n * (width + 8) + 12 * n
-    return 2 * n + n * per_row + 2 * n * (width + 8) + 4
+def cycle_length(n: int, width: int) -> int:
+    """Steps of one cycle at border distance R-L = ``width``, whatever the
+    tape holds: the head path of every phase depends only on n and the
+    border distance, which grows by 2 each cycle."""
+    return 14 * n * n + 2 * n + 2 + 4 * n * n * width
 
 
 def make_triple(sim: CompiledSim, width_hint: int = 24) -> GeneratingTriple:
@@ -434,18 +419,14 @@ def make_triple(sim: CompiledSim, width_hint: int = 24) -> GeneratingTriple:
         enc=enc,
         decode=lambda cfg: decode(sim, cfg),
         target_step=lambda s: smooth_step(sim.source, s),
-        max_steps=10 * cycle_steps_bound(sim.n, width_hint),
+        max_steps=10 * cycle_length(sim.n, width_hint),
         step_checks=_sim_step_checks,
     )
 
 
 def metadata(sim: CompiledSim) -> dict:
-    """Section counts and cycle-length parameters for the compile report.
-
-    One cycle takes base + per_width*(R-L) steps whatever the tape holds:
-    the head path of every phase depends only on n and the border distance,
-    which grows by 2 each cycle.
-    """
+    """Section counts and cycle-length parameters for the compile report:
+    one cycle takes base + per_width*(R-L) steps (see ``cycle_length``)."""
     m, n = sim.source, sim.n
     return {
         "tapes": n,
@@ -453,6 +434,6 @@ def metadata(sim: CompiledSim) -> dict:
         "source_symbols": len(m.alphabet),
         "sections": len(sim.machine.sections),
         "states": sim.machine.state_count(),
-        "cycle_length_base": 14 * n * n + 2 * n + 2,
+        "cycle_length_base": cycle_length(n, 0),
         "cycle_length_per_width": 4 * n * n,
     }

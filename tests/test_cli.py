@@ -240,7 +240,7 @@ def test_verify_broken_multitape_fails(files):
 # sampling, the stepping arithmetic or the report layout moves a digest
 REPORT_DIGESTS = {
     "multitape": "75039c1d51080a5d70ff3410ad128d8aa0f30b87d5979d40c4128083c2ffb923",
-    "broken-multitape": "a096c50e812187940fcda9f76fa6bf8d3ad6339b931ce24ff8aeb93807f89733",
+    "broken-multitape": "044a6c85a5c00386c13df6e6b168aaade262dbd0a2739e4b6e4081f5325c270c",
     "utm": "892fa8e15b5e69eea0fe34b2b63279605cbd1bdcfd5520773953b911bbed9778",
     "utm --uncertain-codes": "41630ec2aea231e12b5b6b32b724626d67f5924c96f76f536f0af0b3ddfc6ece",
     "staged-counterexample": "a19e476621786d25c895dec3103de48dee17eae3a36b50a2e4bc5177331e4ddc",
@@ -259,8 +259,8 @@ def test_verify_report_bytes_pinned(construction, tmp_path):
 SEEDED_REPORT_DIGESTS = {
     ("multitape", 1): "e6ca35df98fde114de08e4b7f3576af678aa386e14f3e1a67861ffa5fe9c79ec",
     ("multitape", 2): "b7a2da83a01ec5ba2659829652086f26b313344179a7a8071e9e099419f133f7",
-    ("broken-multitape", 1): "e2c0694e4e19f42371a14dcd9d55c7d0c1452eb1700cc4a0c05f2464bdd0693c",
-    ("broken-multitape", 2): "45d19c110ed87420a0ed3e436d2ea13f36cd1b71ebe5183926bb81587da40cd1",
+    ("broken-multitape", 1): "1f3c4bd1f12f28d59c359e6ebeed1be948fd5d95072b9b666e97a28aa2396f7b",
+    ("broken-multitape", 2): "b3a16d4d2f25bb6a5165cf30e49f7b8de6bf80f2ea62fb650444a8fc849ea643",
     ("utm", 1): "0ddfce9802ed0effec19e35a64b2bc42451f1af27c69ed5ff9646162264db61c",
     ("utm", 2): "d290aefd0157a3baf064ac3556a99f3a356e137eef16342b6053ae9a1edd5714",
     ("utm --uncertain-codes", 1):

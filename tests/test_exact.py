@@ -2,8 +2,11 @@
 
 Weights on a 2^-b grid (b = 2..4) keep every product and sum of one cycle
 exact in float64 for these small machines, so one cycle of either
-construction must match one smooth step with deviation exactly 0.0, and
-the deliberately broken compiler must fail on every instance.
+construction must match one smooth step with deviation exactly 0.0.  The
+deliberately broken compiler completes every cycle without a violation and
+deviates exactly where its shifted tape-1 write differs from the true one;
+a compile redirected past its move phase fails every instance by a
+violation.
 """
 
 import numpy as np
@@ -13,7 +16,8 @@ from smoothtm.dists import Dist
 from smoothtm.framework import check_preserving
 from smoothtm.machines import DIRECTIONS
 from smoothtm.sampling import random_machine
-from smoothtm.smooth import SmoothConfig, SmoothTape
+from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step_dists
+from test_multitape import _redirected
 
 INSTANCES = 50
 
@@ -44,29 +48,45 @@ def _instances(seed: int):
         yield rng, b
 
 
-def _multitape_cycle(m, rng, b: int, broken: bool):
-    sim = multitape.compile_multitape(m, broken=broken)
-    s = dyadic_config(m, rng, b)
+def _multitape_instances(seed: int):
+    for rng, b in _instances(seed):
+        n = int(rng.integers(1, 3))
+        m = random_machine(rng, n, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        yield m, dyadic_config(m, rng, b)
+
+
+def _multitape_cycle(sim, s):
     x0 = multitape.to_section_config(sim, multitape.encode(sim, s))
     return check_preserving(multitape.make_triple(sim), x0, tol=0.0, cycles=1)
 
 
 def test_dyadic_multitape_cycle_is_exact():
-    for rng, b in _instances(505):
-        n = int(rng.integers(1, 3))
-        m = random_machine(rng, n, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
-        res = _multitape_cycle(m, rng, b, broken=False)
+    for m, s in _multitape_instances(505):
+        res = _multitape_cycle(multitape.compile_multitape(m), s)
         assert len(res.cycle_lengths) == 1 and not res.violations, res.violations
         assert res.max_deviation == 0.0
 
 
+def test_dyadic_write_shift_deviates_unless_shift_invariant():
+    """The broken compile writes tape 1 the next symbol mod |Sigma|.  It
+    completes every cycle without a violation, and deviates exactly when
+    that shift changes tape 1's write distribution."""
+    for m, s in _multitape_instances(506):
+        res = _multitape_cycle(multitape.compile_multitape(m, broken=True), s)
+        assert len(res.cycle_lengths) == 1 and not res.violations, res.violations
+        w = smooth_step_dists(m, s)[1][0].weights
+        if np.array_equal(np.roll(w, 1), w):
+            assert res.max_deviation == 0.0
+        else:
+            assert res.max_deviation > 0.0 and not res.passes(0.0)
+
+
 def test_dyadic_broken_multitape_always_fails():
-    """The broken compile skips the move phase; it never completes a cycle,
-    so every instance fails by a violation (its deviation stays 0.0)."""
-    for rng, b in _instances(506):
-        n = int(rng.integers(1, 3))
-        m = random_machine(rng, n, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
-        res = _multitape_cycle(m, rng, b, broken=True)
+    """A compile redirected from its last write straight to the state update
+    skips the move phase; it never completes a cycle, so every instance
+    fails by a violation (its deviation stays 0.0)."""
+    for m, s in _multitape_instances(506):
+        res = _multitape_cycle(_redirected(multitape.compile_multitape(m)), s)
         assert res.violations and not res.passes(0.0)
 
 

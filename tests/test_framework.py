@@ -144,7 +144,7 @@ def test_decoder_linearity_in_one_component():
     def enc_with_cell(cell):
         tape = SmoothTape.from_dists(m.alphabet, m.blank, 0, [cell])
         s = SmoothConfig(Dist.point(m.states, m.states.elements[0]), (tape,))
-        return multitape.encode(sim, s)
+        return multitape.to_section_config(sim, multitape.encode(sim, s))
 
     a = Dist.from_pairs(m.alphabet, {"A": 0.6, "B": 0.4})
     b = Dist.from_pairs(m.alphabet, {"_": 0.5, "B": 0.5})

@@ -90,7 +90,7 @@ def test_encode_decode_round_trip():
         m = random_machine(rng, n, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
         sim = compile_multitape(m)
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, 3)))
-        assert decode(sim, encode(sim, s)).deviation(s) == 0.0
+        assert decode(sim, to_section_config(sim, encode(sim, s))).deviation(s) == 0.0
 
 
 def test_decode_names_offending_component():
@@ -228,7 +228,7 @@ def test_direction_point_mass_every_step():
 def test_broken_variant_fails_well_behavedness():
     rng = np.random.default_rng(5)
     m = random_machine(rng, 2, 2, 2)
-    sim = compile_multitape(m, broken=True)
+    sim = _redirected(compile_multitape(m))
     s = random_smooth_config(m, rng, radius=1)
     triple = make_triple(sim)
     res = check_preserving(
@@ -239,22 +239,77 @@ def test_broken_variant_fails_well_behavedness():
     assert all(isinstance(v["step"], int) for v in res.violations)
 
 
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_broken_compile_shares_the_section_graph(seed, n):
+    """The broken compile differs from the correct one only in what the
+    last write tract writes on tape 1: delta's write + 1 mod |Sigma|."""
+    m = random_machine(np.random.default_rng(seed), n, 2, 3)
+    good, bad = compile_multitape(m).machine, compile_multitape(m, broken=True).machine
+    assert good.sections == bad.sections
+    graph = lambda sm: [(t.source, t.target, t.reads, t.label) for t in sm.tracts]
+    assert graph(good) == graph(bad)
+    S = len(m.alphabet)
+    for sid in good.sections:
+        gt, bt = good.table(sid), bad.table(sid)
+        assert np.array_equal(gt.uncovered, bt.uncovered)
+        assert len(gt.entries) == len(bt.entries)
+        for ge, be in zip(gt.entries, bt.entries):
+            for f in dataclasses.fields(ge):
+                g, b = getattr(ge, f.name), getattr(be, f.name)
+                if f.name == "w_idx" and ge.label == f"write{n}":
+                    assert np.array_equal(b[0], (g[0] + 1) % S)
+                    g, b = g[1:], b[1:]
+                assert _same(g, b), (sid, ge.label, f.name)
+
+
+def _with_tract(sim, label, mutate):
+    """``sim`` with its tract named ``label`` replaced by ``mutate(tract)``."""
+    sm = sim.machine
+    tracts = [mutate(t) if t.label == label else t for t in sm.tracts]
+    machine = SectionMachine(sm.sections, tracts, sm.alphabet, sm.blank, sm.num_tapes)
+    return dataclasses.replace(sim, machine=machine)
+
+
+def _redirected(sim):
+    """``sim`` with its last write tract also performing the state update
+    and jumping straight to R1, skipping the move phase: mass lands in R1
+    mid-cycle, overlapping the encodings, and then gets stuck."""
+    m = sim.source
+    ctx = sim.machine.sections["W1"]
+    to_q = np.array([m.states.index(m.delta[(x[0], x[1:])][0]) for x in ctx])
+
+    def mutate(t):
+        def redirected(xi, syms):
+            _, writes, moves = t.index_map(xi, syms)
+            return to_q[xi], writes, moves
+
+        return dataclasses.replace(t, target="R1", index_map=redirected)
+
+    return _with_tract(sim, f"write{sim.n}", mutate)
+
+
 def _state_shifted(sim):
     """``sim`` with its state-update tract sending each context to state
     (delta's target + 1) mod |Q|: every cycle completes, to a wrong state."""
     nq = len(sim.source.states)
-    tracts = []
-    for t in sim.machine.tracts:
-        if t.label == "state-update":
-            def shifted(xi, syms, index_map=t.index_map):
-                to, writes, moves = index_map(xi, syms)
-                return (to + 1) % nq, writes, moves
 
-            t = dataclasses.replace(t, index_map=shifted)
-        tracts.append(t)
-    sm = sim.machine
-    machine = SectionMachine(sm.sections, tracts, sm.alphabet, sm.blank, sm.num_tapes)
-    return dataclasses.replace(sim, machine=machine)
+    def mutate(t):
+        def shifted(xi, syms):
+            to, writes, moves = t.index_map(xi, syms)
+            return (to + 1) % nq, writes, moves
+
+        return dataclasses.replace(t, index_map=shifted)
+
+    return _with_tract(sim, "state-update", mutate)
 
 
 @pytest.mark.parametrize("seed", [3, 6, 9])

@@ -583,7 +583,7 @@ TABLE_DIGESTS = [
      "d80b23e9e95fc2a508d2b0627a3e1244ad484b5d6877b4db1dfd07a32ae21e60"),
     ("mt-broken-2x2x3", lambda: compile_multitape(
         random_machine(np.random.default_rng(2), 2, 2, 3), broken=True).machine,
-     "64f722c270fc706849125d5e85277d153b17361aca74547fa5454af51bba0786"),
+     "0752d25b6183b7ec3a3aa1544f93752839d00e74625f0e439c7a79e59cfeef32"),
     ("utm-2x3", SECTION_MACHINES["utm-2x3"],
      "96b5309968ac868dd3a437025afc128054f8b48e053d6031c0f2882861f95079"),
     ("utm-3x4", SECTION_MACHINES["utm-3x4"],
