@@ -435,5 +435,5 @@ def metadata(sim: CompiledSim) -> dict:
         "sections": len(sim.machine.sections),
         "states": sim.machine.state_count(),
         "cycle_length_base": cycle_length(n, 0),
-        "cycle_length_per_width": 4 * n * n,
+        "cycle_length_per_width": cycle_length(n, 1) - cycle_length(n, 0),
     }

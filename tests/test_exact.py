@@ -17,7 +17,6 @@ from smoothtm.framework import check_preserving
 from smoothtm.machines import DIRECTIONS
 from smoothtm.sampling import random_machine
 from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step_dists
-from test_multitape import _redirected
 
 INSTANCES = 50
 
@@ -81,12 +80,12 @@ def test_dyadic_write_shift_deviates_unless_shift_invariant():
             assert res.max_deviation > 0.0 and not res.passes(0.0)
 
 
-def test_dyadic_broken_multitape_always_fails():
+def test_dyadic_broken_multitape_always_fails(redirected):
     """A compile redirected from its last write straight to the state update
     skips the move phase; it never completes a cycle, so every instance
     fails by a violation (its deviation stays 0.0)."""
     for m, s in _multitape_instances(506):
-        res = _multitape_cycle(_redirected(multitape.compile_multitape(m)), s)
+        res = _multitape_cycle(redirected(multitape.compile_multitape(m)), s)
         assert res.violations and not res.passes(0.0)
 
 

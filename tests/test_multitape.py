@@ -19,7 +19,6 @@ from smoothtm.multitape import (
     to_section_config,
 )
 from smoothtm.sampling import random_machine, random_smooth_config
-from smoothtm.sections import SectionMachine
 from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step
 
 
@@ -225,10 +224,10 @@ def test_direction_point_mass_every_step():
         assert info.direction_point_mass(0)
 
 
-def test_broken_variant_fails_well_behavedness():
+def test_broken_variant_fails_well_behavedness(redirected):
     rng = np.random.default_rng(5)
     m = random_machine(rng, 2, 2, 2)
-    sim = _redirected(compile_multitape(m))
+    sim = redirected(compile_multitape(m))
     s = random_smooth_config(m, rng, radius=1)
     triple = make_triple(sim)
     res = check_preserving(
@@ -237,6 +236,16 @@ def test_broken_variant_fails_well_behavedness():
     assert not res.passes(1e-9)
     assert any("overlaps" in v["violation"] for v in res.violations)
     assert all(isinstance(v["step"], int) for v in res.violations)
+    # mass lands in R1 mid-cycle, is stuck there one step later, and the
+    # run ends at the step bound, 10 cycles at the hinted width
+    assert res.violations == [
+        {"step": 4, "violation": "intermediate overlaps encodings"},
+        {
+            "step": 5,
+            "violation": "mass 1.0 stepped into unspecified transitions of section 'R1'",
+        },
+        {"step": 10 * multitape.cycle_length(2, 24), "violation": "no encoding reached"},
+    ]
 
 
 def _same(a, b) -> bool:
@@ -271,49 +280,8 @@ def test_broken_compile_shares_the_section_graph(seed, n):
                 assert _same(g, b), (sid, ge.label, f.name)
 
 
-def _with_tract(sim, label, mutate):
-    """``sim`` with its tract named ``label`` replaced by ``mutate(tract)``."""
-    sm = sim.machine
-    tracts = [mutate(t) if t.label == label else t for t in sm.tracts]
-    machine = SectionMachine(sm.sections, tracts, sm.alphabet, sm.blank, sm.num_tapes)
-    return dataclasses.replace(sim, machine=machine)
-
-
-def _redirected(sim):
-    """``sim`` with its last write tract also performing the state update
-    and jumping straight to R1, skipping the move phase: mass lands in R1
-    mid-cycle, overlapping the encodings, and then gets stuck."""
-    m = sim.source
-    ctx = sim.machine.sections["W1"]
-    to_q = np.array([m.states.index(m.delta[(x[0], x[1:])][0]) for x in ctx])
-
-    def mutate(t):
-        def redirected(xi, syms):
-            _, writes, moves = t.index_map(xi, syms)
-            return to_q[xi], writes, moves
-
-        return dataclasses.replace(t, target="R1", index_map=redirected)
-
-    return _with_tract(sim, f"write{sim.n}", mutate)
-
-
-def _state_shifted(sim):
-    """``sim`` with its state-update tract sending each context to state
-    (delta's target + 1) mod |Q|: every cycle completes, to a wrong state."""
-    nq = len(sim.source.states)
-
-    def mutate(t):
-        def shifted(xi, syms):
-            to, writes, moves = t.index_map(xi, syms)
-            return (to + 1) % nq, writes, moves
-
-        return dataclasses.replace(t, index_map=shifted)
-
-    return _with_tract(sim, "state-update", mutate)
-
-
 @pytest.mark.parametrize("seed", [3, 6, 9])
-def test_commuting_square_catches_a_wrong_state_update(seed):
+def test_commuting_square_catches_a_wrong_state_update(seed, state_shifted):
     """A compile that completes every cycle with the wrong state fails on
     the deviation alone, at the correct compile's cycle lengths."""
     rng = np.random.default_rng(seed)
@@ -321,7 +289,7 @@ def test_commuting_square_catches_a_wrong_state_update(seed):
     s = random_smooth_config(m, rng, radius=2)
     sim = compile_multitape(m)
     results = []
-    for compiled in (sim, _state_shifted(sim)):
+    for compiled in (sim, state_shifted(sim)):
         x0 = to_section_config(compiled, encode(compiled, s))
         results.append(check_preserving(make_triple(compiled), x0, cycles=2))
     good, bad = results
