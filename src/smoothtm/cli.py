@@ -248,6 +248,24 @@ def cmd_utm(args) -> int:
     return 0
 
 
+# verify's constructions: name -> the campaign it runs on the parsed options
+CAMPAIGNS = {
+    "multitape": lambda args: verify_mod.verify_multitape(
+        trials=args.trials, seed=args.seed, tol=args.tol
+    ),
+    "utm": lambda args: verify_mod.verify_utm(
+        trials=args.trials, seed=args.seed, tol=args.tol,
+        uncertain_codes=args.uncertain_codes,
+    ),
+    "staged-counterexample": lambda args: verify_mod.verify_staged(
+        tol=args.tol, seed=args.seed
+    ),
+    "broken-multitape": lambda args: verify_mod.verify_multitape(
+        trials=args.trials, seed=args.seed, tol=args.tol, broken=True
+    ),
+}
+
+
 def cmd_verify(args) -> int:
     _require_positive("--trials", args.trials)
     if args.seed < 0:
@@ -255,23 +273,7 @@ def cmd_verify(args) -> int:
     _require_tolerance(args.tol)
     if args.uncertain_codes and args.construction != "utm":
         raise CliError("--uncertain-codes applies to --construction utm only")
-    if args.construction == "multitape":
-        report = verify_mod.verify_multitape(
-            trials=args.trials, seed=args.seed, tol=args.tol
-        )
-    elif args.construction == "broken-multitape":
-        report = verify_mod.verify_multitape(
-            trials=args.trials, seed=args.seed, tol=args.tol, broken=True
-        )
-    elif args.construction == "utm":
-        report = verify_mod.verify_utm(
-            trials=args.trials,
-            seed=args.seed,
-            tol=args.tol,
-            uncertain_codes=args.uncertain_codes,
-        )
-    else:
-        report = verify_mod.verify_staged(tol=args.tol, seed=args.seed)
+    report = CAMPAIGNS[args.construction](args)
     text = verify_mod.report_json(report)
     if args.report:
         _write(args.report, text)
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--construction",
         required=True,
-        choices=["multitape", "utm", "staged-counterexample", "broken-multitape"],
+        choices=list(CAMPAIGNS),
     )
     ver.add_argument("--trials", type=int, default=25)
     ver.add_argument("--seed", type=int, default=0)

@@ -81,11 +81,7 @@ def env_step_bound() -> int | None:
     return bound
 
 
-def run_to_next_encoding(
-    g: GeneratingTriple,
-    x,
-    observer: Callable[[int, Any, Any], None] | None = None,
-):
+def run_to_next_encoding(g: GeneratingTriple, x):
     """Iterate the smooth step until the encoding predicate holds again.
 
     Returns (configuration, cycle length t).  Raises :class:`CycleOverrun`
@@ -93,9 +89,7 @@ def run_to_next_encoding(
     """
     bound = g.step_bound()
     for t in range(1, bound + 1):
-        x, info = g.stepper(x)
-        if observer is not None:
-            observer(t, x, info)
+        x, _ = g.stepper(x)
         if g.enc.holds(x):
             return x, t
     raise CycleOverrun(bound)
@@ -105,10 +99,6 @@ def run_to_next_encoding(
 class WellBehavedReport:
     cycle_length: int | None
     violations: list[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.cycle_length is not None and not self.violations
 
 
 def check_well_behaved(g: GeneratingTriple, x) -> tuple[Any, WellBehavedReport]:

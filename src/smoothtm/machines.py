@@ -42,9 +42,9 @@ class Machine:
     """An n-tape Turing machine with a total transition table.
 
     ``delta`` maps (state, read-symbol vector) to (state, write vector,
-    direction vector) with directions in {-1, 0, 1}.  ``fills`` marks table
-    entries that were added only to make delta total (stuck self-loops for
-    unreachable pairs); verifiers assert they are never exercised.
+    direction vector) with directions in {-1, 0, 1}.  A lowered section
+    machine's stuck fills are plain entries here; the section engine, not
+    this table, reports mass that reaches one.
     """
 
     def __init__(
@@ -54,7 +54,6 @@ class Machine:
         blank: Hashable,
         num_tapes: int,
         delta: Mapping,
-        fills: frozenset = frozenset(),
     ):
         if blank not in alphabet:
             raise ValueError("blank symbol must be in the alphabet")
@@ -65,7 +64,6 @@ class Machine:
         self.blank = blank
         self.num_tapes = num_tapes
         self.delta = dict(delta)
-        self.fills = fills
         self._validate()
 
     def _validate(self):
@@ -175,15 +173,6 @@ def step(m: Machine, c: Configuration) -> Configuration:
     return Configuration(q2, tapes)
 
 
-def run(m: Machine, c: Configuration, t: int) -> Configuration:
-    """t-fold iteration of step (t >= 0)."""
-    if t < 0:
-        raise ValueError("step count must be nonnegative")
-    for _ in range(t):
-        c = step(m, c)
-    return c
-
-
 # ---------------------------------------------------------------------------
 # Text format
 #
@@ -200,10 +189,16 @@ def parse_machine(text: str) -> Machine:
     blank = None
     num_tapes = None
     delta = {}
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip() if raw.lstrip().startswith("#") else raw.strip()
         if not line:
             continue
+        header = line.partition(":")[0]
+        if header in ("states", "alphabet", "tapes"):
+            if header in seen:
+                raise FormatError(f"duplicate {header} line", lineno)
+            seen.add(header)
         if line.startswith("states:"):
             labels = line[len("states:"):].split()
             if not labels:

@@ -14,13 +14,14 @@ tracts over the same read symbols may split a section by context.
 
 :meth:`SectionMachine.table` compiles one section into index arrays; it is
 the only code that evaluates guards and index maps, validates what they give
-and checks that no two tracts overlap.  Classical stepping, lowering, the
-serialization and the smooth engine all read these tables.
+and checks that no two tracts overlap.  Lowering, the serialization and the
+smooth engine all read these tables.
 
 Lowering produces an ordinary :class:`~smoothtm.machines.Machine` whose state
-set is the disjoint union of the contexts tagged by section id.  Pairs not
-covered by any tract are filled with a flagged stuck self-loop (write back,
-stay) so that delta is total; the fills must never be exercised.
+set is the disjoint union of the contexts tagged by section id; it is the
+classical reading of a section machine.  Pairs not covered by any tract are
+filled with a stuck self-loop (write back, stay) so that delta is total; the
+engine raises :class:`~smoothtm.engine.StuckError` on mass that reaches one.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from .dists import FiniteSet
-from .machines import Configuration, Machine
+from .machines import Machine
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ class _SectionTable:
                 hit = covered[src]
                 if hit.any():
                     flat = int(src[hit.argmax()])
-                    first, _ = self.find(flat)
+                    first = next(e for e in self.entries if (e.src == flat).any())
                     x, syms = self.pair(flat)
                     raise ValueError(
                         f"overlapping tracts {first.label!r} and {t.label!r} at "
@@ -280,13 +281,6 @@ class _SectionTable:
             self.uncovered_bits = _bits(np.flatnonzero(partly_covered))
         self.uncovered.flags.writeable = False
 
-    def flat(self, x, syms) -> int:
-        """The flat index of a (context element, read symbols) pair."""
-        off = 0
-        for s in syms:
-            off = off * len(self.alphabet) + self.alphabet.index(s)
-        return self.sections[self.sid].index(x) * len(self.alphabet) ** self.n + off
-
     def pair(self, flat: int) -> tuple:
         """The (context element, read symbols) pair at a flat index."""
         A = self.alphabet
@@ -296,14 +290,6 @@ class _SectionTable:
             self.sections[self.sid].elements[xi],
             tuple(A.elements[k] for k in digits),
         )
-
-    def find(self, flat: int) -> tuple[_TractEntry, int] | None:
-        """The entry covering a flat index and the position in it, or None."""
-        for e in self.entries:
-            k = int(np.searchsorted(e.src, flat))
-            if k < e.src.size and e.src[k] == flat:
-                return e, k
-        return None
 
     def _index_arrays(self, t: Tract, combos, offsets):
         """Index arrays of a tract given by an index map, called once for all
@@ -378,40 +364,17 @@ def _offsets(mask: int, size: int) -> np.ndarray:
     return np.array([k for k in range(size) if mask >> k & 1], dtype=np.intp)
 
 
-def section_step(sm: SectionMachine, c: Configuration) -> Configuration:
-    """Direct tract interpretation of one classical step.
-
-    The configuration's state is a (section id, context element) pair.
-    Stepping into a pair no tract covers is a runtime error.
-    """
-    sid, x = c.state
-    syms = tuple(t.cell(0) for t in c.tapes)
-    table = sm.table(sid)
-    found = table.find(table.flat(x, syms))
-    if found is None:
-        raise RuntimeError(
-            f"stuck: no tract from section {sid!r} context {x!r} on {syms!r}"
-        )
-    e, k = found
-    tapes = tuple(
-        t.write0(sm.alphabet.elements[w[k]]).shift(int(d[k]) - 1)
-        for t, w, d in zip(c.tapes, e.w_idx, e.d_idx)
-    )
-    return Configuration((e.target, sm.sections[e.target].elements[e.tgt[k]]), tapes)
-
-
 def lower_sections(sm: SectionMachine) -> Machine:
     """Assemble the ordinary machine underlying a section machine.
 
     States are (section id, context element) pairs in section order;
-    uncovered (state, symbols) pairs become flagged stuck fills.
+    uncovered (state, symbols) pairs become stuck fills: write back, stay.
     """
     A, n = sm.alphabet, sm.num_tapes
     states = FiniteSet(
         [(sid, x) for sid, ctx in sm.sections.items() for x in ctx]
     )
     delta = {}
-    fills = set()
     for sid, ctx in sm.sections.items():
         table = sm.table(sid)
         keys = [((sid, x), syms) for x in ctx for syms in product(A.elements, repeat=n)]
@@ -425,11 +388,8 @@ def lower_sections(sm: SectionMachine) -> Machine:
                 rows[f] = row
         for f in table.uncovered.tolist():
             rows[f] = (*keys[f], (0,) * n)
-            fills.add(keys[f])
         delta.update(zip(keys, rows))
-    return Machine(
-        states, sm.alphabet, sm.blank, sm.num_tapes, delta, frozenset(fills)
-    )
+    return Machine(states, sm.alphabet, sm.blank, sm.num_tapes, delta)
 
 
 # ---------------------------------------------------------------------------

@@ -668,14 +668,17 @@ def _fill_rows(rows: np.ndarray, cells: list, index: dict) -> bool:
 
 
 def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
-    """Read a tape; ``lo`` defaults to 0, and no cells means a blank tape.
+    """Read a tape; ``lo`` defaults to 0, no cells means a blank tape, and
+    any other field is an error.
 
     The cells fill one array that :class:`SmoothTape` validates at once; a
     window off the simplex is reported at its first bad cell.  Once exact
     blank ends are trimmed, the window and the head (cell 0) may span at
     most :data:`MAX_TAPE_SPAN` cells.
     """
-    json_value(obj, dict, path)
+    for key in json_value(obj, dict, path):
+        if key not in ("lo", "cells"):
+            raise FormatError(f"{path}: unknown field {key!r}")
     lo = json_field(obj, "lo", int, path, default=0)
     cells = json_field(obj, "cells", list, path, default=[])
     if not cells:

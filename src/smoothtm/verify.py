@@ -27,6 +27,8 @@ MT_MAX_STATES = 4
 UTM_MAX_STATES = 3
 MAX_SYMBOLS = 3
 MAX_RADIUS = 3
+# commuting-square cycles driven per trial
+CYCLES = 3
 # a shuffled tuple order may change the decoded UTM output by rounding only
 SHUFFLE_TOL = 1e-12
 
@@ -63,7 +65,6 @@ def verify_multitape(
     trials: int = 25,
     seed: int = 0,
     tol: float = 1e-9,
-    cycles: int = 3,
     broken: bool = False,
 ) -> dict:
     """Preservation trials for the multitape-to-single-tape compiler."""
@@ -72,7 +73,7 @@ def verify_multitape(
         "seed": seed,
         "trials": trials,
         "tol": tol,
-        "cycles": cycles,
+        "cycles": CYCLES,
         "results": [],
     }
     for i, tseed in enumerate(_trial_seeds(seed, trials)):
@@ -85,7 +86,7 @@ def verify_multitape(
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, MAX_RADIUS + 1)))
         triple = multitape.make_triple(sim)
         x0 = multitape.to_section_config(sim, multitape.encode(sim, s))
-        res = check_preserving(triple, x0, tol=tol, cycles=cycles)
+        res = check_preserving(triple, x0, tol=tol, cycles=CYCLES)
         dims = {"tapes": n, "states": nq, "symbols": ns}
         report["results"].append(_record(i, tseed, dims, res, res.passes(tol)))
     return _finish(report)
@@ -95,7 +96,6 @@ def verify_utm(
     trials: int = 25,
     seed: int = 0,
     tol: float = 1e-9,
-    cycles: int = 3,
     uncertain_codes: bool = False,
 ) -> dict:
     """Preservation trials for the pseudo-universal machine.
@@ -109,7 +109,7 @@ def verify_utm(
         "seed": seed,
         "trials": trials,
         "tol": tol,
-        "cycles": cycles,
+        "cycles": CYCLES,
         "uncertain_codes": uncertain_codes,
         "results": [],
     }
@@ -134,7 +134,7 @@ def verify_utm(
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, MAX_RADIUS + 1)))
         triple = utm.make_triple(machine, code)
         res = check_preserving(
-            triple, utm.encode_config(machine, code, s), tol=tol, cycles=cycles
+            triple, utm.encode_config(machine, code, s), tol=tol, cycles=CYCLES
         )
         shuffle_dev = None
         if res.encodings:

@@ -151,7 +151,7 @@ def test_criterion_4_point_mass_degeneracy():
 
 def test_criterion_5_multitape_preservation():
     t0 = time.perf_counter()
-    report = verify_multitape(trials=25, seed=20240614, tol=1e-9, cycles=3)
+    report = verify_multitape(trials=25, seed=20240614, tol=1e-9)
     dt = time.perf_counter() - t0
     _reports["multitape"] = report
     ok = report["pass"] and dt < 60.0
@@ -165,9 +165,9 @@ def test_criterion_5_multitape_preservation():
 
 def test_criterion_6_utm_preservation():
     t0 = time.perf_counter()
-    classical = verify_utm(trials=25, seed=20240615, tol=1e-9, cycles=3)
+    classical = verify_utm(trials=25, seed=20240615, tol=1e-9)
     uncertain = verify_utm(
-        trials=25, seed=20240616, tol=1e-9, cycles=3, uncertain_codes=True
+        trials=25, seed=20240616, tol=1e-9, uncertain_codes=True
     )
     dt = time.perf_counter() - t0
     _reports["utm_classical"] = classical

@@ -85,6 +85,21 @@ def test_run_smooth_lr(files, capsys):
     assert rec["direction"] == [{"-1": 0.5, "1": 0.5}]
 
 
+def test_run_trace_line_reads_back_as_configuration(files, capsys):
+    """A trace record's extra top-level fields (``step``, ``direction``) are
+    ignored, so one step from it is the second step of the traced run."""
+    trace = files["dir"] / "trace.jsonl"
+    argv = ["run", files["lr.tm"], files["half.cfg"], "--smooth", "--trace", str(trace)]
+    assert main(argv) == 0
+    line = files["dir"] / "line.cfg"
+    line.write_text(trace.read_text().splitlines()[0])
+    capsys.readouterr()
+    assert main(["run", files["lr.tm"], str(line), "--smooth"]) == 0
+    resumed = capsys.readouterr().out
+    assert main(["run", files["lr.tm"], files["half.cfg"], "--smooth", "--steps", "2"]) == 0
+    assert resumed == capsys.readouterr().out
+
+
 def test_run_uncertain_config_needs_smooth(files, capsys):
     assert main(["run", files["lr.tm"], files["half.cfg"], "--steps", "1"]) == 2
     assert "smooth" in capsys.readouterr().err
@@ -494,11 +509,13 @@ TAPE = '{"lo": 0, "cells": [{"A": 0.5, "B": 0.5}]}'
         (b'{"state": {"q": 1.0}, "tapes": [{}]}\xff', "not UTF-8 text"),
         ('{"state": {"q": 1.0}, "tapes": [{"cells": [{"A": 0.5, "A": 0.5, "_": 0.5}]}]}',
          "duplicate key 'A'"),
+        ('{"state": {"q": 1.0}, "tapes": [{"lo": 0, "cell": [{"A": 1.0}]}]}',
+         "bad.cfg: tapes[0]: unknown field 'cell'"),
     ],
     ids=["lo-string", "lo-fraction", "weight-string", "weight-nan", "state-nan",
          "tapes-number", "tape-number", "cell-number", "state-list",
          "state-missing", "top-level-list", "deep-nesting", "not-utf8",
-         "duplicate-cell-key"],
+         "duplicate-cell-key", "misspelled-cells"],
 )
 def test_run_malformed_config_exit_2(files, capsys, config, expected):
     bad = files["dir"] / "bad.cfg"
@@ -550,9 +567,13 @@ def test_utm_malformed_overrides_exit_2(files, capsys, overrides, expected):
         ("states: q\nalphabet: _ A\ntapes: 1\nq _ -> q _ S\n",
          "delta is not total: missing ('q', ('A',))"),
         (NO_STATES_TM, "line 1: states line lists no states"),
+        (ID_TM + "states: q\n", "bad.tm: line 7: duplicate states line"),
+        (ID_TM + "alphabet: _ A\n", "bad.tm: line 7: duplicate alphabet line"),
+        (ID_TM + "tapes: 1\n", "bad.tm: line 7: duplicate tapes line"),
     ],
     ids=["no-tapes", "duplicate-state", "duplicate-symbol", "partial-table",
-         "no-states"],
+         "no-states", "duplicate-states-line", "duplicate-alphabet-line",
+         "duplicate-tapes-line"],
 )
 def test_run_malformed_machine_exit_2(files, capsys, machine, expected):
     bad = files["dir"] / "bad.tm"

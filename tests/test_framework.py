@@ -57,7 +57,7 @@ def test_well_behaved_vacuous_for_single_step_cycles():
     rng = np.random.default_rng(3)
     s = random_smooth_config(m, rng, radius=1)
     _, rep = check_well_behaved(g, s)
-    assert rep.ok and rep.cycle_length == 1
+    assert rep.cycle_length == 1 and not rep.violations
 
 
 def test_run_to_next_encoding_overrun():
@@ -91,7 +91,7 @@ def test_well_behaved_records_step_checks_up_to_the_bound():
         step_checks=lambda t, x, info: ["odd step"] if t % 2 else [],
     )
     x, rep = check_well_behaved(g, s)
-    assert rep.cycle_length is None and not rep.ok
+    assert rep.cycle_length is None
     assert rep.violations == [
         {"step": 1, "violation": "odd step"},
         {"step": 3, "violation": "odd step"},

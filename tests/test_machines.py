@@ -9,7 +9,6 @@ from smoothtm.machines import (
     Tape,
     format_machine,
     parse_machine,
-    run,
     step,
 )
 from smoothtm.sampling import random_machine, random_point_config
@@ -78,16 +77,6 @@ def test_two_tape_step():
     assert c2.tapes[0].cell(-1) == "A"
     assert c2.tapes[1].cell(1) == "B"
     assert c2 == oracle_step(m, c)
-
-
-def test_run_iterates():
-    m = single_state_machine({"_": ("1", 1), "1": ("1", 1)})
-    c = Configuration("q", (Tape.blank_tape("_"),))
-    assert run(m, c, 0) == c
-    c3 = run(m, c, 3)
-    assert [c3.tapes[0].cell(i) for i in (-3, -2, -1, 0)] == ["1", "1", "1", "_"]
-    with pytest.raises(ValueError):
-        run(m, c, -1)
 
 
 def test_step_agrees_with_oracle_randomized():

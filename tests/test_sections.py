@@ -28,7 +28,6 @@ from smoothtm.sections import (
     _SectionTable,
     format_section_machine,
     lower_sections,
-    section_step,
 )
 from smoothtm.smooth import (
     SmoothConfig,
@@ -80,10 +79,23 @@ def partial_machine():
     return SectionMachine({"S0": STAR}, [tract], AB, "_", 1)
 
 
+def uncovered_pairs(sm: SectionMachine) -> set:
+    """The lowered (state, symbols) keys that no tract covers, read off the
+    section tables; lowering fills each with a stuck self-loop."""
+    pairs = set()
+    for sid in sm.sections:
+        table = sm.table(sid)
+        for flat in table.uncovered.tolist():
+            x, syms = table.pair(flat)
+            pairs.add(((sid, x), syms))
+    return pairs
+
+
 def test_single_section_self_loop_lowers_to_one_state():
-    m = lower_sections(self_loop_machine())
+    sm = self_loop_machine()
+    m = lower_sections(sm)
     assert len(m.states) == 1
-    assert not m.fills
+    assert not uncovered_pairs(sm)
     c = Configuration(("S0", "*"), (Tape.from_cells("_", 0, ["A"]),))
     assert step(m, c).tapes[0].cell(0) == "A"
 
@@ -92,10 +104,12 @@ def test_lowering_flags_fills():
     sm = two_phase_machine()
     m = lower_sections(sm)
     assert len(m.states) == 2
-    assert not m.fills  # both sections fully covered
-    lowered = lower_sections(partial_machine())
-    assert (("S0", "*"), ("_",)) in lowered.fills
-    assert lowered.delta[(("S0", "*"), ("_",))] == (("S0", "*"), ("_",), (0,))
+    assert not uncovered_pairs(sm)  # both sections fully covered
+    partial = partial_machine()
+    lowered = lower_sections(partial)
+    assert uncovered_pairs(partial) == {(("S0", "*"), ("_",)), (("S0", "*"), ("B",))}
+    for state, syms in uncovered_pairs(partial):
+        assert lowered.delta[(state, syms)] == (state, syms, (0,))
 
 
 def test_overlapping_tracts_rejected():
@@ -123,24 +137,7 @@ def test_guarded_tracts_partition_by_context():
     for a in AB:
         assert m.delta[(("S0", "x"), (a,))] == (("S0", "x"), (a,), (0,))
         assert m.delta[(("S0", "y"), (a,))] == (("S1", "y"), (a,), (1,))
-    assert not {k for k in m.fills if k[0][0] == "S0"}
-
-
-def test_section_step_matches_lowered_step():
-    sm = two_phase_machine()
-    m = lower_sections(sm)
-    c = Configuration(("F", "*"), (Tape.from_cells("_", 0, ["A", "A", "B"]),))
-    for _ in range(12):
-        direct = section_step(sm, c)
-        lowered = step(m, c)
-        assert direct == lowered
-        c = direct
-
-
-def test_section_step_stuck_is_runtime_error():
-    c = Configuration(("S0", "*"), (Tape.blank_tape("_"),))
-    with pytest.raises(RuntimeError, match="stuck"):
-        section_step(partial_machine(), c)
+    assert not sm.table("S0").uncovered.size
 
 
 def test_engine_matches_dense_smooth_step_on_lowered_machine():
@@ -176,7 +173,7 @@ def test_engine_point_mass_matches_classical():
         sm, "F", "*", embed(m, Configuration(("F", "*"), (tape,))).tapes
     )
     for _ in range(10):
-        c = section_step(sm, c)
+        c = step(m, c)
         cfg, info = section_smooth_step(cfg)
         assert info.direction_point_mass(0)
         sid, x = c.state
@@ -302,8 +299,8 @@ def test_lowering_agrees_with_section_tables(name):
                     tuple(A.elements[w[k]] for w in e.w_idx),
                     tuple(int(d[k]) - 1 for d in e.d_idx),
                 )
-        fills = {k for k in m.fills if k[0][0] == sid}
-        assert fills == {key(sid, flat) for flat in table.uncovered}
+    for state, syms in uncovered_pairs(sm):
+        assert m.delta[state, syms] == (state, syms, (0,) * n)
 
 
 @pytest.mark.parametrize("index_map_first", [False, True])
@@ -330,7 +327,7 @@ def test_declarative_tract_image_and_validation():
     sm = SectionMachine({"S0": ctx, "S1": ctx}, [copy], AB, "_", 2)
     c = Configuration(("S0", "y"), (Tape.from_cells("_", 0, ["A"]),
                                     Tape.from_cells("_", 0, ["B"])))
-    assert section_step(sm, c) == Configuration(
+    assert step(lower_sections(sm), c) == Configuration(
         ("S1", "y"), (Tape.from_cells("_", 1, ["A"]), Tape.from_cells("_", -1, ["A"]))
     )
     reads = (frozenset({"A"}),)
@@ -343,15 +340,13 @@ def test_declarative_tract_image_and_validation():
                        AB, "_", 1)
 
 
-def consumer_errors(sm, sid, x, sym):
-    """The ValueError messages of the engine, lowering, classical stepping
-    and serialization on a machine whose section ``sid`` is malformed."""
+def consumer_errors(sm, sid, x):
+    """The ValueError messages of the engine, lowering and serialization on
+    a machine whose section ``sid`` is malformed."""
     runs = [
         lambda: section_smooth_step(point_config(
             sm, sid, x, (SmoothTape.blank_tape(sm.alphabet, sm.blank),))),
         lambda: lower_sections(sm),
-        lambda: section_step(
-            sm, Configuration((sid, x), (Tape.from_cells("_", 0, [sym]),))),
         lambda: format_section_machine(sm),
     ]
     messages = []
@@ -425,7 +420,7 @@ def test_malformed_index_map_named_by_every_consumer(case):
               label="rest"),
     ]
     sm = SectionMachine({"S0": ctx, "S1": ctx}, tracts, AB, "_", 1)
-    messages = consumer_errors(sm, "S0", "x", "A")
+    messages = consumer_errors(sm, "S0", "x")
     assert len(set(messages)) == 1
     assert re.match(what, messages[0])
 
@@ -472,7 +467,7 @@ def test_overlap_error_names_both_tracts():
     two = Tract("S0", "S0", (frozenset({"A", "B"}),), write=(None,), move=(0,),
                 label="two")
     sm = SectionMachine({"S0": STAR}, [one, two], AB, "_", 1)
-    messages = consumer_errors(sm, "S0", "*", "A")
+    messages = consumer_errors(sm, "S0", "*")
     assert len(set(messages)) == 1
     assert messages[0] == (
         "overlapping tracts 'one' and 'two' at section 'S0', context '*', "
@@ -547,10 +542,11 @@ def test_compile_output_and_lowering_unchanged(index, tmp_path, capsys):
     assert main(["compile", str(src), "-o", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sim_digest
-    lowered = lower_sections(compile_multitape(parse_machine(text)).machine)
+    sm = compile_multitape(parse_machine(text)).machine
+    lowered, stuck = lower_sections(sm), uncovered_pairs(sm)
     h = hashlib.sha256()
     for key in sorted(lowered.delta, key=repr):
-        h.update(repr((key, lowered.delta[key], key in lowered.fills)).encode())
+        h.update(repr((key, lowered.delta[key], key in stuck)).encode())
     assert h.hexdigest() == lowered_digest
 
 
