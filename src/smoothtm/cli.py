@@ -18,18 +18,22 @@ import sys
 from . import multitape
 from . import utm as utm_mod
 from . import verify as verify_mod
-from .dists import Dist, FiniteSet
+from .dists import Dist
 from .framework import check_preserving, env_step_bound
-from .machines import DIR_VALUES, DIRECTIONS, FormatError, parse_machine
+from .machines import DIRECTIONS, FormatError, parse_machine
 from .sections import format_section_machine
 from .smooth import (
     SmoothConfig,
     SmoothTape,
     apply_step,
     config_obj,
+    dist_from_obj,
     dist_obj,
     extract_classical,
     format_config,
+    json_field,
+    json_value,
+    load_json,
     parse_config,
     smooth_step_dists,
 )
@@ -136,66 +140,27 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _parse_override_dist(text: str, base: FiniteSet, names: dict | None = None):
-    pairs = {}
-    body = text.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise ValueError(f"override distribution {text!r} is not brace-delimited")
-    for item in body[1:-1].split(","):
-        if not item.strip():
-            continue
-        if ":" not in item:
-            raise ValueError(f"bad override entry {item!r}")
-        key, val = item.split(":", 1)
-        key = key.strip()
-        label = names[key] if names and key in names else key
-        if label not in base:
-            raise ValueError(f"unknown label {key!r} in override")
-        if label in pairs:
-            raise ValueError(f"label {key!r} given twice in override {body!r}")
-        try:
-            pairs[label] = float(val)
-        except ValueError:
-            raise ValueError(
-                f"bad override entry {item.strip()!r}: weight is not a number"
-            ) from None
-    try:
-        return Dist.from_pairs(base, pairs)
-    except ValueError as exc:
-        raise ValueError(f"bad override distribution {body!r}: {exc}") from None
-
-
-def _parse_overrides(text: str, m) -> dict:
-    """Lines of the form  (q,a) -> {q2: p, ...} / {b: p, ...} / {L: p, ...},
-    at most one per pair; every error names its line."""
+def _overrides_from_json(text: str, m) -> dict:
+    """``{state: {symbol: {"target": dist, "write": dist, "move": dist}}}``
+    as :func:`utm.encode_code`'s overrides; every error names its JSON path."""
+    fields = {"target": (m.states, "state"), "write": (m.alphabet, "symbol"),
+              "move": (DIRECTIONS, "move")}
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            if "->" not in line:
-                raise ValueError("expected '(q,a) -> ...'")
-            lhs, rhs = line.split("->", 1)
-            lhs = lhs.strip()
-            if not (lhs.startswith("(") and lhs.endswith(")")):
-                raise ValueError(f"bad pair {lhs!r}")
-            q, _, a = lhs[1:-1].partition(",")
-            q, a = q.strip(), a.strip()
-            if q not in m.states or a not in m.alphabet:
-                raise ValueError(f"unknown pair ({q},{a})")
-            if (q, a) in out:
-                raise ValueError(f"pair ({q},{a}) given twice")
-            parts = rhs.split("/")
-            if len(parts) != 3:
-                raise ValueError("need target/write/move distributions")
-            out[(q, a)] = (
-                _parse_override_dist(parts[0], m.states),
-                _parse_override_dist(parts[1], m.alphabet),
-                _parse_override_dist(parts[2], DIRECTIONS, DIR_VALUES),
+    for q, row in json_value(load_json(text), dict, "overrides").items():
+        if q not in m.states:
+            raise FormatError(f"overrides: unknown state {q!r}")
+        for a, entry in json_value(row, dict, q).items():
+            if a not in m.alphabet:
+                raise FormatError(f"{q}: unknown symbol {a!r}")
+            path = f"{q}.{a}"
+            for key in json_value(entry, dict, path):
+                if key not in fields:
+                    raise FormatError(f"{path}: unknown field {key!r}")
+            out[(q, a)] = tuple(
+                dist_from_obj(json_field(entry, key, dict, path), base,
+                              f"{path}.{key}", what)
+                for key, (base, what) in fields.items()
             )
-        except ValueError as exc:
-            raise CliError(f"overrides line {lineno}: {exc}") from None
     return out
 
 
@@ -218,7 +183,7 @@ def cmd_utm(args) -> int:
         raise CliError("the universal machine simulates single-tape machines")
     overrides = None
     if args.overrides:
-        overrides = _parse_overrides(_read(args.overrides), m)
+        overrides = _load(args.overrides, _overrides_from_json, m)
     machine = utm_mod.build_utm(m.states, m.alphabet, m.blank)
     code = utm_mod.encode_code(m, overrides)
     if args.input:
@@ -327,7 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     utmp.add_argument("--cycles", type=int, default=1)
     utmp.add_argument("--input", help="initial configuration JSON file")
     utmp.add_argument(
-        "--overrides", help="file of uncertain-code overrides (q,a) -> ..."
+        "--overrides",
+        help='JSON file of uncertain-code entries {"q": {"a": {"target": '
+        '{...}, "write": {...}, "move": {...}}}}',
     )
     utmp.add_argument("--tol", type=float, default=1e-9)
     utmp.set_defaults(fn=cmd_utm)

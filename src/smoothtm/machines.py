@@ -18,9 +18,9 @@ from .dists import FiniteSet
 
 DIRECTIONS = FiniteSet((-1, 0, 1))
 
-# direction names of the machine text format (and of UTM overrides)
+# direction names of the machine text format and of JSON move distributions
 DIR_VALUES = {"L": -1, "S": 0, "R": 1}
-_DIR_NAMES = {d: name for name, d in DIR_VALUES.items()}
+DIR_NAMES = {d: name for name, d in DIR_VALUES.items()}
 
 
 class FormatError(ValueError):
@@ -292,6 +292,6 @@ def format_machine(m: Machine) -> str:
                 f"{q} {' '.join(str(s) for s in syms)} -> {q2} "
                 + " ".join(str(w) for w in writes)
                 + " "
-                + " ".join(_DIR_NAMES[d] for d in dirs)
+                + " ".join(DIR_NAMES[d] for d in dirs)
             )
     return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dists import Dist, FiniteSet
-from .machines import Machine
+from .machines import DIRECTIONS, Machine
 from .smooth import SmoothConfig, SmoothTape
 
 
@@ -40,6 +40,22 @@ def random_machine(
             dirs = tuple(int(rng.integers(-1, 2)) for _ in range(num_tapes))
             delta[(q, syms)] = (q2, writes, dirs)
     return Machine(states, alphabet, "_", num_tapes, delta)
+
+
+def random_overrides(m: Machine, rng: np.random.Generator) -> dict:
+    """Overrides of an uncertain code (see ``utm.encode_code``): each (state,
+    symbol) pair in order is drawn with probability 1/2 and, if drawn, gets
+    random target, write and move distributions."""
+    return {
+        (q, a): (
+            random_dist(m.states, rng),
+            random_dist(m.alphabet, rng),
+            random_dist(DIRECTIONS, rng),
+        )
+        for q in m.states
+        for a in m.alphabet
+        if rng.random() < 0.5
+    }
 
 
 def random_smooth_config(

@@ -37,7 +37,7 @@ from .dists import (
     product_set,
     tensor_many,
 )
-from .machines import DIRECTIONS, Configuration, FormatError, Machine, Tape
+from .machines import DIR_NAMES, DIRECTIONS, Configuration, FormatError, Machine, Tape
 
 
 def clean_rows(rows: np.ndarray) -> np.ndarray:
@@ -544,15 +544,21 @@ def psi_update(
 # ---------------------------------------------------------------------------
 #
 # Distributions are written as {label: weight} over their support, labels by
-# their string rendering; a tape is {"lo": int, "cells": [dist, ...]} and a
-# configuration {"state": dist, "tapes": [tape, ...]}.  Readers raise
-# FormatError, naming the offending field, and nothing else.
+# their string rendering and moves by their machine-text names L/S/R; a tape
+# is {"lo": int, "cells": [dist, ...]} and a configuration {"state": dist,
+# "tapes": [tape, ...]}.  Readers raise FormatError, naming the offending
+# field, and nothing else.
+
+
+def _labels(base: FiniteSet) -> list[str]:
+    if base == DIRECTIONS:
+        return [DIR_NAMES[d] for d in base.elements]
+    return [str(x) for x in base.elements]
 
 
 def dist_obj(base: FiniteSet, weights) -> dict:
     """``{label: weight}`` over the support of a weight vector on ``base``."""
-    labels = [str(x) for x in base.elements]
-    return dist_obj_row(labels, np.asarray(weights, dtype=np.float64).tolist())
+    return dist_obj_row(_labels(base), np.asarray(weights, dtype=np.float64).tolist())
 
 
 def dist_obj_row(labels: list[str], row: list[float]) -> dict:
@@ -637,7 +643,7 @@ def _fill_weights(row: np.ndarray, obj, index: dict, path: str, what: str) -> No
 
 
 def _label_index(base: FiniteSet) -> dict:
-    return {str(x): i for i, x in enumerate(base.elements)}
+    return {a: i for i, a in enumerate(_labels(base))}
 
 
 def dist_from_obj(obj, base: FiniteSet, path: str, what: str) -> Dist:

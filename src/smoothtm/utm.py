@@ -1,11 +1,10 @@
 """A two-tape pseudo-universal machine that preserves the smooth relaxation.
 
-The machine simulates any single-tape machine with at most the configured
-state count and exactly the configured alphabet.  Its first tape (the
-description tape) holds the simulated transition table as 5-symbol tuples
-(source state, read symbol, target state, write symbol, move direction)
-between two # markers; the second tape (the working tape) is the simulated
-tape itself.
+The machine simulates any single-tape machine with exactly the configured
+state count and alphabet.  Its first tape (the description tape) holds the
+simulated transition table as 5-symbol tuples (source state, read symbol,
+target state, write symbol, move direction) between two # markers; the
+second tape (the working tape) is the simulated tape itself.
 
 One cycle scans the description left to right.  The local state distribution
 starts as the joint of simulated state and read symbol; each tuple's two

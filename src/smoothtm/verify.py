@@ -15,8 +15,8 @@ import numpy as np
 from . import multitape, utm
 from .dists import Dist, FiniteSet
 from .framework import check_preserving, check_well_behaved
-from .machines import DIRECTIONS, Machine
-from .sampling import random_dist, random_machine, random_smooth_config
+from .machines import Machine
+from .sampling import random_machine, random_overrides, random_smooth_config
 from .smooth import SmoothConfig, SmoothTape, smooth_step
 from .utm import staged_smooth_step
 
@@ -118,17 +118,7 @@ def verify_utm(
         nq = int(rng.integers(1, UTM_MAX_STATES + 1))
         ns = int(rng.integers(2, MAX_SYMBOLS + 1))
         m = random_machine(rng, 1, nq, ns)
-        overrides = None
-        if uncertain_codes:
-            overrides = {}
-            for q in m.states:
-                for a in m.alphabet:
-                    if rng.random() < 0.5:
-                        overrides[(q, a)] = (
-                            random_dist(m.states, rng),
-                            random_dist(m.alphabet, rng),
-                            random_dist(DIRECTIONS, rng),
-                        )
+        overrides = random_overrides(m, rng) if uncertain_codes else None
         machine = utm.build_utm(nq, m.alphabet, m.blank)
         code = utm.encode_code(m, overrides)
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, MAX_RADIUS + 1)))

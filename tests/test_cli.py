@@ -82,7 +82,7 @@ def test_run_smooth_lr(files, capsys):
     assert cells[2] == {"A": 0.25, "B": 0.25, "_": 0.5}
     rec = json.loads((files["dir"] / "trace.jsonl").read_text().splitlines()[0])
     assert rec["step"] == 1
-    assert rec["direction"] == [{"-1": 0.5, "1": 0.5}]
+    assert rec["direction"] == [{"L": 0.5, "R": 0.5}]
 
 
 def test_run_trace_line_reads_back_as_configuration(files, capsys):
@@ -133,15 +133,38 @@ def test_utm_identity_cycle(files, capsys):
     assert out["tapes"][0]["cells"] == [{"A": 0.5, "B": 0.5}]
 
 
-def test_utm_overrides(files, capsys):
-    ov = files["dir"] / "ov.txt"
-    ov.write_text("(q,A) -> {q: 1.0} / {A: 0.25, B: 0.75} / {S: 1.0}\n")
-    code = main(
-        ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
-         "--code", files["id.tm"], "--cycles", "2", "--input", files["half.cfg"],
-         "--overrides", str(ov)]
+def override_entry(q, a, write):
+    """A JSON overrides file for one pair: stay in ``q`` and do not move."""
+    move = {"S": 1.0}
+    return json.dumps({q: {a: {"target": {q: 1.0}, "write": write, "move": move}}})
+
+
+@pytest.mark.parametrize(
+    "sep", ["", "/", ",", ":"], ids=["plain", "slash", "comma", "colon"]
+)
+def test_utm_overrides(files, capsys, sep):
+    """Any label machine text allows can be overridden: two UTM cycles of the
+    identity machine from a half/half cell, without and with an override
+    that writes symbol ``a`` as {a: 0.25, B: 0.75}."""
+    q, a = f"q{sep}0", f"A{sep}B"
+    d = files["dir"]
+    (d / "o.tm").write_text(
+        f"states: {q}\nalphabet: _ {a} B\ntapes: 1\n"
+        + "".join(f"{q} {x} -> {q} {x} S\n" for x in ("_", a, "B"))
     )
-    assert code == 0
+    (d / "o.alpha").write_text(f"_ {a} B\n")
+    (d / "o.cfg").write_text(json.dumps(
+        {"state": {q: 1.0}, "tapes": [{"cells": [{a: 0.5, "B": 0.5}]}]}
+    ))
+    (d / "o.json").write_text(override_entry(q, a, {a: 0.25, "B": 0.75}))
+    argv = ["utm", "--states", "1", "--alphabet", str(d / "o.alpha"),
+            "--code", str(d / "o.tm"), "--cycles", "2", "--input", str(d / "o.cfg")]
+    cells = []
+    for extra in ([], ["--overrides", str(d / "o.json")]):
+        assert main(argv + extra) == 0
+        cells.append(json.loads(capsys.readouterr().out)["tapes"][0]["cells"])
+    assert cells[0] == [{a: 0.5, "B": 0.5}]
+    assert cells[1][0][a] == pytest.approx(0.5 * 0.25 * 0.25, abs=1e-12)
 
 
 def test_utm_size_mismatch(files, capsys):
@@ -168,10 +191,12 @@ b _ -> a B L
 b A -> b A R
 b B -> a _ R
 """
-UTM_OVERRIDES = """\
-(a,A) -> {a: 0.3, b: 0.7} / {A: 0.2, B: 0.3, _: 0.5} / {L: 0.1, S: 0.2, R: 0.7}
-(b,_) -> {a: 0.5, b: 0.5} / {A: 0.6, _: 0.4} / {L: 0.4, R: 0.6}
-"""
+UTM_OVERRIDES = json.dumps({
+    "a": {"A": {"target": {"a": 0.3, "b": 0.7}, "write": {"A": 0.2, "B": 0.3, "_": 0.5},
+                "move": {"L": 0.1, "S": 0.2, "R": 0.7}}},
+    "b": {"_": {"target": {"a": 0.5, "b": 0.5}, "write": {"A": 0.6, "_": 0.4},
+                "move": {"L": 0.4, "R": 0.6}}},
+})
 UTM_INPUT = (
     '{"state": {"a": 0.4, "b": 0.6}, "tapes": [{"lo": -1, "cells": '
     '[{"A": 0.5, "_": 0.5}, {"B": 0.9, "A": 0.1}, {"_": 0.2, "B": 0.8}]}]}'
@@ -179,12 +204,12 @@ UTM_INPUT = (
 
 
 def utm_argv(files, *extra):
-    texts = {"u.tm": UTM_TM, "u.ov": UTM_OVERRIDES, "u.json": UTM_INPUT}
+    texts = {"u.tm": UTM_TM, "u.ov.json": UTM_OVERRIDES, "u.json": UTM_INPUT}
     for name, text in texts.items():
         (files["dir"] / name).write_text(text)
     return ["utm", "--states", "2", "--alphabet", files["alpha.txt"],
             "--code", str(files["dir"] / "u.tm"),
-            "--overrides", str(files["dir"] / "u.ov"),
+            "--overrides", str(files["dir"] / "u.ov.json"),
             "--input", str(files["dir"] / "u.json"), *extra]
 
 
@@ -356,7 +381,7 @@ q2 B -> q2 _ R
 # its canonical trimming or the JSON layout moves a digest
 DENSE_RUN_DIGESTS = {
     "stdout": "da2dd083142becccb101142f5abd49d7d7eab009f5b98bbb7ded326863eeccd5",
-    "trace": "f92ddfd6e23201c5acecc577f642c925d2b49ed084a4bccbe6c7350aadd73c4f",
+    "trace": "a207db3b55f39faf39ffc361176a9684b72cafe1d11d3dcef79db6a33579bc58",
 }
 
 
@@ -382,7 +407,7 @@ def test_run_smooth_dense_bytes_pinned(tmp_path, capsys):
 # the dense step's row reductions over 8 or more symbols
 WIDE_DENSE_RUN_DIGESTS = {
     "stdout": "5d1aac5c67be75732c25c837aa08690267e1889dd4ed10a9d6f4e111ba08dda4",
-    "trace": "c268b026687d1b8c97e5fabc57932592b340abb6cffd7c7a3a4496f7bdf2134b",
+    "trace": "a4b830d83f8d696f1a8ecf893672899bca3a5ab3c110208b3d2e24c14bb8a702",
 }
 
 
@@ -524,37 +549,53 @@ def test_run_malformed_config_exit_2(files, capsys, config, expected):
     assert_usage_error(argv, capsys, "bad.cfg", expected)
 
 
-def test_utm_override_weight_not_number_exit_2(files, capsys):
-    ov = files["dir"] / "ov.txt"
-    ov.write_text("(q,A) -> {q: x} / {A: 1.0} / {S: 1.0}\n")
-    argv = ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
+def utm_overrides_argv(files, overrides: str) -> list:
+    ov = files["dir"] / "ov.json"
+    ov.write_text(overrides)
+    return ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
             "--code", files["id.tm"], "--overrides", str(ov)]
-    assert_usage_error(argv, capsys, "'q: x'", "not a number")
 
 
-OVERRIDE = "(q,A) -> {q: 1.0} / {A: 1.0} / {S: 1.0}\n"
+def test_utm_override_weight_not_number_exit_2(files, capsys):
+    argv = utm_overrides_argv(files, override_entry("q", "A", {"A": "x"}))
+    assert_usage_error(argv, capsys, "ov.json: q.A.write: weight of symbol 'A'",
+                       "must be a finite number, got 'x'")
+
+
+OVERRIDE = override_entry("q", "A", {"A": 1.0})
+ENTRY = '{"target": {"q": 1.0}, "write": {"A": 1.0}, "move": {"S": 1.0}'
 
 
 @pytest.mark.parametrize(
     "overrides, expected",
     [
-        ("(q,A) -> {q: 0.7, q: 1} / {A: 1.0} / {S: 1.0}\n",
-         "overrides line 1: label 'q' given twice in override '{q: 0.7, q: 1}'"),
-        (OVERRIDE + "# again\n" + OVERRIDE,
-         "overrides line 3: pair (q,A) given twice"),
-        ("\n(q,A) -> {q: 1.0} / {A: 1.0} / {L: nan}\n",
-         "overrides line 2: bad override distribution '{L: nan}'"),
-        ("(q,A) -> {q: 1.0} / {A: 1.0}\n",
-         "overrides line 1: need target/write/move distributions"),
+        (OVERRIDE.replace('{"q": 1.0}', '{"q": 0.7, "q": 1}'),
+         "ov.json: invalid JSON: duplicate key 'q'"),
+        ('{"q": {"A": ' + ENTRY + '}, "A": ' + ENTRY + "}}}",
+         "ov.json: invalid JSON: duplicate key 'A'"),
+        (OVERRIDE.replace('{"S": 1.0}', '{"L": NaN}'),
+         "ov.json: q.A.move: weight of move 'L' must be a finite number, got nan"),
+        (OVERRIDE.replace(', "move": {"S": 1.0}', ""),
+         "ov.json: missing field 'q.A.move'"),
+        (OVERRIDE.replace('"q": {', '"p": {', 1),
+         "ov.json: overrides: unknown state 'p'"),
+        (OVERRIDE.replace('"A": {"target"', '"C": {"target"'),
+         "ov.json: q: unknown symbol 'C'"),
+        (OVERRIDE.replace('{"S": 1.0}', '{"X": 1.0}'),
+         "ov.json: q.A.move: unknown move 'X'"),
+        (OVERRIDE.replace('"move"', '"moves"'),
+         "ov.json: q.A: unknown field 'moves'"),
+        (OVERRIDE.replace('{"A": 1.0}', '{"A": 0.5, "B": 0.25}'),
+         "ov.json: q.A.write: bad symbol distribution"),
+        (OVERRIDE.replace('{"S": 1.0}', '{"S": Infinity}'),
+         "ov.json: q.A.move: weight of move 'S' must be a finite number, got inf"),
     ],
-    ids=["duplicate-label", "duplicate-pair", "nan-weight", "two-parts"],
+    ids=["duplicate-label", "duplicate-pair", "nan-weight", "two-parts",
+         "unknown-state", "unknown-symbol", "unknown-move", "unknown-field",
+         "off-simplex", "infinite-weight"],
 )
 def test_utm_malformed_overrides_exit_2(files, capsys, overrides, expected):
-    ov = files["dir"] / "ov.txt"
-    ov.write_text(overrides)
-    argv = ["utm", "--states", "1", "--alphabet", files["alpha.txt"],
-            "--code", files["id.tm"], "--overrides", str(ov)]
-    assert_usage_error(argv, capsys, expected)
+    assert_usage_error(utm_overrides_argv(files, overrides), capsys, expected)
 
 
 @pytest.mark.parametrize(

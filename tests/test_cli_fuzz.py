@@ -1,7 +1,8 @@
 """Malformed input never produces a traceback.
 
-Valid machine, configuration, alphabet and override files are mutated by a
-few character and line edits and run through ``cli.main``.  Every run must
+Valid machine text, configuration JSON, alphabet and overrides JSON files
+are mutated by a few character and line edits and run through
+``cli.main``.  Every run must
 exit 0, or exit 2 with exactly one ``error:`` line; exit 1 (a verification
 failure) or an exception is a bug.  The examples are derandomized, so the
 test is reproducible.
@@ -42,9 +43,12 @@ CONFIG_2 = ('{"state": {"q": 1.0}, "tapes": [{"lo": 0, "cells": [{"A": 1.0}, {"_
             '{"lo": -1, "cells": [{"A": 1}, {"A": 1.0}]}]}')
 
 OVERRIDES = """\
-# uncertain codes
-(q,A) -> {q: 0.5, p: 0.5} / {A: 0.25, B: 0.75} / {L: 0.5, S: 0.25, R: 0.25}
-(p,_) -> {p: 1.0} / {_: 0.5, B: 0.5} / {R: 1.0}
+{"q": {"A": {"target": {"q": 0.5, "p": 0.5},
+             "write": {"A": 0.25, "B": 0.75},
+             "move": {"L": 0.5, "S": 0.25, "R": 0.25}}},
+ "p": {"_": {"target": {"p": 1.0},
+             "write": {"_": 0.5, "B": 0.5},
+             "move": {"R": 1.0}}}}
 """
 
 # per command: the files it reads and the arguments that name them

@@ -159,23 +159,12 @@ def test_decoder_linearity_in_one_component():
 def _utm_case():
     """A UTM with uncertain codes and its starting encoding."""
     from smoothtm import utm
-    from smoothtm.machines import DIRECTIONS
-    from smoothtm.sampling import random_dist
+    from smoothtm.sampling import random_overrides
 
     rng = np.random.default_rng(21)
     m = random_machine(rng, 1, 2, 3)
-    overrides = {
-        (q, a): (
-            random_dist(m.states, rng),
-            random_dist(m.alphabet, rng),
-            random_dist(DIRECTIONS, rng),
-        )
-        for q in m.states
-        for a in m.alphabet
-        if rng.random() < 0.5
-    }
     machine = utm.build_utm(m.states, m.alphabet, m.blank)
-    code = utm.encode_code(m, overrides)
+    code = utm.encode_code(m, random_overrides(m, rng))
     s = random_smooth_config(m, rng, radius=2)
     return utm.make_triple(machine, code), utm.encode_config(machine, code, s)
 

@@ -788,7 +788,7 @@ def test_push_local_matches_validated_reference(tapes):
 
 
 def test_push_local_matches_reference_on_uncertain_codes():
-    from smoothtm.sampling import random_dist
+    from smoothtm.sampling import random_overrides
     from smoothtm.utm import encode_code, utm_cycle_semantics
 
     captured = []
@@ -800,14 +800,7 @@ def test_push_local_matches_reference_on_uncertain_codes():
     rng = np.random.default_rng(12)
     for _ in range(8):
         m = random_machine(rng, 1, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
-        overrides = {
-            (q, a): (random_dist(m.states, rng), random_dist(m.alphabet, rng),
-                     random_dist(DIRECTIONS, rng))
-            for q in m.states
-            for a in m.alphabet
-            if rng.random() < 0.5
-        }
-        code = encode_code(m, overrides or None)
+        code = encode_code(m, random_overrides(m, rng))
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, 3)))
         with mock.patch("smoothtm.utm.push_local", spy):
             for _ in range(3):

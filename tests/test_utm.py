@@ -5,7 +5,7 @@ from smoothtm.dists import Dist, FiniteSet
 from smoothtm.engine import section_smooth_step
 from smoothtm.framework import check_preserving, run_to_next_encoding
 from smoothtm.machines import DIRECTIONS, Machine
-from smoothtm.sampling import random_dist, random_machine, random_smooth_config
+from smoothtm.sampling import random_machine, random_overrides, random_smooth_config
 from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step
 from smoothtm.utm import (
     DescriptionTape,
@@ -167,18 +167,9 @@ def test_preservation_uncertain_codes_randomized():
     for _ in range(6):
         nq, ns = int(rng.integers(1, 4)), int(rng.integers(2, 4))
         m = random_machine(rng, 1, nq, ns)
-        overrides = {
-            (q, a): (
-                random_dist(m.states, rng),
-                random_dist(m.alphabet, rng),
-                random_dist(DIRECTIONS, rng),
-            )
-            for q in m.states
-            for a in m.alphabet
-            if rng.random() < 0.5
-        }
+        overrides = random_overrides(m, rng)
         utm = build_utm(m.states, m.alphabet, m.blank)
-        code = encode_code(m, overrides or None)
+        code = encode_code(m, overrides)
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, 3)))
         triple = make_triple(utm, code)
         res = check_preserving(
