@@ -193,15 +193,14 @@ def cmd_utm(args) -> int:
             Dist.point(m.states, m.states.elements[0]),
             (SmoothTape.blank_tape(m.alphabet, m.blank),),
         )
-    triple = utm_mod.make_triple(machine, code)
     x0 = utm_mod.encode_config(machine, code, s)
-    res = check_preserving(triple, x0, cycles=args.cycles)
+    res = check_preserving(utm_mod.make_triple(machine, code), x0, cycles=args.cycles)
     if res.violations:
         first = res.violations[0]
         print(f"FAIL: step {first['step']}: {first['violation']}", file=sys.stderr)
         return 1
     dev = res.max_deviation
-    print(format_config(triple.decode(res.encodings[-1])))
+    print(format_config(res.outputs[-1]))
     print(
         f"cycles: {args.cycles}, cycle length: {machine.cycle_length()}, "
         f"max deviation vs direct semantics: {dev:.3e}",

@@ -1,15 +1,18 @@
 """Generating machines and smooth-relaxation-preservation checks.
 
-A generating triple wraps a machine together with an encoding predicate and a
-decoder onto a target machine: running the machine from an encoding until the
-predicate holds again is one cycle, and the construction preserves the smooth
-relaxation when decoding after a cycle agrees with one smooth step of the
-target applied to the decoded input (the commuting square).
+A generating triple wraps a machine together with a decoder onto a target
+machine.  A runner state is an encoding exactly when the decoder returns a
+configuration for it; running the machine from an encoding until it reaches
+an encoding again is one cycle, and the construction preserves the smooth
+relaxation when the decoded end of a cycle agrees with one smooth step of the
+target applied to the decoded input (the commuting square).  Each step is
+decoded once, and that one parse is both the encoding test and the cycle's
+output.
 
 The runner state is opaque to this module: dense machines step
 :class:`~smoothtm.smooth.SmoothConfig` values, compiled constructions step
 :class:`~smoothtm.engine.SectionConfig` values.  A triple supplies its own
-stepper, predicate, decoder and per-step invariant checks.
+stepper, decoder, certificate of non-encodings and per-step invariant checks.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ MAX_STEPS_ENV = "SMOOTHTM_MAX_STEPS"
 
 
 class CycleOverrun(RuntimeError):
-    """The predicate did not hold again within the step bound."""
+    """No encoding was reached again within the step bound."""
 
     def __init__(self, steps: int):
         super().__init__(
@@ -36,27 +39,17 @@ class CycleOverrun(RuntimeError):
 
 
 @dataclass
-class EncPredicate:
-    """Structural membership test for smooth encodings.
-
-    ``holds`` decides full membership.  ``certify_outside`` must return True
-    only when the configuration is certifiably a distribution over
-    non-encodings: every classical configuration in its support fails the
-    encoding's structural constraints (it suffices that one product component
-    has support disjoint from its constraint).
-    """
-
-    holds: Callable[[Any], bool]
-    certify_outside: Callable[[Any], bool]
-
-
-@dataclass
 class GeneratingTriple:
     """A machine that generates another, with its smooth counterparts."""
 
     stepper: Callable[[Any], tuple[Any, Any]]  # state -> (state', step info)
-    enc: EncPredicate
-    decode: Callable[[Any], SmoothConfig]
+    # the decoded configuration of an encoding, None for any other state
+    decode: Callable[[Any], SmoothConfig | None]
+    # True only when the state is certifiably a distribution over
+    # non-encodings: every classical configuration in its support fails the
+    # encoding's structural constraints (it suffices that one product
+    # component has support disjoint from its constraint)
+    certify_outside: Callable[[Any], bool]
     target_step: Callable[[SmoothConfig], SmoothConfig]
     max_steps: int
     # construction-specific per-step invariants; returns violation strings
@@ -82,7 +75,7 @@ def env_step_bound() -> int | None:
 
 
 def run_to_next_encoding(g: GeneratingTriple, x):
-    """Iterate the smooth step until the encoding predicate holds again.
+    """Iterate the smooth step until the state decodes again.
 
     Returns (configuration, cycle length t).  Raises :class:`CycleOverrun`
     when the bound is exceeded, which signals a broken construction.
@@ -90,7 +83,7 @@ def run_to_next_encoding(g: GeneratingTriple, x):
     bound = g.step_bound()
     for t in range(1, bound + 1):
         x, _ = g.stepper(x)
-        if g.enc.holds(x):
+        if g.decode(x) is not None:
             return x, t
     raise CycleOverrun(bound)
 
@@ -99,6 +92,8 @@ def run_to_next_encoding(g: GeneratingTriple, x):
 class WellBehavedReport:
     cycle_length: int | None
     violations: list[dict] = field(default_factory=list)
+    # the decoded configuration the cycle ends on, None when it ends on none
+    output: SmoothConfig | None = None
 
 
 def check_well_behaved(g: GeneratingTriple, x) -> tuple[Any, WellBehavedReport]:
@@ -106,13 +101,12 @@ def check_well_behaved(g: GeneratingTriple, x) -> tuple[Any, WellBehavedReport]:
 
     An intermediate configuration that cannot be certified disjoint from the
     encoding set (or that trips a construction-specific step invariant) is
-    reported with its step index.
+    reported with its step index, as is a run that reaches no encoding
+    within the step bound.
     """
     report = WellBehavedReport(cycle_length=None)
     bound = g.step_bound()
-    t = 0
-    while t < bound:
-        t += 1
+    for t in range(1, bound + 1):
         try:
             x, info = g.stepper(x)
         except StuckError as exc:
@@ -120,13 +114,15 @@ def check_well_behaved(g: GeneratingTriple, x) -> tuple[Any, WellBehavedReport]:
             return x, report
         for msg in g.step_checks(t, x, info):
             report.violations.append({"step": t, "violation": msg})
-        if g.enc.holds(x):
+        report.output = g.decode(x)
+        if report.output is not None:
             report.cycle_length = t
             return x, report
-        if not g.enc.certify_outside(x):
+        if not g.certify_outside(x):
             report.violations.append(
                 {"step": t, "violation": "intermediate overlaps encodings"}
             )
+    report.violations.append({"step": bound, "violation": "no encoding reached"})
     return x, report
 
 
@@ -135,8 +131,8 @@ class PreservationResult:
     cycle_lengths: list[int]
     max_deviation: float
     violations: list[dict]
-    # the configuration reached at the end of each completed cycle
-    encodings: list = field(default_factory=list)
+    # the decoded configuration at the end of each completed cycle
+    outputs: list[SmoothConfig] = field(default_factory=list)
 
     def passes(self, tol: float) -> bool:
         return not self.violations and self.max_deviation <= tol
@@ -153,22 +149,22 @@ def check_preserving(
     Per cycle: advance the generating machine to its next encoding and the
     decoded target by one smooth step, then compare the two decodings
     coordinatewise.  The reported deviation is the maximum over cycles.
+    Raises ValueError when ``x`` is not an encoding.
     """
     decoded = g.decode(x)
+    if decoded is None:
+        raise ValueError("not a valid encoding: the starting state does not decode")
     lengths: list[int] = []
-    encodings: list = []
+    outputs: list[SmoothConfig] = []
     violations: list[dict] = []
     dev = 0.0
     for _ in range(cycles):
         x, rep = check_well_behaved(g, x)
         violations.extend(rep.violations)
-        if rep.cycle_length is None:
-            violations.append(
-                {"step": g.step_bound(), "violation": "no encoding reached"}
-            )
+        if rep.output is None:
             break
         lengths.append(rep.cycle_length)
-        encodings.append(x)
+        outputs.append(rep.output)
         decoded = g.target_step(decoded)
-        dev = max(dev, g.decode(x).deviation(decoded))
-    return PreservationResult(lengths, dev, violations, encodings)
+        dev = max(dev, rep.output.deviation(decoded))
+    return PreservationResult(lengths, dev, violations, outputs)

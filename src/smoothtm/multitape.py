@@ -41,7 +41,7 @@ import numpy as np
 
 from .dists import ATOL, Dist, FiniteSet, product_set
 from .engine import SectionConfig, section_smooth_step
-from .framework import EncPredicate, GeneratingTriple
+from .framework import GeneratingTriple
 from .machines import Machine
 from .sections import SectionMachine, Tract
 from .smooth import SmoothConfig, SmoothTape, exact_point_row, smooth_step
@@ -274,7 +274,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
 
 
 # ---------------------------------------------------------------------------
-# Encoder / decoder / encoding predicate
+# Encoder / decoder: a runner state is an encoding when it decodes
 # ---------------------------------------------------------------------------
 
 
@@ -325,49 +325,36 @@ def to_section_config(sim: CompiledSim, enc: InterleavedEncoding) -> SectionConf
     )
 
 
-def encoding_of(sim: CompiledSim, cfg: SectionConfig, strict: bool = False):
-    """Parse a runner state as an encoding; None (or raise) when it is not.
+def encoding_of(sim: CompiledSim, cfg: SectionConfig) -> InterleavedEncoding | None:
+    """Parse a runner state as an encoding; None when it is not one.
 
     Checks the full structural predicate: state supported on the first read
     section, aligned exact marker columns for some L <= -2 and R >= 2, and
     data cells supported in the source alphabet.
     """
     if len(cfg.state) != 1 or "R1" not in cfg.state:
-        if strict:  # the message is built only to be raised
-            raise ValueError(
-                f"not a valid encoding: state mass outside section R1 "
-                f"({sorted(cfg.state)})"
-            )
         return None
-
-    def fail(msg):
-        if strict:
-            raise ValueError(f"not a valid encoding: {msg}")
-        return None
-
     m = sim.source
     n = sim.n
     tape = cfg.tapes[0]
     alphabet = tape.alphabet
     lo, hi = tape.lo, tape.hi
     if lo % n != 0 or (hi + 1) % n != 0:
-        return fail("window not column-aligned")
+        return None
     L = lo // n + 2
     R = (hi + 1) // n - 2
     if L > -2 or R < 2:
-        return fail(f"borders inside the excluded zone (L={L}, R={R})")
+        return None
     for j in range(1, n + 1):
         for marker, col in ((MARK_L, L - 1), (MARK_R, R + 1)):
             p = cell_position(n, j, col)
             if not exact_point_row(tape.row(p), alphabet.index(marker)):
-                return fail(f"marker {marker} missing at row {j}")
+                return None
     for p in range(-n, 0):
         if not exact_point_row(tape.row(p), alphabet.index(MARK_0)):
-            return fail("head marker column corrupted")
-    markers = _data_rows(n, tape, L, R)[:, :, len(m.alphabet):]
-    if markers.any():
-        j, k = divmod(int(markers.any(axis=2).argmax()), R - L + 1)
-        return fail(f"marker mass in data cell (tape {j + 1}, index {L + k})")
+            return None
+    if _data_rows(n, tape, L, R)[:, :, len(m.alphabet):].any():
+        return None
     state = Dist(m.states, cfg.state["R1"])
     return InterleavedEncoding(L, R, state, tape)
 
@@ -380,9 +367,12 @@ def _data_rows(n: int, tape: SmoothTape, L: int, R: int) -> np.ndarray:
     return tape.cells[pos - tape.lo]
 
 
-def decode(sim: CompiledSim, cfg: SectionConfig) -> SmoothConfig:
-    """Read the encoded configuration back off the single tape."""
-    parsed = encoding_of(sim, cfg, strict=True)
+def decode(sim: CompiledSim, cfg: SectionConfig) -> SmoothConfig | None:
+    """Read the encoded configuration back off the single tape; None when
+    the runner state is not an encoding."""
+    parsed = encoding_of(sim, cfg)
+    if parsed is None:
+        return None
     m = sim.source
     rows = _data_rows(sim.n, parsed.tape, parsed.L, parsed.R)[:, :, : len(m.alphabet)]
     tapes = tuple(SmoothTape(m.alphabet, m.blank, parsed.L, r) for r in rows)
@@ -410,14 +400,10 @@ def cycle_length(n: int, width: int) -> int:
 
 def make_triple(sim: CompiledSim, width_hint: int = 24) -> GeneratingTriple:
     """The generating triple of a compiled simulator."""
-    enc = EncPredicate(
-        holds=lambda cfg: encoding_of(sim, cfg) is not None,
-        certify_outside=lambda cfg: "R1" not in cfg.state,
-    )
     return GeneratingTriple(
         stepper=section_smooth_step,
-        enc=enc,
         decode=lambda cfg: decode(sim, cfg),
+        certify_outside=lambda cfg: "R1" not in cfg.state,
         target_step=lambda s: smooth_step(sim.source, s),
         max_steps=10 * cycle_length(sim.n, width_hint),
         step_checks=_sim_step_checks,

@@ -42,7 +42,7 @@ import numpy as np
 
 from .dists import ATOL, Dist, FiniteSet, product_set, stochastic_op
 from .engine import SectionConfig, section_smooth_step
-from .framework import EncPredicate, GeneratingTriple
+from .framework import GeneratingTriple
 from .machines import DIRECTIONS, Machine
 from .sections import SectionMachine, Tract
 from .smooth import SmoothConfig, SmoothTape, apply_step, push_local, smooth_step_dists
@@ -326,37 +326,26 @@ def _is_code_restored(code_rows: np.ndarray, tape: SmoothTape) -> bool:
     return bool(np.abs(tape.cells - code_rows).max() <= ATOL)
 
 
-def encoding_of(
-    utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig, strict=False
-):
-    """Parse a runner state as an encoding of a simulated configuration."""
+def encoding_of(utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig):
+    """Parse a runner state as an encoding of a simulated configuration: its
+    state distribution, or None when it is not one."""
     if len(cfg.state) != 1 or "read" not in cfg.state:
-        if strict:  # the message is built only to be raised
-            raise ValueError(
-                f"not a valid encoding: state mass outside section read "
-                f"({sorted(cfg.state)})"
-            )
         return None
-
-    def fail(msg):
-        if strict:
-            raise ValueError(f"not a valid encoding: {msg}")
-        return None
-
     if not _is_code_restored(code.rows, cfg.tapes[0]):
-        return fail("description tape differs from the code")
-    work = cfg.tapes[1]
-    nsym = len(utm.alphabet)
-    if work.cells[:, nsym:].any():
-        return fail("working tape holds non-alphabet mass")
+        return None
+    if cfg.tapes[1].cells[:, len(utm.alphabet):].any():
+        return None
     return Dist(utm.states, cfg.state["read"])
 
 
 def decode_config(
     utm: UtmMachine, code: DescriptionTape, cfg: SectionConfig
-) -> SmoothConfig:
-    """State from the read section, working tape relabeled back."""
-    state = encoding_of(utm, code, cfg, strict=True)
+) -> SmoothConfig | None:
+    """State from the read section, working tape relabeled back; None when
+    the runner state is not an encoding."""
+    state = encoding_of(utm, code, cfg)
+    if state is None:
+        return None
     work = cfg.tapes[1]
     nsym = len(utm.alphabet)
     tape = SmoothTape(utm.alphabet, utm.blank, work.lo, work.cells[:, :nsym])
@@ -388,15 +377,11 @@ def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
 
 def make_triple(utm: UtmMachine, code: DescriptionTape) -> GeneratingTriple:
     """The commuting square of ``code`` on ``utm``."""
-    enc = EncPredicate(
-        holds=lambda cfg: encoding_of(utm, code, cfg) is not None,
-        certify_outside=lambda cfg: "read" not in cfg.state
-        or cfg.tapes[0].row(0)[utm.machine.alphabet.index(HASH)] == 0.0,
-    )
     return GeneratingTriple(
         stepper=section_smooth_step,
-        enc=enc,
         decode=lambda cfg: decode_config(utm, code, cfg),
+        certify_outside=lambda cfg: "read" not in cfg.state
+        or cfg.tapes[0].row(0)[utm.machine.alphabet.index(HASH)] == 0.0,
         target_step=lambda s: utm_cycle_semantics(code, s),
         max_steps=10 * utm.cycle_length(),
         step_checks=_utm_step_checks,

@@ -127,16 +127,12 @@ def verify_utm(
             triple, utm.encode_config(machine, code, s), tol=tol, cycles=CYCLES
         )
         shuffle_dev = None
-        if res.encodings:
+        if res.outputs:
             shuffled = code.shuffled(rng)
             again = utm.make_triple(machine, shuffled)
-            x, rep = check_well_behaved(again, utm.encode_config(machine, shuffled, s))
-            if rep.cycle_length is None:
-                rep.violations.append(
-                    {"step": again.step_bound(), "violation": "no encoding reached"}
-                )
-            else:
-                shuffle_dev = triple.decode(res.encodings[0]).deviation(again.decode(x))
+            _, rep = check_well_behaved(again, utm.encode_config(machine, shuffled, s))
+            if rep.output is not None:
+                shuffle_dev = res.outputs[0].deviation(rep.output)
             res.violations += [
                 {"step": v["step"], "violation": f"shuffled run: {v['violation']}"}
                 for v in rep.violations

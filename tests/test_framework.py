@@ -4,7 +4,6 @@ import pytest
 from smoothtm.dists import Dist
 from smoothtm.framework import (
     CycleOverrun,
-    EncPredicate,
     GeneratingTriple,
     check_preserving,
     check_well_behaved,
@@ -23,8 +22,8 @@ def identity_triple(m):
     """The trivial triple: every configuration encodes itself."""
     return GeneratingTriple(
         stepper=lambda s: (smooth_step(m, s), None),
-        enc=EncPredicate(lambda x: True, lambda x: False),
         decode=lambda x: x,
+        certify_outside=lambda x: False,
         target_step=lambda s: smooth_step(m, s),
         max_steps=1,
     )
@@ -65,8 +64,8 @@ def test_run_to_next_encoding_overrun():
     g = identity_triple(m)
     g = GeneratingTriple(
         stepper=g.stepper,
-        enc=EncPredicate(lambda x: False, lambda x: True),
-        decode=g.decode,
+        decode=lambda x: None,
+        certify_outside=lambda x: True,
         target_step=g.target_step,
         max_steps=17,
     )
@@ -78,33 +77,56 @@ def test_run_to_next_encoding_overrun():
 
 def test_well_behaved_records_step_checks_up_to_the_bound():
     """A step check that fires is recorded at its step; a run that reaches
-    no encoding stops at the bound with no cycle length, and the checked
-    cycle reports that at the bound."""
+    no encoding stops at the bound with no cycle length and no output, and
+    its report says so at the bound."""
     from dataclasses import replace
 
     m = small_machine()
     s = random_smooth_config(m, np.random.default_rng(5), radius=1)
     g = replace(
         identity_triple(m),
-        enc=EncPredicate(lambda x: False, lambda x: True),
+        decode=lambda x: x if x is s else None,  # only the start decodes
+        certify_outside=lambda x: True,
         max_steps=3,
         step_checks=lambda t, x, info: ["odd step"] if t % 2 else [],
     )
     x, rep = check_well_behaved(g, s)
-    assert rep.cycle_length is None
+    assert rep.cycle_length is None and rep.output is None
     assert rep.violations == [
         {"step": 1, "violation": "odd step"},
         {"step": 3, "violation": "odd step"},
+        {"step": 3, "violation": "no encoding reached"},
     ]
     assert x.deviation(smooth_step(m, smooth_step(m, smooth_step(m, s)))) == 0.0
     res = check_preserving(g, s, cycles=2)
-    assert res.cycle_lengths == [] and not res.passes(1.0)
-    assert res.violations[-1] == {"step": 3, "violation": "no encoding reached"}
+    assert res.cycle_lengths == [] and res.outputs == [] and not res.passes(1.0)
+    assert res.violations == rep.violations
     # the step check fires on a cycle that does reach an encoding too
     _, rep = check_well_behaved(replace(identity_triple(m), step_checks=g.step_checks), s)
     assert rep.cycle_length == 1 and rep.violations == [
         {"step": 1, "violation": "odd step"}
     ]
+
+
+def test_preservation_from_a_non_encoding_raises_before_stepping():
+    m = small_machine()
+    s = random_smooth_config(m, np.random.default_rng(9), radius=1)
+    steps = []
+
+    def stepper(x):
+        steps.append(x)
+        return smooth_step(m, x), None
+
+    g = GeneratingTriple(
+        stepper=stepper,
+        decode=lambda x: None,
+        certify_outside=lambda x: True,
+        target_step=lambda x: smooth_step(m, x),
+        max_steps=3,
+    )
+    with pytest.raises(ValueError, match="not a valid encoding"):
+        check_preserving(g, s)
+    assert steps == []
 
 
 def test_max_steps_env_override(monkeypatch):
@@ -181,10 +203,8 @@ def _multitape_case():
     return multitape.make_triple(sim), x0
 
 
-def assert_same_bits(a, b):
-    assert list(a.state) == list(b.state)
-    for sid in a.state:
-        assert a.state[sid].tobytes() == b.state[sid].tobytes()
+def assert_same_bits(a: SmoothConfig, b: SmoothConfig):
+    assert a.state.weights.tobytes() == b.state.weights.tobytes()
     assert len(a.tapes) == len(b.tapes)
     for ta, tb in zip(a.tapes, b.tapes):
         assert ta.lo == tb.lo
@@ -193,10 +213,47 @@ def assert_same_bits(a, b):
 
 @pytest.mark.parametrize("case", [_utm_case, _multitape_case])
 def test_preservation_encodings_equal_chained_cycles(case):
+    """Each cycle's output is, bit for bit, the decoding of the state that
+    unchecked cycles chained from the same start reach."""
     g, x = case()
     res = check_preserving(g, x, tol=1e-9, cycles=3)
-    assert res.passes(1e-9) and len(res.encodings) == 3
+    assert res.passes(1e-9) and len(res.outputs) == 3
     for k in range(3):
         x, t = run_to_next_encoding(g, x)
         assert t == res.cycle_lengths[k]
-        assert_same_bits(res.encodings[k], x)
+        assert_same_bits(res.outputs[k], g.decode(x))
+
+
+def test_one_parse_per_step(monkeypatch):
+    """Each step is parsed once, as the encoding test and as the cycle's
+    output, and the start once more; nothing is decoded twice."""
+    from smoothtm import multitape, utm, verify
+
+    parses, steps = [], []
+    for mod in (multitape, utm):
+        parse, step = mod.encoding_of, mod.section_smooth_step
+
+        def counted_parse(*args, parse=parse):
+            parses.append(1)
+            return parse(*args)
+
+        def counted_step(x, step=step):
+            steps.append(1)
+            return step(x)
+
+        monkeypatch.setattr(mod, "encoding_of", counted_parse)
+        monkeypatch.setattr(mod, "section_smooth_step", counted_step)
+
+    g, x = _multitape_case()
+    res = check_preserving(g, x, tol=1e-9, cycles=3)
+    assert res.passes(1e-9)
+    assert len(steps) == sum(res.cycle_lengths)
+    assert len(parses) == sum(res.cycle_lengths) + 1
+
+    parses.clear()
+    steps.clear()
+    (result,) = verify.verify_utm(trials=1, uncertain_codes=True)["results"]
+    assert result["pass"] and "shuffle_deviation" in result
+    # the checked cycles, then the shuffled re-run of the first cycle
+    assert len(steps) == sum(result["cycle_lengths"]) + result["cycle_lengths"][0]
+    assert len(parses) == len(steps) + 1

@@ -67,8 +67,8 @@ def test_decode_names_offending_component():
     code = encode_code(m)
     cfg = encode_config(utm, code, half_ab(m))
     cfg.state["wait"] = cfg.state.pop("read")
-    with pytest.raises(ValueError, match="read"):
-        decode_config(utm, code, cfg)
+    # state mass off the read section alone takes the state off the encodings
+    assert decode_config(utm, code, cfg) is None
 
 
 def test_code_round_trip():
@@ -318,12 +318,12 @@ def test_psi_update_dimension_mismatch():
 @pytest.mark.parametrize("error", ["stuck", "overrun"])
 def test_verify_utm_shuffled_run_failure_is_a_violation(monkeypatch, error):
     """The shuffled re-run is the trial's second triple: it gets stuck on
-    its third step, or reaches no encoding within a bound of two steps."""
+    its third step, which ends it there, or reaches no encoding within a
+    bound of two steps."""
     from dataclasses import replace
 
     from smoothtm import utm, verify
     from smoothtm.engine import StuckError
-    from smoothtm.framework import EncPredicate
 
     built, taken, make = [], [], utm.make_triple
 
@@ -338,8 +338,8 @@ def test_verify_utm_shuffled_run_failure_is_a_violation(monkeypatch, error):
         if built and error == "stuck":
             triple = replace(triple, stepper=stuck_on_third)
         elif built:
-            never = EncPredicate(lambda x: False, lambda x: True)
-            triple = replace(triple, enc=never, max_steps=2)
+            never = {"decode": lambda x: None, "certify_outside": lambda x: True}
+            triple = replace(triple, **never, max_steps=2)
         built.append(triple)
         return triple
 
@@ -351,7 +351,7 @@ def test_verify_utm_shuffled_run_failure_is_a_violation(monkeypatch, error):
     }
     if error == "stuck":
         stuck = {"step": 3, "violation": "shuffled run: mass 0.5 stuck"}
-        assert result["violations"] == [stuck, overrun]
+        assert result["violations"] == [stuck]
     else:
         assert overrun["step"] == 2 and result["violations"] == [overrun]
     assert "shuffle_deviation" not in result
@@ -383,29 +383,22 @@ def test_step_checks_name_each_violation():
     assert checks(1, heavy, StepInfo([point, point], {})) == ["simplex violation 0.5"]
 
 
-def test_strict_predicate_messages_pinned():
-    """Outside the read section the predicate rejects before building its
-    message; a strict caller still gets the same text."""
+def test_state_mass_outside_read_does_not_decode():
+    """State mass in any section besides read, alone or beside read, is not
+    an encoding; the same state wholly in read is."""
     from smoothtm.engine import SectionConfig
 
     m = identity_machine()
     utm = build_utm(m.states, m.alphabet, m.blank)
     code = encode_code(m)
-    cfg = encode_config(utm, code, half_ab(m))
+    s = half_ab(m)
+    cfg = encode_config(utm, code, s)
     wait = np.zeros(len(utm.machine.sections["wait"]))
-    cases = [
-        ({"read": cfg.state["read"], "wait": wait}, "['read', 'wait']"),
-        ({"wait": wait}, "['wait']"),
-    ]
-    for state, names in cases:
+    for state in ({"read": cfg.state["read"], "wait": wait}, {"wait": wait}):
         bad = SectionConfig(cfg.machine, state, cfg.tapes)
         assert encoding_of(utm, code, bad) is None
-        with pytest.raises(ValueError) as exc:
-            encoding_of(utm, code, bad, strict=True)
-        assert str(exc.value) == (
-            f"not a valid encoding: state mass outside section read ({names})"
-        )
-    assert encoding_of(utm, code, cfg, strict=True) is not None
+        assert decode_config(utm, code, bad) is None
+    assert decode_config(utm, code, cfg).deviation(s) == 0.0
 
 
 # ---------------------------------------------------------------------------
