@@ -36,6 +36,7 @@ deterministic function of the geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,23 +45,42 @@ from .engine import SectionConfig, section_smooth_step
 from .framework import GeneratingTriple
 from .machines import Machine
 from .sections import SectionMachine, Tract
-from .smooth import SmoothConfig, SmoothTape, exact_point_row, smooth_step
+from .smooth import SmoothConfig, SmoothTape, smooth_step
 
-MARK_L, MARK_0, MARK_R = "#L", "#0", "#R"
+MARKERS = MARK_L, MARK_0, MARK_R = "#L", "#0", "#R"
 ECHO = None  # declarative write that puts back the read symbol
 
 
-def cell_position(n: int, tape_j: int, i: int) -> int:
+def cell_position(n: int, tape_j, i):
     """Single-tape position of simulated cell (tape_j, i); tape_j is 1-based.
 
-    All geometry (encoder, decoder, tract emitter) goes through this one
-    function.  Negative columns shift left by one column width to make room
-    for the #0 marker column at positions [-n, -1].
+    The one formula of the layout: the encoder, the parser and the decoder
+    take their positions from it through ``_layout``.  Negative columns
+    shift left by one column width to make room for the #0 marker column at
+    positions [-n, -1].  ``tape_j`` and ``i`` may also be int arrays, which
+    broadcast; a scalar ``tape_j`` is range-checked.
     """
-    if not 1 <= tape_j <= n:
+    if isinstance(tape_j, (int, np.integer)) and not 1 <= tape_j <= n:
         raise ValueError("tape index out of range")
-    col = i if i >= 0 else i - 1
-    return n * col + (tape_j - 1)
+    return n * (i - (i < 0)) + tape_j - 1
+
+
+@lru_cache(maxsize=64)  # shared by a parse and its decode; callers only index
+def _layout(n: int, L: int, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where an encoding with borders L, R keeps its cells, as offsets from
+    its first cell: the (n x (R-L+1)) data cells of columns L..R, and the
+    (3 x n) marker cells of ``MARKERS`` in order, the #L border column at
+    L-1, the #0 column just left of column 0 and the #R border column at
+    R+1.  Together they cover the encoding's window once."""
+    lo = cell_position(n, 1, L - 1)
+    cols = cell_position(n, np.arange(1, n + 1)[:, None], np.arange(L - 1, R + 2)) - lo
+    zero = cols[:, 1 - L] - n
+    return cols[:, 1:-1], np.stack([cols[:, 0], zero, cols[:, -1]])
+
+
+def _marker_rows(alphabet: FiniteSet) -> np.ndarray:
+    """The point masses of ``MARKERS``, shaped for ``_layout``'s marker cells."""
+    return np.eye(len(alphabet))[[alphabet.index(k) for k in MARKERS], None]
 
 
 @dataclass
@@ -93,10 +113,10 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     n = m.num_tapes
     Q, SIGMA = m.states, m.alphabet
     blank = m.blank
-    for mark in (MARK_L, MARK_0, MARK_R):
+    for mark in MARKERS:
         if mark in SIGMA:
             raise ValueError(f"source alphabet reserves {mark!r}")
-    alphabet = FiniteSet(tuple(SIGMA.elements) + (MARK_L, MARK_0, MARK_R))
+    alphabet = FiniteSet(tuple(SIGMA.elements) + MARKERS)
     SIG = frozenset(SIGMA.elements)
     BLANK = frozenset({blank})
     HL, H0, HR = frozenset({MARK_L}), frozenset({MARK_0}), frozenset({MARK_R})
@@ -163,44 +183,50 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
             lambda xi, s, t0=n - k: (xi, to_w[xi, t0]), -1, f"write{k}",
         )
 
+    # row j's walks: sections name1..name{k-1} each copy a cell and move on,
+    # the last into ``end``, with ``skip`` also passing over the #0 column;
+    # ``first`` is a walk's entry point, ``end`` itself when it has no steps
+    def walk(name, k, ctx, reads, move, end, label, skip=False):
+        for s_ in range(1, k):
+            src = f"{name}{s_}.{j}"
+            sections[src] = ctx
+            tgt = f"{name}{s_+1}.{j}" if s_ < k - 1 else end
+            copy(src, tgt, reads, ECHO, move, f"{label}{s_}.{j}")
+            if skip:
+                copy(src, src, H0, ECHO, move, f"{label}-skip{s_}.{j}")
+
+    def first(name, k, end):
+        return f"{name}1.{j}" if k > 1 else end
+
     for j in range(n, 0, -1):
         j0 = j - 1
         after_row = f"MLB1.{j-1}" if j > 1 else "SU"
 
         # left border shift: seek the row's #L, erase it, rewrite one column
         # further out, return to the erased cell
-        sections[f"MLB1.{j}"] = ctx_w
-        sections[f"MLB2.{j}"] = ctx_w
-        sections[f"MLB3.{j}"] = ctx_w
+        for k in (1, 2, 3):
+            sections[f"MLB{k}.{j}"] = ctx_w
         copy(f"MLB1.{j}", f"MLB1.{j}", SIG | H0, ECHO, -1, f"seek-left.{j}")
         copy(f"MLB1.{j}", f"MLB2.{j}", HL, blank, -1, f"erase-border.{j}")
         copy(f"MLB2.{j}", f"MLB2.{j}", HL, MARK_L, -1, f"cross-border-out.{j}")
         copy(f"MLB2.{j}", f"MLB3.{j}", BLANK, MARK_L, 1, f"plant-border.{j}")
         copy(f"MLB3.{j}", f"MLB3.{j}", HL, MARK_L, 1, f"cross-border-back.{j}")
-        first_walk = f"MLE1.{j}" if n > 1 else f"MLEload.{j}"
-        copy(f"MLB3.{j}", first_walk, BLANK, blank, 1, f"enter-edge.{j}")
+        copy(f"MLB3.{j}", first("MLE", n, f"MLEload.{j}"), BLANK, blank, 1,
+             f"enter-edge.{j}")
 
         # left edge: walk to the leftmost data column, load it, write the
         # superposition of the freshly opened column (both outer neighbours
         # blank), entering the main loop's steady state
-        for s_ in range(1, n):
-            sections[f"MLE{s_}.{j}"] = ctx_w
-            tgt = f"MLE{s_+1}.{j}" if s_ < n - 1 else f"MLEload.{j}"
-            copy(f"MLE{s_}.{j}", tgt, SIG, ECHO, 1, f"edge-walk{s_}.{j}")
+        walk("MLE", n, ctx_w, SIG, 1, f"MLEload.{j}", "edge-walk")
         sections[f"MLEload.{j}"] = ctx_w
-        back_or_write = f"MMLback1.{j}" if n > 1 else f"MMLwrite.{j}"
-        emit(f"MLEload.{j}", back_or_write, SIG,
+        back = first("MMLback", n, f"MMLwrite.{j}")
+        emit(f"MLEload.{j}", back, SIG,
              lambda xi, s: (((xi * S + b) * S + b) * S + s, s), -1,
              f"edge-load.{j}")
 
         # main loop: load the next cell, walk back, write the superposition,
         # walk out two columns
-        for s_ in range(1, n):
-            sections[f"MMLback{s_}.{j}"] = ctx_p3
-            tgt = f"MMLback{s_+1}.{j}" if s_ < n - 1 else f"MMLwrite.{j}"
-            copy(f"MMLback{s_}.{j}", tgt, SIG, ECHO, -1, f"back{s_}.{j}")
-            copy(f"MMLback{s_}.{j}", f"MMLback{s_}.{j}", H0, ECHO, -1,
-                 f"back-skip{s_}.{j}")
+        walk("MMLback", n, ctx_p3, SIG, -1, f"MMLwrite.{j}", "back", skip=True)
         sections[f"MMLwrite.{j}"] = ctx_p3
         # (q, s1..sn, c1, c2, c3) -> (q, s1..sn, c2, c3)
         emit(
@@ -212,46 +238,32 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
             1, f"superpose.{j}",
         )
         copy(f"MMLwrite.{j}", f"MMLwrite.{j}", H0, ECHO, -1, f"write-skip.{j}")
-        for s_ in range(1, 2 * n):
-            sections[f"MMLout{s_}.{j}"] = ctx_p2
-            tgt = f"MMLout{s_+1}.{j}" if s_ < 2 * n - 1 else f"MMLload.{j}"
-            # border cells of not-yet-shifted rows sit at counted positions,
-            # so #R advances the chain; the #0 column is extra, so it loops
-            copy(f"MMLout{s_}.{j}", tgt, SIG | HR, ECHO, 1, f"out{s_}.{j}")
-            copy(f"MMLout{s_}.{j}", f"MMLout{s_}.{j}", H0, ECHO, 1, f"out-skip{s_}.{j}")
+        # border cells of not-yet-shifted rows sit at counted positions, so
+        # #R advances the walk; the #0 column is extra, so it is skipped
+        walk("MMLout", 2 * n, ctx_p2, SIG | HR, 1, f"MMLload.{j}", "out", skip=True)
         sections[f"MMLload.{j}"] = ctx_p2
-        emit(f"MMLload.{j}", back_or_write, SIG, load, -1, f"load.{j}")
+        emit(f"MMLload.{j}", back, SIG, load, -1, f"load.{j}")
         copy(f"MMLload.{j}", f"MMLload.{j}", H0, ECHO, 1, f"load-skip.{j}")
 
         # right border shift: erase the row's #R, plant it one column out,
         # return to the erased cell
-        out_or_write = f"MRBout1.{j}" if n > 1 else f"MRBwrite.{j}"
-        copy(f"MMLload.{j}", out_or_write, HR, blank, 1, f"erase-right.{j}")
-        for s_ in range(1, n):
-            sections[f"MRBout{s_}.{j}"] = ctx_p2
-            tgt = f"MRBout{s_+1}.{j}" if s_ < n - 1 else f"MRBwrite.{j}"
-            copy(f"MRBout{s_}.{j}", tgt, SIG, ECHO, 1, f"rb-out{s_}.{j}")
+        copy(f"MMLload.{j}", first("MRBout", n, f"MRBwrite.{j}"), HR, blank, 1,
+             f"erase-right.{j}")
+        walk("MRBout", n, ctx_p2, SIG, 1, f"MRBwrite.{j}", "rb-out")
         sections[f"MRBwrite.{j}"] = ctx_p2
-        back2_or_re = f"MRBback1.{j}" if n > 1 else f"MRE1.{j}"
-        copy(f"MRBwrite.{j}", back2_or_re, BLANK, MARK_R, -1, f"plant-right.{j}")
-        for s_ in range(1, n):
-            sections[f"MRBback{s_}.{j}"] = ctx_p2
-            tgt = f"MRBback{s_+1}.{j}" if s_ < n - 1 else f"MRE1.{j}"
-            copy(f"MRBback{s_}.{j}", tgt, SIG, ECHO, -1, f"rb-back{s_}.{j}")
+        copy(f"MRBwrite.{j}", first("MRBback", n, f"MRE1.{j}"), BLANK, MARK_R, -1,
+             f"plant-right.{j}")
+        walk("MRBback", n, ctx_p2, SIG, -1, f"MRE1.{j}", "rb-back")
 
         # right edge: the opened column sees (last data cell, blank, blank);
         # the last data column sees (loaded pair, blank)
         sections[f"MRE1.{j}"] = ctx_p2
-        walk_or_re2 = f"MREwalk1.{j}" if n > 1 else f"MRE2.{j}"
         emit(
-            f"MRE1.{j}", walk_or_re2, BLANK,
+            f"MRE1.{j}", first("MREwalk", n, f"MRE2.{j}"), BLANK,
             lambda xi, s, j0=j0: (xi, psi(xi // S**2, j0, xi % S, b, b)), -1,
             f"edge-right1.{j}",
         )
-        for s_ in range(1, n):
-            sections[f"MREwalk{s_}.{j}"] = ctx_p2
-            tgt = f"MREwalk{s_+1}.{j}" if s_ < n - 1 else f"MRE2.{j}"
-            copy(f"MREwalk{s_}.{j}", tgt, SIG | HR, ECHO, -1, f"re-walk{s_}.{j}")
+        walk("MREwalk", n, ctx_p2, SIG | HR, -1, f"MRE2.{j}", "re-walk")
         sections[f"MRE2.{j}"] = ctx_p2
         emit(
             f"MRE2.{j}", after_row, SIG,
@@ -263,8 +275,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
 
     # state update: return to the cell formerly holding tape 1's head cell,
     # then push the context joint through the state component
-    sections["SU"] = ctx_w
-    sections["S"] = ctx_w
+    sections["SU"] = sections["S"] = ctx_w
     copy("SU", "SU", SIG, ECHO, -1, "seek-head")
     copy("SU", "S", H0, MARK_0, 1, "found-head")
     emit("S", "R1", SIG, lambda xi, s: (to_q[xi], s), 0, "state-update")
@@ -286,8 +297,7 @@ def encode(
     By default L and R are minimal with L <= -2, R >= 2 covering all
     non-blank support; any wider borders are equally valid encodings.
     """
-    m = sim.source
-    n = sim.n
+    m, n = sim.source, sim.n
     if s.state.base != m.states or len(s.tapes) != n:
         raise ValueError("configuration does not fit the compiled machine")
     min_L = min([-2] + [t.lo for t in s.tapes])
@@ -297,26 +307,12 @@ def encode(
     if L > min_L or R < max_R:
         raise ValueError("borders must cover all non-blank support")
     alphabet = sim.machine.alphabet
-    A = len(alphabet)
-    lo = cell_position(n, 1, L - 1)
-    hi = cell_position(n, n, R + 1)
-    rows = np.zeros((hi - lo + 1, A))
-    rows[:, alphabet.index(m.blank)] = 1.0
-    for j in range(1, n + 1):
-        for marker, col in ((MARK_L, L - 1), (MARK_R, R + 1)):
-            p = cell_position(n, j, col)
-            rows[p - lo] = 0.0
-            rows[p - lo, alphabet.index(marker)] = 1.0
-    for p in range(-n, 0):
-        rows[p - lo] = 0.0
-        rows[p - lo, alphabet.index(MARK_0)] = 1.0
-    nsym = len(m.alphabet)
-    for j, tape in enumerate(s.tapes, start=1):
-        for i in range(tape.lo, tape.hi + 1):
-            p = cell_position(n, j, i)
-            rows[p - lo] = 0.0
-            rows[p - lo, :nsym] = tape.row(i)
-    return InterleavedEncoding(L, R, s.state, SmoothTape(alphabet, m.blank, lo, rows))
+    data, marks = _layout(n, L, R)
+    rows = np.zeros((data.size + marks.size, len(alphabet)))
+    rows[data, : len(m.alphabet)] = np.stack([t.padded(L, R) for t in s.tapes])
+    rows[marks] = _marker_rows(alphabet)
+    tape = SmoothTape(alphabet, m.blank, cell_position(n, 1, L - 1), rows)
+    return InterleavedEncoding(L, R, s.state, tape)
 
 
 def to_section_config(sim: CompiledSim, enc: InterleavedEncoding) -> SectionConfig:
@@ -334,37 +330,20 @@ def encoding_of(sim: CompiledSim, cfg: SectionConfig) -> InterleavedEncoding | N
     """
     if len(cfg.state) != 1 or "R1" not in cfg.state:
         return None
-    m = sim.source
-    n = sim.n
+    m, n = sim.source, sim.n
     tape = cfg.tapes[0]
-    alphabet = tape.alphabet
     lo, hi = tape.lo, tape.hi
-    if lo % n != 0 or (hi + 1) % n != 0:
+    L, R = lo // n + 2, (hi + 1) // n - 2
+    if lo % n or (hi + 1) % n or L > -2 or R < 2:
         return None
-    L = lo // n + 2
-    R = (hi + 1) // n - 2
-    if L > -2 or R < 2:
+    data, marks = _layout(n, L, R)
+    # == rejects NaN, and -0.0 counts as zero, as in exact_point_row
+    if not (tape.cells[marks] == _marker_rows(tape.alphabet)).all():
         return None
-    for j in range(1, n + 1):
-        for marker, col in ((MARK_L, L - 1), (MARK_R, R + 1)):
-            p = cell_position(n, j, col)
-            if not exact_point_row(tape.row(p), alphabet.index(marker)):
-                return None
-    for p in range(-n, 0):
-        if not exact_point_row(tape.row(p), alphabet.index(MARK_0)):
-            return None
-    if _data_rows(n, tape, L, R)[:, :, len(m.alphabet):].any():
+    if tape.cells[data, len(m.alphabet) :].any():
         return None
     state = Dist(m.states, cfg.state["R1"])
     return InterleavedEncoding(L, R, state, tape)
-
-
-def _data_rows(n: int, tape: SmoothTape, L: int, R: int) -> np.ndarray:
-    """The (tape, index, symbol) block of an encoding's data cells in
-    columns L..R, gathered in one index at the positions cell_position gives."""
-    i = np.arange(L, R + 1)
-    pos = n * np.where(i >= 0, i, i - 1) + np.arange(n)[:, None]
-    return tape.cells[pos - tape.lo]
 
 
 def decode(sim: CompiledSim, cfg: SectionConfig) -> SmoothConfig | None:
@@ -374,7 +353,8 @@ def decode(sim: CompiledSim, cfg: SectionConfig) -> SmoothConfig | None:
     if parsed is None:
         return None
     m = sim.source
-    rows = _data_rows(sim.n, parsed.tape, parsed.L, parsed.R)[:, :, : len(m.alphabet)]
+    data = _layout(sim.n, parsed.L, parsed.R)[0]
+    rows = parsed.tape.cells[data, : len(m.alphabet)]
     tapes = tuple(SmoothTape(m.alphabet, m.blank, parsed.L, r) for r in rows)
     return SmoothConfig(parsed.state_local, tapes)
 

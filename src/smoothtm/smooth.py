@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -625,8 +626,14 @@ def json_field(obj: dict, key: str, kind: type, where: str = "", default=_REQUIR
     return json_value(obj[key], kind, path)
 
 
-def _fill_weights(row: np.ndarray, obj, index: dict, path: str, what: str) -> None:
-    """Write ``{label: weight}`` into ``row``, checking labels and numbers."""
+def _label_index(base: FiniteSet) -> dict:
+    return {a: i for i, a in enumerate(_labels(base))}
+
+
+def dist_from_obj(obj, base: FiniteSet, path: str, what: str) -> Dist:
+    """Read ``{label: weight}`` over ``base``; omitted labels weigh zero."""
+    row = np.zeros(len(base))
+    index = _label_index(base)
     for k, v in json_value(obj, dict, path).items():
         i = index.get(k)
         if i is None:
@@ -640,16 +647,6 @@ def _fill_weights(row: np.ndarray, obj, index: dict, path: str, what: str) -> No
                 f"{path}: weight of {what} {k!r} must be a finite number, got {v!r}"
             )
         row[i] = float(v)
-
-
-def _label_index(base: FiniteSet) -> dict:
-    return {a: i for i, a in enumerate(_labels(base))}
-
-
-def dist_from_obj(obj, base: FiniteSet, path: str, what: str) -> Dist:
-    """Read ``{label: weight}`` over ``base``; omitted labels weigh zero."""
-    row = np.zeros(len(base))
-    _fill_weights(row, obj, _label_index(base), path, what)
     try:
         return Dist(base, row)
     except ValueError as exc:
@@ -658,15 +655,18 @@ def dist_from_obj(obj, base: FiniteSet, path: str, what: str) -> Dist:
 
 def _fill_rows(rows: np.ndarray, cells: list, index: dict) -> bool:
     """Write every cell's ``{label: weight}`` into ``rows`` in one assignment
-    if all cells are objects of known labels and finite float weights;
-    returns whether they were, writing nothing otherwise."""
+    if all cells are objects of known labels and finite float or int
+    weights; returns whether they were, writing nothing otherwise."""
     if not all(type(c) is dict for c in cells):
         return False
     labels = [index.get(k) for c in cells for k in c]
     weights = [v for c in cells for v in c.values()]
-    if None in labels or not all(type(v) is float for v in weights):
+    if None in labels or not all(type(v) in (float, int) for v in weights):
         return False
-    weights = np.array(weights)
+    try:
+        weights = np.array(weights, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        return False
     if not np.isfinite(weights).all():
         return False
     rows[np.repeat(np.arange(len(cells)), [len(c) for c in cells]), labels] = weights
@@ -677,8 +677,9 @@ def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
     """Read a tape; ``lo`` defaults to 0, no cells means a blank tape, and
     any other field is an error.
 
-    The cells fill one array that :class:`SmoothTape` validates at once; a
-    window off the simplex is reported at its first bad cell.  Once exact
+    The cells fill one array that :class:`SmoothTape` validates at once;
+    when they cannot, or it fails, they are read one cell at a time in
+    order, so an error names the first bad cell.  Once exact
     blank ends are trimmed, the window and the head (cell 0) may span at
     most :data:`MAX_TAPE_SPAN` cells.
     """
@@ -690,21 +691,14 @@ def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
     if not cells:
         return SmoothTape.blank_tape(alphabet, blank)
     rows = np.zeros((len(cells), len(alphabet)))
-    index = _label_index(alphabet)
-    if not _fill_rows(rows, cells, index):
-        for i, c in enumerate(cells):
-            _fill_weights(rows[i], c, index, f"{path}.cells[{i}]", "symbol")
-    try:
-        tape = SmoothTape(alphabet, blank, lo, rows)
-    except ValueError:
-        for i, row in enumerate(rows):
-            try:
-                Dist(alphabet, row)
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path}.cells[{i}]: bad symbol distribution: {exc}"
-                ) from None
-        raise
+    tape = None
+    if _fill_rows(rows, cells, _label_index(alphabet)):
+        with suppress(ValueError):
+            tape = SmoothTape(alphabet, blank, lo, rows)
+    if tape is None:
+        dists = [dist_from_obj(c, alphabet, f"{path}.cells[{i}]", "symbol")
+                 for i, c in enumerate(cells)]
+        tape = SmoothTape.from_dists(alphabet, blank, lo, dists)
     span = max(tape.hi, 0) - min(tape.lo, 0) + 1
     if span > MAX_TAPE_SPAN:
         raise FormatError(

@@ -43,8 +43,16 @@ def test_cell_position_layout():
     assert [cell_position(2, j, 1) for j in (1, 2)] == [2, 3]
     assert [cell_position(2, j, -1) for j in (1, 2)] == [-4, -3]
     assert cell_position(1, 1, -1) == -2
-    with pytest.raises(ValueError):
-        cell_position(2, 3, 0)
+    for j in (3, np.int64(3), 0):
+        with pytest.raises(ValueError):
+            cell_position(2, j, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cell_position_broadcasts_over_int_arrays(n):
+    j, i = np.arange(1, n + 1)[:, None], np.arange(-4, 5)
+    want = [[cell_position(n, int(a), int(b)) for b in i] for a in j[:, 0]]
+    assert cell_position(n, j, i).tolist() == want
 
 
 def test_read_phase_context_cardinalities():
@@ -90,6 +98,17 @@ def test_encode_decode_round_trip():
         sim = compile_multitape(m)
         s = random_smooth_config(m, rng, radius=int(rng.integers(0, 3)))
         assert decode(sim, to_section_config(sim, encode(sim, s))).deviation(s) == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_encode_decode_round_trip_with_wider_borders(n):
+    rng = np.random.default_rng(n)
+    m = random_machine(rng, n, 2, 3)
+    sim = compile_multitape(m)
+    s = random_smooth_config(m, rng, radius=2)
+    enc = encode(sim, s, L=-5, R=4)
+    assert (enc.L, enc.R) == (-5, 4)
+    assert decode(sim, to_section_config(sim, enc)).deviation(s) == 0.0
 
 
 def test_decode_names_offending_component():

@@ -550,6 +550,23 @@ def test_compile_output_and_lowering_unchanged(index, tmp_path, capsys):
     assert h.hexdigest() == lowered_digest
 
 
+# (seed, tapes, states, symbols, sha256 of `compile -o` output) past the
+# golden compiles' three tapes, where every walk of a row has several steps
+WIDE_COMPILES = [
+    (8, 4, 2, 2, "d8f967e770d3d78d7d205e2a646d0413d89f21a07f10c83818db1c6d357f5cf7"),
+    (9, 5, 2, 2, "c86575c1b633e65d923e7fb9a0505368c6a4c0c73ea8bd946c5f6d4041fb04ca"),
+]
+
+
+@pytest.mark.parametrize("seed, n, q, s, digest", WIDE_COMPILES)
+def test_wide_compile_output_unchanged(seed, n, q, s, digest, tmp_path, capsys):
+    src, out = tmp_path / "m.tm", tmp_path / "m.sim"
+    src.write_text(golden_machine_text(seed, n, q, s))
+    assert main(["compile", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def table_digest(sm):
     """sha256 over every section table: entry targets and labels, the
     src/tgt/write/move arrays and the uncovered pairs, in section order."""

@@ -506,37 +506,59 @@ def test_parse_config_matches_per_cell_dists(seed):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize(
-    "bad, expected",
-    [
-        ({"A": 0.5, "B": 0.6}, "tapes[0].cells[3]: bad symbol distribution: "
-                               "weights sum to 1.1, not 1 within 1e-12"),
-        ({"A": -0.5, "B": 1.5}, "tapes[0].cells[3]: bad symbol distribution: "
-                                "negative weight -0.5 below -1e-12"),
-        ({"A": 0.5, "Z": 0.5}, "tapes[0].cells[3]: unknown symbol 'Z'"),
-        ({"A": 0.5, "B": True}, "tapes[0].cells[3]: weight of symbol 'B' must be "
-                                "a finite number, got True"),
-        ({"A": 0.5, "B": "0.5"}, "tapes[0].cells[3]: weight of symbol 'B' must be "
-                                 "a finite number, got '0.5'"),
-        ({"A": 0.5, "B": float("nan")}, "tapes[0].cells[3]: weight of symbol 'B' "
-                                        "must be a finite number, got nan"),
-        ([0.5], "tapes[0].cells[3] must be an object, got [0.5]"),
-        # an int weight is read, so the first bad cell is the last one
-        ({"A": 1}, "tapes[0].cells[5]: bad symbol distribution: "
-                   "weights sum to 0.2, not 1 within 1e-12"),
-    ],
-)
-def test_parse_config_names_first_bad_cell(bad, expected):
+BAD_CELLS = [
+    ({"A": 0.5, "B": 0.6}, "tapes[0].cells[3]: bad symbol distribution: "
+                           "weights sum to 1.1, not 1 within 1e-12"),
+    ({"A": -0.5, "B": 1.5}, "tapes[0].cells[3]: bad symbol distribution: "
+                            "negative weight -0.5 below -1e-12"),
+    ({"A": 0.5, "Z": 0.5}, "tapes[0].cells[3]: unknown symbol 'Z'"),
+    ({"A": 0.5, "B": True}, "tapes[0].cells[3]: weight of symbol 'B' must be "
+                            "a finite number, got True"),
+    ({"A": 0.5, "B": "0.5"}, "tapes[0].cells[3]: weight of symbol 'B' must be "
+                             "a finite number, got '0.5'"),
+    ({"A": 0.5, "B": float("nan")}, "tapes[0].cells[3]: weight of symbol 'B' "
+                                    "must be a finite number, got nan"),
+    ([0.5], "tapes[0].cells[3] must be an object, got [0.5]"),
+    # an int weight is read, so the first bad cell is the last one
+    ({"A": 1}, "tapes[0].cells[5]: bad symbol distribution: "
+               "weights sum to 0.2, not 1 within 1e-12"),
+]
+
+
+def _first_bad_cell_error(cells):
     import json
 
     from smoothtm.machines import FormatError
 
-    m = lr_machine()
-    cells = [{"A": 1.0}] * 3 + [bad, {"_": 1.0}, {"A": 0.2}]
     text = json.dumps({"state": {"q": 1.0}, "tapes": [{"cells": cells}]})
     with pytest.raises(FormatError) as exc:
-        parse_config(text, m)
-    assert str(exc.value) == expected
+        parse_config(text, lr_machine())
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("bad, expected", BAD_CELLS)
+def test_parse_config_names_first_bad_cell(bad, expected):
+    cells = [{"A": 1.0}] * 3 + [bad, {"_": 1.0}, {"A": 0.2}]
+    assert _first_bad_cell_error(cells) == expected
+
+
+@pytest.mark.parametrize("bad, expected", BAD_CELLS)
+def test_parse_config_names_first_bad_cell_before_a_later_one(bad, expected):
+    # the last cell's unknown label comes after the first bad cell, so it
+    # must not be the one reported
+    cells = [{"A": 1.0}] * 3 + [bad, {"_": 1.0}, {"A": 0.2}, {"Z": 1.0}]
+    assert _first_bad_cell_error(cells) == expected
+
+
+def test_int_weights_fill_the_rows_in_one_assignment():
+    from smoothtm.smooth import _fill_rows
+
+    index = {"_": 0, "A": 1, "B": 2}
+    rows = np.zeros((2, 3))
+    assert _fill_rows(rows, [{"A": 1}, {"A": 0.5, "B": 0}], index)
+    assert rows.tolist() == [[0.0, 1.0, 0.0], [0.0, 0.5, 0.0]]
+    for weight in (True, 10**400, float("inf")):  # left to the per-cell reader
+        assert not _fill_rows(np.zeros((1, 3)), [{"A": weight}], index)
 
 
 def test_parse_config_reads_int_weights():
