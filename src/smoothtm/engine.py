@@ -7,7 +7,9 @@ contexts of the occupied sections, and the pushforwards through the
 transition components decompose by linearity into per-tract scatter
 passes over the values of each occupied section's (context x read symbols)
 joint at the tract's pairs.  A tract none of whose read symbols the head
-rows support moves exactly zero mass and is skipped.
+rows support moves exactly zero mass and is skipped, and a head that is a
+point mass fixes its tape's read column, so a tract's values are formed
+over the other tapes' columns only.
 
 Mass landing on a (state, symbols) pair no tract covers means the machine
 stepped into an unspecified transition; that raises :class:`StuckError`
@@ -29,7 +31,7 @@ class StuckError(RuntimeError):
     """Positive probability mass reached an unspecified transition."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SectionConfig:
     """Smooth state of a section machine.
 
@@ -68,13 +70,16 @@ class SectionConfig:
 
 
 def _mass(state: dict[str, np.ndarray]) -> float:
+    if len(state) == 1:
+        (v,) = state.values()
+        return float(np.add.reduce(v))
     total = 0.0
     for v in state.values():
         total += np.add.reduce(v)
     return float(total)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepInfo:
     """Diagnostics of one engine step."""
 
@@ -96,35 +101,48 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     An unguarded entry's values are ``outer(...outer(local, r1[c1])...,
     rn[cn])`` over its read columns: the products of the (context x read
     symbols) joint at its pairs, in the same order, so the joint is formed
-    only for guarded entries and stuck checks.  When every head row is an
-    exact point mass and the state is vouched non-negative, only the column
-    of the read symbols can be nonzero, so its values are ``local`` itself,
-    scattered through that column of the entry's arrays; the exact zeros
-    left out change no sum.  Every accumulator starts as a bincount, which
-    adds in the same order as ``np.add.at`` into zeros and so gives the same
-    bits.  When all entries that move mass record one move, each tape's
-    directions are its shared unit vector, the bits a one-bin scatter
-    renormalizes to, and the move is handed to ``superpose_tape``; otherwise
-    (the UTM's closing tract) they are scattered.  So only a direction sum
-    off 1 beside a write sum within 1e-12 loses its "direction mass" error.
-    Tape rows are non-negative, and so is the new state when the old one
-    is: then its ``err`` is set."""
+    only for guarded entries and stuck checks.  While the state is vouched
+    non-negative, a head row that is an exact point mass at 1.0 fixes its
+    tape's column: every other column of that tape holds exact zeros, and
+    the fixed one holds the other factors' products unchanged.  So the
+    outer products run over the other tapes' columns only, and the values
+    are scattered through the entry's arrays cut to the fixed columns, cut
+    once per fixed-symbol pattern and cached on the entry.  When every head
+    is fixed the values are ``local`` itself, scattered through that one
+    strided column, which needs no cut.  The exact zeros left out change no
+    sum: every accumulator starts as a bincount, which adds in the same
+    order as ``np.add.at`` into zeros, so it gets the same bits as the full
+    products would give.  When all entries that move mass record one move,
+    each tape's directions are its shared unit vector, the bits a one-bin
+    scatter renormalizes to, and the move is handed to ``superpose_tape``;
+    otherwise (the UTM's closing tract) they are scattered.  So only a
+    direction sum off 1 beside a write sum within 1e-12 loses its
+    "direction mass" error.  Tape rows are non-negative, and so is the new
+    state when the old one is: then its ``err`` is set."""
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
     head_rows = [t.row(0) for t in cfg.tapes]
-    # the read offsets with positive joint mass, and whether each head row is
-    # a point mass at 1.0 while the state is known non-negative
+    # the read offsets with positive joint mass; per tape, the symbol a
+    # point-mass head fixes (-1 for none), and the heads no symbol fixes.
+    # No head is fixed unless the state is known non-negative.
     offsets = [0]
-    point = cfg.err is not None
-    for r in head_rows:
+    vouched = cfg.err is not None
+    fixed, free = [], []
+    for j, r in enumerate(head_rows):
         ks = r.nonzero()[0].tolist()
-        point = point and len(ks) == 1 and r[ks[0]] == 1.0
+        if vouched and len(ks) == 1 and r[ks[0]] == 1.0:
+            fixed.append(ks[0])
+        else:
+            fixed.append(-1)
+            free.append((j, r))
         offsets = [o * A + k for o in offsets for k in ks]
     supported = sum([1 << o for o in offsets])  # the offsets are distinct
+    fixed = tuple(fixed)
     acc: dict[str, np.ndarray] = {}
     write_acc = None
-    moving = []  # (entry, values, their pairs) of each entry that moves mass
+    moving = []  # (direction index arrays, values) of each entry moving mass
+    common = None  # the move every entry so far records, None if they differ
     flows: dict[tuple[str, str], float] = {}
     for sid, local in cfg.state.items():
         table = sm.table(sid)
@@ -140,46 +158,57 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
         for e in table.entries:
             if not e.bits & supported:
                 continue
-            # vals holds the joint's values at the entry's positions ``pairs``
             if e.cols is None:  # guarded: gathered from the joint
                 if flat is None:
                     flat = _joint(local, head_rows)
-                vals, pairs = flat[e.src], slice(None)
-            elif point:  # the read symbols' column of the (contexts, columns) grid
-                vals = local
-                pairs = slice(e.column[offsets[0]], None, len(e.column))
+                vals, tgt, ws, ds = flat[e.src], e.tgt, e.w_idx, e.d_idx
+            elif not free:  # the fixed column of the (contexts, columns) grid
+                at = slice(e.column[offsets[0]], None, len(e.column))
+                vals, tgt = local, e.tgt[at]
+                ws = [w[at] for w in e.w_idx]
+                ds = [d[at] for d in e.d_idx]
             else:
-                vals, pairs = local, slice(None)
-                for r, c in zip(head_rows, e.cols):
-                    vals = np.multiply.outer(vals, r[c])
+                vals = local
+                for j, r in free:
+                    vals = np.multiply.outer(vals, r[e.cols[j]])
                 vals = vals.reshape(-1)
+                if len(free) == n:
+                    tgt, ws, ds = e.tgt, e.w_idx, e.d_idx
+                else:
+                    cut = e.cuts.get(fixed)
+                    if cut is None:
+                        cut = e.cuts[fixed] = _cut(e, fixed)
+                    tgt, ws, ds = cut
             moved = float(np.add.reduce(vals))
             if moved == 0.0:
                 continue
             target = acc.get(e.target)
             if target is None:
-                acc[e.target] = np.bincount(e.tgt[pairs], vals, e.size)
+                acc[e.target] = np.bincount(tgt, vals, e.size)
             else:
-                np.add.at(target, e.tgt[pairs], vals)
+                np.add.at(target, tgt, vals)
             flows[(sid, e.target)] = flows.get((sid, e.target), 0.0) + moved
             if write_acc is None:
-                write_acc = [np.bincount(w[pairs], vals, A) for w in e.w_idx]
+                write_acc = [np.bincount(w, vals, A) for w in ws]
             else:
-                for w_acc, w in zip(write_acc, e.w_idx):
-                    np.add.at(w_acc, w[pairs], vals)
-            moving.append((e, vals, pairs))
+                for w_acc, w in zip(write_acc, ws):
+                    np.add.at(w_acc, w, vals)
+            if not moving:
+                common = e.move
+            elif common != e.move:
+                common = None
+            moving.append((ds, vals))
     raw = write_acc or [np.zeros(A)] * n
     writes = [renormalized(w, "write") for w in raw]
-    moves = {e.move for e, _, _ in moving}
-    if len(moves) == 1 and None not in moves:
-        move = moves.pop()
+    if common is not None:
+        move = common
         dirs = [_UNIT_DIRS[k] for k in move]
     else:
         move = (None,) * n
         dir_acc = np.zeros((n, 3))
-        for e, vals, pairs in moving:
-            for d_acc, d in zip(dir_acc, e.d_idx):
-                np.add.at(d_acc, d[pairs], vals)
+        for ds, vals in moving:
+            for d_acc, d in zip(dir_acc, ds):
+                np.add.at(d_acc, d, vals)
         dirs = [renormalized(d, "direction") for d in dir_acc]
     # a write returned untouched summed to exactly 1.0
     tapes = tuple(
@@ -189,7 +218,9 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     if len(acc) == 1:
         state = acc  # a zero vector fails the mass check below
     else:
-        occupied = sorted((sid for sid, v in acc.items() if v.any()), key=sm.rank.get)
+        occupied = sorted(
+            (sid for sid, v in acc.items() if np.count_nonzero(v)), key=sm.rank.get
+        )
         state = {sid: acc[sid] for sid in occupied}
     total = _mass(state)
     if abs(total - 1.0) > ATOL:
@@ -197,11 +228,28 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     if total != 1.0:
         state = {sid: v / total for sid, v in state.items()}
         total = _mass(state)
-    non_negative = cfg.err is not None or all(
+    non_negative = vouched or all(
         v.min() >= 0.0 for v in cfg.state.values() if v.size
     )
     err = abs(total - 1.0) if non_negative else None
     return SectionConfig(sm, state, tapes, err), StepInfo(dirs, flows)
+
+
+def _cut(e, fixed: tuple) -> tuple:
+    """An unguarded entry's ``tgt``, ``w_idx`` and ``d_idx`` at the fixed
+    tapes' columns: its (contexts, |c1|, ..., |cn|) grid indexed there, in
+    row-major order, read-only."""
+    grid = (-1, *(len(c) for c in e.cols))
+    at = (slice(None),) + tuple(
+        slice(None) if k < 0 else c.tolist().index(k) for c, k in zip(e.cols, fixed)
+    )
+
+    def cut(a):
+        out = a.reshape(grid)[at].reshape(-1)
+        out.flags.writeable = False
+        return out
+
+    return cut(e.tgt), tuple(map(cut, e.w_idx)), tuple(map(cut, e.d_idx))
 
 
 def _joint(local: np.ndarray, head_rows: list) -> np.ndarray:

@@ -106,19 +106,21 @@ def check_well_behaved(g: GeneratingTriple, x) -> tuple[Any, WellBehavedReport]:
     """
     report = WellBehavedReport(cycle_length=None)
     bound = g.step_bound()
+    stepper, step_checks = g.stepper, g.step_checks
+    decode, certify_outside = g.decode, g.certify_outside
     for t in range(1, bound + 1):
         try:
-            x, info = g.stepper(x)
+            x, info = stepper(x)
         except StuckError as exc:
             report.violations.append({"step": t, "violation": str(exc)})
             return x, report
-        for msg in g.step_checks(t, x, info):
+        for msg in step_checks(t, x, info):
             report.violations.append({"step": t, "violation": msg})
-        report.output = g.decode(x)
+        report.output = decode(x)
         if report.output is not None:
             report.cycle_length = t
             return x, report
-        if not g.certify_outside(x):
+        if not certify_outside(x):
             report.violations.append(
                 {"step": t, "violation": "intermediate overlaps encodings"}
             )

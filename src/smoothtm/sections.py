@@ -182,7 +182,8 @@ class _TractEntry:
     An unguarded tract covers its whole (context x read combos) rectangle:
     its pairs are the (contexts, columns) grid of every context with the
     product of ``cols``, row-major, and ``column`` gives each read offset's
-    column in it.  A guarded entry has neither."""
+    column in it.  A guarded entry has neither.  ``cuts`` caches, per
+    pattern of point-mass heads, the engine's read-only cuts of the grid."""
 
     target: str
     src: np.ndarray  # flat (context, symbols) indices, strictly increasing
@@ -196,6 +197,8 @@ class _TractEntry:
     size: int  # the target section's context size
     cols: tuple | None  # per tape, the read alphabet indices, sorted
     column: dict | None  # read offset -> its column in the grid
+    # per tape's fixed symbol (-1 for none) -> (tgt, w_idx, d_idx) cut there
+    cuts: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class _SectionTable:

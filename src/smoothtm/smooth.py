@@ -118,21 +118,23 @@ class SmoothTape:
     def __init__(self, alphabet: FiniteSet, blank, lo: int, cells: np.ndarray):
         cells = clean_rows(np.atleast_2d(cells))
         lo, cells = self._trimmed(alphabet.index(blank), lo, cells)
-        self._set(alphabet, blank, lo, cells, _row_error(cells))
-
-    def _set(self, alphabet, blank, lo, cells, err) -> None:
         cells.setflags(write=False)
         self.alphabet = alphabet
         self.blank = blank
         self.lo = lo
         self.cells = cells
-        self.err = err
+        self.err = _row_error(cells)
 
     @classmethod
     def _trusted(cls, alphabet, blank, lo, cells, err) -> "SmoothTape":
         """A tape of already-validated, canonically trimmed rows."""
+        cells.setflags(write=False)
         tape = cls.__new__(cls)
-        tape._set(alphabet, blank, lo, cells, err)
+        tape.alphabet = alphabet
+        tape.blank = blank
+        tape.lo = lo
+        tape.cells = cells
+        tape.err = err
         return tape
 
     @staticmethod
@@ -308,18 +310,19 @@ def superpose_tape(
             return _superpose_general(tape, write, dirs)
         move = moves[0]
     d = DIRECTIONS.elements[move]
-    bidx = tape.alphabet.index(tape.blank)
     lo, cells, row = tape.lo, tape.cells, write
-    if lo <= 0 <= tape.hi:
+    hi = lo + len(cells) - 1
+    if lo <= 0 <= hi:
         cells = cells.copy()
         cells[-lo] = row
-    elif not exact_point_row(row, bidx):
+    elif not exact_point_row(row, tape.alphabet.index(tape.blank)):
         # grow the window to the head, blank cells in between
         lo = min(lo, 0)
-        cells = tape.padded(lo, max(tape.hi, 0))
+        cells = tape.padded(lo, max(hi, 0))
         cells[-lo] = row
     first, last = 0, len(cells) - 1
-    if tape.lo == 0 or tape.hi == 0:  # the head wrote an end row of the window
+    if tape.lo == 0 or hi == 0:  # the head wrote an end row of the window
+        bidx = tape.alphabet.index(tape.blank)
         while first <= last and exact_point_row(cells[first], bidx):
             first += 1
         while last > first and exact_point_row(cells[last], bidx):
@@ -580,12 +583,18 @@ def config_obj(s: SmoothConfig) -> dict:
     }
 
 
+class _DuplicateKey(Exception):
+    def __init__(self, key: str):
+        super().__init__(key)
+        self.key = key
+        self.pos = None  # the index of the repeating object's "{", once known
+
+
 def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = [k for k, _ in pairs]
-        dup = next(k for i, k in enumerate(keys) if k in keys[:i])
-        raise FormatError(f"invalid JSON: duplicate key {dup!r}")
+        raise _DuplicateKey(next(k for i, k in enumerate(keys) if k in keys[:i]))
     return obj
 
 
@@ -597,6 +606,36 @@ def load_json(text: str):
         raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None
+    except _DuplicateKey as exc:
+        raise _duplicate_key_error(text, exc.key) from None
+
+
+def _duplicate_key_error(text: str, key: str) -> FormatError:
+    """The error naming ``key`` at the line and column of the first object
+    that repeats it.  ``json.loads`` does not say where an object starts, so
+    ``text`` is decoded again by the pure-Python scanner with a
+    ``parse_object`` that does."""
+    decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+    def parse_object(s_and_end, *args):
+        try:
+            return json.decoder.JSONObject(s_and_end, *args)
+        except _DuplicateKey as exc:
+            if exc.pos is None:  # raised by this object's own hook
+                exc.pos = s_and_end[1] - 1
+            raise
+
+    decoder.parse_object = parse_object
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    message = f"invalid JSON: duplicate key {key!r}"
+    try:
+        decoder.decode(text)
+    except _DuplicateKey as exc:
+        at = json.JSONDecodeError(message, text, exc.pos)
+        return FormatError(message, at.lineno, at.colno)
+    except RecursionError:  # nested deeper than the pure-Python scanner goes
+        pass
+    return FormatError(message)
 
 
 # The most cells a tape's window and its head may span when read: the first

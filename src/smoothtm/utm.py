@@ -377,11 +377,12 @@ def _utm_step_checks(t: int, cfg: SectionConfig, info) -> list[str]:
 
 def make_triple(utm: UtmMachine, code: DescriptionTape) -> GeneratingTriple:
     """The commuting square of ``code`` on ``utm``."""
+    hash_idx = utm.machine.alphabet.index(HASH)
     return GeneratingTriple(
         stepper=section_smooth_step,
         decode=lambda cfg: decode_config(utm, code, cfg),
         certify_outside=lambda cfg: "read" not in cfg.state
-        or cfg.tapes[0].row(0)[utm.machine.alphabet.index(HASH)] == 0.0,
+        or cfg.tapes[0].row(0)[hash_idx] == 0.0,
         target_step=lambda s: utm_cycle_semantics(code, s),
         max_steps=10 * utm.cycle_length(),
         step_checks=_utm_step_checks,

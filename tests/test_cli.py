@@ -533,7 +533,7 @@ TAPE = '{"lo": 0, "cells": [{"A": 0.5, "B": 0.5}]}'
         ("[" * 100000, "nested too deeply"),
         (b'{"state": {"q": 1.0}, "tapes": [{}]}\xff', "not UTF-8 text"),
         ('{"state": {"q": 1.0}, "tapes": [{"cells": [{"A": 0.5, "A": 0.5, "_": 0.5}]}]}',
-         "duplicate key 'A'"),
+         "bad.cfg: line 1, column 44: invalid JSON: duplicate key 'A'"),
         ('{"state": {"q": 1.0}, "tapes": [{"lo": 0, "cell": [{"A": 1.0}]}]}',
          "bad.cfg: tapes[0]: unknown field 'cell'"),
     ],
@@ -570,9 +570,9 @@ ENTRY = '{"target": {"q": 1.0}, "write": {"A": 1.0}, "move": {"S": 1.0}'
     "overrides, expected",
     [
         (OVERRIDE.replace('{"q": 1.0}', '{"q": 0.7, "q": 1}'),
-         "ov.json: invalid JSON: duplicate key 'q'"),
+         "ov.json: line 1, column 24: invalid JSON: duplicate key 'q'"),
         ('{"q": {"A": ' + ENTRY + '}, "A": ' + ENTRY + "}}}",
-         "ov.json: invalid JSON: duplicate key 'A'"),
+         "ov.json: line 1, column 7: invalid JSON: duplicate key 'A'"),
         (OVERRIDE.replace('{"S": 1.0}', '{"L": NaN}'),
          "ov.json: q.A.move: weight of move 'L' must be a finite number, got nan"),
         (OVERRIDE.replace(', "move": {"S": 1.0}', ""),

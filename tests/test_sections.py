@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 import weakref
+from collections import Counter
 from dataclasses import replace
 from itertools import product
 
@@ -13,7 +14,7 @@ from smoothtm import multitape, utm
 from smoothtm.cli import main
 from smoothtm.dists import Dist, FiniteSet
 from smoothtm.engine import SectionConfig, section_smooth_step
-from smoothtm.framework import run_to_next_encoding
+from smoothtm.framework import check_well_behaved, run_to_next_encoding
 from smoothtm.machines import DIRECTIONS, Configuration, Tape, parse_machine, step
 from smoothtm.multitape import compile_multitape
 from smoothtm.sampling import (
@@ -775,16 +776,21 @@ def reference_step(cfg):
     return state, tapes, dirs, err, flows
 
 
-def point_heads(cfg) -> bool:
-    """Whether the engine takes each entry's values as the state itself."""
-    return cfg.err is not None and all(
-        np.count_nonzero(t.row(0)) == 1 and t.row(0).max() == 1.0 for t in cfg.tapes
-    )
+def point_heads(cfg) -> str:
+    """Which heads the engine takes as fixed columns: "all" (each entry's
+    values are the state itself), "some" (the products run over the other
+    tapes and scatter through cut arrays) or "none"."""
+    fixed = [
+        cfg.err is not None and np.count_nonzero(t.row(0)) == 1
+        and t.row(0).max() == 1.0
+        for t in cfg.tapes
+    ]
+    return "all" if all(fixed) else "some" if any(fixed) else "none"
 
 
 def reference_stepper(counts):
     """section_smooth_step, asserting every bit against reference_step;
-    counts[True] tallies the steps with point-mass heads."""
+    counts tallies the steps by :func:`point_heads`."""
 
     def stepper(cfg):
         state, tapes, dirs, err, flows = reference_step(cfg)
@@ -815,15 +821,17 @@ def test_step_matches_full_joint_reference_multitape(n):
     starts = [random_smooth_config(m, rng, radius=1),
               random_point_config(m, rng, radius=1)[1]]
     for s in starts:
-        counts = {True: 0, False: 0}
+        counts = Counter()
         x = multitape.to_section_config(sim, multitape.encode(sim, s))
         run_to_next_encoding(replace(triple, stepper=reference_stepper(counts)), x)
-        assert counts[True] > 0 and counts[False] > 0
+        assert counts["all"] > 0 and counts["none"] > 0 and not counts["some"]
 
 
 def test_step_matches_full_joint_reference_utm():
     """Guarded and unguarded entries: uncertain codes on smooth tapes, whose
-    closing steps scatter their moves, and certain codes on point tapes."""
+    closing steps scatter their moves and whose description head is often a
+    point mass beside a smooth working head, and certain codes on point
+    tapes."""
     rng = np.random.default_rng(5)
     for nq, ns in ((1, 2), (2, 3)):
         m = random_machine(rng, 1, nq, ns)
@@ -838,7 +846,7 @@ def test_step_matches_full_joint_reference_utm():
         starts = [(overrides, random_smooth_config(m, rng, radius=1), False),
                   (None, random_point_config(m, rng, radius=1)[1], True)]
         for ov, s, point in starts:
-            counts = {True: 0, False: 0}
+            counts = Counter()
             code = utm.encode_code(m, ov)
             x = utm.encode_config(machine, code, s)
             triple = replace(
@@ -846,7 +854,63 @@ def test_step_matches_full_joint_reference_utm():
             )
             for _ in range(2):
                 x, _ = run_to_next_encoding(triple, x)
-            assert counts[point] > counts[not point] and counts[False] > 0
+            if point:
+                assert counts["all"] > counts["none"] > 0 and not counts["some"]
+            else:
+                assert counts["some"] > 0 and counts["none"] > 0
+                assert not counts["all"]
+        entries = [e for sid in machine.machine.sections
+                   for e in machine.machine.table(sid).entries]
+        assert any(e.cuts for e in entries)
+
+
+def test_partly_point_heads_on_three_tapes_match_full_joint_reference():
+    """Every pattern of point-mass and smooth heads over three tapes, the
+    point heads on either of two symbols read by different tracts: each
+    partly-point pattern cuts a different set of grid axes, and every step
+    matches the full joint bit for bit, mixed moves included."""
+    ctx = FiniteSet(["x", "y", "z"])
+    ab = frozenset(AB.elements)
+    walk = Tract("S", "S", (frozenset({"_", "A"}), ab, ab), write=(None, "B", None),
+                 move=(1, 0, -1), label="walk")
+    turn = Tract("S", "S", (frozenset({"B"}), ab, ab), label="turn",
+                 index_map=lambda xi, s: ((xi + 1) % 3, s[:, ::-1], np.zeros_like(s)))
+    sm = SectionMachine({"S": ctx}, [walk, turn], AB, "_", 3)
+    smooth = Dist.from_pairs(AB, {"_": 0.25, "A": 0.25, "B": 0.5})
+    counts = Counter()
+    for symbol in ("A", "B"):
+        for pattern in product((True, False), repeat=3):
+            cells = [[Dist.point(AB, symbol) if p else smooth] for p in pattern]
+            tapes = tuple(SmoothTape.from_dists(AB, "_", 0, c) for c in cells)
+            cfg = SectionConfig(sm, {"S": np.array([0.5, 0.25, 0.25])}, tapes, 0.0)
+            reference_stepper(counts)(cfg)
+    assert counts == {"all": 2, "some": 12, "none": 2}
+    cuts = [set(e.cuts) for e in sm.table("S").entries]
+    assert cuts[0] | cuts[1] == {
+        tuple(AB.index(symbol) if p else -1 for p in pattern)
+        for symbol in ("A", "B")
+        for pattern in product((True, False), repeat=3)
+        if any(pattern) and not all(pattern)
+    }
+    assert all(not a.flags.writeable for cut in sm.table("S").entries[0].cuts.values()
+               for a in (cut[0], *cut[1], *cut[2]))
+
+
+def test_single_tape_compile_never_cuts():
+    """A compiled simulator has one tape, whose head is fixed or not, so a
+    cycle scatters through the strided column or the whole grid and a fresh
+    compile never pays for a cut."""
+    rng = np.random.default_rng(2)
+    m = random_machine(rng, 2, 2, 2)
+    sim = compile_multitape(m)
+    triple = multitape.make_triple(sim)
+    for s in (random_smooth_config(m, rng, radius=1),
+              random_point_config(m, rng, radius=1)[1]):
+        x = multitape.to_section_config(sim, multitape.encode(sim, s))
+        _, rep = check_well_behaved(triple, x)
+        assert rep.cycle_length is not None and not rep.violations
+    entries = [e for t in sim.machine._tables.values() for e in t.entries]
+    assert entries and not any(e.cuts for e in entries)
 
 
 def test_step_with_negative_weight_matches_full_joint_reference():
@@ -862,12 +926,12 @@ def test_step_with_negative_weight_matches_full_joint_reference():
     cells = [[Dist.point(AB, "A")], [Dist.from_pairs(AB, {"A": 0.25, "B": 0.75})]]
     for cell in cells:
         cfg = SectionConfig(sm, {"S": state}, (SmoothTape.from_dists(AB, "_", 0, cell),))
-        counts = {True: 0, False: 0}
+        counts = Counter()
         new, _ = reference_stepper(counts)(cfg)
-        assert counts == {True: 0, False: 1}
+        assert counts == {"none": 1}
         assert new.err is None and new.state["S"].min() < 0.0
     point = replace(cfg, tapes=(SmoothTape.blank_tape(AB, "_"),))
-    counts = {True: 0, False: 0}
+    counts = Counter()
     new, _ = reference_stepper(counts)(point)
     assert new.state["S"].tolist() == [-0.5, 1.5]
 

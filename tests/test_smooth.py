@@ -235,6 +235,29 @@ def test_config_parse_errors():
         parse_config('{"state": {"q": 1.0}, "tapes": []}', m)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ('{"a": 1, "a": 2}', (1, 1)),
+        ('{"x": [1, {"b": 1,\n  "c": {"q": 1, "q": 2}}]}', (2, 8)),
+        ('{"a": {"b": 1, "b": 2}, "a": 3}', (1, 7)),
+        ("[" * 200 + '{"a": 1, "a": 2}' + "]" * 200, (1, 201)),
+        # deeper than the pure-Python scanner goes: named, not located
+        ("[" * 700 + '{"a": 1, "a": 2}' + "]" * 700, (None, None)),
+    ],
+    ids=["top", "nested-line-2", "inner-first", "deep", "too-deep-to-locate"],
+)
+def test_duplicate_key_names_the_object_that_repeats_it(text, where):
+    from smoothtm.machines import FormatError
+    from smoothtm.smooth import load_json
+
+    with pytest.raises(FormatError) as exc:
+        load_json(text)
+    assert (exc.value.line, exc.value.column) == where
+    key = "q" if "q" in text else "b" if "b" in text else "a"
+    assert str(exc.value).endswith(f"invalid JSON: duplicate key {key!r}")
+
+
 def test_mass_checks_reject_nan():
     from smoothtm.smooth import clean_rows, renormalized
 

@@ -3,9 +3,15 @@ import pytest
 
 from smoothtm.dists import Dist, FiniteSet
 from smoothtm.engine import section_smooth_step
-from smoothtm.framework import check_preserving, run_to_next_encoding
+from smoothtm.framework import (
+    check_preserving,
+    check_well_behaved,
+    run_to_next_encoding,
+)
 from smoothtm.machines import DIRECTIONS, Machine
+from smoothtm.multitape import compile_multitape, encode, to_section_config
 from smoothtm.sampling import random_machine, random_overrides, random_smooth_config
+from smoothtm.sections import lower_sections
 from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step
 from smoothtm.utm import (
     DescriptionTape,
@@ -495,3 +501,33 @@ def test_code_operators_built_on_first_reference_step(monkeypatch):
     built.clear()
     verify.verify_utm(trials=1, seed=3)
     assert len(built) == 3
+
+
+def test_utm_cycle_on_a_lowered_compile_is_its_smooth_step():
+    """The two constructions compose: one UTM cycle running the lowered
+    compile of a 1-tape machine is exactly one smooth step of the lowered
+    machine, and within 1e-12 of one engine step of the compile."""
+    rng = np.random.default_rng(41)
+    m = random_machine(rng, 1, 1, 2)
+    sim = compile_multitape(m)
+    lowered = lower_sections(sim.machine)
+    assert (len(lowered.states), len(lowered.alphabet)) == (71, 5)
+    cfg = to_section_config(sim, encode(sim, random_smooth_config(m, rng, radius=1)))
+    index = {q: i for i, q in enumerate(lowered.states.elements)}
+
+    def lifted(c):
+        w = np.zeros(len(index))
+        for sid, vec in c.state.items():
+            for x, p in zip(sim.machine.sections[sid].elements, vec.tolist()):
+                w[index[(sid, x)]] = p
+        return SmoothConfig(Dist(lowered.states, w), c.tapes)
+
+    start = lifted(cfg)
+    machine = build_utm(lowered.states, lowered.alphabet, lowered.blank)
+    code = encode_code(lowered)
+    x = encode_config(machine, code, start)
+    _, rep = check_well_behaved(make_triple(machine, code), x)
+    assert rep.cycle_length == machine.cycle_length() == 3552
+    assert not rep.violations
+    assert rep.output.deviation(smooth_step(lowered, start)) == 0.0
+    assert rep.output.deviation(lifted(section_smooth_step(cfg)[0])) <= 1e-12
