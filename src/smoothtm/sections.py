@@ -14,8 +14,9 @@ tracts over the same read symbols may split a section by context.
 
 :meth:`SectionMachine.table` compiles one section into index arrays; it is
 the only code that evaluates guards and index maps, validates what they give
-and checks that no two tracts overlap.  Lowering, the serialization and the
-smooth engine all read these tables.
+and checks that no two tracts overlap, on one bool mask of the pairs they
+cover.  Lowering, the serialization and the smooth engine all read these
+tables.
 
 Lowering produces an ordinary :class:`~smoothtm.machines.Machine` whose state
 set is the disjoint union of the contexts tagged by section id; it is the
@@ -213,11 +214,11 @@ class _SectionTable:
     map is called once for all pairs its guard keeps, and what it gives is
     validated here once.  ``bits`` of an entry and ``uncovered_bits``
     mark the read offsets they touch, so the engine can skip what the head
-    cannot read.  When no tract leaving the section has a guard, every entry
-    is a rectangle, so overlaps and the uncovered pairs follow from the
-    offset bits; otherwise a (context x symbols) array marks the covered
-    pairs, as it does to name the first pair two rectangles share.  Every
-    array is read-only, so machines may share a table.  The table keeps no
+    cannot read.  One (context x symbols) bool mask, guarded or not, marks
+    the pairs each entry covers: it names the first pair two tracts share,
+    and its complement ``uncovered`` marks the pairs no tract covers, one
+    byte each, from which ``uncovered_bits`` follows.  Every array is
+    read-only, so machines may share a table.  The table keeps no
     reference to its machine, which caches it, so a machine is freed
     without the cycle collector.
     """
@@ -233,9 +234,7 @@ class _SectionTable:
         self.n = n = sm.num_tapes
         contexts = len(sm.sections[sid])
         size = len(A) ** n
-        rectangles = all(sm.tracts[i].guard is None for i in sm.leaving[sid])
-        covered = None if rectangles else np.zeros(contexts * size, dtype=bool)
-        covered_bits = 0
+        covered = np.zeros(contexts * size, dtype=bool)
         self.entries = []
         for i in sm.leaving[sid]:
             t = sm.tracts[i]
@@ -249,22 +248,16 @@ class _SectionTable:
                 continue
             for a in (src, arrays[1], *arrays[2], *arrays[3]):
                 a.flags.writeable = False  # shared by machines and tracts
-            if covered is None and bits & covered_bits:
-                covered = np.zeros(contexts * size, dtype=bool)
-                for e in self.entries:
-                    covered[e.src] = True
-            if covered is not None:
-                hit = covered[src]
-                if hit.any():
-                    flat = int(src[hit.argmax()])
-                    first = next(e for e in self.entries if (e.src == flat).any())
-                    x, syms = self.pair(flat)
-                    raise ValueError(
-                        f"overlapping tracts {first.label!r} and {t.label!r} at "
-                        f"section {sid!r}, context {x!r}, symbols {syms!r}"
-                    )
-                covered[src] = True
-            covered_bits |= bits
+            hit = covered[src]
+            if np.count_nonzero(hit):
+                flat = int(src[hit.argmax()])
+                first = next(e for e in self.entries if (e.src == flat).any())
+                x, syms = self.pair(flat)
+                raise ValueError(
+                    f"overlapping tracts {first.label!r} and {t.label!r} at "
+                    f"section {sid!r}, context {x!r}, symbols {syms!r}"
+                )
+            covered[src] = True
             move = tuple(int(d[0]) for d in arrays[3])
             if t.index_map and any((d != k).any() for d, k in zip(arrays[3], move)):
                 move = None
@@ -273,16 +266,10 @@ class _SectionTable:
                 t.target, *arrays, t.label, i, bits, move,
                 len(sm.sections[t.target]), *grid,
             ))
-        if covered is None:
-            free = ~covered_bits & ((1 << size) - 1) if contexts else 0
-            xi = np.arange(contexts, dtype=np.intp)
-            self.uncovered = (xi[:, None] * size + _offsets(free, size)).reshape(-1)
-            self.uncovered_bits = free
-        else:
-            self.uncovered = np.flatnonzero(~covered)
-            partly_covered = ~covered.reshape(-1, size).all(axis=0)
-            self.uncovered_bits = _bits(np.flatnonzero(partly_covered))
+        self.uncovered = ~covered
         self.uncovered.flags.writeable = False
+        partly_covered = self.uncovered.reshape(-1, size).any(axis=0)
+        self.uncovered_bits = _bits(partly_covered.nonzero()[0])
 
     def pair(self, flat: int) -> tuple:
         """The (context element, read symbols) pair at a flat index."""
@@ -362,11 +349,6 @@ def _bits(offsets: np.ndarray) -> int:
     return mask
 
 
-def _offsets(mask: int, size: int) -> np.ndarray:
-    """The offsets k < ``size`` whose bit is set in ``mask``, ascending."""
-    return np.array([k for k in range(size) if mask >> k & 1], dtype=np.intp)
-
-
 def lower_sections(sm: SectionMachine) -> Machine:
     """Assemble the ordinary machine underlying a section machine.
 
@@ -389,7 +371,7 @@ def lower_sections(sm: SectionMachine) -> Machine:
             dirs = zip(*[(d - 1).tolist() for d in e.d_idx])
             for f, row in zip(e.src.tolist(), zip(targets, writes, dirs)):
                 rows[f] = row
-        for f in table.uncovered.tolist():
+        for f in np.flatnonzero(table.uncovered).tolist():
             rows[f] = (*keys[f], (0,) * n)
         delta.update(zip(keys, rows))
     return Machine(states, sm.alphabet, sm.blank, sm.num_tapes, delta)

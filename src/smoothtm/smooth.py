@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
@@ -584,17 +585,13 @@ def config_obj(s: SmoothConfig) -> dict:
 
 
 class _DuplicateKey(Exception):
-    def __init__(self, key: str):
-        super().__init__(key)
-        self.key = key
-        self.pos = None  # the index of the repeating object's "{", once known
+    pass
 
 
 def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        raise _DuplicateKey(next(k for i, k in enumerate(keys) if k in keys[:i]))
+        raise _DuplicateKey
     return obj
 
 
@@ -606,36 +603,42 @@ def load_json(text: str):
         raise FormatError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None
-    except _DuplicateKey as exc:
-        raise _duplicate_key_error(text, exc.key) from None
+    except _DuplicateKey:
+        raise _duplicate_key_error(text) from None
 
 
-def _duplicate_key_error(text: str, key: str) -> FormatError:
-    """The error naming ``key`` at the line and column of the first object
-    that repeats it.  ``json.loads`` does not say where an object starts, so
-    ``text`` is decoded again by the pure-Python scanner with a
-    ``parse_object`` that does."""
-    decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_BRACKET_OR_QUOTE = re.compile(r'[{}\[\]"]')
+_COLON = re.compile(r"[ \t\n\r]*:")
 
-    def parse_object(s_and_end, *args):
-        try:
-            return json.decoder.JSONObject(s_and_end, *args)
-        except _DuplicateKey as exc:
-            if exc.pos is None:  # raised by this object's own hook
-                exc.pos = s_and_end[1] - 1
-            raise
 
-    decoder.parse_object = parse_object
-    decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    message = f"invalid JSON: duplicate key {key!r}"
-    try:
-        decoder.decode(text)
-    except _DuplicateKey as exc:
-        at = json.JSONDecodeError(message, text, exc.pos)
-        return FormatError(message, at.lineno, at.colno)
-    except RecursionError:  # nested deeper than the pure-Python scanner goes
-        pass
-    return FormatError(message)
+def _duplicate_key_error(text: str) -> FormatError:
+    """The error naming the first repeated key of the first object, in the
+    order objects close, that repeats one: the object on which the decoder's
+    hook raised.  ``json.loads`` does not say where that object starts, so
+    one pass that does not recurse finds its "{": it steps from bracket to
+    bracket, reads each string with ``scanstring`` and takes a string
+    followed by a colon inside an object as a key."""
+    stack = [None]  # per open bracket: None for "[", [start, keys, repeat] for "{"
+    pos = 0
+    while True:
+        m = _BRACKET_OR_QUOTE.search(text, pos)
+        c, pos = m.group(), m.end()
+        if c == '"':
+            s, pos = json.decoder.scanstring(text, pos)
+            obj = stack[-1]
+            if obj is not None and _COLON.match(text, pos):
+                if s in obj[1] and obj[2] is None:
+                    obj[2] = s
+                obj[1].add(s)
+        elif c in "{[":
+            stack.append([m.start(), set(), None] if c == "{" else None)
+        else:
+            obj = stack.pop()
+            if obj is not None and obj[2] is not None:
+                break
+    message = f"invalid JSON: duplicate key {obj[2]!r}"
+    at = json.JSONDecodeError(message, text, obj[0])
+    return FormatError(message, at.lineno, at.colno)
 
 
 # The most cells a tape's window and its head may span when read: the first

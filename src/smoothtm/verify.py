@@ -14,7 +14,7 @@ import numpy as np
 
 from . import multitape, utm
 from .dists import Dist, FiniteSet
-from .framework import check_preserving, check_well_behaved
+from .framework import PreservationResult, check_preserving, check_well_behaved
 from .machines import Machine
 from .sampling import random_machine, random_overrides, random_smooth_config
 from .smooth import SmoothConfig, SmoothTape, smooth_step
@@ -174,18 +174,10 @@ def verify_staged(tol: float = 1e-9, seed: int = 0) -> dict:
     cell_staged = staged.tapes[0].cell(0)
     cell_true = true.tapes[0].cell(0)
     dev = staged.deviation(true)
-    result = {
-        "trial": 0,
-        "seed": seed,
-        "dims": {"states": 1, "symbols": 3},
-        "cycle_lengths": [1],
-        "max_deviation": dev,
-        "staged_cell": {"A": cell_staged["A"], "B": cell_staged["B"]},
-        "smooth_cell": {"A": cell_true["A"], "B": cell_true["B"]},
-        "well_behaved": True,
-        "violations": [],
-        "pass": dev <= tol,
-    }
+    dims = {"states": 1, "symbols": 3}
+    result = _record(0, seed, dims, PreservationResult([1], dev, []), dev <= tol)
+    result["staged_cell"] = {"A": cell_staged["A"], "B": cell_staged["B"]}
+    result["smooth_cell"] = {"A": cell_true["A"], "B": cell_true["B"]}
     report = {
         "construction": "staged-counterexample",
         "seed": seed,

@@ -86,7 +86,7 @@ def uncovered_pairs(sm: SectionMachine) -> set:
     pairs = set()
     for sid in sm.sections:
         table = sm.table(sid)
-        for flat in table.uncovered.tolist():
+        for flat in np.flatnonzero(table.uncovered).tolist():
             x, syms = table.pair(flat)
             pairs.add(((sid, x), syms))
     return pairs
@@ -138,7 +138,7 @@ def test_guarded_tracts_partition_by_context():
     for a in AB:
         assert m.delta[(("S0", "x"), (a,))] == (("S0", "x"), (a,), (0,))
         assert m.delta[(("S0", "y"), (a,))] == (("S1", "y"), (a,), (1,))
-    assert not sm.table("S0").uncovered.size
+    assert not sm.table("S0").uncovered.any()
 
 
 def test_engine_matches_dense_smooth_step_on_lowered_machine():
@@ -275,7 +275,7 @@ def test_broadcast_tables_equal_enumerated_reference(name):
                                  [src, tgt, *w_idx, *d_idx]):
                 assert got.dtype == np.intp
                 np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(table.uncovered, uncovered)
+        np.testing.assert_array_equal(np.flatnonzero(table.uncovered), uncovered)
 
 
 @pytest.mark.parametrize("name", ["mt-2x2x3", "mt-broken", "utm-2x3"])
@@ -578,7 +578,7 @@ def table_digest(sm):
             h.update(repr((sid, e.target, e.label)).encode())
             for a in (e.src, e.tgt, *e.w_idx, *e.d_idx):
                 h.update(np.asarray(a, dtype=np.int64).tobytes())
-        h.update(table.uncovered.astype(np.int64).tobytes())
+        h.update(np.flatnonzero(table.uncovered).astype(np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -937,7 +937,7 @@ def test_step_with_negative_weight_matches_full_joint_reference():
 
 
 # ---------------------------------------------------------------------------
-# Tables of unguarded sections from the offset bits
+# Coverage masks and grid columns against an array walk
 # ---------------------------------------------------------------------------
 
 
@@ -962,11 +962,10 @@ def assert_tables_match_array_walk(sm) -> list[bool]:
     for sid, ctx in sm.sections.items():
         table = _SectionTable(sm, sid)
         uncovered, bits = array_walk(table, len(ctx), size)
-        assert table.uncovered.dtype == np.intp
-        np.testing.assert_array_equal(table.uncovered, uncovered)
+        assert table.uncovered.dtype == bool
+        np.testing.assert_array_equal(np.flatnonzero(table.uncovered), uncovered)
         assert table.uncovered_bits == bits
-        rectangles = all(sm.tracts[i].guard is None for i in sm.leaving[sid])
-        unguarded.append(rectangles)
+        unguarded.append(all(sm.tracts[i].guard is None for i in sm.leaving[sid]))
         for e in table.entries:
             assert e.size == len(sm.sections[e.target])
             if sm.tracts[e.tract].guard is not None:
@@ -1017,5 +1016,5 @@ def test_partly_covered_rectangles_and_empty_context():
     )
     assert assert_tables_match_array_walk(sm) == [True, True]
     table = sm.table("S")
-    assert table.uncovered.size == 3 * 5
+    assert np.flatnonzero(table.uncovered).size == 3 * 5
     assert sm.table("E").uncovered_bits == 0 and not sm.table("E").entries

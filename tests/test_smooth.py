@@ -239,13 +239,16 @@ def test_config_parse_errors():
     "text, where",
     [
         ('{"a": 1, "a": 2}', (1, 1)),
+        ('{"a": 1, "b": 2, "b": 3, "a": 4}', (1, 1)),  # the first key repeated
         ('{"x": [1, {"b": 1,\n  "c": {"q": 1, "q": 2}}]}', (2, 8)),
         ('{"a": {"b": 1, "b": 2}, "a": 3}', (1, 7)),
         ("[" * 200 + '{"a": 1, "a": 2}' + "]" * 200, (1, 201)),
-        # deeper than the pure-Python scanner goes: named, not located
-        ("[" * 700 + '{"a": 1, "a": 2}' + "]" * 700, (None, None)),
+        # deeper than a recursive scanner goes
+        ("[" * 700 + '{"a": 1, "a": 2}' + "]" * 700, (1, 701)),
+        # a key's colon after whitespace, an escaped quote, a value like a key
+        ('{"k": "a\\":", "b": {"\\u0062": 1,\r\n "b" : 2}}', (1, 20)),
     ],
-    ids=["top", "nested-line-2", "inner-first", "deep", "too-deep-to-locate"],
+    ids=["top", "first-repeat", "nested-line-2", "inner-first", "deep", "very-deep", "escapes"],
 )
 def test_duplicate_key_names_the_object_that_repeats_it(text, where):
     from smoothtm.machines import FormatError

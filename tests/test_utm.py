@@ -531,3 +531,20 @@ def test_utm_cycle_on_a_lowered_compile_is_its_smooth_step():
     assert not rep.violations
     assert rep.output.deviation(smooth_step(lowered, start)) == 0.0
     assert rep.output.deviation(lifted(section_smooth_step(cfg)[0])) <= 1e-12
+
+
+def test_chain_coverage_takes_one_byte_per_pair():
+    """The UTM of the chain above keeps one read-only bool per (context,
+    symbols) pair as its coverage, not an index per uncovered pair."""
+    m = random_machine(np.random.default_rng(41), 1, 1, 2)
+    lowered = lower_sections(compile_multitape(m).machine)
+    sm = build_utm(lowered.states, lowered.alphabet, lowered.blank).machine
+    assert len(sm.alphabet) == 80
+    total = 0
+    for sid, ctx in sm.sections.items():
+        uncovered = sm.table(sid).uncovered
+        assert uncovered.dtype == bool
+        assert uncovered.shape == (len(ctx) * 80**2,)
+        assert not uncovered.flags.writeable
+        total += uncovered.nbytes
+    assert total <= 20 * 2**20
