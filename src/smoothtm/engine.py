@@ -5,11 +5,11 @@ computes on the lowered machine; it only exploits the section structure.  The
 global state distribution is a direct sum of local distributions over the
 contexts of the occupied sections, and the pushforwards through the
 transition components decompose by linearity into per-tract scatter
-passes over the values of each occupied section's (context x read symbols)
-joint at the tract's pairs.  A tract none of whose read symbols the head
-rows support moves exactly zero mass and is skipped, and a head that is a
-point mass fixes its tape's read column, so a tract's values are formed
-over the other tapes' columns only.
+passes.  Every tract's entry is a grid over its read columns, whose values
+are outer products of the local vector with the head rows there, kept at
+its guard's mask.  An entry whose read symbols the head rows cannot supply
+moves exactly zero mass and is skipped, and a point-mass head fixes its
+tape's column, so values are formed over the other tapes' columns only.
 
 Mass landing on a (state, symbols) pair no tract covers means the machine
 stepped into an unspecified transition; that raises :class:`StuckError`
@@ -98,27 +98,27 @@ _UNIT_DIRS.flags.writeable = False
 def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     """One smooth step; returns the new configuration and diagnostics.
 
-    An unguarded entry's values are ``outer(...outer(local, r1[c1])...,
-    rn[cn])`` over its read columns: the products of the (context x read
-    symbols) joint at its pairs, in the same order, so the joint is formed
-    only for guarded entries and stuck checks.  While the state is vouched
+    Every entry takes one path.  Its values are ``outer(...outer(local,
+    r1[c1])..., rn[cn])`` over its read columns, kept at its guard's mask:
+    the products of the (context x read symbols) joint at its pairs, in the
+    same order, so no joint is formed.  While the state is vouched
     non-negative, a head row that is an exact point mass at 1.0 fixes its
     tape's column: every other column of that tape holds exact zeros, and
     the fixed one holds the other factors' products unchanged.  So the
-    outer products run over the other tapes' columns only, and the values
-    are scattered through the entry's arrays cut to the fixed columns, cut
-    once per fixed-symbol pattern and cached on the entry.  When every head
-    is fixed the values are ``local`` itself, scattered through that one
-    strided column, which needs no cut.  The exact zeros left out change no
-    sum: every accumulator starts as a bincount, which adds in the same
-    order as ``np.add.at`` into zeros, so it gets the same bits as the full
-    products would give.  When all entries that move mass record one move,
-    each tape's directions are its shared unit vector, the bits a one-bin
-    scatter renormalizes to, and the move is handed to ``superpose_tape``;
-    otherwise (the UTM's closing tract) they are scattered.  So only a
-    direction sum off 1 beside a write sum within 1e-12 loses its
-    "direction mass" error.  Tape rows are non-negative, and so is the new
-    state when the old one is: then its ``err`` is set."""
+    outer products run over the free tapes' columns only, and the values
+    are kept and scattered through the entry's arrays cut to the fixed
+    columns, cut once per fixed-symbol pattern and cached on the entry.
+    The stuck check reads the uncovered mask at the fixed symbols the same
+    way.  The exact zeros left out change no sum: every accumulator starts
+    as a bincount, which adds in the same order as ``np.add.at`` into
+    zeros, so it gets the same bits as the full products would give.  When
+    all entries that move mass record one move, each tape's directions are
+    its shared unit vector, the bits a one-bin scatter renormalizes to, and
+    the move is handed to ``superpose_tape``; otherwise (the UTM's closing
+    tract) they are scattered.  So only a direction sum off 1 beside a
+    write sum within 1e-12 loses its "direction mass" error.  Tape rows are
+    non-negative, and so is the new state when the old one is: then its
+    ``err`` is set."""
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
@@ -146,10 +146,13 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     flows: dict[tuple[str, str], float] = {}
     for sid, local in cfg.state.items():
         table = sm.table(sid)
-        flat = None
         if table.uncovered_bits & supported:
-            flat = _joint(local, head_rows)
-            lost = float(np.add.reduce(flat[table.uncovered]))
+            at = (slice(None), *(slice(None) if k < 0 else k for k in fixed))
+            joint = local
+            for _, r in free:
+                joint = np.multiply.outer(joint, r)
+            uncovered = table.uncovered.reshape(-1, *(A,) * n)[at]
+            lost = float(np.add.reduce(joint[uncovered]))
             if lost != 0.0:
                 raise StuckError(
                     f"mass {lost} stepped into unspecified transitions "
@@ -158,27 +161,14 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
         for e in table.entries:
             if not e.bits & supported:
                 continue
-            if e.cols is None:  # guarded: gathered from the joint
-                if flat is None:
-                    flat = _joint(local, head_rows)
-                vals, tgt, ws, ds = flat[e.src], e.tgt, e.w_idx, e.d_idx
-            elif not free:  # the fixed column of the (contexts, columns) grid
-                at = slice(e.column[offsets[0]], None, len(e.column))
-                vals, tgt = local, e.tgt[at]
-                ws = [w[at] for w in e.w_idx]
-                ds = [d[at] for d in e.d_idx]
-            else:
-                vals = local
-                for j, r in free:
-                    vals = np.multiply.outer(vals, r[e.cols[j]])
-                vals = vals.reshape(-1)
-                if len(free) == n:
-                    tgt, ws, ds = e.tgt, e.w_idx, e.d_idx
-                else:
-                    cut = e.cuts.get(fixed)
-                    if cut is None:
-                        cut = e.cuts[fixed] = _cut(e, fixed)
-                    tgt, ws, ds = cut
+            vals = local
+            for j, r in free:
+                vals = np.multiply.outer(vals, r[e.cols[j]])
+            cut = e.cuts.get(fixed)
+            if cut is None:
+                cut = e.cuts[fixed] = _cut(e, fixed)
+            keep, tgt, ws, ds = cut
+            vals = vals.reshape(-1) if keep is None else vals.reshape(-1)[keep]
             moved = float(np.add.reduce(vals))
             if moved == 0.0:
                 continue
@@ -236,25 +226,27 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
 
 
 def _cut(e, fixed: tuple) -> tuple:
-    """An unguarded entry's ``tgt``, ``w_idx`` and ``d_idx`` at the fixed
-    tapes' columns: its (contexts, |c1|, ..., |cn|) grid indexed there, in
-    row-major order, read-only."""
+    """An entry's ``keep``, ``tgt``, ``w_idx`` and ``d_idx`` at the fixed
+    tapes' columns, read-only: its (contexts, |c1|, ..., |cn|) grid indexed
+    there, in row-major order.  With no head fixed they are the entry's own
+    arrays, and with every head fixed an unguarded entry's are views.  A
+    guarded entry's grid positions map to its kept pairs through
+    ``cumsum(keep) - 1``."""
+    if max(fixed) < 0:
+        return e.keep, e.tgt, e.w_idx, e.d_idx
     grid = (-1, *(len(c) for c in e.cols))
     at = (slice(None),) + tuple(
         slice(None) if k < 0 else c.tolist().index(k) for c, k in zip(e.cols, fixed)
     )
 
-    def cut(a):
-        out = a.reshape(grid)[at].reshape(-1)
+    def cut(a, pairs=None):
+        out = a.reshape(grid)[at].reshape(-1) if pairs is None else a[pairs]
         out.flags.writeable = False
         return out
 
-    return cut(e.tgt), tuple(map(cut, e.w_idx)), tuple(map(cut, e.d_idx))
-
-
-def _joint(local: np.ndarray, head_rows: list) -> np.ndarray:
-    """The flat (context x read symbols) joint of a section's state."""
-    for r in head_rows:
-        local = np.multiply.outer(local, r)
-    return local.reshape(-1)
-
+    keep = pairs = None
+    if e.keep is not None:
+        keep = cut(e.keep)
+        pairs = cut(np.cumsum(e.keep) - 1)[keep]
+    tgt, *idx = (cut(a, pairs) for a in (e.tgt, *e.w_idx, *e.d_idx))
+    return keep, tgt, tuple(idx[: len(e.cols)]), tuple(idx[len(e.cols) :])

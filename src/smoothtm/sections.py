@@ -90,7 +90,7 @@ class SectionMachine:
     num_tapes: int
     # section id -> compiled table, built on first use
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # per read-set tuple: read combos, offsets and offset bits
+    # per read-set tuple: read combos, offsets, offset bits and read columns
     _reads: dict = field(default_factory=dict, repr=False, compare=False)
     # broadcast copy-tract arrays, shared by every table
     _copies: dict = field(default_factory=dict, repr=False, compare=False)
@@ -139,8 +139,8 @@ class SectionMachine:
 
     def _read_combos(self, reads: tuple) -> tuple:
         """The alphabet indices of every read combination in product order,
-        their offsets and the offsets' bit mask, the per-tape read columns
-        and each offset's position; built once per read sets."""
+        their offsets and the offsets' bit mask, and the per-tape read
+        columns; built once per read sets."""
         found = self._reads.get(reads)
         if found is None:
             A, n = self.alphabet, self.num_tapes
@@ -150,8 +150,7 @@ class SectionMachine:
             cols = tuple(np.array(c, dtype=np.intp) for c in read_idx)
             for c in cols:
                 c.flags.writeable = False
-            column = {o: k for k, o in enumerate(offsets.tolist())}
-            found = self._reads[reads] = (combos, offsets, _bits(offsets), cols, column)
+            found = self._reads[reads] = (combos, offsets, _bits(offsets), cols)
         return found
 
     def _copy_arrays(self, contexts: int, t: Tract) -> tuple:
@@ -180,11 +179,11 @@ class _TractEntry:
     """One tract's pairs in a compiled section; ``move`` is set when all move
     alike (a declarative tract's do; an index map's are checked).
 
-    An unguarded tract covers its whole (context x read combos) rectangle:
-    its pairs are the (contexts, columns) grid of every context with the
-    product of ``cols``, row-major, and ``column`` gives each read offset's
-    column in it.  A guarded entry has neither.  ``cuts`` caches, per
-    pattern of point-mass heads, the engine's read-only cuts of the grid."""
+    Every entry is the (contexts, |c1|, ..., |cn|) grid of every context
+    with the product of its read columns ``cols``, row-major; a guarded
+    entry's pairs are the positions its guard's read-only mask ``keep``
+    marks.  ``cuts`` caches, per pattern of point-mass heads, the engine's
+    read-only cuts of the grid."""
 
     target: str
     src: np.ndarray  # flat (context, symbols) indices, strictly increasing
@@ -196,9 +195,9 @@ class _TractEntry:
     bits: int  # bit k set when the tract reads symbols at offset k
     move: tuple | None  # per tape, the DIRECTIONS index the engine moves by
     size: int  # the target section's context size
-    cols: tuple | None  # per tape, the read alphabet indices, sorted
-    column: dict | None  # read offset -> its column in the grid
-    # per tape's fixed symbol (-1 for none) -> (tgt, w_idx, d_idx) cut there
+    cols: tuple  # per tape, the read alphabet indices, sorted
+    keep: np.ndarray | None  # the guard's mask over the grid
+    # per tape's fixed symbol (-1 for none) -> (keep, tgt, w_idx, d_idx) cut there
     cuts: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -212,9 +211,10 @@ class _SectionTable:
     reproducible bit for bit; tracts covering nothing have no entry.  A
     declarative tract takes the machine's shared broadcast arrays; an index
     map is called once for all pairs its guard keeps, and what it gives is
-    validated here once.  ``bits`` of an entry and ``uncovered_bits``
-    mark the read offsets they touch, so the engine can skip what the head
-    cannot read.  One (context x symbols) bool mask, guarded or not, marks
+    validated here once.  Every entry keeps its read columns, and a guarded
+    one its guard's mask, so the engine reads each as a grid.  ``bits`` of
+    an entry and ``uncovered_bits`` mark the read offsets they touch, so
+    the engine can skip what the head cannot read.  One bool mask marks
     the pairs each entry covers: it names the first pair two tracts share,
     and its complement ``uncovered`` marks the pairs no tract covers, one
     byte each, from which ``uncovered_bits`` follows.  Every array is
@@ -238,11 +238,11 @@ class _SectionTable:
         self.entries = []
         for i in sm.leaving[sid]:
             t = sm.tracts[i]
-            combos, offsets, bits, cols, column = sm._read_combos(t.reads)
+            combos, offsets, bits, cols = sm._read_combos(t.reads)
             if t.index_map is not None:
-                arrays = self._index_arrays(t, combos, offsets)
+                *arrays, keep = self._index_arrays(t, combos, offsets)
             else:
-                arrays = sm._copy_arrays(contexts, t)
+                arrays, keep = sm._copy_arrays(contexts, t), None
             src = arrays[0]
             if not src.size:
                 continue
@@ -261,10 +261,9 @@ class _SectionTable:
             move = tuple(int(d[0]) for d in arrays[3])
             if t.index_map and any((d != k).any() for d, k in zip(arrays[3], move)):
                 move = None
-            grid = (None, None) if t.guard is not None else (cols, column)
             self.entries.append(_TractEntry(
                 t.target, *arrays, t.label, i, bits, move,
-                len(sm.sections[t.target]), *grid,
+                len(sm.sections[t.target]), cols, keep,
             ))
         self.uncovered = ~covered
         self.uncovered.flags.writeable = False
@@ -283,15 +282,18 @@ class _SectionTable:
 
     def _index_arrays(self, t: Tract, combos, offsets):
         """Index arrays of a tract given by an index map, called once for all
-        the pairs its guard keeps.  The map must land in the target context
-        and give one alphabet index and one move in -1/0/1 per tape."""
+        the pairs its guard keeps, and its guard's read-only mask or None.
+        The map must land in the target context and give one alphabet index
+        and one move in -1/0/1 per tape."""
         A, n = self.alphabet, self.n
         contexts, per_context = len(self.sections[self.sid]), len(offsets)
         xi = np.repeat(np.arange(contexts, dtype=np.intp), per_context)
         src = (xi.reshape(contexts, per_context) * len(A) ** n + offsets).reshape(-1)
         syms = np.broadcast_to(combos, (contexts, per_context, n)).reshape(-1, n)
+        keep = None
         if t.guard is not None:
-            keep = np.asarray(t.guard(xi, syms))
+            keep = np.array(t.guard(xi, syms))
+            keep.flags.writeable = False
             if keep.dtype != bool or keep.shape != xi.shape:
                 raise ValueError(
                     f"tract {t.label!r} at section {self.sid!r}: guard gives a "
@@ -332,6 +334,7 @@ class _SectionTable:
             tgt.astype(np.intp),
             tuple(w[:, j].astype(np.intp) for j in range(n)),
             tuple((d[:, j] + 1).astype(np.intp, copy=False) for j in range(n)),
+            keep,
         )
 
     def _bad(self, t: Tract, x, syms, what: str) -> ValueError:

@@ -13,7 +13,7 @@ import pytest
 from smoothtm import multitape, utm
 from smoothtm.cli import main
 from smoothtm.dists import Dist, FiniteSet
-from smoothtm.engine import SectionConfig, section_smooth_step
+from smoothtm.engine import SectionConfig, StuckError, section_smooth_step
 from smoothtm.framework import check_well_behaved, run_to_next_encoding
 from smoothtm.machines import DIRECTIONS, Configuration, Tape, parse_machine, step
 from smoothtm.multitape import compile_multitape
@@ -861,45 +861,86 @@ def test_step_matches_full_joint_reference_utm():
                 assert not counts["all"]
         entries = [e for sid in machine.machine.sections
                    for e in machine.machine.table(sid).entries]
-        assert any(e.cuts for e in entries)
+        # a guarded grid cut under a partly-point pattern
+        assert any(e.keep is not None and max(f) >= 0 > min(f)
+                   for e in entries for f in e.cuts)
 
 
-def test_partly_point_heads_on_three_tapes_match_full_joint_reference():
-    """Every pattern of point-mass and smooth heads over three tapes, the
-    point heads on either of two symbols read by different tracts: each
-    partly-point pattern cuts a different set of grid axes, and every step
-    matches the full joint bit for bit, mixed moves included."""
+def partly_point_machine():
+    """Three tapes over one section: a declarative walk, a guarded turn that
+    keeps no pair whose third tape reads B, and a guarded stop that covers
+    those pairs except in context z, where they stay uncovered."""
     ctx = FiniteSet(["x", "y", "z"])
     ab = frozenset(AB.elements)
     walk = Tract("S", "S", (frozenset({"_", "A"}), ab, ab), write=(None, "B", None),
                  move=(1, 0, -1), label="walk")
     turn = Tract("S", "S", (frozenset({"B"}), ab, ab), label="turn",
+                 guard=lambda xi, s: s[:, 2] != AB.index("B"),
                  index_map=lambda xi, s: ((xi + 1) % 3, s[:, ::-1], np.zeros_like(s)))
-    sm = SectionMachine({"S": ctx}, [walk, turn], AB, "_", 3)
+    stop = Tract("S", "S", (frozenset({"B"}), ab, frozenset({"B"})), label="stop",
+                 guard=lambda xi, s: xi != 2,
+                 index_map=lambda xi, s: (2 - xi, s[:, ::-1], np.ones_like(s)))
+    return SectionMachine({"S": ctx}, [walk, turn, stop], AB, "_", 3)
+
+
+def partly_point_config(sm, symbol, pattern, state):
+    """Point-mass heads at ``symbol`` where ``pattern`` is set, smooth ones
+    elsewhere."""
     smooth = Dist.from_pairs(AB, {"_": 0.25, "A": 0.25, "B": 0.5})
+    cells = [[Dist.point(AB, symbol) if p else smooth] for p in pattern]
+    tapes = tuple(SmoothTape.from_dists(AB, "_", 0, c) for c in cells)
+    return SectionConfig(sm, {"S": np.array(state)}, tapes, 0.0)
+
+
+def test_partly_point_heads_on_three_tapes_match_full_joint_reference():
+    """Every pattern of point-mass and smooth heads over three tapes, the
+    point heads on either of two symbols read by different tracts: each
+    partly-point pattern cuts a different set of grid axes, guarded grids
+    included, and every step matches the full joint bit for bit, mixed
+    moves included.  The uncovered pairs of context z, which holds no mass,
+    sit at offsets a point head at A does not support."""
+    sm = partly_point_machine()
     counts = Counter()
+    patterns = set()
     for symbol in ("A", "B"):
         for pattern in product((True, False), repeat=3):
-            cells = [[Dist.point(AB, symbol) if p else smooth] for p in pattern]
-            tapes = tuple(SmoothTape.from_dists(AB, "_", 0, c) for c in cells)
-            cfg = SectionConfig(sm, {"S": np.array([0.5, 0.25, 0.25])}, tapes, 0.0)
+            cfg = partly_point_config(sm, symbol, pattern, [0.5, 0.5, 0.0])
             reference_stepper(counts)(cfg)
+            patterns.add(tuple(AB.index(symbol) if p else -1 for p in pattern))
     assert counts == {"all": 2, "some": 12, "none": 2}
-    cuts = [set(e.cuts) for e in sm.table("S").entries]
-    assert cuts[0] | cuts[1] == {
-        tuple(AB.index(symbol) if p else -1 for p in pattern)
-        for symbol in ("A", "B")
-        for pattern in product((True, False), repeat=3)
-        if any(pattern) and not all(pattern)
-    }
-    assert all(not a.flags.writeable for cut in sm.table("S").entries[0].cuts.values()
-               for a in (cut[0], *cut[1], *cut[2]))
+    table = sm.table("S")
+    assert np.flatnonzero(table.uncovered).size == 3
+    walk, turn, stop = table.entries
+    for e in table.entries:
+        cols = [c.tolist() for c in e.cols]
+        assert set(e.cuts) == {
+            f for f in patterns if all(k < 0 or k in c for k, c in zip(f, cols))
+        }
+        for keep, tgt, ws, ds in e.cuts.values():
+            assert (keep is None) == (e is walk)
+            for a in (tgt, *ws, *ds) + ((keep,) if keep is not None else ()):
+                assert not a.flags.writeable
+    assert turn.cuts[(-1, -1, AB.index("B"))][1].size == 0
 
 
-def test_single_tape_compile_never_cuts():
+def test_stuck_mass_under_partly_point_heads_names_the_joint_mass():
+    """Mass on the uncovered pairs under a point head on tape 1: with dyadic
+    weights the stuck check's sum over the fixed column is exact, so the
+    message names the same mass as a sum over the full joint."""
+    sm = partly_point_machine()
+    cfg = partly_point_config(sm, "B", (True, False, False), [0.5, 0.25, 0.25])
+    with pytest.raises(StuckError) as exc:
+        section_smooth_step(cfg)
+    assert str(exc.value) == (
+        "mass 0.125 stepped into unspecified transitions of section 'S'"
+    )
+
+
+def test_single_tape_compile_cuts_never_copy():
     """A compiled simulator has one tape, whose head is fixed or not, so a
-    cycle scatters through the strided column or the whole grid and a fresh
-    compile never pays for a cut."""
+    cycle scatters through the whole grid or one strided column of it, and
+    every cut a fresh compile caches shares memory with its entry's
+    arrays."""
     rng = np.random.default_rng(2)
     m = random_machine(rng, 2, 2, 2)
     sim = compile_multitape(m)
@@ -910,7 +951,12 @@ def test_single_tape_compile_never_cuts():
         _, rep = check_well_behaved(triple, x)
         assert rep.cycle_length is not None and not rep.violations
     entries = [e for t in sim.machine._tables.values() for e in t.entries]
-    assert entries and not any(e.cuts for e in entries)
+    assert {f == (-1,) for e in entries for f in e.cuts} == {True, False}
+    for e in entries:
+        for keep, tgt, ws, ds in e.cuts.values():
+            assert keep is None
+            for a, b in zip((tgt, *ws, *ds), (e.tgt, *e.w_idx, *e.d_idx)):
+                assert np.shares_memory(a, b)
 
 
 def test_step_with_negative_weight_matches_full_joint_reference():
@@ -954,8 +1000,8 @@ def array_walk(table, contexts, size):
 
 def assert_tables_match_array_walk(sm) -> list[bool]:
     """Every section's uncovered pairs and offsets against the array walk,
-    and every unguarded entry's columns against its pairs; returns whether
-    each section is unguarded."""
+    and every entry's pairs against its grid of read columns, at its guard's
+    mask when it has one; returns whether each section is unguarded."""
     A, n = len(sm.alphabet), sm.num_tapes
     size = A**n
     unguarded = []
@@ -968,17 +1014,18 @@ def assert_tables_match_array_walk(sm) -> list[bool]:
         unguarded.append(all(sm.tracts[i].guard is None for i in sm.leaving[sid]))
         for e in table.entries:
             assert e.size == len(sm.sections[e.target])
-            if sm.tracts[e.tract].guard is not None:
-                assert e.cols is None and e.column is None
-                continue
             offsets = np.ravel_multi_index(
                 np.meshgrid(*e.cols, indexing="ij"), (A,) * n
             ).reshape(-1)
             xi = np.arange(len(ctx))
-            np.testing.assert_array_equal(
-                e.src, (xi[:, None] * size + offsets).reshape(-1)
-            )
-            assert e.column == {o: k for k, o in enumerate(offsets.tolist())}
+            pairs = (xi[:, None] * size + offsets).reshape(-1)
+            if sm.tracts[e.tract].guard is None:
+                assert e.keep is None
+            else:
+                assert e.keep.dtype == bool and e.keep.shape == pairs.shape
+                assert not e.keep.flags.writeable
+                pairs = pairs[e.keep]
+            np.testing.assert_array_equal(e.src, pairs)
             assert e.bits == sum(1 << int(o) for o in offsets)
     return unguarded
 
