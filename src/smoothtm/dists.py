@@ -2,9 +2,9 @@
 
 Distributions are simplex vectors over named finite sets.  All machine
 semantics in this package reduce to three operations on them: tensor products
-(joint distributions of independent components), operators induced by total
-functions (pushforwards), and convex combinations (superpositions weighted by
-a distribution).
+(joint distributions of independent components), pushforwards (entry lists
+that ``np.bincount`` adds in order), and convex combinations (superpositions
+weighted by a distribution).
 
 Numerics: double precision throughout.  Operation-level comparisons use an
 absolute tolerance of 1e-12.  Point masses are kept canonical: a distribution
@@ -175,30 +175,31 @@ class Dist:
 
 
 class LinearOp:
-    """A linear map between free vector spaces on finite sets.
+    """A linear map between free vector spaces on finite sets, as entries.
 
-    The matrix is |codomain| x |domain| and column-(sub)stochastic.  Operators
-    built by :func:`induced_op` from total functions have exact 0/1 entries,
-    so they carry point masses to point masses bit-exactly.
+    Entry k adds ``weight[k]`` (or a scalar ``weight``) times coordinate
+    ``src[k]`` (default: k) to coordinate ``dst[k]``.  :meth:`push` adds them
+    with ``np.bincount`` in entry order, the same order on every host, so an
+    induced operator (weight 1.0) carries point masses to point masses exactly.
     """
 
-    __slots__ = ("domain", "codomain", "matrix")
+    __slots__ = ("domain", "codomain", "dst", "src", "weight")
 
-    def __init__(self, domain: FiniteSet, codomain: FiniteSet, matrix):
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.shape != (len(codomain), len(domain)):
-            raise ValueError(
-                f"matrix shape {m.shape} != ({len(codomain)}, {len(domain)})"
-            )
-        m.setflags(write=False)
+    def __init__(self, domain: FiniteSet, codomain: FiniteSet, dst, src=None, weight=1.0):
         self.domain = domain
         self.codomain = codomain
-        self.matrix = m
+        self.dst = np.ascontiguousarray(dst, dtype=np.intp)
+        self.src = np.arange(len(domain)) if src is None else src
+        self.weight = weight
+
+    def push(self, w: np.ndarray) -> np.ndarray:
+        """The image of the weight vector ``w`` over the domain."""
+        return np.bincount(self.dst, w[self.src] * self.weight, len(self.codomain))
 
     def __call__(self, d: Dist) -> Dist:
         if d.base != self.domain:
             raise ValueError("distribution base does not match operator domain")
-        return Dist(self.codomain, self.matrix @ d.weights)
+        return Dist(self.codomain, self.push(d.weights))
 
 
 def induced_op(
@@ -209,30 +210,30 @@ def induced_op(
     Applying it to a distribution yields the pushforward along ``f``.  ``f``
     must be total on the domain with values in the codomain.
     """
-    m = np.zeros((len(codomain), len(domain)))
-    for j, x in enumerate(domain.elements):
+    dst = []
+    for x in domain.elements:
         try:
             y = f(x)
         except Exception as exc:
             raise ValueError(f"function is partial: fails at {x!r}: {exc}") from exc
-        m[codomain.index(y), j] = 1.0
-    return LinearOp(domain, codomain, m)
+        dst.append(codomain.index(y))
+    return LinearOp(domain, codomain, dst)
 
 
 def stochastic_op(columns: Callable[[Hashable], Dist], domain: FiniteSet) -> LinearOp:
     """Operator whose column at x is the distribution ``columns(x)``.
 
     Generalizes :func:`induced_op` from functions to kernels; used for
-    transition codes that carry uncertainty.
+    transition codes that carry uncertainty.  Its entries are the columns'
+    weights, column by column in domain order.
     """
-    cods = columns(domain.elements[0]).base
-    m = np.zeros((len(cods), len(domain)))
-    for j, x in enumerate(domain.elements):
-        col = columns(x)
-        if col.base != cods:
-            raise ValueError("kernel columns must share one codomain")
-        m[:, j] = col.weights
-    return LinearOp(domain, cods, m)
+    cols = [columns(x) for x in domain.elements]
+    cods = cols[0].base
+    if any(col.base != cods for col in cols):
+        raise ValueError("kernel columns must share one codomain")
+    weight = np.concatenate([col.weights for col in cols])
+    src, dst = np.divmod(np.arange(len(weight)), len(cods))
+    return LinearOp(domain, cods, dst, src, weight)
 
 
 def tensor(a: Dist, b: Dist) -> Dist:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
+import numpy as np
+
 from .dists import FiniteSet
 
 DIRECTIONS = FiniteSet((-1, 0, 1))
@@ -42,9 +44,11 @@ class Machine:
     """An n-tape Turing machine with a total transition table.
 
     ``delta`` maps (state, read-symbol vector) to (state, write vector,
-    direction vector) with directions in {-1, 0, 1}.  A lowered section
-    machine's stuck fills are plain entries here; the section engine, not
-    this table, reports mass that reaches one.
+    direction vector) with directions in {-1, 0, 1}; validation walks it once
+    and keeps it as read-only int arrays over the row-major (state, read
+    symbols) pairs: ``to_q`` target state indices, ``to_w``/``to_d`` per-tape
+    written symbol indices and moves.  A lowered section machine's stuck
+    fills are plain entries here; the section engine reports mass in them.
     """
 
     def __init__(
@@ -64,9 +68,9 @@ class Machine:
         self.blank = blank
         self.num_tapes = num_tapes
         self.delta = dict(delta)
-        self._validate()
+        self.to_q, self.to_w, self.to_d = self._validate()
 
-    def _validate(self):
+    def _validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         from itertools import product
 
         # The loop below stops at the first missing key, which comes within
@@ -75,22 +79,28 @@ class Machine:
         # input (a huge tape count), so an empty table is reported at once.
         if self.states and not self.delta:
             raise ValueError("delta is not total: no transitions given")
-        for q in self.states:
-            for syms in product(self.alphabet.elements, repeat=self.num_tapes):
+        n, Q, A = self.num_tapes, self.states, self.alphabet
+        rows = []
+        for q in Q:
+            for syms in product(A.elements, repeat=n):
                 key = (q, syms)
                 if key not in self.delta:
                     raise ValueError(f"delta is not total: missing {key!r}")
                 q2, writes, dirs = self.delta[key]
-                if q2 not in self.states:
+                if q2 not in Q:
                     raise ValueError(f"delta target state {q2!r} unknown")
-                if len(writes) != self.num_tapes or len(dirs) != self.num_tapes:
+                if len(writes) != n or len(dirs) != n:
                     raise ValueError(f"delta entry arity mismatch at {key!r}")
                 for w in writes:
-                    if w not in self.alphabet:
+                    if w not in A:
                         raise ValueError(f"delta write symbol {w!r} unknown")
                 for d in dirs:
                     if d not in (-1, 0, 1):
                         raise ValueError(f"delta direction {d!r} not in -1/0/1")
+                rows.append((Q.index(q2), *map(A.index, writes), *dirs))
+        table = np.array(rows, dtype=np.intp).reshape(-1, 1 + 2 * n)
+        table.setflags(write=False)
+        return table[:, 0], table[:, 1 : n + 1], table[:, n + 1 :]
 
     def __repr__(self):
         return (

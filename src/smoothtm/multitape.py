@@ -128,20 +128,15 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     # context at index xi gives index xi*S + c, dropping the last k symbols
     # gives xi // S**k, and the digit k places from the end is xi // S**k % S.
     # A SIGMA symbol has the same index in SIGMA and in the single tape's
-    # alphabet.  delta over ctx_w, as arrays of target state, writes and moves:
+    # alphabet.  The machine's delta arrays run over ctx_w in its order.
     S, b = len(SIGMA), SIGMA.index(blank)
-    rows = [m.delta[(x[0], x[1:])] for x in ctx_w]
-    to_q = np.array([Q.index(q2) for q2, _, _ in rows], dtype=np.intp)
-    to_w = np.array(
-        [[SIGMA.index(w) for w in ws] for _, ws, _ in rows], dtype=np.intp
-    ).reshape(-1, n)
-    to_d = np.array([ds for _, _, ds in rows], dtype=np.intp).reshape(-1, n)
+    to_w = m.to_w
     if broken:  # only W_n reads column 0: W_k writes tape n-k+1
-        to_w[:, 0] = (to_w[:, 0] + 1) % S
+        to_w = np.hstack([(to_w[:, :1] + 1) % S, to_w[:, 1:]])
 
     def psi(xw, j0, c1, c2, c3):
         # selector over written neighbours by the row's move direction
-        return np.choose(to_d[xw, j0] + 1, (c1, c2, c3))
+        return np.choose(m.to_d[xw, j0] + 1, (c1, c2, c3))
 
     def load(xi, s):
         return xi * S + s, s
@@ -278,7 +273,7 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     sections["SU"] = sections["S"] = ctx_w
     copy("SU", "SU", SIG, ECHO, -1, "seek-head")
     copy("SU", "S", H0, MARK_0, 1, "found-head")
-    emit("S", "R1", SIG, lambda xi, s: (to_q[xi], s), 0, "state-update")
+    emit("S", "R1", SIG, lambda xi, s: (m.to_q[xi], s), 0, "state-update")
 
     sm = SectionMachine(sections, tracts, alphabet, blank, 1)
     return CompiledSim(source=m, machine=sm)

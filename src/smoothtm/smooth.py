@@ -3,16 +3,16 @@
 A smooth configuration relaxes the state to a distribution over states and
 every tape cell to a distribution over symbols, with cells outside a finite
 window pinned to exact blank point masses.  One smooth step forms the joint
-local distribution (state tensored with the read cells), pushes it through
-the operators induced by the transition components to get the next state,
-per-tape write distributions and per-tape direction distributions, and then
-updates each tape cell to the superposition over move directions
+local distribution (state tensored with the read cells), scatters it along
+the machine's delta arrays (``np.bincount``, in domain order) to get the next
+state, per-tape write distributions and per-tape direction distributions,
+and then updates each tape cell to the superposition over move directions
 
     new_cell(i) = sum_d  <d, dir>  written_cell(i + d).
 
-Two independent implementations are provided: :func:`smooth_step` via induced
-linear operators, and :func:`smooth_step_oracle` via explicit scalar sums
-over state/symbol pairs (single tape only).  They must agree to 1e-12 per
+Two independent implementations are provided: :func:`smooth_step` via those
+scatters, and :func:`smooth_step_oracle` via explicit scalar sums over
+state/symbol pairs (single tape only).  They must agree to 1e-12 per
 coordinate; on point-mass configurations both reduce bit-exactly to the
 classical step.
 """
@@ -34,6 +34,7 @@ from .dists import (
     ATOL,
     Dist,
     FiniteSet,
+    LinearOp,
     factors_of,
     induced_op,
     product_set,
@@ -259,27 +260,17 @@ _OPS_CACHE: "WeakKeyDictionary[Machine, dict]" = WeakKeyDictionary()
 
 
 def machine_ops(m: Machine) -> dict:
-    """Induced operators of the transition components, cached per machine."""
+    """The pushforwards along the transition components, cached per machine:
+    one :class:`LinearOp` on ``to_q`` and one per tape on ``to_w``/``to_d``."""
     ops = _OPS_CACHE.get(m)
-    if ops is not None:
-        return ops
-    joint = product_set(m.states, *([m.alphabet] * m.num_tapes))
-
-    def entry(e):
-        return m.delta[(e[0], tuple(e[1:]))]
-
-    ops = {
-        "state": induced_op(lambda e: entry(e)[0], joint, m.states),
-        "write": [
-            induced_op(lambda e, j=j: entry(e)[1][j], joint, m.alphabet)
-            for j in range(m.num_tapes)
-        ],
-        "dir": [
-            induced_op(lambda e, j=j: entry(e)[2][j], joint, DIRECTIONS)
-            for j in range(m.num_tapes)
-        ],
-    }
-    _OPS_CACHE[m] = ops
+    if ops is None:
+        joint = product_set(m.states, *([m.alphabet] * m.num_tapes))
+        n = range(m.num_tapes)
+        ops = _OPS_CACHE[m] = {
+            "state": LinearOp(joint, m.states, m.to_q),
+            "write": [LinearOp(joint, m.alphabet, m.to_w[:, j]) for j in n],
+            "dir": [LinearOp(joint, DIRECTIONS, m.to_d[:, j] + 1) for j in n],
+        }
     return ops
 
 
@@ -399,8 +390,9 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
     """The (state', writes, directions) distributions of one smooth step.
 
     Forms the local joint of the state and the head cells once and pushes it
-    through ``ops``: an operator ``"state"`` and per-tape operator lists
-    ``"write"`` and ``"dir"`` on that joint.  Each output is renormalized.
+    forward along ``ops``: a :class:`LinearOp` ``"state"`` and per-tape
+    lists ``"write"`` and ``"dir"`` on that joint, each adding its entries
+    with ``np.bincount`` in entry order.  Each output is renormalized.
 
     The joint is a plain weight vector, flat in the order :func:`tensor`
     uses, and every operator's domain must have the factors
@@ -420,7 +412,7 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
             raise ValueError("local joint does not match the operator domain")
 
     def pushed(op, what: str) -> Dist:
-        return Dist._trusted(op.codomain, renormalized(op.matrix @ local, what))
+        return Dist._trusted(op.codomain, renormalized(op.push(local), what))
 
     return (
         pushed(ops["state"], "state"),
@@ -440,7 +432,7 @@ def apply_step(s: SmoothConfig, state: Dist, writes, dirs) -> SmoothConfig:
 
 
 def smooth_step(m: Machine, s: SmoothConfig) -> SmoothConfig:
-    """One naive-Bayesian smooth step via induced operators."""
+    """One naive-Bayesian smooth step via the pushforwards of :func:`machine_ops`."""
     return apply_step(s, *smooth_step_dists(m, s))
 
 

@@ -6,7 +6,6 @@ one tract replaced, for tests that need a compile the checks must reject.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from smoothtm.sections import SectionMachine
@@ -24,9 +23,7 @@ def _redirected(sim):
     """``sim`` with its last write tract also performing the state update
     and jumping straight to R1, skipping the move phase: mass lands in R1
     mid-cycle, overlapping the encodings, and then gets stuck."""
-    m = sim.source
-    ctx = sim.machine.sections["W1"]
-    to_q = np.array([m.states.index(m.delta[(x[0], x[1:])][0]) for x in ctx])
+    to_q = sim.source.to_q
 
     def mutate(t):
         def redirected(xi, syms):

@@ -279,8 +279,8 @@ def test_verify_broken_multitape_fails(files):
 # SHA-256 of ``verify --seed 0 --trials 4 --report OUT``: any change to the
 # sampling, the stepping arithmetic or the report layout moves a digest
 REPORT_DIGESTS = {
-    "multitape": "75039c1d51080a5d70ff3410ad128d8aa0f30b87d5979d40c4128083c2ffb923",
-    "broken-multitape": "044a6c85a5c00386c13df6e6b168aaade262dbd0a2739e4b6e4081f5325c270c",
+    "multitape": "55f67bc80b59a53eb6c5f94438d11a62c925fd021c36e82ecb6565bd6706984f",
+    "broken-multitape": "7caab95600130e76f19a1255b2d72370f2672e6349bd5226dbcb8305309f3d69",
     "utm": "892fa8e15b5e69eea0fe34b2b63279605cbd1bdcfd5520773953b911bbed9778",
     "utm --uncertain-codes": "41630ec2aea231e12b5b6b32b724626d67f5924c96f76f536f0af0b3ddfc6ece",
     "staged-counterexample": "a19e476621786d25c895dec3103de48dee17eae3a36b50a2e4bc5177331e4ddc",
@@ -297,16 +297,16 @@ def test_verify_report_bytes_pinned(construction, tmp_path):
 
 # the same reports at seeds 1 and 2
 SEEDED_REPORT_DIGESTS = {
-    ("multitape", 1): "e6ca35df98fde114de08e4b7f3576af678aa386e14f3e1a67861ffa5fe9c79ec",
+    ("multitape", 1): "727a68d51f4098f7197cd1c8069ed41bf66ccc2efbf43d58e1b9dac2a6b70212",
     ("multitape", 2): "b7a2da83a01ec5ba2659829652086f26b313344179a7a8071e9e099419f133f7",
-    ("broken-multitape", 1): "1f3c4bd1f12f28d59c359e6ebeed1be948fd5d95072b9b666e97a28aa2396f7b",
-    ("broken-multitape", 2): "b3a16d4d2f25bb6a5165cf30e49f7b8de6bf80f2ea62fb650444a8fc849ea643",
+    ("broken-multitape", 1): "a5dbde1826320cf832bc3715d07473258fa02507deda84e72f103e5c3be57652",
+    ("broken-multitape", 2): "b030fb575b630989a7eec733c5188e0bba177cfae0939ccdeb113c1c2d98bb8e",
     ("utm", 1): "0ddfce9802ed0effec19e35a64b2bc42451f1af27c69ed5ff9646162264db61c",
     ("utm", 2): "d290aefd0157a3baf064ac3556a99f3a356e137eef16342b6053ae9a1edd5714",
     ("utm --uncertain-codes", 1):
-        "6b2589d331fb17ea608c725ffa5ca41f79d181f9caba3d8325f6ed7a7a280569",
+        "9138e97cab365208f5abac9ddfc521b6a1a4c4ccc2c4335c574ba92272578a08",
     ("utm --uncertain-codes", 2):
-        "7cc56d9359990b1cc5c951441e083bd9daa3eb5c51437fd5f35fc8e79eb9aa59",
+        "afd94d0dcc68578c416bb5c4025963e1b65aa5bf710eca170253b2f6200e9288",
     ("staged-counterexample", 1):
         "fe43b2a8aac007ba8f60fd043c040e161ea1ec5d1f7f7f6b3b2470b9a2dc4f59",
     ("staged-counterexample", 2):
@@ -380,8 +380,8 @@ q2 B -> q2 _ R
 # from DENSE_TM's seed-0 start: any change to the dense step's arithmetic,
 # its canonical trimming or the JSON layout moves a digest
 DENSE_RUN_DIGESTS = {
-    "stdout": "da2dd083142becccb101142f5abd49d7d7eab009f5b98bbb7ded326863eeccd5",
-    "trace": "a207db3b55f39faf39ffc361176a9684b72cafe1d11d3dcef79db6a33579bc58",
+    "stdout": "1e8ed1a6936fe318b4795446233b10e817e17ef14e483cab4568586a432d8c15",
+    "trace": "6bc82a28f9ac20bbeb6f5fd4c237921410cdc5aee590ffb26919adec2e5ff796",
 }
 
 
@@ -406,8 +406,8 @@ def test_run_smooth_dense_bytes_pinned(tmp_path, capsys):
 # write and move maps are all onto), from a start drawn as DENSE_TM's is:
 # the dense step's row reductions over 8 or more symbols
 WIDE_DENSE_RUN_DIGESTS = {
-    "stdout": "5d1aac5c67be75732c25c837aa08690267e1889dd4ed10a9d6f4e111ba08dda4",
-    "trace": "a4b830d83f8d696f1a8ecf893672899bca3a5ab3c110208b3d2e24c14bb8a702",
+    "stdout": "eee4115eb94193a9ac482922ae7e79e5a3edae332b9a7a25ae6b41af3f936de8",
+    "trace": "4628c4678b467d9fbbe1d92c54eb97fb2d2c9d7cb3856c724ea72c5ea8b77e9c",
 }
 
 

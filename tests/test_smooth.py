@@ -835,6 +835,77 @@ def test_push_local_matches_validated_reference(tapes):
             s = smooth_step(m, s)
 
 
+def _folded_push(s: SmoothConfig, columns: list) -> list[np.ndarray]:
+    """Each component of the step as a Python fold: ``columns[p][k]`` is
+    the weight list that the p-th (state, read symbols) pair sends its joint
+    mass to under component k (state, writes, then moves).  The products are
+    added left to right from 0.0 in domain order, then renormalized."""
+    local = tensor_many([s.state] + [t.cell(0) for t in s.tapes]).weights.tolist()
+    out = []
+    for k in range(len(columns[0])):
+        acc = [0.0] * len(columns[0][k])
+        for p, cols in zip(local, columns):
+            for i, c in enumerate(cols[k]):
+                acc[i] += c * p
+        out.append(renormalized(np.array(acc), "folded"))
+    return out
+
+
+def _assert_push_is_folded(s: SmoothConfig, ops: dict, columns: list):
+    state, writes, dirs = push_local(s, ops)
+    got = [state, *writes, *dirs]
+    want = _folded_push(s, columns)
+    assert len(got) == len(want) == 1 + 2 * len(s.tapes)
+    for g, w in zip(got, want):
+        assert g.weights.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("tapes", [1, 2, 3])
+def test_push_local_adds_in_domain_order(tapes):
+    """One summation order on every host: each component equals, bit for
+    bit, the left-to-right fold of the joint over the (state, read symbols)
+    pairs in domain order, with delta read pair by pair."""
+    from itertools import product
+
+    def onehot(base, x):
+        return [float(y == x) for y in base.elements]
+
+    rng = np.random.default_rng(70 + tapes)
+    for _ in range(8):
+        m = random_machine(rng, tapes, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        columns = []
+        for q in m.states:
+            for syms in product(m.alphabet.elements, repeat=tapes):
+                q2, ws, ds = m.delta[(q, syms)]
+                columns.append([
+                    onehot(m.states, q2),
+                    *(onehot(m.alphabet, w) for w in ws),
+                    *(onehot(DIRECTIONS, d) for d in ds),
+                ])
+        s = random_smooth_config(m, rng, radius=int(rng.integers(0, 3)))
+        for _ in range(3):
+            _assert_push_is_folded(s, machine_ops(m), columns)
+            s = smooth_step(m, s)
+
+
+def test_push_local_adds_in_domain_order_on_uncertain_codes():
+    from smoothtm.sampling import random_overrides
+    from smoothtm.utm import encode_code, utm_cycle_semantics
+
+    rng = np.random.default_rng(13)
+    for _ in range(8):
+        m = random_machine(rng, 1, int(rng.integers(1, 4)), int(rng.integers(2, 4)))
+        code = encode_code(m, random_overrides(m, rng))
+        table = code.lookup()
+        columns = [
+            [d.weights.tolist() for d in table[q, a]] for q in m.states for a in m.alphabet
+        ]
+        s = random_smooth_config(m, rng, radius=int(rng.integers(0, 3)))
+        for _ in range(3):
+            _assert_push_is_folded(s, code.ops, columns)
+            s = utm_cycle_semantics(code, s)
+
+
 def test_push_local_matches_reference_on_uncertain_codes():
     from smoothtm.sampling import random_overrides
     from smoothtm.utm import encode_code, utm_cycle_semantics
