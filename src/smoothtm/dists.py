@@ -14,6 +14,7 @@ operations on deterministic data stay bit-exact.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -67,20 +68,39 @@ class FiniteSet:
 
 
 class ProductSet(FiniteSet):
-    """Cartesian product of finite sets, stored flat in row-major order.
+    """Cartesian product of finite sets, flat in row-major order.
 
     Elements are flat tuples, one coordinate per factor; the factors are
     remembered, so a product of products flattens (:func:`factors_of`).
+    The elements are built on first use: the size, and equality with
+    another product of the same factors, need only the factors.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "size")
 
     def __init__(self, factors: Sequence[FiniteSet]):
         self.factors = tuple(factors)
+        self.size = prod(len(f) for f in self.factors)
+
+    def __getattr__(self, name: str):
+        # the ``elements`` and ``_index`` slots, unset until first use
+        if name not in ("elements", "_index"):
+            raise AttributeError(name)
         elements = [()]
         for f in self.factors:
             elements = [e + (x,) for e in elements for x in f.elements]
-        super().__init__(elements)
+        FiniteSet.__init__(self, elements)
+        return getattr(self, name)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ProductSet) and self.factors == other.factors:
+            return True
+        return super().__eq__(other)
+
+    __hash__ = FiniteSet.__hash__
 
 
 def factors_of(*sets: FiniteSet) -> tuple[FiniteSet, ...]:

@@ -5,11 +5,12 @@ computes on the lowered machine; it only exploits the section structure.  The
 global state distribution is a direct sum of local distributions over the
 contexts of the occupied sections, and the pushforwards through the
 transition components decompose by linearity into per-tract scatter
-passes.  Every tract's entry is a grid over its read columns, whose values
-are outer products of the local vector with the head rows there, kept at
-its guard's mask.  An entry whose read symbols the head rows cannot supply
-moves exactly zero mass and is skipped, and a point-mass head fixes its
-tape's column, so values are formed over the other tapes' columns only.
+passes.  A step reads each occupied section through its table's plan for
+the step's head pattern: only the entries the head rows can move, each at
+the (context, read symbols) pairs the rows support, where its values are
+the products of the local vector with the smooth heads' weights.  A
+point-mass head multiplies nothing, and the pairs left out hold exact
+zeros, so every sum keeps its order and its bits.
 
 Mass landing on a (state, symbols) pair no tract covers means the machine
 stepped into an unspecified transition; that raises :class:`StuckError`
@@ -98,77 +99,65 @@ _UNIT_DIRS.flags.writeable = False
 def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     """One smooth step; returns the new configuration and diagnostics.
 
-    Every entry takes one path.  Its values are ``outer(...outer(local,
-    r1[c1])..., rn[cn])`` over its read columns, kept at its guard's mask:
-    the products of the (context x read symbols) joint at its pairs, in the
-    same order, so no joint is formed.  While the state is vouched
-    non-negative, a head row that is an exact point mass at 1.0 fixes its
-    tape's column: every other column of that tape holds exact zeros, and
-    the fixed one holds the other factors' products unchanged.  So the
-    outer products run over the free tapes' columns only, and the values
-    are kept and scattered through the entry's arrays cut to the fixed
-    columns, cut once per fixed-symbol pattern and cached on the entry.
-    The stuck check reads the uncovered mask at the fixed symbols the same
-    way.  The exact zeros left out change no sum: every accumulator starts
-    as a bincount, which adds in the same order as ``np.add.at`` into
-    zeros, so it gets the same bits as the full products would give.  When
-    all entries that move mass record one move, each tape's directions are
-    its shared unit vector, the bits a one-bin scatter renormalizes to, and
-    the move is handed to ``superpose_tape``; otherwise (the UTM's closing
+    The head rows give the step's pattern: while the state is vouched
+    non-negative, per tape the symbol of a head that is an exact point mass
+    at 1.0, or the tuple of the symbols a smooth head supports; otherwise
+    ``"all"``.  Each occupied section steps through its table's plan for
+    that pattern (:meth:`~smoothtm.sections.SectionMachine.plan`), built once
+    and cached: the entries the heads can move, each at the pairs they
+    support.  An entry's values there are ``local[ctx] * r1[s1] * ...``
+    over the smooth heads in tape order, the products the (context x read
+    symbols) joint holds at those pairs, in the same association; a point
+    head's factor is 1.0, so it multiplies nothing.  The pairs left out
+    hold exact zeros, so the values are scattered in entry and grid order
+    through the plan's arrays, and the stuck check sums the uncovered
+    pairs, without forming the joint.  Every accumulator starts as a
+    bincount, which adds in the same order as ``np.add.at`` into zeros, so
+    left-out zeros change no bit; only ``StepInfo.flows`` and the mass a
+    stuck message names are sums in a different association.  When all
+    entries that move mass record one move, each tape's directions are its
+    shared unit vector, the bits a one-bin scatter renormalizes to, and the
+    move is handed to ``superpose_tape``; otherwise (the UTM's closing
     tract) they are scattered.  So only a direction sum off 1 beside a
-    write sum within 1e-12 loses its "direction mass" error.  Tape rows are
-    non-negative, and so is the new state when the old one is: then its
-    ``err`` is set."""
+    write sum within 1e-12 loses its "direction mass" error.  A point head
+    that writes back the point mass it read leaves its tape's cells as
+    they are.  Tape rows are non-negative, and so is the new state when
+    the old one is: then its ``err`` is set."""
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
     head_rows = [t.row(0) for t in cfg.tapes]
-    # the read offsets with positive joint mass; per tape, the symbol a
-    # point-mass head fixes (-1 for none), and the heads no symbol fixes.
-    # No head is fixed unless the state is known non-negative.
-    offsets = [0]
     vouched = cfg.err is not None
-    fixed, free = [], []
-    for j, r in enumerate(head_rows):
-        ks = r.nonzero()[0].tolist()
-        if vouched and len(ks) == 1 and r[ks[0]] == 1.0:
-            fixed.append(ks[0])
-        else:
-            fixed.append(-1)
-            free.append((j, r))
-        offsets = [o * A + k for o in offsets for k in ks]
-    supported = sum([1 << o for o in offsets])  # the offsets are distinct
-    fixed = tuple(fixed)
+    pattern = "all"
+    if vouched:
+        pattern = []
+        for r in head_rows:
+            ks = r.nonzero()[0].tolist()
+            point = len(ks) == 1 and r[ks[0]] == 1.0
+            pattern.append(ks[0] if point else tuple(ks))
+        pattern = tuple(pattern)
     acc: dict[str, np.ndarray] = {}
     write_acc = None
     moving = []  # (direction index arrays, values) of each entry moving mass
     common = None  # the move every entry so far records, None if they differ
     flows: dict[tuple[str, str], float] = {}
     for sid, local in cfg.state.items():
-        table = sm.table(sid)
-        if table.uncovered_bits & supported:
-            at = (slice(None), *(slice(None) if k < 0 else k for k in fixed))
-            joint = local
-            for _, r in free:
-                joint = np.multiply.outer(joint, r)
-            uncovered = table.uncovered.reshape(-1, *(A,) * n)[at]
-            lost = float(np.add.reduce(joint[uncovered]))
+        plan = sm.plan(sid, pattern)
+        if plan.stuck is not None:
+            ctx, syms = plan.stuck
+            vals = local if ctx is None else local[ctx]
+            for j, s in syms:
+                vals = vals * head_rows[j][s]
+            lost = float(np.add.reduce(vals))
             if lost != 0.0:
                 raise StuckError(
                     f"mass {lost} stepped into unspecified transitions "
                     f"of section {sid!r}"
                 )
-        for e in table.entries:
-            if not e.bits & supported:
-                continue
-            vals = local
-            for j, r in free:
-                vals = np.multiply.outer(vals, r[e.cols[j]])
-            cut = e.cuts.get(fixed)
-            if cut is None:
-                cut = e.cuts[fixed] = _cut(e, fixed)
-            keep, tgt, ws, ds = cut
-            vals = vals.reshape(-1) if keep is None else vals.reshape(-1)[keep]
+        for e, ctx, syms, tgt, ws, ds in plan.entries:
+            vals = local if ctx is None else local[ctx]
+            for j, s in syms:
+                vals = vals * head_rows[j][s]
             moved = float(np.add.reduce(vals))
             if moved == 0.0:
                 continue
@@ -200,11 +189,14 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
             for d_acc, d in zip(dir_acc, ds):
                 np.add.at(d_acc, d, vals)
         dirs = [renormalized(d, "direction") for d in dir_acc]
-    # a write returned untouched summed to exactly 1.0
-    tapes = tuple(
-        superpose_tape(t, w, d, k, 0.0 if w is v else None)
-        for t, w, v, d, k in zip(cfg.tapes, writes, raw, dirs, move)
-    )
+    tapes = []
+    for j, (t, w, v) in enumerate(zip(cfg.tapes, writes, raw)):
+        # a write returned untouched summed to exactly 1.0; a point head
+        # that wrote it as the point mass it read leaves the cells as they are
+        k = pattern[j] if vouched else None
+        same = w is v and type(k) is int and w[k] == 1.0 and np.count_nonzero(w) == 1
+        row_err = 0.0 if w is v else None
+        tapes.append(superpose_tape(t, w, dirs[j], move[j], row_err, same))
     if len(acc) == 1:
         state = acc  # a zero vector fails the mass check below
     else:
@@ -222,31 +214,4 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
         v.min() >= 0.0 for v in cfg.state.values() if v.size
     )
     err = abs(total - 1.0) if non_negative else None
-    return SectionConfig(sm, state, tapes, err), StepInfo(dirs, flows)
-
-
-def _cut(e, fixed: tuple) -> tuple:
-    """An entry's ``keep``, ``tgt``, ``w_idx`` and ``d_idx`` at the fixed
-    tapes' columns, read-only: its (contexts, |c1|, ..., |cn|) grid indexed
-    there, in row-major order.  With no head fixed they are the entry's own
-    arrays, and with every head fixed an unguarded entry's are views.  A
-    guarded entry's grid positions map to its kept pairs through
-    ``cumsum(keep) - 1``."""
-    if max(fixed) < 0:
-        return e.keep, e.tgt, e.w_idx, e.d_idx
-    grid = (-1, *(len(c) for c in e.cols))
-    at = (slice(None),) + tuple(
-        slice(None) if k < 0 else c.tolist().index(k) for c, k in zip(e.cols, fixed)
-    )
-
-    def cut(a, pairs=None):
-        out = a.reshape(grid)[at].reshape(-1) if pairs is None else a[pairs]
-        out.flags.writeable = False
-        return out
-
-    keep = pairs = None
-    if e.keep is not None:
-        keep = cut(e.keep)
-        pairs = cut(np.cumsum(e.keep) - 1)[keep]
-    tgt, *idx = (cut(a, pairs) for a in (e.tgt, *e.w_idx, *e.d_idx))
-    return keep, tgt, tuple(idx[: len(e.cols)]), tuple(idx[len(e.cols) :])
+    return SectionConfig(sm, state, tuple(tapes), err), StepInfo(dirs, flows)

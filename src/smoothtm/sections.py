@@ -27,8 +27,10 @@ engine raises :class:`~smoothtm.engine.StuckError` on mass that reaches one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
+from math import prod
 from typing import Callable, Hashable
 
 import numpy as np
@@ -90,10 +92,12 @@ class SectionMachine:
     num_tapes: int
     # section id -> compiled table, built on first use
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # per read-set tuple: read combos, offsets, offset bits and read columns
+    # per read-set tuple: read combos, offsets and read columns
     _reads: dict = field(default_factory=dict, repr=False, compare=False)
     # broadcast copy-tract arrays, shared by every table
     _copies: dict = field(default_factory=dict, repr=False, compare=False)
+    # step plans' context and symbol index arrays, shared by grid shape
+    _grids: dict = field(default_factory=dict, repr=False, compare=False)
     # position of each section id in ``sections``
     rank: dict = field(init=False, repr=False, compare=False)
     # section id -> positions of the tracts leaving it, in tract order
@@ -137,10 +141,21 @@ class SectionMachine:
             table = self._tables[sid] = _SectionTable(self, sid)
         return table
 
+    def plan(self, sid: str, pattern) -> _Plan:
+        """Section ``sid``'s step plan under a head pattern, built on first
+        use and cached on its table (:meth:`_SectionTable.plan`)."""
+        table = self._tables.get(sid)
+        if table is None:
+            table = self.table(sid)
+        plan = table.plans.get(pattern)
+        if plan is None:
+            plan = table.plan(pattern, self._grids)
+        return plan
+
     def _read_combos(self, reads: tuple) -> tuple:
         """The alphabet indices of every read combination in product order,
-        their offsets and the offsets' bit mask, and the per-tape read
-        columns; built once per read sets."""
+        their offsets and the per-tape read columns; built once per read
+        sets."""
         found = self._reads.get(reads)
         if found is None:
             A, n = self.alphabet, self.num_tapes
@@ -150,7 +165,7 @@ class SectionMachine:
             cols = tuple(np.array(c, dtype=np.intp) for c in read_idx)
             for c in cols:
                 c.flags.writeable = False
-            found = self._reads[reads] = (combos, offsets, _bits(offsets), cols)
+            found = self._reads[reads] = (combos, offsets, cols)
         return found
 
     def _copy_arrays(self, contexts: int, t: Tract) -> tuple:
@@ -182,8 +197,7 @@ class _TractEntry:
     Every entry is the (contexts, |c1|, ..., |cn|) grid of every context
     with the product of its read columns ``cols``, row-major; a guarded
     entry's pairs are the positions its guard's read-only mask ``keep``
-    marks.  ``cuts`` caches, per pattern of point-mass heads, the engine's
-    read-only cuts of the grid."""
+    marks."""
 
     target: str
     src: np.ndarray  # flat (context, symbols) indices, strictly increasing
@@ -192,13 +206,26 @@ class _TractEntry:
     d_idx: tuple  # per tape, DIRECTIONS indices (move + 1)
     label: str
     tract: int  # position in the machine's tract list
-    bits: int  # bit k set when the tract reads symbols at offset k
     move: tuple | None  # per tape, the DIRECTIONS index the engine moves by
     size: int  # the target section's context size
     cols: tuple  # per tape, the read alphabet indices, sorted
     keep: np.ndarray | None  # the guard's mask over the grid
-    # per tape's fixed symbol (-1 for none) -> (keep, tgt, w_idx, d_idx) cut there
-    cuts: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+@dataclass(slots=True)
+class _Plan:
+    """What one section's step reads under one head pattern.
+
+    ``entries`` lists, in table order, the entries that can move mass, each
+    as ``(entry, ctx, syms, tgt, w_idx, d_idx)`` at the pairs the heads
+    support: ``ctx`` gathers the local vector there (``None`` when it is the
+    local vector itself), ``syms`` holds ``(tape, symbols)`` per smooth head
+    in tape order, and the rest are the entry's arrays at those pairs.
+    ``stuck`` is ``(ctx, syms)`` of the uncovered pairs there, or ``None``.
+    Pairs run in grid order, and every array is read-only."""
+
+    entries: list
+    stuck: tuple | None
 
 
 class _SectionTable:
@@ -212,19 +239,19 @@ class _SectionTable:
     declarative tract takes the machine's shared broadcast arrays; an index
     map is called once for all pairs its guard keeps, and what it gives is
     validated here once.  Every entry keeps its read columns, and a guarded
-    one its guard's mask, so the engine reads each as a grid.  ``bits`` of
-    an entry and ``uncovered_bits`` mark the read offsets they touch, so
-    the engine can skip what the head cannot read.  One bool mask marks
-    the pairs each entry covers: it names the first pair two tracts share,
-    and its complement ``uncovered`` marks the pairs no tract covers, one
-    byte each, from which ``uncovered_bits`` follows.  Every array is
-    read-only, so machines may share a table.  The table keeps no
-    reference to its machine, which caches it, so a machine is freed
-    without the cycle collector.
+    one its guard's mask, so each is a grid.  One bool mask marks the pairs
+    each entry covers: it names the first pair two tracts share, and its
+    complement ``uncovered`` marks the pairs no tract covers, one byte
+    each; ``uncovered_bits`` marks the read offsets where it has one.
+    ``plans`` caches the engine's :class:`_Plan` per head pattern
+    (:meth:`plan`).  Every array is read-only, so machines may share a
+    table.  The table keeps no reference to its machine, which caches it,
+    so a machine is freed without the cycle collector.
     """
 
     __slots__ = (
-        "sid", "sections", "alphabet", "n", "entries", "uncovered", "uncovered_bits"
+        "sid", "sections", "alphabet", "n", "entries", "uncovered", "uncovered_bits",
+        "plans",
     )
 
     def __init__(self, sm: SectionMachine, sid: str):
@@ -232,13 +259,14 @@ class _SectionTable:
         self.sections = sm.sections
         self.alphabet = A = sm.alphabet
         self.n = n = sm.num_tapes
+        self.plans = {}
         contexts = len(sm.sections[sid])
         size = len(A) ** n
         covered = np.zeros(contexts * size, dtype=bool)
         self.entries = []
         for i in sm.leaving[sid]:
             t = sm.tracts[i]
-            combos, offsets, bits, cols = sm._read_combos(t.reads)
+            combos, offsets, cols = sm._read_combos(t.reads)
             if t.index_map is not None:
                 *arrays, keep = self._index_arrays(t, combos, offsets)
             else:
@@ -262,13 +290,73 @@ class _SectionTable:
             if t.index_map and any((d != k).any() for d, k in zip(arrays[3], move)):
                 move = None
             self.entries.append(_TractEntry(
-                t.target, *arrays, t.label, i, bits, move,
+                t.target, *arrays, t.label, i, move,
                 len(sm.sections[t.target]), cols, keep,
             ))
         self.uncovered = ~covered
         self.uncovered.flags.writeable = False
         partly_covered = self.uncovered.reshape(-1, size).any(axis=0)
         self.uncovered_bits = _bits(partly_covered.nonzero()[0])
+
+    def plan(self, pattern, grids: dict) -> _Plan:
+        """The step's plan under a head pattern, built on first use and cached.
+
+        ``pattern`` has one item per tape: the alphabet index of a head that
+        is an exact point mass, which multiplies nothing, or the tuple of
+        the symbols a smooth head supports; or it is ``"all"``, under which
+        every head is smooth over the whole alphabet.  Each grid is sliced
+        to the supported columns first, so the cost follows the cut: an
+        unguarded entry's arrays are the slices (the entry's own arrays when
+        nothing is cut), with context and symbol indices shared by shape
+        through ``grids``, and a guarded entry's, like the uncovered pairs',
+        are gathered at the positions its sliced mask marks.  The uncovered
+        mask is sliced only when ``uncovered_bits`` marks a supported
+        offset."""
+        A, n = len(self.alphabet), self.n
+        contexts = len(self.sections[self.sid])
+        if pattern == "all":
+            supports, smooth = [range(A)] * n, [True] * n
+        else:
+            supports = [(k,) if type(k) is int else k for k in pattern]
+            smooth = [type(k) is not int for k in pattern]
+        entries = []
+        for e in self.entries:
+            cols = [c.tolist() for c in e.cols]
+            positions = _positions(cols, supports)
+            if positions is None:
+                continue
+            cut = _GridCut(contexts, A, cols, positions)
+            if e.keep is None:
+                at = cut.ctx(grids), tuple(
+                    (j, cut.syms(grids, j)) for j in range(n) if smooth[j]
+                )
+                arrays = (e.tgt, *e.w_idx, *e.d_idx)
+                if cut.whole:
+                    tgt, *idx = arrays
+                else:
+                    tgt, *idx = (cut.take(a, grids) for a in arrays)
+            else:
+                found = cut.gather(e.keep, smooth, e.src)
+                if found is None:
+                    continue
+                at, pairs = found
+                tgt, *idx = (
+                    a if cut.whole else _read_only(a[pairs])
+                    for a in (e.tgt, *e.w_idx, *e.d_idx)
+                )
+            entries.append((e, *at, tgt, tuple(idx[:n]), tuple(idx[n:])))
+        offsets = [0]
+        for sup in supports:
+            offsets = [o * A + k for o in offsets for k in sup]
+        stuck = None
+        if any(self.uncovered_bits >> o & 1 for o in offsets):
+            columns, positions = [list(range(A))] * n, [list(k) for k in supports]
+            found = _GridCut(contexts, A, columns, positions).gather(
+                self.uncovered, smooth
+            )
+            stuck = None if found is None else found[0]
+        plan = self.plans[pattern] = _Plan(entries, stuck)
+        return plan
 
     def pair(self, flat: int) -> tuple:
         """The (context element, read symbols) pair at a flat index."""
@@ -344,12 +432,127 @@ class _SectionTable:
         )
 
 
+def _positions(cols: list, supports: list) -> list | None:
+    """Per tape, the positions in its sorted read columns of the symbols
+    its head supports, or None when some tape keeps none."""
+    out = []
+    for c, sup in zip(cols, supports):
+        pos = [i for i, k in zip(map(bisect_left, repeat(c), sup), sup)
+               if i < len(c) and c[i] == k]
+        if not pos:
+            return None
+        out.append(pos)
+    return out
+
+
+class _GridCut:
+    """A (contexts, |c1|, ..., |cn|) grid cut to the given positions of its
+    read columns ``cols``: per tape a slice when they run contiguously and
+    an index array otherwise.  ``picks`` holds their read symbols."""
+
+    __slots__ = (
+        "A", "grid", "shape", "per", "picks", "positions", "at", "fancy", "whole"
+    )
+
+    def __init__(self, contexts: int, A: int, cols: list, positions: list):
+        self.A = A
+        self.grid = (contexts, *map(len, cols))
+        self.positions = tuple(map(tuple, positions))
+        self.shape = (contexts, *map(len, positions))
+        self.per = prod(self.shape[1:])
+        self.whole = self.shape == self.grid
+        self.picks = [[c[i] for i in pos] for c, pos in zip(cols, positions)]
+        at, self.fancy = [slice(None)], []
+        for axis, (c, pos) in enumerate(zip(cols, positions), 1):
+            if pos[-1] - pos[0] == len(pos) - 1:
+                at.append(slice(pos[0], pos[-1] + 1))
+            else:
+                at.append(slice(None))
+                self.fancy.append((axis, pos))
+        self.at = tuple(at)
+
+    def cut(self, a: np.ndarray) -> np.ndarray:
+        """A flat array over the grid, cut, in the cut grid's shape."""
+        a = a.reshape(self.grid)[self.at]
+        for axis, pos in self.fancy:
+            a = a.take(pos, axis=axis)
+        return a
+
+    def take(self, a: np.ndarray, grids: dict) -> np.ndarray:
+        """A flat array over the grid, cut and raveled: a view of ``a`` when
+        the slices allow one, else a copy shared through ``grids`` by every
+        plan that cuts the same array the same way (tables share copy-tract
+        arrays).  The copy is kept with ``a``, so no other array takes its
+        id."""
+        key = ("cut", id(a), self.grid, self.positions)
+        found = grids.get(key)
+        if found is not None:
+            return found[1]
+        out = _read_only(self.cut(a).reshape(-1))
+        if not np.may_share_memory(out, a):
+            grids[key] = (a, out)
+        return out
+
+    def ctx(self, grids: dict):
+        """Each cut pair's context index, or None when that is the pair's
+        own position."""
+        if self.per == 1:
+            return None
+        key = ("ctx", self.shape[0], self.per)
+        a = grids.get(key)
+        if a is None:
+            a = np.repeat(np.arange(self.shape[0]), self.per)
+            a = grids[key] = _read_only(a)
+        return a
+
+    def syms(self, grids: dict, j: int) -> np.ndarray:
+        """Each cut pair's read symbol on tape j."""
+        key = ("sym", self.shape, j, tuple(self.picks[j]))
+        a = grids.get(key)
+        if a is None:
+            axis = [1] * len(self.shape)
+            axis[j + 1] = -1
+            column = np.array(self.picks[j], dtype=np.intp).reshape(axis)
+            a = np.broadcast_to(column, self.shape).reshape(-1)
+            a = grids[key] = _read_only(a)
+        return a
+
+    def gather(self, mask: np.ndarray, smooth: list, src=None):
+        """``((ctx, syms), pairs)`` at the cut positions a bool mask over the
+        grid marks, or None when it marks none: ``pairs`` locates them in
+        ``src`` (the grid's marked pairs in order) when the cut is not the
+        whole grid."""
+        found = np.nonzero(self.cut(mask))
+        if not found[0].size:
+            return None
+        ctx, picks = found[0], [
+            np.array(p, dtype=np.intp)[i] for p, i in zip(self.picks, found[1:])
+        ]
+        syms = tuple((j, _read_only(p)) for j, p in enumerate(picks) if smooth[j])
+        pairs = None
+        if src is not None and not self.whole:
+            digits = (self.A,) * len(picks)
+            pairs = np.searchsorted(src, np.ravel_multi_index(
+                (ctx, *picks), (self.shape[0], *digits)
+            ))
+        if self.per == 1 and ctx.size == self.shape[0]:
+            ctx = None  # every context, once each
+        else:
+            _read_only(ctx)
+        return (ctx, syms), pairs
+
+
 def _bits(offsets: np.ndarray) -> int:
     """A bit mask with bit k set for each offset k."""
     mask = 0
     for k in offsets.tolist():
         mask |= 1 << k
     return mask
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def lower_sections(sm: SectionMachine) -> Machine:

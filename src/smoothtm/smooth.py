@@ -261,7 +261,9 @@ _OPS_CACHE: "WeakKeyDictionary[Machine, dict]" = WeakKeyDictionary()
 
 def machine_ops(m: Machine) -> dict:
     """The pushforwards along the transition components, cached per machine:
-    one :class:`LinearOp` on ``to_q`` and one per tape on ``to_w``/``to_d``."""
+    one :class:`LinearOp` on ``to_q`` and one per tape on ``to_w``/``to_d``.
+    Their domain, the (state, read symbols) product, is known by its
+    factors, so no tuple of it is listed."""
     ops = _OPS_CACHE.get(m)
     if ops is None:
         joint = product_set(m.states, *([m.alphabet] * m.num_tapes))
@@ -280,6 +282,7 @@ def superpose_tape(
     dirs: np.ndarray,
     move: int | None = None,
     row_err: float | None = None,
+    same: bool = False,
 ) -> SmoothTape:
     """Write at the head, then form the per-cell superposition over moves.
 
@@ -287,7 +290,9 @@ def superpose_tape(
     DIRECTIONS.  A caller that knows ``dirs`` is the point mass at DIRECTIONS
     index ``move`` passes it, and ``dirs`` is then not read; one that knows
     ``abs(sum(write) - 1.0)`` passes it as ``row_err``, and ``write`` is then
-    not summed on a point-mass move.
+    not summed on a point-mass move.  One that knows ``write`` is bit for
+    bit the head's row passes ``same``: a point-mass move then keeps the
+    cells and shifts only the window.
 
     A point-mass move is a pure re-indexing of the written tape, so it writes
     one row and shifts the window; any other move takes the general
@@ -303,6 +308,16 @@ def superpose_tape(
         move = moves[0]
     d = DIRECTIONS.elements[move]
     lo, cells, row = tape.lo, tape.cells, write
+    if same:
+        if row_err is None:
+            row_err = abs(_vector_sum(row) - 1.0)
+        blank = len(cells) == 1 and exact_point_row(
+            cells[0], tape.alphabet.index(tape.blank)
+        )  # the blank tape, which does not move
+        return SmoothTape._trusted(
+            tape.alphabet, tape.blank, 0 if blank else lo - d, cells,
+            max(tape.err, row_err),
+        )
     hi = lo + len(cells) - 1
     if lo <= 0 <= hi:
         cells = cells.copy()
@@ -553,9 +568,19 @@ def _labels(base: FiniteSet) -> list[str]:
     return [str(x) for x in base.elements]
 
 
+def _sorted_labels(labels: list[str]) -> tuple[list[int], list[str]]:
+    """The positions of rendered labels in sorted label order (a stable
+    sort), and the labels in that order."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return order, [labels[i] for i in order]
+
+
 def dist_obj(base: FiniteSet, weights) -> dict:
-    """``{label: weight}`` over the support of a weight vector on ``base``."""
-    return dist_obj_row(_labels(base), np.asarray(weights, dtype=np.float64).tolist())
+    """``{label: weight}`` over the support of a weight vector on ``base``,
+    in sorted key order."""
+    order, labels = _sorted_labels(_labels(base))
+    row = np.asarray(weights, dtype=np.float64)[order]
+    return dist_obj_row(labels, row.tolist())
 
 
 def dist_obj_row(labels: list[str], row: list[float]) -> dict:
@@ -564,12 +589,14 @@ def dist_obj_row(labels: list[str], row: list[float]) -> dict:
 
 
 def tape_obj(t: SmoothTape) -> dict:
-    labels = [str(x) for x in t.alphabet.elements]
-    cells = [dist_obj_row(labels, row) for row in t.cells.tolist()]
-    return {"lo": t.lo, "cells": cells}
+    """The tape as JSON, every object in sorted key order."""
+    order, labels = _sorted_labels([str(x) for x in t.alphabet.elements])
+    rows = t.cells if order == list(range(len(order))) else t.cells[:, order]
+    return {"cells": [dist_obj_row(labels, row) for row in rows.tolist()], "lo": t.lo}
 
 
 def config_obj(s: SmoothConfig) -> dict:
+    """The configuration as JSON, every object in sorted key order."""
     return {
         "state": dist_obj(s.state.base, s.state.weights),
         "tapes": [tape_obj(t) for t in s.tapes],
@@ -743,7 +770,9 @@ def tape_from_obj(obj, alphabet: FiniteSet, blank, path: str) -> SmoothTape:
 
 
 def format_config(s: SmoothConfig) -> str:
-    return json.dumps(config_obj(s), sort_keys=True)
+    """The configuration as JSON; :func:`config_obj` builds every object in
+    sorted key order, so the text is what ``sort_keys=True`` would give."""
+    return json.dumps(config_obj(s))
 
 
 def parse_config(text: str, m: Machine) -> SmoothConfig:

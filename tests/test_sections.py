@@ -859,11 +859,13 @@ def test_step_matches_full_joint_reference_utm():
             else:
                 assert counts["some"] > 0 and counts["none"] > 0
                 assert not counts["all"]
-        entries = [e for sid in machine.machine.sections
-                   for e in machine.machine.table(sid).entries]
-        # a guarded grid cut under a partly-point pattern
-        assert any(e.keep is not None and max(f) >= 0 > min(f)
-                   for e in entries for f in e.cuts)
+        plans = [(p, plan) for sid in machine.machine.sections
+                 for p, plan in machine.machine.table(sid).plans.items()]
+        # a guarded entry's plan under a partly-point pattern
+        assert any(
+            e.keep is not None and p != "all" and len({type(k) for k in p}) == 2
+            for p, plan in plans for e, *_ in plan.entries
+        )
 
 
 def partly_point_machine():
@@ -902,25 +904,37 @@ def test_partly_point_heads_on_three_tapes_match_full_joint_reference():
     sm = partly_point_machine()
     counts = Counter()
     patterns = set()
+    smooth = (0, 1, 2)  # the symbols a smooth head supports
     for symbol in ("A", "B"):
         for pattern in product((True, False), repeat=3):
             cfg = partly_point_config(sm, symbol, pattern, [0.5, 0.5, 0.0])
             reference_stepper(counts)(cfg)
-            patterns.add(tuple(AB.index(symbol) if p else -1 for p in pattern))
+            patterns.add(tuple(AB.index(symbol) if p else smooth for p in pattern))
     assert counts == {"all": 2, "some": 12, "none": 2}
     table = sm.table("S")
     assert np.flatnonzero(table.uncovered).size == 3
     walk, turn, stop = table.entries
-    for e in table.entries:
-        cols = [c.tolist() for c in e.cols]
-        assert set(e.cuts) == {
-            f for f in patterns if all(k < 0 or k in c for k, c in zip(f, cols))
-        }
-        for keep, tgt, ws, ds in e.cuts.values():
-            assert (keep is None) == (e is walk)
-            for a in (tgt, *ws, *ds) + ((keep,) if keep is not None else ()):
-                assert not a.flags.writeable
-    assert turn.cuts[(-1, -1, AB.index("B"))][1].size == 0
+    assert set(table.plans) == patterns
+    A, B = AB.index("A"), AB.index("B")
+    for pattern, plan in table.plans.items():
+        # every entry that reads the point heads' symbols, but the turn's
+        # guard keeps no pair whose third tape reads B
+        assert [e for e, *_ in plan.entries] == [
+            e for e in table.entries
+            if all(k == smooth or k in c.tolist() for k, c in zip(pattern, e.cols))
+            and not (e is turn and pattern[2] == B)
+        ]
+        assert (plan.stuck is None) == (A in (pattern[0], pattern[2]))
+        free = [j for j, k in enumerate(pattern) if k == smooth]
+        arrays = []
+        for e, ctx, syms, tgt, ws, ds in plan.entries:
+            assert [j for j, _ in syms] == free
+            arrays += [ctx, *(s for _, s in syms), tgt, *ws, *ds]
+        if plan.stuck is not None:
+            ctx, syms = plan.stuck
+            assert [j for j, _ in syms] == free
+            arrays += [ctx, *(s for _, s in syms)]
+        assert all(not a.flags.writeable for a in arrays if a is not None)
 
 
 def test_stuck_mass_under_partly_point_heads_names_the_joint_mass():
@@ -936,11 +950,70 @@ def test_stuck_mass_under_partly_point_heads_names_the_joint_mass():
     )
 
 
+def sparse_head_machine():
+    """Two tapes over eight symbols and one section: a declarative walk on
+    tape-1 symbols A, C, G, a guarded turn on E that leaves the pairs whose
+    second tape reads C uncovered, a guarded far tract on B, D, F that
+    leaves context x uncovered, and a guarded stop on blank that leaves
+    context z uncovered."""
+    ab8 = FiniteSet(["_", "A", "B", "C", "D", "E", "F", "G"])
+    every = frozenset(ab8.elements)
+    ctx = FiniteSet(["x", "y", "z"])
+
+    def tract(label, reads, guard, index_map):
+        return Tract("S", "S", (frozenset(reads), every), label=label,
+                     guard=guard, index_map=index_map)
+
+    walk = Tract("S", "S", (frozenset("ACG"), every), write=(None, "B"),
+                 move=(1, -1), label="walk")
+    tracts = [
+        walk,
+        tract("turn", "E", lambda xi, s: s[:, 1] != ab8.index("C"),
+              lambda xi, s: ((xi + 1) % 3, s[:, ::-1], np.zeros_like(s))),
+        tract("far", "BDF", lambda xi, s: xi != 0,
+              lambda xi, s: (2 - xi, s, np.ones_like(s))),
+        tract("stop", "_", lambda xi, s: xi != 2,
+              lambda xi, s: (xi, s, -np.ones_like(s))),
+    ]
+    return SectionMachine({"S": ctx}, tracts, ab8, "_", 2)
+
+
+@pytest.mark.parametrize("heads", [
+    ({"A": 0.25, "E": 0.75}, {"_": 0.5, "B": 0.25, "D": 0.25}),
+    ({"A": 0.25, "E": 0.75}, {"D": 1.0}),
+    ({"E": 1.0}, {"_": 0.5, "B": 0.25, "D": 0.25}),
+])
+def test_sparse_smooth_heads_match_full_joint_reference(heads):
+    """Heads smooth over a few of eight symbols: the far and stop tracts
+    and every uncovered pair sit at offsets the heads do not support, and
+    the turn's and walk's read columns are cut to the supported ones, so
+    only those entries are planned, with no stuck check; each step
+    matches the full joint bit for bit.  A head that supports B reads the
+    far tract's uncovered context x, and the step raises."""
+    sm = sparse_head_machine()
+    ab8 = sm.alphabet
+    cells = [[Dist.from_pairs(ab8, h)] for h in heads]
+    tapes = tuple(SmoothTape.from_dists(ab8, "_", 0, c) for c in cells)
+    cfg = SectionConfig(sm, {"S": np.array([0.25, 0.5, 0.25])}, tapes, 0.0)
+    counts = Counter()
+    reference_stepper(counts)(cfg)
+    assert sum(counts.values()) == 1 and not counts["all"]
+    (pattern, plan), = sm.table("S").plans.items()
+    planned = ["walk", "turn"] if "A" in heads[0] else ["turn"]
+    assert [e.label for e, *_ in plan.entries] == planned
+    assert plan.stuck is None
+    assert np.count_nonzero(sm.table("S").uncovered) == 3 + 3 * 8 + 8
+    wide = Dist.from_pairs(ab8, {"A": 0.5, "B": 0.5})
+    cfg.tapes = (SmoothTape.from_dists(ab8, "_", 0, [wide]), tapes[1])
+    with pytest.raises(StuckError, match="unspecified transitions of section 'S'"):
+        section_smooth_step(cfg)
+
+
 def test_single_tape_compile_cuts_never_copy():
-    """A compiled simulator has one tape, whose head is fixed or not, so a
-    cycle scatters through the whole grid or one strided column of it, and
-    every cut a fresh compile caches shares memory with its entry's
-    arrays."""
+    """A compiled simulator has one tape, so a plan whose head is a point
+    mass scatters through one strided column of each entry's grid, and one
+    whose head supports every read column through the whole grid: either
+    way a fresh compile's plan arrays share memory with its entry's."""
     rng = np.random.default_rng(2)
     m = random_machine(rng, 2, 2, 2)
     sim = compile_multitape(m)
@@ -950,13 +1023,19 @@ def test_single_tape_compile_cuts_never_copy():
         x = multitape.to_section_config(sim, multitape.encode(sim, s))
         _, rep = check_well_behaved(triple, x)
         assert rep.cycle_length is not None and not rep.violations
-    entries = [e for t in sim.machine._tables.values() for e in t.entries]
-    assert {f == (-1,) for e in entries for f in e.cuts} == {True, False}
-    for e in entries:
-        for keep, tgt, ws, ds in e.cuts.values():
-            assert keep is None
-            for a, b in zip((tgt, *ws, *ds), (e.tgt, *e.w_idx, *e.d_idx)):
-                assert np.shares_memory(a, b)
+    shared = Counter()
+    for table in sim.machine._tables.values():
+        for pattern, plan in table.plans.items():
+            k = pattern if pattern == "all" else pattern[0]
+            for e, ctx, syms, tgt, ws, ds in plan.entries:
+                assert e.keep is None
+                full = k == "all" or type(k) is tuple and set(e.cols[0].tolist()) <= set(k)
+                if type(k) is not int and not full:
+                    continue
+                for a, b in zip((tgt, *ws, *ds), (e.tgt, *e.w_idx, *e.d_idx)):
+                    assert np.shares_memory(a, b)
+                shared[full] += 1
+    assert shared[True] and shared[False]
 
 
 def test_step_with_negative_weight_matches_full_joint_reference():
@@ -1026,7 +1105,6 @@ def assert_tables_match_array_walk(sm) -> list[bool]:
                 assert not e.keep.flags.writeable
                 pairs = pairs[e.keep]
             np.testing.assert_array_equal(e.src, pairs)
-            assert e.bits == sum(1 << int(o) for o in offsets)
     return unguarded
 
 

@@ -223,6 +223,29 @@ def test_config_format_round_trip():
     assert s2.deviation(s) == 0.0
 
 
+def test_config_format_builds_objects_in_sorted_key_order():
+    """The text is what ``sort_keys=True`` would give, also for labels whose
+    alphabet order is not their string order and for two that render
+    alike, without sorting at dump time."""
+    import json
+
+    from smoothtm.smooth import config_obj
+
+    alphabet = FiniteSet(["_", 10, 9, "b", "a", 1, "1"])
+    states = FiniteSet(["q", "p", 2, "10"])
+    rows = np.random.default_rng(7).dirichlet(np.ones(len(alphabet)), size=4)
+    rows[1] = np.eye(len(alphabet))[3]
+    tape = SmoothTape(alphabet, "_", -2, rows)
+    configs = [SmoothConfig(Dist(states, [0.25, 0.0, 0.5, 0.25]), (tape, tape))]
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3):
+        m = random_machine(rng, n, 3, 3)
+        configs.append(random_smooth_config(m, rng, radius=2))
+    for s in configs:
+        assert format_config(s) == json.dumps(config_obj(s), sort_keys=True)
+        assert list(json.loads(format_config(s))["tapes"][0]) == ["cells", "lo"]
+
+
 def test_config_parse_errors():
     from smoothtm.machines import FormatError
 
@@ -407,6 +430,32 @@ def test_known_move_superposes_like_read_move(size):
             assert (got.lo, got.err) == (want.lo, want.err)
             assert got.cells.tobytes() == want.cells.tobytes()
     assert seen == {"left of", "left end", "inside", "right end", "right of"}
+
+
+def test_rewritten_point_row_keeps_the_cells():
+    """A point-mass head row written back as it is (``same``) shifts only
+    the window: the tape equals the written one bit for bit wherever the
+    head is, the blank tape included, and its cells are not copied."""
+    rng = np.random.default_rng(64)
+    seen = set()
+    tapes = [SmoothTape.blank_tape(AB_, "_")]
+    for _ in range(200):
+        cells = [random_cell(rng) for _ in range(int(rng.integers(1, 6)))]
+        tapes.append(SmoothTape.from_dists(AB_, "_", int(rng.integers(-7, 4)), cells))
+    for tape in tapes:
+        row = tape.row(0)
+        if np.count_nonzero(row) != 1:
+            continue
+        seen.add("blank" if tape.cells.shape[0] == 1 and row[0] == 1.0
+                 else "outside" if tape.lo > 0 or tape.hi < 0 else "inside")
+        for k, d in enumerate(DIRECTIONS):
+            dirs = Dist.point(DIRECTIONS, d).weights
+            got = superpose_tape(tape, row, dirs, k, 0.0, True)
+            want = superpose_tape(tape, row.copy(), dirs, k, 0.0)
+            assert (got.lo, got.err) == (want.lo, want.err)
+            assert got.cells.tobytes() == want.cells.tobytes()
+            assert got.cells is tape.cells
+    assert seen == {"blank", "outside", "inside"}
 
 
 @pytest.mark.parametrize(
@@ -940,6 +989,24 @@ def test_push_local_rejects_ops_over_another_domain():
     for other in (relabeled, random_machine(np.random.default_rng(0), 1, 2, 3)):
         with pytest.raises(ValueError, match="operator domain"):
             push_local(s, machine_ops(other))
+
+
+def test_machine_ops_build_no_joint_tuples():
+    """The operators' joint domain is known by its factors: building them
+    and stepping through them lists no (state, symbols) tuple, and the
+    domain still equals the listed product."""
+    from smoothtm.dists import product_set
+
+    rng = np.random.default_rng(9)
+    m = random_machine(rng, 3, 3, 3)
+    ops = machine_ops(m)
+    domain = ops["state"].domain
+    push_local(random_smooth_config(m, rng, radius=1), ops)
+    with pytest.raises(AttributeError):
+        FiniteSet.elements.__get__(domain)  # the slot was never filled
+    assert len(domain) == 3 * 3**3
+    listed = FiniteSet(product_set(m.states, *[m.alphabet] * 3).elements)
+    assert domain == listed and listed == domain
 
 
 def test_push_local_checks_joint_mass():
