@@ -198,9 +198,12 @@ class LinearOp:
     """A linear map between free vector spaces on finite sets, as entries.
 
     Entry k adds ``weight[k]`` (or a scalar ``weight``) times coordinate
-    ``src[k]`` (default: k) to coordinate ``dst[k]``.  :meth:`push` adds them
-    with ``np.bincount`` in entry order, the same order on every host, so an
-    induced operator (weight 1.0) carries point masses to point masses exactly.
+    ``src[k]`` (``src`` None: k) to coordinate ``dst[k]``.  :meth:`push`
+    adds them with ``np.bincount`` in entry order, the same order on every
+    host, so an induced operator (weight 1.0) carries point masses to point
+    masses exactly.  An operator without ``src`` keeps no index array, and
+    the scalar weight 1.0 is kept as None and multiplies nothing; a product
+    with 1.0 is exact, so the values are the same bit for bit.
     """
 
     __slots__ = ("domain", "codomain", "dst", "src", "weight")
@@ -209,12 +212,15 @@ class LinearOp:
         self.domain = domain
         self.codomain = codomain
         self.dst = np.ascontiguousarray(dst, dtype=np.intp)
-        self.src = np.arange(len(domain)) if src is None else src
-        self.weight = weight
+        self.src = src
+        self.weight = None if np.ndim(weight) == 0 and weight == 1.0 else weight
 
     def push(self, w: np.ndarray) -> np.ndarray:
         """The image of the weight vector ``w`` over the domain."""
-        return np.bincount(self.dst, w[self.src] * self.weight, len(self.codomain))
+        vals = w if self.src is None else w[self.src]
+        if self.weight is not None:
+            vals = vals * self.weight
+        return np.bincount(self.dst, vals, len(self.codomain))
 
     def __call__(self, d: Dist) -> Dist:
         if d.base != self.domain:

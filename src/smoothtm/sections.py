@@ -12,11 +12,15 @@ index map may carry a guard, a bool mask over the same pairs, which
 restricts the tract to part of its (context x symbols) rectangle, so two
 tracts over the same read symbols may split a section by context.
 
-:meth:`SectionMachine.table` compiles one section into index arrays; it is
-the only code that evaluates guards and index maps, validates what they give
-and checks that no two tracts overlap, on one bool mask of the pairs they
-cover.  Lowering, the serialization and the smooth engine all read these
-tables.
+:meth:`SectionMachine.table` compiles one section; it is the only code
+that evaluates guards and index maps, validates what they give and checks
+that no two tracts overlap, on one bool mask of the pairs they cover.  An
+index map's entry keeps the arrays it gave; a declarative tract's keeps
+only its factors and derives its per-pair arrays when they are read.
+Lowering, the serialization and the smooth engine all read these tables;
+the engine reads them through step plans (:meth:`SectionMachine.plan`),
+built from each read set's symbol-position maps, whose declarative arrays
+are grid index arrays the machine shares by shape.
 
 Lowering produces an ordinary :class:`~smoothtm.machines.Machine` whose state
 set is the disjoint union of the contexts tagged by section id; it is the
@@ -27,9 +31,8 @@ engine raises :class:`~smoothtm.engine.StuckError` on mass that reaches one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product
 from math import prod
 from typing import Callable, Hashable
 
@@ -92,11 +95,10 @@ class SectionMachine:
     num_tapes: int
     # section id -> compiled table, built on first use
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # per read-set tuple: read combos, offsets and read columns
+    # per read-set tuple: read combos, offsets, read columns, symbol positions
     _reads: dict = field(default_factory=dict, repr=False, compare=False)
-    # broadcast copy-tract arrays, shared by every table
-    _copies: dict = field(default_factory=dict, repr=False, compare=False)
-    # step plans' context and symbol index arrays, shared by grid shape
+    # step plans' context, symbol and fill index arrays, shared by grid shape,
+    # and declarative entries' plan arrays, shared by factors and picks
     _grids: dict = field(default_factory=dict, repr=False, compare=False)
     # position of each section id in ``sections``
     rank: dict = field(init=False, repr=False, compare=False)
@@ -153,63 +155,180 @@ class SectionMachine:
         return plan
 
     def _read_combos(self, reads: tuple) -> tuple:
-        """The alphabet indices of every read combination in product order,
-        their offsets and the per-tape read columns; built once per read
-        sets."""
+        """One read-set tuple's grid columns, built once and read-only: the
+        alphabet indices of every read combination in product order, their
+        offsets (increasing), the per-tape read columns, per tape a list
+        over the alphabet of each symbol's position in its read column (-1
+        when the tape does not read it), and a bit mask with bit k set for
+        each offset k."""
         found = self._reads.get(reads)
         if found is None:
             A, n = self.alphabet, self.num_tapes
             read_idx = [sorted(A.index(s) for s in rs) for rs in reads]
             combos = np.array(list(product(*read_idx)), dtype=np.intp).reshape(-1, n)
             offsets = np.ravel_multi_index(tuple(combos.T), (len(A),) * n)
-            cols = tuple(np.array(c, dtype=np.intp) for c in read_idx)
-            for c in cols:
-                c.flags.writeable = False
-            found = self._reads[reads] = (combos, offsets, cols)
-        return found
-
-    def _copy_arrays(self, contexts: int, t: Tract) -> tuple:
-        """Index arrays of a declarative tract that keeps a context of size
-        ``contexts``; built by broadcasting once per shape and then shared."""
-        key = (contexts, t.reads, t.write, t.move)
-        arrays = self._copies.get(key)
-        if arrays is None:
-            A = self.alphabet
-            combos, offsets = self._read_combos(t.reads)[:2]
-            xi = np.arange(contexts, dtype=np.intp)
-            src = (xi[:, None] * len(A) ** self.num_tapes + offsets).reshape(-1)
-            tgt = np.repeat(xi, len(offsets))
-            w_idx = tuple(
-                np.tile(combos[:, j], contexts) if w is None
-                else np.full(src.size, A.index(w), dtype=np.intp)
-                for j, w in enumerate(t.write)
+            cols = tuple(_read_only(np.array(c, dtype=np.intp)) for c in read_idx)
+            where = []
+            for c in read_idx:
+                pos = [-1] * len(A)
+                for i, k in enumerate(c):
+                    pos[k] = i
+                where.append(pos)
+            found = self._reads[reads] = (
+                _read_only(combos), _read_only(offsets), cols, tuple(where),
+                _bits(offsets),
             )
-            d_idx = tuple(np.full(src.size, d + 1, dtype=np.intp) for d in t.move)
-            arrays = self._copies[key] = (src, tgt, w_idx, d_idx)
-        return arrays
+        return found
 
 
 @dataclass(slots=True)
 class _TractEntry:
-    """One tract's pairs in a compiled section; ``move`` is set when all move
-    alike (a declarative tract's do; an index map's are checked).
+    """One tract's pairs in a compiled section.
 
-    Every entry is the (contexts, |c1|, ..., |cn|) grid of every context
-    with the product of its read columns ``cols``, row-major; a guarded
-    entry's pairs are the positions its guard's read-only mask ``keep``
-    marks."""
+    Every entry is the (contexts, |c1|, ..., |cn|) grid of every source
+    context with the product of its read columns ``cols``, row-major; a
+    guarded entry's pairs are the positions its guard's read-only mask
+    ``keep`` marks.  ``move`` is set when all pairs move alike (a
+    declarative tract's do; an index map's are checked).  Either kind gives
+    its pairs' flat indices ``src`` (strictly increasing), target context
+    indices ``tgt``, and per tape the written alphabet indices ``w_idx`` and
+    the DIRECTIONS indices (move + 1) ``d_idx``: read-only intp arrays in
+    grid order.  ``cut`` gives the entry's item in a step plan."""
 
     target: str
-    src: np.ndarray  # flat (context, symbols) indices, strictly increasing
-    tgt: np.ndarray  # target context indices
-    w_idx: tuple  # per tape, alphabet indices
-    d_idx: tuple  # per tape, DIRECTIONS indices (move + 1)
     label: str
     tract: int  # position in the machine's tract list
     move: tuple | None  # per tape, the DIRECTIONS index the engine moves by
     size: int  # the target section's context size
+    contexts: int  # the source section's context size
+    stride: int  # |A|**n, the flat index of context 1's first pair
     cols: tuple  # per tape, the read alphabet indices, sorted
+    offsets: np.ndarray  # the read offsets of the grid's columns
+    where: tuple  # per tape, each symbol's position in ``cols``, or -1
     keep: np.ndarray | None  # the guard's mask over the grid
+
+
+@dataclass(slots=True)
+class _CopyEntry(_TractEntry):
+    """A declarative tract's entry, kept as its factors: the target context
+    is the source context, and per tape the write is a constant or the read
+    symbol and the move is ``move``.  Its per-pair arrays are derived on
+    access, not stored."""
+
+    write: tuple  # per tape, a constant alphabet index, or None to echo
+
+    @property
+    def src(self) -> np.ndarray:
+        xi = np.arange(self.contexts, dtype=np.intp)[:, None]
+        return _read_only((xi * self.stride + self.offsets).reshape(-1))
+
+    @property
+    def tgt(self) -> np.ndarray:
+        xi = np.arange(self.contexts, dtype=np.intp)
+        return _read_only(np.repeat(xi, self.offsets.size))
+
+    @property
+    def w_idx(self) -> tuple:
+        grid = (self.contexts, *map(len, self.cols))
+        return tuple(
+            _column(grid, j, c) if w is None else self._fill(w)
+            for j, (w, c) in enumerate(zip(self.write, self.cols))
+        )
+
+    @property
+    def d_idx(self) -> tuple:
+        return tuple(map(self._fill, self.move))
+
+    def _fill(self, k: int) -> np.ndarray:
+        size = self.contexts * self.offsets.size
+        return _read_only(np.full(size, k, dtype=np.intp))
+
+    def cut(self, picks: list, grids: dict) -> tuple:
+        """The plan item at ``picks`` (see :meth:`_SectionTable.plan`), all
+        of whose arrays are the machine's grid index arrays, shared by shape
+        through ``grids``: the target is the context index, an echoed write
+        the read symbol, and a constant write or move a fill."""
+        key = ("copy", self.contexts, self.write, self.move,
+               tuple(p if type(p) is int else tuple(p) for p in picks))
+        arrays = grids.get(key)
+        if arrays is None:
+            shape = (self.contexts, *(1 if type(p) is int else len(p) for p in picks))
+            per = prod(shape[1:])
+            size = self.contexts * per
+            tgt = _grid_ctx(grids, self.contexts, per)
+            syms = tuple(
+                (j, _grid_column(grids, shape, j, p))
+                for j, p in enumerate(picks) if type(p) is not int
+            )
+            read = dict(syms)
+            ws = tuple(
+                read[j] if w is None and j in read
+                else _grid_fill(grids, size, p if w is None else w)
+                for j, (w, p) in enumerate(zip(self.write, picks))
+            )
+            ds = tuple(_grid_fill(grids, size, d) for d in self.move)
+            arrays = grids[key] = (None if per == 1 else tgt, syms, tgt, ws, ds)
+        return (self, *arrays)
+
+
+@dataclass(slots=True)
+class _MapEntry(_TractEntry):
+    """An index map's entry: the arrays it gave for the pairs it covers,
+    validated once, and those pairs' flat indices."""
+
+    src: np.ndarray  # flat (context, symbols) indices, strictly increasing
+    tgt: np.ndarray  # target context indices
+    w_idx: tuple  # per tape, alphabet indices
+    d_idx: tuple  # per tape, DIRECTIONS indices (move + 1)
+
+    def cut(self, picks: list, grids: dict) -> tuple | None:
+        """The plan item at ``picks`` (see :meth:`_SectionTable.plan`), or
+        None when the guard keeps none of those pairs.  Unguarded, the
+        arrays are strided views of the entry's under point heads and the
+        entry's own under heads that support every read column; any other
+        cut is sliced or gathered through a :class:`_GridCut`."""
+        n, per = len(picks), self.offsets.size
+        arrays = (self.tgt, *self.w_idx, *self.d_idx)
+        smooth = [type(p) is not int for p in picks]
+        grid = (self.contexts, *map(len, self.cols))
+        if self.keep is None and not any(smooth):
+            at = 0
+            for where, c, k in zip(self.where, self.cols, picks):
+                at = at * len(c) + where[k]
+            tgt, *idx = (a[at::per] for a in arrays)
+            return self, None, (), tgt, tuple(idx[:n]), tuple(idx[n:])
+        if self.keep is None and all(smooth) and tuple(map(len, picks)) == grid[1:]:
+            ctx = None if per == 1 else _grid_ctx(grids, self.contexts, per)
+            syms = tuple(
+                (j, _grid_column(grids, grid, j, p)) for j, p in enumerate(picks)
+            )
+            return self, ctx, syms, self.tgt, self.w_idx, self.d_idx
+        picks = [p if s else [p] for p, s in zip(picks, smooth)]
+        cut = _GridCut(grid, [[w[k] for k in p] for w, p in zip(self.where, picks)])
+        if self.keep is None:
+            ctx = None if cut.per == 1 else _grid_ctx(grids, self.contexts, cut.per)
+            syms = tuple(
+                (j, _grid_column(grids, cut.shape, j, p))
+                for j, p in enumerate(picks) if smooth[j]
+            )
+            tgt, *idx = (_read_only(cut.cut(a).reshape(-1)) for a in arrays)
+        else:
+            found = cut.gather(self.keep, picks, smooth)
+            if found is None:
+                return None
+            xi, syms, at = found
+            ctx = cut.context(xi)
+            if cut.whole:
+                tgt, *idx = arrays
+            else:  # the found pairs' places among the kept ones, by flat index
+                columns = np.ravel_multi_index(
+                    [np.array(p, dtype=np.intp)[i] for p, i in zip(cut.positions, at)],
+                    grid[1:],
+                )
+                flat = xi * self.stride + self.offsets[columns]
+                pairs = np.searchsorted(self.src, flat)
+                tgt, *idx = (_read_only(a[pairs]) for a in arrays)
+        return self, ctx, syms, tgt, tuple(idx[:n]), tuple(idx[n:])
 
 
 @dataclass(slots=True)
@@ -229,29 +348,34 @@ class _Plan:
 
 
 class _SectionTable:
-    """Index arrays of every tract leaving one section.
+    """Every tract leaving one section, compiled.
 
     A (context element, read symbols) pair has the flat index
     ``xi * |A|**n + offset``, with the symbols' alphabet indices as the
     big-endian digits of ``offset``.  Entries run in (tract, context, read
     symbols) order, the order in which the engine scatters mass, so sums are
     reproducible bit for bit; tracts covering nothing have no entry.  A
-    declarative tract takes the machine's shared broadcast arrays; an index
-    map is called once for all pairs its guard keeps, and what it gives is
-    validated here once.  Every entry keeps its read columns, and a guarded
-    one its guard's mask, so each is a grid.  One bool mask marks the pairs
-    each entry covers: it names the first pair two tracts share, and its
-    complement ``uncovered`` marks the pairs no tract covers, one byte
-    each; ``uncovered_bits`` marks the read offsets where it has one.
-    ``plans`` caches the engine's :class:`_Plan` per head pattern
-    (:meth:`plan`).  Every array is read-only, so machines may share a
-    table.  The table keeps no reference to its machine, which caches it,
-    so a machine is freed without the cycle collector.
+    declarative tract's entry keeps only its factors and the read set's
+    columns, which the machine builds once per read sets (:class:`_CopyEntry`);
+    an index map is called once for all pairs its guard keeps, and what it
+    gives is validated here once (:class:`_MapEntry`).  Each entry is a grid
+    over its read columns, and a guarded one keeps its guard's mask.  One
+    (contexts x |A|**n) bool mask, marked grid by grid at each entry's read
+    offsets, names the first pair two tracts share; it is made only when a
+    tract's read offsets meet an earlier tract's, since no others can
+    overlap.  Its complement ``uncovered`` marks the pairs no tract covers,
+    one byte each, and is made on first read; ``uncovered_bits`` marks the
+    read offsets where it has one, read off the offsets' bits when no entry
+    is guarded.  ``plans``
+    caches the engine's :class:`_Plan` per head pattern (:meth:`plan`).
+    Every array is read-only, so machines may share a table.  The table
+    keeps no reference to its machine, which caches it, so a machine is
+    freed without the cycle collector.
     """
 
     __slots__ = (
-        "sid", "sections", "alphabet", "n", "entries", "uncovered", "uncovered_bits",
-        "plans",
+        "sid", "sections", "alphabet", "n", "entries", "uncovered_bits", "plans",
+        "_uncovered",
     )
 
     def __init__(self, sm: SectionMachine, sid: str):
@@ -262,41 +386,68 @@ class _SectionTable:
         self.plans = {}
         contexts = len(sm.sections[sid])
         size = len(A) ** n
-        covered = np.zeros(contexts * size, dtype=bool)
+        touched = 0  # the read offsets of the entries so far, as bits
+        guarded = False
         self.entries = []
+        self._uncovered = None
         for i in sm.leaving[sid]:
             t = sm.tracts[i]
-            combos, offsets, cols = sm._read_combos(t.reads)
-            if t.index_map is not None:
-                *arrays, keep = self._index_arrays(t, combos, offsets)
+            combos, offsets, cols, where, bits = sm._read_combos(t.reads)
+            names = (t.target, t.label, i)
+            frame = (len(sm.sections[t.target]), contexts, size, cols, offsets, where)
+            if t.index_map is None:
+                if not contexts * offsets.size:
+                    continue
+                write = tuple(w if w is None else A.index(w) for w in t.write)
+                move = tuple(d + 1 for d in t.move)
+                e = _CopyEntry(*names, move, *frame, None, write)
             else:
-                arrays, keep = sm._copy_arrays(contexts, t), None
-            src = arrays[0]
-            if not src.size:
-                continue
-            for a in (src, arrays[1], *arrays[2], *arrays[3]):
-                a.flags.writeable = False  # shared by machines and tracts
-            hit = covered[src]
-            if np.count_nonzero(hit):
-                flat = int(src[hit.argmax()])
-                first = next(e for e in self.entries if (e.src == flat).any())
-                x, syms = self.pair(flat)
-                raise ValueError(
-                    f"overlapping tracts {first.label!r} and {t.label!r} at "
-                    f"section {sid!r}, context {x!r}, symbols {syms!r}"
-                )
-            covered[src] = True
-            move = tuple(int(d[0]) for d in arrays[3])
-            if t.index_map and any((d != k).any() for d, k in zip(arrays[3], move)):
-                move = None
-            self.entries.append(_TractEntry(
-                t.target, *arrays, t.label, i, move,
-                len(sm.sections[t.target]), cols, keep,
-            ))
-        self.uncovered = ~covered
-        self.uncovered.flags.writeable = False
-        partly_covered = self.uncovered.reshape(-1, size).any(axis=0)
-        self.uncovered_bits = _bits(partly_covered.nonzero()[0])
+                src, tgt, w_idx, d_idx, keep = self._index_arrays(t, combos, offsets)
+                if not src.size:
+                    continue
+                move = tuple(int(d[0]) for d in d_idx)
+                if any(np.count_nonzero(d != k) for d, k in zip(d_idx, move)):
+                    move = None
+                e = _MapEntry(*names, move, *frame, keep, src, tgt, w_idx, d_idx)
+            if bits & touched:  # only entries that share a read offset can overlap
+                hit = self._covered()[:, offsets]
+                if e.keep is not None:
+                    hit &= e.keep.reshape(hit.shape)
+                if np.count_nonzero(hit):
+                    xi, k = divmod(int(hit.argmax()), offsets.size)
+                    flat = xi * size + int(offsets[k])
+                    first = next(f for f in self.entries if (f.src == flat).any())
+                    x, syms = self.pair(flat)
+                    raise ValueError(
+                        f"overlapping tracts {first.label!r} and {t.label!r} at "
+                        f"section {sid!r}, context {x!r}, symbols {syms!r}"
+                    )
+            touched |= bits
+            guarded |= e.keep is not None
+            self.entries.append(e)
+        if guarded:
+            partly = self.uncovered.reshape(contexts, size).any(axis=0)
+            self.uncovered_bits = _bits(partly.nonzero()[0])
+        else:  # each unguarded entry covers its offsets in every context
+            self.uncovered_bits = ~touched & (1 << size) - 1 if contexts else 0
+
+    @property
+    def uncovered(self) -> np.ndarray:
+        """One read-only bool per (context, read symbols) pair in flat index
+        order, set where no tract covers the pair; made on first use."""
+        if self._uncovered is None:
+            self._uncovered = _read_only(~self._covered().reshape(-1))
+        return self._uncovered
+
+    def _covered(self) -> np.ndarray:
+        """The (contexts x |A|**n) bool mask of the pairs the entries cover:
+        each entry's grid, or its guard's mask, at its read offsets."""
+        contexts, size = len(self.sections[self.sid]), len(self.alphabet) ** self.n
+        covered = np.zeros((contexts, size), dtype=bool)
+        for e in self.entries:
+            marks = True if e.keep is None else e.keep.reshape(contexts, -1)
+            covered[:, e.offsets] |= marks
+        return covered
 
     def plan(self, pattern, grids: dict) -> _Plan:
         """The step's plan under a head pattern, built on first use and cached.
@@ -304,57 +455,47 @@ class _SectionTable:
         ``pattern`` has one item per tape: the alphabet index of a head that
         is an exact point mass, which multiplies nothing, or the tuple of
         the symbols a smooth head supports; or it is ``"all"``, under which
-        every head is smooth over the whole alphabet.  Each grid is sliced
-        to the supported columns first, so the cost follows the cut: an
-        unguarded entry's arrays are the slices (the entry's own arrays when
-        nothing is cut), with context and symbol indices shared by shape
-        through ``grids``, and a guarded entry's, like the uncovered pairs',
-        are gathered at the positions its sliced mask marks.  The uncovered
-        mask is sliced only when ``uncovered_bits`` marks a supported
-        offset."""
+        every head is smooth over the whole alphabet.  Each entry's read
+        sets' symbol-position maps pick, per tape, the point symbol or the
+        supported symbols it reads, and an entry that reads none on some
+        tape is left out; the entry cuts its grid to the picks
+        (:meth:`_CopyEntry.cut`, :meth:`_MapEntry.cut`).  A declarative
+        entry's arrays are the machine's grid index arrays, shared by shape
+        through ``grids``; an unguarded index map's are its own or strided
+        views of them under point heads or heads that support every read
+        column, and slices or gathers otherwise.  The uncovered mask is
+        gathered only when ``uncovered_bits`` marks a supported offset."""
         A, n = len(self.alphabet), self.n
-        contexts = len(self.sections[self.sid])
-        if pattern == "all":
-            supports, smooth = [range(A)] * n, [True] * n
-        else:
-            supports = [(k,) if type(k) is int else k for k in pattern]
-            smooth = [type(k) is not int for k in pattern]
+        heads = [range(A)] * n if pattern == "all" else pattern
         entries = []
         for e in self.entries:
-            cols = [c.tolist() for c in e.cols]
-            positions = _positions(cols, supports)
-            if positions is None:
-                continue
-            cut = _GridCut(contexts, A, cols, positions)
-            if e.keep is None:
-                at = cut.ctx(grids), tuple(
-                    (j, cut.syms(grids, j)) for j in range(n) if smooth[j]
-                )
-                arrays = (e.tgt, *e.w_idx, *e.d_idx)
-                if cut.whole:
-                    tgt, *idx = arrays
+            picks = []
+            for where, k in zip(e.where, heads):
+                if type(k) is int:
+                    if where[k] < 0:
+                        break
+                    picks.append(k)
                 else:
-                    tgt, *idx = (cut.take(a, grids) for a in arrays)
+                    read = [s for s in k if where[s] >= 0]
+                    if not read:
+                        break
+                    picks.append(read)
             else:
-                found = cut.gather(e.keep, smooth, e.src)
-                if found is None:
-                    continue
-                at, pairs = found
-                tgt, *idx = (
-                    a if cut.whole else _read_only(a[pairs])
-                    for a in (e.tgt, *e.w_idx, *e.d_idx)
-                )
-            entries.append((e, *at, tgt, tuple(idx[:n]), tuple(idx[n:])))
+                item = e.cut(picks, grids)
+                if item is not None:
+                    entries.append(item)
+        supports = [[k] if type(k) is int else list(k) for k in heads]
         offsets = [0]
         for sup in supports:
             offsets = [o * A + k for o in offsets for k in sup]
         stuck = None
         if any(self.uncovered_bits >> o & 1 for o in offsets):
-            columns, positions = [list(range(A))] * n, [list(k) for k in supports]
-            found = _GridCut(contexts, A, columns, positions).gather(
-                self.uncovered, smooth
-            )
-            stuck = None if found is None else found[0]
+            cut = _GridCut((len(self.sections[self.sid]), *[A] * n), supports)
+            smooth = [type(k) is not int for k in heads]
+            found = cut.gather(self.uncovered, supports, smooth)
+            if found is not None:
+                xi, syms, _ = found
+                stuck = cut.context(xi), syms
         plan = self.plans[pattern] = _Plan(entries, stuck)
         return plan
 
@@ -369,19 +510,20 @@ class _SectionTable:
         )
 
     def _index_arrays(self, t: Tract, combos, offsets):
-        """Index arrays of a tract given by an index map, called once for all
-        the pairs its guard keeps, and its guard's read-only mask or None.
-        The map must land in the target context and give one alphabet index
-        and one move in -1/0/1 per tape."""
+        """Read-only index arrays of a tract given by an index map, called
+        once for all the pairs its guard keeps, and its guard's read-only
+        mask or None.  The map must land in the target context and give one
+        alphabet index and one move in -1/0/1 per tape."""
         A, n = self.alphabet, self.n
         contexts, per_context = len(self.sections[self.sid]), len(offsets)
         xi = np.repeat(np.arange(contexts, dtype=np.intp), per_context)
         src = (xi.reshape(contexts, per_context) * len(A) ** n + offsets).reshape(-1)
-        syms = np.broadcast_to(combos, (contexts, per_context, n)).reshape(-1, n)
+        syms = np.empty((contexts, per_context, n), dtype=np.intp)
+        syms[:] = combos
+        syms = syms.reshape(-1, n)
         keep = None
         if t.guard is not None:
-            keep = np.array(t.guard(xi, syms))
-            keep.flags.writeable = False
+            keep = _read_only(np.array(t.guard(xi, syms)))
             if keep.dtype != bool or keep.shape != xi.shape:
                 raise ValueError(
                     f"tract {t.label!r} at section {self.sid!r}: guard gives a "
@@ -418,10 +560,12 @@ class _SectionTable:
                 what = f"moves {tuple(d[k].tolist())!r}, not each in -1/0/1"
             raise self._bad(t, x, syms, what)
         return (
-            src,
-            tgt.astype(np.intp),
-            tuple(w[:, j].astype(np.intp) for j in range(n)),
-            tuple((d[:, j] + 1).astype(np.intp, copy=False) for j in range(n)),
+            _read_only(src),
+            _read_only(tgt.astype(np.intp)),
+            tuple(_read_only(w[:, j].astype(np.intp)) for j in range(n)),
+            tuple(
+                _read_only((d[:, j] + 1).astype(np.intp, copy=False)) for j in range(n)
+            ),
             keep,
         )
 
@@ -432,38 +576,21 @@ class _SectionTable:
         )
 
 
-def _positions(cols: list, supports: list) -> list | None:
-    """Per tape, the positions in its sorted read columns of the symbols
-    its head supports, or None when some tape keeps none."""
-    out = []
-    for c, sup in zip(cols, supports):
-        pos = [i for i, k in zip(map(bisect_left, repeat(c), sup), sup)
-               if i < len(c) and c[i] == k]
-        if not pos:
-            return None
-        out.append(pos)
-    return out
-
-
 class _GridCut:
-    """A (contexts, |c1|, ..., |cn|) grid cut to the given positions of its
-    read columns ``cols``: per tape a slice when they run contiguously and
-    an index array otherwise.  ``picks`` holds their read symbols."""
+    """A (contexts, m1, ..., mn) grid cut to the given positions on each
+    symbol axis: a slice where they run contiguously, an index array
+    otherwise."""
 
-    __slots__ = (
-        "A", "grid", "shape", "per", "picks", "positions", "at", "fancy", "whole"
-    )
+    __slots__ = ("grid", "shape", "per", "positions", "at", "fancy", "whole")
 
-    def __init__(self, contexts: int, A: int, cols: list, positions: list):
-        self.A = A
-        self.grid = (contexts, *map(len, cols))
-        self.positions = tuple(map(tuple, positions))
-        self.shape = (contexts, *map(len, positions))
+    def __init__(self, grid: tuple, positions: list):
+        self.grid = grid
+        self.positions = positions
+        self.shape = (grid[0], *map(len, positions))
         self.per = prod(self.shape[1:])
-        self.whole = self.shape == self.grid
-        self.picks = [[c[i] for i in pos] for c, pos in zip(cols, positions)]
+        self.whole = self.shape == grid
         at, self.fancy = [slice(None)], []
-        for axis, (c, pos) in enumerate(zip(cols, positions), 1):
+        for axis, pos in enumerate(positions, 1):
             if pos[-1] - pos[0] == len(pos) - 1:
                 at.append(slice(pos[0], pos[-1] + 1))
             else:
@@ -478,68 +605,65 @@ class _GridCut:
             a = a.take(pos, axis=axis)
         return a
 
-    def take(self, a: np.ndarray, grids: dict) -> np.ndarray:
-        """A flat array over the grid, cut and raveled: a view of ``a`` when
-        the slices allow one, else a copy shared through ``grids`` by every
-        plan that cuts the same array the same way (tables share copy-tract
-        arrays).  The copy is kept with ``a``, so no other array takes its
-        id."""
-        key = ("cut", id(a), self.grid, self.positions)
-        found = grids.get(key)
-        if found is not None:
-            return found[1]
-        out = _read_only(self.cut(a).reshape(-1))
-        if not np.may_share_memory(out, a):
-            grids[key] = (a, out)
-        return out
-
-    def ctx(self, grids: dict):
-        """Each cut pair's context index, or None when that is the pair's
-        own position."""
-        if self.per == 1:
-            return None
-        key = ("ctx", self.shape[0], self.per)
-        a = grids.get(key)
-        if a is None:
-            a = np.repeat(np.arange(self.shape[0]), self.per)
-            a = grids[key] = _read_only(a)
-        return a
-
-    def syms(self, grids: dict, j: int) -> np.ndarray:
-        """Each cut pair's read symbol on tape j."""
-        key = ("sym", self.shape, j, tuple(self.picks[j]))
-        a = grids.get(key)
-        if a is None:
-            axis = [1] * len(self.shape)
-            axis[j + 1] = -1
-            column = np.array(self.picks[j], dtype=np.intp).reshape(axis)
-            a = np.broadcast_to(column, self.shape).reshape(-1)
-            a = grids[key] = _read_only(a)
-        return a
-
-    def gather(self, mask: np.ndarray, smooth: list, src=None):
-        """``((ctx, syms), pairs)`` at the cut positions a bool mask over the
-        grid marks, or None when it marks none: ``pairs`` locates them in
-        ``src`` (the grid's marked pairs in order) when the cut is not the
-        whole grid."""
+    def gather(self, mask: np.ndarray, picks: list, smooth: list):
+        """The cut positions a bool mask over the grid marks, or None when it
+        marks none: their context indices, ``(tape, symbols)`` per smooth
+        tape (``picks`` holds each tape's symbols at the cut positions), and
+        per tape their indices into the cut positions."""
         found = np.nonzero(self.cut(mask))
         if not found[0].size:
             return None
-        ctx, picks = found[0], [
-            np.array(p, dtype=np.intp)[i] for p, i in zip(self.picks, found[1:])
-        ]
-        syms = tuple((j, _read_only(p)) for j, p in enumerate(picks) if smooth[j])
-        pairs = None
-        if src is not None and not self.whole:
-            digits = (self.A,) * len(picks)
-            pairs = np.searchsorted(src, np.ravel_multi_index(
-                (ctx, *picks), (self.shape[0], *digits)
-            ))
-        if self.per == 1 and ctx.size == self.shape[0]:
-            ctx = None  # every context, once each
-        else:
-            _read_only(ctx)
-        return (ctx, syms), pairs
+        xi, at = found[0], found[1:]
+        syms = tuple(
+            (j, _read_only(np.array(p, dtype=np.intp)[i]))
+            for j, (p, i) in enumerate(zip(picks, at)) if smooth[j]
+        )
+        return xi, syms, at
+
+    def context(self, xi: np.ndarray):
+        """A plan's context index for gathered context indices: None when
+        they are every context, once each, in order."""
+        if self.per == 1 and xi.size == self.shape[0]:
+            return None
+        return _read_only(xi)
+
+
+def _column(grid: tuple, j: int, symbols) -> np.ndarray:
+    """Tape j's read symbol at each pair of a (contexts, m1, ..., mn) grid
+    whose tape-j axis holds ``symbols``, raveled and read-only."""
+    axis = [1] * len(grid)
+    axis[j + 1] = -1
+    column = np.array(symbols, dtype=np.intp).reshape(axis)
+    return _read_only(np.broadcast_to(column, grid).reshape(-1))
+
+
+def _grid_ctx(grids: dict, contexts: int, per: int) -> np.ndarray:
+    """Each pair's context index in a grid of ``per`` pairs per context,
+    shared by shape through ``grids``."""
+    key = ("ctx", contexts, per)
+    a = grids.get(key)
+    if a is None:
+        a = np.repeat(np.arange(contexts, dtype=np.intp), per)
+        a = grids[key] = _read_only(a)
+    return a
+
+
+def _grid_column(grids: dict, shape: tuple, j: int, symbols: list) -> np.ndarray:
+    """:func:`_column`, shared by shape and symbols through ``grids``."""
+    key = ("sym", shape, j, tuple(symbols))
+    a = grids.get(key)
+    if a is None:
+        a = grids[key] = _column(shape, j, symbols)
+    return a
+
+
+def _grid_fill(grids: dict, size: int, k: int) -> np.ndarray:
+    """``size`` copies of ``k``, shared through ``grids``."""
+    key = ("fill", size, k)
+    a = grids.get(key)
+    if a is None:
+        a = grids[key] = _read_only(np.full(size, k, dtype=np.intp))
+    return a
 
 
 def _bits(offsets: np.ndarray) -> int:

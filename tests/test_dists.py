@@ -4,6 +4,7 @@ import pytest
 from smoothtm.dists import (
     Dist,
     FiniteSet,
+    LinearOp,
     convex_combine,
     induced_op,
     product_set,
@@ -116,6 +117,30 @@ def test_induced_point_masses_stay_exact():
         out = op(Dist.point(X, x))
         assert out.point_value() == fmap[x]
         assert set(out.weights) <= {0.0, 1.0}
+
+
+def test_op_without_src_pushes_like_an_explicit_arange():
+    """An operator built without ``src`` keeps no index array, and one whose
+    weight is the scalar 1.0 multiplies nothing: each pushes bit for bit
+    like the same entries with an explicit ``arange`` source and a weight
+    multiplied in, zeros, signed zeros and subnormals included."""
+    rng = np.random.default_rng(12)
+    X, Y = FiniteSet(list(range(40))), FiniteSet(list(range(7)))
+    dst = rng.integers(7, size=40)
+    bare = LinearOp(X, Y, dst)
+    assert bare.src is None and bare.weight is None
+    explicit = LinearOp(X, Y, dst, np.arange(40), np.ones(40))
+    half = LinearOp(X, Y, dst, weight=0.5)
+    half_explicit = LinearOp(X, Y, dst, np.arange(40), 0.5)
+    for _ in range(20):
+        w = rng.dirichlet(np.full(40, 0.3))
+        w[rng.integers(40, size=5)] = 0.0
+        w[rng.integers(40, size=3)] = -0.0
+        w[rng.integers(40)] = 5e-324
+        assert bare.push(w).tobytes() == explicit.push(w).tobytes()
+        want = np.bincount(dst, w[np.arange(40)] * 1.0, 7)
+        assert bare.push(w).tobytes() == want.tobytes()
+        assert half.push(w).tobytes() == half_explicit.push(w).tobytes()
 
 
 def test_convex_combine_point_and_uniform():

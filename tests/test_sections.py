@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import random
@@ -26,6 +27,7 @@ from smoothtm.sampling import (
 from smoothtm.sections import (
     SectionMachine,
     Tract,
+    _CopyEntry,
     _SectionTable,
     format_section_machine,
     lower_sections,
@@ -447,19 +449,44 @@ def test_declarative_tract_into_other_context_rejected():
 
 
 def test_copy_tracts_share_read_only_arrays():
-    """Same-shape copy tracts share one set of arrays, which nothing may
-    write through."""
+    """Same-shape copy tracts keep only their factors and their read set's
+    columns, and their plans share one set of the machine's read-only grid
+    arrays, which nothing may write through; the per-pair arrays they
+    derive on access are read-only intp arrays too."""
     sm = SECTION_MACHINES["mt-2x2x3"]()
     one, two = (
         next(e for e in sm.table(f"MLB1.{j}").entries if e.label == f"seek-left.{j}")
         for j in (1, 2)
     )
-    for a, b in zip([one.src, one.tgt, *one.w_idx, *one.d_idx],
-                    [two.src, two.tgt, *two.w_idx, *two.d_idx]):
-        assert np.shares_memory(a, b)
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0
+    assert isinstance(one, _CopyEntry) and one.keep is None
+    assert (one.cols, one.offsets, one.where) == (two.cols, two.offsets, two.where)
+    assert one.cols is two.cols and one.offsets is two.offsets
+    for f in dataclasses.fields(one):  # nothing per pair is stored
+        value = getattr(one, f.name)
+        for a in value if isinstance(value, tuple) else (value,):
+            assert not isinstance(a, np.ndarray) or a.size == one.offsets.size
+    for e in (one, two):
+        for a in (e.src, e.tgt, *e.w_idx, *e.d_idx):
+            assert a.dtype == np.intp and a.size == e.contexts * e.offsets.size
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def plan_arrays(j, pattern):
+        _, ctx, syms, tgt, ws, ds = next(
+            item for item in sm.plan(f"MLB1.{j}", pattern).entries
+            if item[0].label == f"seek-left.{j}"
+        )
+        return [ctx, *(s for _, s in syms), tgt, *ws, *ds]
+
+    cols = one.cols[0].tolist()
+    for pattern in [(cols[0],), (cols[-1],), (tuple(cols[:2]),), (tuple(cols),), "all"]:
+        for x, y in zip(plan_arrays(1, pattern), plan_arrays(2, pattern)):
+            assert x is y
+            if x is not None:
+                assert not x.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0] = 0
 
 
 def test_overlap_error_names_both_tracts():
@@ -474,6 +501,71 @@ def test_overlap_error_names_both_tracts():
         "overlapping tracts 'one' and 'two' at section 'S0', context '*', "
         "symbols ('A',)"
     )
+
+
+XYZ = FiniteSet(["x", "y", "z"])
+
+
+def copy_tract(reads, label, write=None, move=None):
+    n = len(reads)
+    return Tract("S", "S", reads, write=write or (None,) * n, move=move or (0,) * n,
+                 label=label)
+
+
+def mapped_tract(reads, label, guard=None):
+    return Tract("S", "S", reads, guard, label,
+                 index_map=lambda xi, s: ((xi + 1) % 3, s, np.zeros_like(s)))
+
+
+_AB2 = frozenset({"A", "B"})
+# (tracts over two tapes and contexts x, y, z; the first pair two share)
+OVERLAPS = {
+    "copy-copy": (
+        [copy_tract((_AB2, frozenset({"_", "A"})), "one", ("B", None), (1, -1)),
+         copy_tract((frozenset({"B"}), _AB2), "two")],
+        "'one' and 'two' at section 'S', context 'x', symbols ('B', 'A')",
+    ),
+    "copy-map": (
+        [copy_tract((_AB2, frozenset({"A"})), "copy"),
+         mapped_tract((frozenset({"B"}), _AB2), "map", lambda xi, s: xi != 0)],
+        "'copy' and 'map' at section 'S', context 'y', symbols ('B', 'A')",
+    ),
+    "map-copy": (
+        [mapped_tract((frozenset({"B"}), _AB2), "map",
+                      lambda xi, s: (xi != 0) & (s[:, 1] == AB.index("B"))),
+         copy_tract((_AB2, _AB2), "copy")],
+        "'map' and 'copy' at section 'S', context 'y', symbols ('B', 'B')",
+    ),
+    "unguarded-map-copy": (
+        [mapped_tract((frozenset({"_", "B"}), frozenset({"B"})), "map"),
+         copy_tract((frozenset({"B"}), frozenset({"_", "B"})), "copy")],
+        "'map' and 'copy' at section 'S', context 'x', symbols ('B', 'B')",
+    ),
+    "map-map": (
+        [mapped_tract((_AB2, _AB2), "first", lambda xi, s: xi != 0),
+         mapped_tract((frozenset({"B"}), _AB2), "second",
+                      lambda xi, s: (xi != 1) & (s[:, 1] == AB.index("A")))],
+        "'first' and 'second' at section 'S', context 'z', symbols ('B', 'A')",
+    ),
+    "second-entry-shares": (
+        [copy_tract((frozenset({"B"}), frozenset({"_"})), "a"),
+         mapped_tract((frozenset({"A"}), frozenset({"A"})), "b", lambda xi, s: xi != 0),
+         copy_tract((_AB2, frozenset({"A"})), "c")],
+        "'b' and 'c' at section 'S', context 'y', symbols ('A', 'A')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAPS))
+def test_overlap_names_the_first_shared_pair(case):
+    """Declarative tracts overlapping each other and index maps, guarded or
+    not, in either order: every consumer names the first pair, in (context,
+    symbols) order, that the later tract shares with an earlier one, and the
+    earlier tract that covers it."""
+    tracts, where = OVERLAPS[case]
+    sm = SectionMachine({"S": XYZ}, tracts, AB, "_", 2)
+    messages = consumer_errors(sm, "S", "y")
+    assert messages == ["overlapping tracts " + where] * 3
 
 
 @pytest.mark.parametrize("name", ["mt-2x2x3", "utm-2x3"])
@@ -1011,9 +1103,10 @@ def test_sparse_smooth_heads_match_full_joint_reference(heads):
 
 def test_single_tape_compile_cuts_never_copy():
     """A compiled simulator has one tape, so a plan whose head is a point
-    mass scatters through one strided column of each entry's grid, and one
-    whose head supports every read column through the whole grid: either
-    way a fresh compile's plan arrays share memory with its entry's."""
+    mass reads one column of each entry's grid, and one whose head supports
+    every read column the whole grid: either way a fresh compile's plans
+    copy nothing.  A declarative entry's arrays are the machine's shared
+    grid arrays, and an index map's share memory with the entry's own."""
     rng = np.random.default_rng(2)
     m = random_machine(rng, 2, 2, 2)
     sim = compile_multitape(m)
@@ -1023,6 +1116,7 @@ def test_single_tape_compile_cuts_never_copy():
         x = multitape.to_section_config(sim, multitape.encode(sim, s))
         _, rep = check_well_behaved(triple, x)
         assert rep.cycle_length is not None and not rep.violations
+    grids = {id(a) for a in sim.machine._grids.values()}
     shared = Counter()
     for table in sim.machine._tables.values():
         for pattern, plan in table.plans.items():
@@ -1032,10 +1126,15 @@ def test_single_tape_compile_cuts_never_copy():
                 full = k == "all" or type(k) is tuple and set(e.cols[0].tolist()) <= set(k)
                 if type(k) is not int and not full:
                     continue
+                declarative = isinstance(e, _CopyEntry)
+                assert declarative == (sim.machine.tracts[e.tract].index_map is None)
+                for a in (ctx, *(s for _, s in syms)):
+                    assert a is None or id(a) in grids
                 for a, b in zip((tgt, *ws, *ds), (e.tgt, *e.w_idx, *e.d_idx)):
-                    assert np.shares_memory(a, b)
-                shared[full] += 1
-    assert shared[True] and shared[False]
+                    assert not a.flags.writeable
+                    assert id(a) in grids if declarative else np.shares_memory(a, b)
+                shared[full, declarative] += 1
+    assert len(shared) == 4, shared
 
 
 def test_step_with_negative_weight_matches_full_joint_reference():
