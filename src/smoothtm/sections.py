@@ -14,13 +14,16 @@ tracts over the same read symbols may split a section by context.
 
 :meth:`SectionMachine.table` compiles one section; it is the only code
 that evaluates guards and index maps, validates what they give and checks
-that no two tracts overlap, on one bool mask of the pairs they cover.  An
-index map's entry keeps the arrays it gave; a declarative tract's keeps
-only its factors and derives its per-pair arrays when they are read.
-Lowering, the serialization and the smooth engine all read these tables;
-the engine reads them through step plans (:meth:`SectionMachine.plan`),
-built from each read set's symbol-position maps, whose declarative arrays
-are grid index arrays the machine shares by shape.
+that no two tracts overlap, on one bool mask of the pairs they cover.
+Every tract compiles to one kind of entry, whose target, writes and moves
+are each a factor (the source context, the read symbol, a constant) or an
+array over its pairs: a declarative tract gives only factors, and an index
+map's part is its factor wherever all its pairs agree on it.  An entry
+derives its per-pair arrays when they are read.  Lowering, the
+serialization and the smooth engine all read these tables; the engine reads
+them through step plans (:meth:`SectionMachine.plan`), built from each read
+set's symbol-position maps, in which factors are grid index arrays the
+machine shares by shape and array parts are views or gathers of the entry's.
 
 Lowering produces an ordinary :class:`~smoothtm.machines.Machine` whose state
 set is the disjoint union of the contexts tagged by section id; it is the
@@ -98,7 +101,7 @@ class SectionMachine:
     # per read-set tuple: read combos, offsets, read columns, symbol positions
     _reads: dict = field(default_factory=dict, repr=False, compare=False)
     # step plans' context, symbol and fill index arrays, shared by grid shape,
-    # and declarative entries' plan arrays, shared by factors and picks
+    # and the plan arrays entries' factors give, shared by factors and picks
     _grids: dict = field(default_factory=dict, repr=False, compare=False)
     # position of each section id in ``sections``
     rank: dict = field(init=False, repr=False, compare=False)
@@ -188,17 +191,23 @@ class _TractEntry:
     Every entry is the (contexts, |c1|, ..., |cn|) grid of every source
     context with the product of its read columns ``cols``, row-major; a
     guarded entry's pairs are the positions its guard's read-only mask
-    ``keep`` marks.  ``move`` is set when all pairs move alike (a
-    declarative tract's do; an index map's are checked).  Either kind gives
-    its pairs' flat indices ``src`` (strictly increasing), target context
-    indices ``tgt``, and per tape the written alphabet indices ``w_idx`` and
-    the DIRECTIONS indices (move + 1) ``d_idx``: read-only intp arrays in
-    grid order.  ``cut`` gives the entry's item in a step plan."""
+    ``keep`` marks.  Three parts say where the pairs go, each a factor or a
+    read-only intp array over the pairs in grid order: the target context
+    indices ``to`` (None: the source context), per tape the written
+    alphabet indices ``writes`` (None: the read symbol; an int: a constant)
+    and per tape the DIRECTIONS indices (move + 1) ``moves`` (an int: a
+    constant).  A declarative tract gives only factors; an index map's part
+    is its factor where every pair agrees on it.  ``arrays`` lists the array
+    parts by their position in ``(to, *writes, *moves)``, ``key`` names the
+    factors, under which plans share their grid arrays, and ``move`` is
+    ``moves`` when no move is an array.  ``cut`` gives the entry's item in a
+    step plan.  The per-pair arrays, the flat indices ``src`` (strictly
+    increasing), ``tgt``, ``w_idx`` and ``d_idx``, are derived on access,
+    read-only, in grid order."""
 
     target: str
     label: str
     tract: int  # position in the machine's tract list
-    move: tuple | None  # per tape, the DIRECTIONS index the engine moves by
     size: int  # the target section's context size
     contexts: int  # the source section's context size
     stride: int  # |A|**n, the flat index of context 1's first pair
@@ -206,129 +215,131 @@ class _TractEntry:
     offsets: np.ndarray  # the read offsets of the grid's columns
     where: tuple  # per tape, each symbol's position in ``cols``, or -1
     keep: np.ndarray | None  # the guard's mask over the grid
+    to: np.ndarray | None
+    writes: tuple
+    moves: tuple
+    move: tuple | None = field(init=False)  # per tape, the DIRECTIONS index
+    arrays: tuple = field(init=False)  # (position, array) per array part
+    key: tuple = field(init=False)  # contexts, and the parts with -1 for arrays
 
-
-@dataclass(slots=True)
-class _CopyEntry(_TractEntry):
-    """A declarative tract's entry, kept as its factors: the target context
-    is the source context, and per tape the write is a constant or the read
-    symbol and the move is ``move``.  Its per-pair arrays are derived on
-    access, not stored."""
-
-    write: tuple  # per tape, a constant alphabet index, or None to echo
+    def __post_init__(self):
+        parts = [self.to, *self.writes, *self.moves]
+        self.arrays = tuple([
+            (i, p) for i, p in enumerate(parts) if type(p) is np.ndarray
+        ])
+        for i, _ in self.arrays:
+            parts[i] = -1
+        self.key = (self.contexts, *parts)
+        moving = self.arrays and self.arrays[-1][0] > len(self.writes)
+        self.move = None if moving else self.moves
 
     @property
     def src(self) -> np.ndarray:
         xi = np.arange(self.contexts, dtype=np.intp)[:, None]
-        return _read_only((xi * self.stride + self.offsets).reshape(-1))
+        src = (xi * self.stride + self.offsets).reshape(-1)
+        return _read_only(src if self.keep is None else src[self.keep])
 
     @property
     def tgt(self) -> np.ndarray:
-        xi = np.arange(self.contexts, dtype=np.intp)
-        return _read_only(np.repeat(xi, self.offsets.size))
+        return self._whole()[3]
 
     @property
     def w_idx(self) -> tuple:
-        grid = (self.contexts, *map(len, self.cols))
-        return tuple(
-            _column(grid, j, c) if w is None else self._fill(w)
-            for j, (w, c) in enumerate(zip(self.write, self.cols))
-        )
+        return self._whole()[4]
 
     @property
     def d_idx(self) -> tuple:
-        return tuple(map(self._fill, self.move))
+        return self._whole()[5]
 
-    def _fill(self, k: int) -> np.ndarray:
-        size = self.contexts * self.offsets.size
-        return _read_only(np.full(size, k, dtype=np.intp))
+    def _whole(self) -> tuple:
+        """The plan item under heads that support every read column."""
+        return self.cut(tuple(tuple(c.tolist()) for c in self.cols), {})
 
-    def cut(self, picks: list, grids: dict) -> tuple:
-        """The plan item at ``picks`` (see :meth:`_SectionTable.plan`), all
-        of whose arrays are the machine's grid index arrays, shared by shape
-        through ``grids``: the target is the context index, an echoed write
-        the read symbol, and a constant write or move a fill."""
-        key = ("copy", self.contexts, self.write, self.move,
-               tuple(p if type(p) is int else tuple(p) for p in picks))
-        arrays = grids.get(key)
-        if arrays is None:
-            shape = (self.contexts, *(1 if type(p) is int else len(p) for p in picks))
-            per = prod(shape[1:])
-            size = self.contexts * per
-            tgt = _grid_ctx(grids, self.contexts, per)
-            syms = tuple(
-                (j, _grid_column(grids, shape, j, p))
-                for j, p in enumerate(picks) if type(p) is not int
-            )
-            read = dict(syms)
-            ws = tuple(
-                read[j] if w is None and j in read
-                else _grid_fill(grids, size, p if w is None else w)
-                for j, (w, p) in enumerate(zip(self.write, picks))
-            )
-            ds = tuple(_grid_fill(grids, size, d) for d in self.move)
-            arrays = grids[key] = (None if per == 1 else tgt, syms, tgt, ws, ds)
-        return (self, *arrays)
-
-
-@dataclass(slots=True)
-class _MapEntry(_TractEntry):
-    """An index map's entry: the arrays it gave for the pairs it covers,
-    validated once, and those pairs' flat indices."""
-
-    src: np.ndarray  # flat (context, symbols) indices, strictly increasing
-    tgt: np.ndarray  # target context indices
-    w_idx: tuple  # per tape, alphabet indices
-    d_idx: tuple  # per tape, DIRECTIONS indices (move + 1)
-
-    def cut(self, picks: list, grids: dict) -> tuple | None:
+    def cut(self, picks: tuple, grids: dict) -> tuple | None:
         """The plan item at ``picks`` (see :meth:`_SectionTable.plan`), or
-        None when the guard keeps none of those pairs.  Unguarded, the
-        arrays are strided views of the entry's under point heads and the
-        entry's own under heads that support every read column; any other
-        cut is sliced or gathered through a :class:`_GridCut`."""
-        n, per = len(picks), self.offsets.size
-        arrays = (self.tgt, *self.w_idx, *self.d_idx)
-        smooth = [type(p) is not int for p in picks]
-        grid = (self.contexts, *map(len, self.cols))
-        if self.keep is None and not any(smooth):
-            at = 0
-            for where, c, k in zip(self.where, self.cols, picks):
-                at = at * len(c) + where[k]
-            tgt, *idx = (a[at::per] for a in arrays)
-            return self, None, (), tgt, tuple(idx[:n]), tuple(idx[n:])
-        if self.keep is None and all(smooth) and tuple(map(len, picks)) == grid[1:]:
-            ctx = None if per == 1 else _grid_ctx(grids, self.contexts, per)
-            syms = tuple(
-                (j, _grid_column(grids, grid, j, p)) for j, p in enumerate(picks)
-            )
-            return self, ctx, syms, self.tgt, self.w_idx, self.d_idx
-        picks = [p if s else [p] for p, s in zip(picks, smooth)]
-        cut = _GridCut(grid, [[w[k] for k in p] for w, p in zip(self.where, picks)])
+        None when the guard keeps none of those pairs.  Factors give the
+        machine's grid index arrays, shared through ``grids``: the context
+        index is a target that keeps the context, the read symbols' columns
+        are echoed writes, and constants are fills.  Unguarded, these are
+        looked up whole under ``key`` and the picks, and the array parts are
+        strided views under point heads, views under heads that support every
+        read column, and gathered at the picks' grid indices otherwise.  A
+        guarded entry gathers its pairs where ``keep`` marks, and its array
+        parts at their places among the kept pairs, searched for in ``src``."""
         if self.keep is None:
-            ctx = None if cut.per == 1 else _grid_ctx(grids, self.contexts, cut.per)
-            syms = tuple(
-                (j, _grid_column(grids, cut.shape, j, p))
-                for j, p in enumerate(picks) if smooth[j]
-            )
-            tgt, *idx = (_read_only(cut.cut(a).reshape(-1)) for a in arrays)
+            item = grids.get((self.key, picks))
+            if item is None:
+                shape = (self.contexts,
+                         *[len(p) if type(p) is tuple else 1 for p in picks])
+                per = prod(shape[1:])
+                context = None
+                if per > 1 or self.to is None:
+                    context = _grid_ctx(grids, self.contexts, per)
+                syms = tuple([
+                    (j, _grid_column(grids, shape, j, p))
+                    for j, p in enumerate(picks) if type(p) is tuple
+                ])
+                parts = self._factor_parts(context, shape[0] * per, syms, picks, grids)
+                item = (None if per == 1 else context, syms, *parts)
+                grids[self.key, picks] = item
+            if not self.arrays:
+                return (self, *item)
+            ctx, per = item[0], self.offsets.size
+            if ctx is None:  # one column of the grid
+                at = 0
+                for where, c, k in zip(self.where, self.cols, picks):
+                    at = at * len(c) + where[k if type(k) is int else k[0]]
+                take = slice(at, None, per)
+            elif ctx.size == self.contexts * per:  # the whole grid
+                take = slice(None)
+            else:
+                axes = [[w[k] for k in p] if type(p) is tuple else [w[p]]
+                        for w, p in zip(self.where, picks)]
+                grid = (self.contexts, *map(len, self.cols))
+                take = np.ravel_multi_index(np.ix_(range(grid[0]), *axes), grid).ravel()
         else:
-            found = cut.gather(self.keep, picks, smooth)
+            smooth = [type(p) is tuple for p in picks]
+            grid = (self.contexts, *map(len, self.cols))
+            lists = [p if s else (p,) for p, s in zip(picks, smooth)]
+            cut = _GridCut(grid, [[w[k] for k in p] for w, p in zip(self.where, lists)])
+            found = cut.gather(self.keep, lists, smooth)
             if found is None:
                 return None
             xi, syms, at = found
-            ctx = cut.context(xi)
-            if cut.whole:
-                tgt, *idx = arrays
-            else:  # the found pairs' places among the kept ones, by flat index
-                columns = np.ravel_multi_index(
-                    [np.array(p, dtype=np.intp)[i] for p, i in zip(cut.positions, at)],
-                    grid[1:],
-                )
+            parts = self._factor_parts(_read_only(xi), xi.size, syms, picks, grids)
+            item = (cut.context(xi), syms, *parts)
+            if not self.arrays:
+                return (self, *item)
+            take = slice(None)  # the found pairs' places among the kept ones
+            if cut.shape != grid:
+                at = [np.array(p, dtype=np.intp)[i] for p, i in zip(cut.positions, at)]
+                columns = np.ravel_multi_index(at, grid[1:])
                 flat = xi * self.stride + self.offsets[columns]
-                pairs = np.searchsorted(self.src, flat)
-                tgt, *idx = (_read_only(a[pairs]) for a in arrays)
-        return self, ctx, syms, tgt, tuple(idx[:n]), tuple(idx[n:])
+                take = np.searchsorted(self.src, flat)
+        ctx, syms, tgt, ws, ds = item
+        parts = [tgt, *ws, *ds]
+        for i, a in self.arrays:
+            parts[i] = a = a[take]
+            a.flags.writeable = False  # a gathered copy, or a view of a read-only array
+        n = len(ws)
+        return self, ctx, syms, parts[0], tuple(parts[1:n + 1]), tuple(parts[n + 1:])
+
+    def _factor_parts(self, context, size, syms, picks, grids) -> tuple:
+        """The target, writes and moves the factors give at ``size`` pairs
+        whose context indices are ``context``, with None for array parts."""
+        read = dict(syms)
+        tgt = context if self.to is None else None
+        ws = tuple([
+            None if type(w) is np.ndarray
+            else read[j] if w is None and type(p) is tuple
+            else _grid_fill(grids, size, p if w is None else w)
+            for j, (w, p) in enumerate(zip(self.writes, picks))
+        ])
+        ds = tuple([
+            None if type(d) is np.ndarray else _grid_fill(grids, size, d)
+            for d in self.moves
+        ])
+        return tgt, ws, ds
 
 
 @dataclass(slots=True)
@@ -354,23 +365,23 @@ class _SectionTable:
     ``xi * |A|**n + offset``, with the symbols' alphabet indices as the
     big-endian digits of ``offset``.  Entries run in (tract, context, read
     symbols) order, the order in which the engine scatters mass, so sums are
-    reproducible bit for bit; tracts covering nothing have no entry.  A
-    declarative tract's entry keeps only its factors and the read set's
-    columns, which the machine builds once per read sets (:class:`_CopyEntry`);
-    an index map is called once for all pairs its guard keeps, and what it
-    gives is validated here once (:class:`_MapEntry`).  Each entry is a grid
-    over its read columns, and a guarded one keeps its guard's mask.  One
-    (contexts x |A|**n) bool mask, marked grid by grid at each entry's read
+    reproducible bit for bit; tracts covering nothing have no entry.  Every
+    entry is one :class:`_TractEntry`: a grid over its read set's columns,
+    which the machine builds once per read sets, with a guarded one's mask.
+    A declarative tract gives only factors; an index map is called once for
+    all pairs its guard keeps, what it gives is validated here once, and
+    its target, each tape's write and each tape's move is kept as its
+    factor wherever all its pairs agree on it, and as an array otherwise.
+    One (contexts x |A|**n) bool mask, marked grid by grid at each entry's read
     offsets, names the first pair two tracts share; it is made only when a
     tract's read offsets meet an earlier tract's, since no others can
     overlap.  Its complement ``uncovered`` marks the pairs no tract covers,
     one byte each, and is made on first read; ``uncovered_bits`` marks the
     read offsets where it has one, read off the offsets' bits when no entry
-    is guarded.  ``plans``
-    caches the engine's :class:`_Plan` per head pattern (:meth:`plan`).
-    Every array is read-only, so machines may share a table.  The table
-    keeps no reference to its machine, which caches it, so a machine is
-    freed without the cycle collector.
+    is guarded.  ``plans`` caches the engine's :class:`_Plan` per head
+    pattern (:meth:`plan`).  Every array is read-only, so machines may share
+    a table.  The table keeps no reference to its machine, which caches it,
+    so a machine is freed without the cycle collector.
     """
 
     __slots__ = (
@@ -393,22 +404,15 @@ class _SectionTable:
         for i in sm.leaving[sid]:
             t = sm.tracts[i]
             combos, offsets, cols, where, bits = sm._read_combos(t.reads)
-            names = (t.target, t.label, i)
-            frame = (len(sm.sections[t.target]), contexts, size, cols, offsets, where)
             if t.index_map is None:
-                if not contexts * offsets.size:
-                    continue
                 write = tuple(w if w is None else A.index(w) for w in t.write)
-                move = tuple(d + 1 for d in t.move)
-                e = _CopyEntry(*names, move, *frame, None, write)
+                parts = None, None, write, tuple(d + 1 for d in t.move)
             else:
-                src, tgt, w_idx, d_idx, keep = self._index_arrays(t, combos, offsets)
-                if not src.size:
-                    continue
-                move = tuple(int(d[0]) for d in d_idx)
-                if any(np.count_nonzero(d != k) for d, k in zip(d_idx, move)):
-                    move = None
-                e = _MapEntry(*names, move, *frame, keep, src, tgt, w_idx, d_idx)
+                parts = self._index_arrays(t, combos, offsets)
+            if parts is None or not contexts * offsets.size:
+                continue
+            e = _TractEntry(t.target, t.label, i, len(sm.sections[t.target]), contexts,
+                            size, cols, offsets, where, *parts)
             if bits & touched:  # only entries that share a read offset can overlap
                 hit = self._covered()[:, offsets]
                 if e.keep is not None:
@@ -457,14 +461,11 @@ class _SectionTable:
         the symbols a smooth head supports; or it is ``"all"``, under which
         every head is smooth over the whole alphabet.  Each entry's read
         sets' symbol-position maps pick, per tape, the point symbol or the
-        supported symbols it reads, and an entry that reads none on some
-        tape is left out; the entry cuts its grid to the picks
-        (:meth:`_CopyEntry.cut`, :meth:`_MapEntry.cut`).  A declarative
-        entry's arrays are the machine's grid index arrays, shared by shape
-        through ``grids``; an unguarded index map's are its own or strided
-        views of them under point heads or heads that support every read
-        column, and slices or gathers otherwise.  The uncovered mask is
-        gathered only when ``uncovered_bits`` marks a supported offset."""
+        supported symbols it reads as a tuple, and an entry that reads none
+        on some tape is left out; the entry cuts its grid to the picks
+        (:meth:`_TractEntry.cut`), sharing arrays through ``grids``.  The
+        uncovered mask is gathered only when ``uncovered_bits`` marks a
+        supported offset."""
         A, n = len(self.alphabet), self.n
         heads = [range(A)] * n if pattern == "all" else pattern
         entries = []
@@ -476,12 +477,12 @@ class _SectionTable:
                         break
                     picks.append(k)
                 else:
-                    read = [s for s in k if where[s] >= 0]
+                    read = tuple([s for s in k if where[s] >= 0])
                     if not read:
                         break
                     picks.append(read)
             else:
-                item = e.cut(picks, grids)
+                item = e.cut(tuple(picks), grids)
                 if item is not None:
                     entries.append(item)
         supports = [[k] if type(k) is int else list(k) for k in heads]
@@ -510,14 +511,17 @@ class _SectionTable:
         )
 
     def _index_arrays(self, t: Tract, combos, offsets):
-        """Read-only index arrays of a tract given by an index map, called
-        once for all the pairs its guard keeps, and its guard's read-only
-        mask or None.  The map must land in the target context and give one
-        alphabet index and one move in -1/0/1 per tape."""
+        """The guard's read-only mask (None without a guard) and the parts
+        ``to``, ``writes`` and ``moves`` (see :class:`_TractEntry`) of a
+        tract given by an index map, called once for all the pairs its guard
+        keeps; None when it keeps none.  The map must land in the target
+        context and give one alphabet index and one move in -1/0/1 per
+        tape.  A part is stored as its factor wherever every pair agrees
+        on it: the target is the context, a tape writes the symbol it read,
+        or it moves alike."""
         A, n = self.alphabet, self.n
         contexts, per_context = len(self.sections[self.sid]), len(offsets)
         xi = np.repeat(np.arange(contexts, dtype=np.intp), per_context)
-        src = (xi.reshape(contexts, per_context) * len(A) ** n + offsets).reshape(-1)
         syms = np.empty((contexts, per_context, n), dtype=np.intp)
         syms[:] = combos
         syms = syms.reshape(-1, n)
@@ -530,10 +534,10 @@ class _SectionTable:
                     f"mask of dtype {keep.dtype} and shape {keep.shape}, not a "
                     f"bool mask of shape {xi.shape}"
                 )
-            xi, src, syms = xi[keep], src[keep], syms[keep]
+            xi, syms = xi[keep], syms[keep]
         tgt, w, d = map(np.asarray, t.index_map(xi, syms))
         shapes = (tgt.shape, w.shape, d.shape)
-        want = ((src.size,), (src.size, n), (src.size, n))
+        want = ((xi.size,), (xi.size, n), (xi.size, n))
         if shapes != want or any(a.dtype.kind not in "iu" for a in (tgt, w, d)):
             raise ValueError(
                 f"tract {t.label!r} at section {self.sid!r}: index map gives "
@@ -541,7 +545,7 @@ class _SectionTable:
                 f"{shapes}, not int arrays of shapes {want}"
             )
         contexts_out = len(self.sections[t.target])
-        if src.size and (
+        if xi.size and (
             tgt.min() < 0 or tgt.max() >= contexts_out or w.min() < 0
             or w.max() >= len(A) or d.min() < -1 or d.max() > 1
         ):
@@ -549,7 +553,8 @@ class _SectionTable:
             bad_w = (w < 0) | (w >= len(A))
             bad = bad_tgt | bad_w.any(axis=1) | (np.abs(d) > 1).any(axis=1)
             k = int(bad.argmax())
-            x, syms = self.pair(src[k])
+            x = self.sections[self.sid].elements[xi[k]]
+            read = tuple(A.elements[j] for j in syms[k])
             if bad_tgt[k]:
                 what = (f"maps to context index {tgt[k]}, outside the context "
                         f"of section {t.target!r}")
@@ -558,22 +563,22 @@ class _SectionTable:
                         f"the alphabet")
             else:
                 what = f"moves {tuple(d[k].tolist())!r}, not each in -1/0/1"
-            raise self._bad(t, x, syms, what)
-        return (
-            _read_only(src),
-            _read_only(tgt.astype(np.intp)),
-            tuple(_read_only(w[:, j].astype(np.intp)) for j in range(n)),
-            tuple(
-                _read_only((d[:, j] + 1).astype(np.intp, copy=False)) for j in range(n)
-            ),
-            keep,
-        )
-
-    def _bad(self, t: Tract, x, syms, what: str) -> ValueError:
-        return ValueError(
-            f"tract {t.label!r} at section {self.sid!r}, context {x!r}, "
-            f"symbols {syms!r}: {what}"
-        )
+            raise ValueError(
+                f"tract {t.label!r} at section {self.sid!r}, context {x!r}, "
+                f"symbols {read!r}: {what}"
+            )
+        if not xi.size:
+            return None
+        to = None if (tgt == xi).all() else _read_only(tgt.astype(np.intp))
+        echo, alike = (w == syms).all(axis=0).tolist(), (d == d[0]).all(axis=0).tolist()
+        writes = tuple([
+            None if echo[j] else _read_only(w[:, j].astype(np.intp)) for j in range(n)
+        ])
+        moves = tuple([
+            int(d[0, j]) + 1 if alike[j] else _read_only((d[:, j] + 1).astype(np.intp))
+            for j in range(n)
+        ])
+        return keep, to, writes, moves
 
 
 class _GridCut:
@@ -581,14 +586,13 @@ class _GridCut:
     symbol axis: a slice where they run contiguously, an index array
     otherwise."""
 
-    __slots__ = ("grid", "shape", "per", "positions", "at", "fancy", "whole")
+    __slots__ = ("grid", "shape", "per", "positions", "at", "fancy")
 
     def __init__(self, grid: tuple, positions: list):
         self.grid = grid
         self.positions = positions
         self.shape = (grid[0], *map(len, positions))
         self.per = prod(self.shape[1:])
-        self.whole = self.shape == grid
         at, self.fancy = [slice(None)], []
         for axis, pos in enumerate(positions, 1):
             if pos[-1] - pos[0] == len(pos) - 1:
@@ -598,19 +602,15 @@ class _GridCut:
                 self.fancy.append((axis, pos))
         self.at = tuple(at)
 
-    def cut(self, a: np.ndarray) -> np.ndarray:
-        """A flat array over the grid, cut, in the cut grid's shape."""
-        a = a.reshape(self.grid)[self.at]
-        for axis, pos in self.fancy:
-            a = a.take(pos, axis=axis)
-        return a
-
     def gather(self, mask: np.ndarray, picks: list, smooth: list):
         """The cut positions a bool mask over the grid marks, or None when it
         marks none: their context indices, ``(tape, symbols)`` per smooth
         tape (``picks`` holds each tape's symbols at the cut positions), and
         per tape their indices into the cut positions."""
-        found = np.nonzero(self.cut(mask))
+        mask = mask.reshape(self.grid)[self.at]
+        for axis, pos in self.fancy:
+            mask = mask.take(pos, axis=axis)
+        found = np.nonzero(mask)
         if not found[0].size:
             return None
         xi, at = found[0], found[1:]
@@ -628,15 +628,6 @@ class _GridCut:
         return _read_only(xi)
 
 
-def _column(grid: tuple, j: int, symbols) -> np.ndarray:
-    """Tape j's read symbol at each pair of a (contexts, m1, ..., mn) grid
-    whose tape-j axis holds ``symbols``, raveled and read-only."""
-    axis = [1] * len(grid)
-    axis[j + 1] = -1
-    column = np.array(symbols, dtype=np.intp).reshape(axis)
-    return _read_only(np.broadcast_to(column, grid).reshape(-1))
-
-
 def _grid_ctx(grids: dict, contexts: int, per: int) -> np.ndarray:
     """Each pair's context index in a grid of ``per`` pairs per context,
     shared by shape through ``grids``."""
@@ -649,11 +640,16 @@ def _grid_ctx(grids: dict, contexts: int, per: int) -> np.ndarray:
 
 
 def _grid_column(grids: dict, shape: tuple, j: int, symbols: list) -> np.ndarray:
-    """:func:`_column`, shared by shape and symbols through ``grids``."""
+    """Tape j's read symbol at each pair of a (contexts, m1, ..., mn) grid
+    whose tape-j axis holds ``symbols``, raveled, read-only and shared by
+    shape and symbols through ``grids``."""
     key = ("sym", shape, j, tuple(symbols))
     a = grids.get(key)
     if a is None:
-        a = grids[key] = _column(shape, j, symbols)
+        axis = [1] * len(shape)
+        axis[j + 1] = -1
+        column = np.array(symbols, dtype=np.intp).reshape(axis)
+        a = grids[key] = _read_only(np.broadcast_to(column, shape).reshape(-1))
     return a
 
 

@@ -9,6 +9,7 @@ byte-identical reports; trial records are ordered by trial index.
 from __future__ import annotations
 
 import json
+from typing import Iterator
 
 import numpy as np
 
@@ -33,9 +34,10 @@ CYCLES = 3
 SHUFFLE_TOL = 1e-12
 
 
-def _trial_seeds(seed: int, trials: int) -> list[int]:
+def _trial_seeds(seed: int, trials: int) -> Iterator[int]:
+    """Each trial's seed, drawn as the trial starts: one vector draw's seeds."""
     master = np.random.default_rng(seed)
-    return [int(s) for s in master.integers(0, 2**63 - 1, size=trials)]
+    return (int(master.integers(0, 2**63 - 1)) for _ in range(trials))
 
 
 def _record(i: int, tseed: int, dims: dict, res, passed: bool) -> dict:

@@ -451,6 +451,20 @@ def test_verify_uncertain_codes_outside_utm_exit_2(capsys, construction):
     assert_usage_error(argv, capsys, "--uncertain-codes", "utm only")
 
 
+def test_trial_seeds_are_drawn_lazily_as_one_vector_draw():
+    """Each trial's seed is drawn as the trial starts, so a trial count too
+    large for an array starts its campaign, and the seeds equal those of one
+    vector draw from the master seed."""
+    from itertools import islice
+
+    from smoothtm.verify import _trial_seeds
+
+    for seed in range(5):
+        want = np.random.default_rng(seed).integers(0, 2**63 - 1, size=200).tolist()
+        assert list(_trial_seeds(seed, 200)) == want
+        assert list(islice(_trial_seeds(seed, 99999999999999999999), 200)) == want
+
+
 def test_verify_negative_trials_exit_2(capsys):
     argv = ["verify", "--construction", "utm", "--trials", "-4"]
     assert_usage_error(argv, capsys, "--trials", "-4")

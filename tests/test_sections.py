@@ -27,7 +27,6 @@ from smoothtm.sampling import (
 from smoothtm.sections import (
     SectionMachine,
     Tract,
-    _CopyEntry,
     _SectionTable,
     format_section_machine,
     lower_sections,
@@ -280,6 +279,78 @@ def test_broadcast_tables_equal_enumerated_reference(name):
         np.testing.assert_array_equal(np.flatnonzero(table.uncovered), uncovered)
 
 
+@pytest.mark.parametrize("name", sorted(SECTION_MACHINES))
+def test_index_map_parts_are_factors_exactly_where_every_pair_agrees(name):
+    """An index map's target, each tape's write and each tape's move is
+    stored as its factor exactly where every pair keeps its context, writes
+    the symbol it read or moves alike, and its derived arrays equal the
+    enumerated reference; a declarative tract gives only factors."""
+    sm = SECTION_MACHINES[name]()
+    A, n = len(sm.alphabet), sm.num_tapes
+    kinds = Counter()
+    for sid in sm.sections:
+        table = _SectionTable(sm, sid)
+        entries, _ = reference_table(sm, sid)
+        for e, (_, _, src, tgt, w_idx, d_idx) in zip(table.entries, entries):
+            if sm.tracts[e.tract].index_map is None:
+                assert e.arrays == () and e.to is None
+                assert all(type(d) is int for d in e.moves)
+                continue
+            src = np.array(src)
+            read = np.unravel_index(src % A**n, (A,) * n)
+            agree = [np.array_equal(tgt, src // A**n)]
+            agree += [np.array_equal(w, r) for w, r in zip(w_idx, read)]
+            agree += [len(set(d)) == 1 for d in d_idx]
+            parts = (e.to, *e.writes, *e.moves)
+            assert [type(p) is not np.ndarray for p in parts] == agree
+            assert [i for i, _ in e.arrays] == [i for i, a in enumerate(agree) if not a]
+            assert [p for p in e.writes if type(p) is not np.ndarray] == [None] * sum(
+                agree[1 : n + 1]
+            )
+            kinds[all(agree)] += 1
+            for got, want in zip([e.src, e.tgt, *e.w_idx, *e.d_idx],
+                                 [src, tgt, *w_idx, *d_idx]):
+                assert got.dtype == np.intp and not got.flags.writeable
+                np.testing.assert_array_equal(got, want)
+    assert kinds[False] > 0
+    assert kinds[True] > 0 or name.startswith("mt-")
+
+
+def test_index_map_that_agrees_on_all_pairs_but_one_keeps_its_arrays():
+    """An index map that keeps the context, echoes the read symbol and
+    stays on every pair but the last keeps all three parts as arrays, and
+    steps bit for bit as the full joint does under a head smooth over the
+    whole read column, one smooth over part of it and a point head."""
+    ctx = FiniteSet(["x", "y"])
+
+    def all_but_last(xi, s):
+        to, w, d = xi.copy(), s.copy(), np.zeros_like(s)
+        to[-1], w[-1], d[-1] = 0, (s[-1] + 1) % 3, 1
+        return to, w, d
+
+    echo = Tract("S", "S", (frozenset(AB.elements),), label="echo",
+                 index_map=lambda xi, s: (xi, s, np.zeros_like(s)))
+    odd = Tract("S", "S", (frozenset(AB.elements),), label="odd",
+                index_map=all_but_last)
+    factors = SectionMachine({"S": ctx}, [echo], AB, "_", 1).table("S").entries[0]
+    assert (factors.to, factors.writes, factors.moves) == (None, (None,), (1,))
+    sm = SectionMachine({"S": ctx}, [odd], AB, "_", 1)
+    (e,) = sm.table("S").entries
+    assert len(e.arrays) == 3 and e.move is None
+    np.testing.assert_array_equal(e.to, [0, 0, 0, 1, 1, 0])
+    np.testing.assert_array_equal(e.writes[0], [0, 1, 2, 0, 1, 0])
+    np.testing.assert_array_equal(e.moves[0], [1, 1, 1, 1, 1, 2])
+    whole = Dist.from_pairs(AB, {"_": 0.25, "A": 0.25, "B": 0.5})
+    part = Dist.from_pairs(AB, {"_": 0.25, "B": 0.75})
+    counts = Counter()
+    for cell in (whole, part, Dist.point(AB, "B")):
+        tapes = (SmoothTape.from_dists(AB, "_", 0, [cell]),)
+        reference_stepper(counts)(SectionConfig(sm, {"S": np.array([0.25, 0.75])},
+                                                tapes, 0.0))
+    assert counts == {"none": 2, "all": 1}
+    assert set(sm.table("S").plans) == {((0, 1, 2),), ((0, 2),), (2,)}
+
+
 @pytest.mark.parametrize("name", ["mt-2x2x3", "mt-broken", "utm-2x3"])
 def test_lowering_agrees_with_section_tables(name):
     sm = SECTION_MACHINES[name]()
@@ -458,7 +529,7 @@ def test_copy_tracts_share_read_only_arrays():
         next(e for e in sm.table(f"MLB1.{j}").entries if e.label == f"seek-left.{j}")
         for j in (1, 2)
     )
-    assert isinstance(one, _CopyEntry) and one.keep is None
+    assert one.arrays == () and one.keep is None
     assert (one.cols, one.offsets, one.where) == (two.cols, two.offsets, two.where)
     assert one.cols is two.cols and one.offsets is two.offsets
     for f in dataclasses.fields(one):  # nothing per pair is stored
@@ -1105,8 +1176,8 @@ def test_single_tape_compile_cuts_never_copy():
     """A compiled simulator has one tape, so a plan whose head is a point
     mass reads one column of each entry's grid, and one whose head supports
     every read column the whole grid: either way a fresh compile's plans
-    copy nothing.  A declarative entry's arrays are the machine's shared
-    grid arrays, and an index map's share memory with the entry's own."""
+    copy nothing.  An entry's factor parts give the machine's shared grid
+    arrays, and its array parts share memory with the entry's own."""
     rng = np.random.default_rng(2)
     m = random_machine(rng, 2, 2, 2)
     sim = compile_multitape(m)
@@ -1126,14 +1197,16 @@ def test_single_tape_compile_cuts_never_copy():
                 full = k == "all" or type(k) is tuple and set(e.cols[0].tolist()) <= set(k)
                 if type(k) is not int and not full:
                     continue
-                declarative = isinstance(e, _CopyEntry)
-                assert declarative == (sim.machine.tracts[e.tract].index_map is None)
+                assert e.arrays == () or sim.machine.tracts[e.tract].index_map
                 for a in (ctx, *(s for _, s in syms)):
                     assert a is None or id(a) in grids
-                for a, b in zip((tgt, *ws, *ds), (e.tgt, *e.w_idx, *e.d_idx)):
+                for a, b in zip((tgt, *ws, *ds), (e.to, *e.writes, *e.moves)):
                     assert not a.flags.writeable
-                    assert id(a) in grids if declarative else np.shares_memory(a, b)
-                shared[full, declarative] += 1
+                    if type(b) is np.ndarray:
+                        assert np.shares_memory(a, b)
+                    else:
+                        assert id(a) in grids
+                shared[full, not e.arrays] += 1
     assert len(shared) == 4, shared
 
 
