@@ -12,6 +12,8 @@ supplied externally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -44,39 +46,64 @@ class Machine:
     """An n-tape Turing machine with a total transition table.
 
     ``delta`` maps (state, read-symbol vector) to (state, write vector,
-    direction vector) with directions in {-1, 0, 1}; validation walks it once
-    and keeps it as read-only int arrays over the row-major (state, read
-    symbols) pairs: ``to_q`` target state indices, ``to_w``/``to_d`` per-tape
-    written symbol indices and moves.  A lowered section machine's stuck
-    fills are plain entries here; the section engine reports mass in them.
+    direction vector) with directions in {-1, 0, 1}.  A machine keeps it as
+    read-only int arrays over the row-major (state, read symbols) pairs:
+    ``to_q`` target state indices, ``to_w``/``to_d`` per-tape written symbol
+    indices and moves.  The constructor's walk of ``delta`` gives them, or
+    :meth:`from_arrays` takes them and builds ``delta`` when it is first read.
+    A lowered section machine's stuck fills are plain entries here.
     """
 
-    def __init__(
-        self,
-        states: FiniteSet,
-        alphabet: FiniteSet,
-        blank: Hashable,
-        num_tapes: int,
-        delta: Mapping,
-    ):
+    def __init__(self, states: FiniteSet, alphabet: FiniteSet, blank: Hashable,
+                 num_tapes: int, delta: Mapping):
+        self._set_shape(states, alphabet, blank, num_tapes)
+        self.delta = dict(delta)
+        self.to_q, self.to_w, self.to_d = self._validate()
+
+    @classmethod
+    def from_arrays(cls, states, alphabet, blank, num_tapes, to_q, to_w, to_d) -> Machine:
+        """The machine with these arrays, made read-only; raises ValueError
+        unless they are int arrays of the right shapes and value ranges."""
+        m = cls.__new__(cls)
+        m._set_shape(states, alphabet, blank, num_tapes)
+        pairs = len(states) * len(alphabet) ** num_tapes
+        for name, a, shape, lo, hi in (
+            ("to_q", to_q, (pairs,), 0, len(states) - 1),
+            ("to_w", to_w, (pairs, num_tapes), 0, len(alphabet) - 1),
+            ("to_d", to_d, (pairs, num_tapes), -1, 1),
+        ):
+            a = np.asarray(a)
+            if a.dtype.kind not in "iu" or a.shape != shape:
+                raise ValueError(f"{name} has dtype {a.dtype} and shape {a.shape}, "
+                                 f"not an int dtype and shape {shape}")
+            if a.size and not lo <= a.min() <= a.max() <= hi:
+                raise ValueError(f"{name} holds values outside {lo}..{hi}")
+            vars(m)[name] = a = a.astype(np.intp, copy=False)
+            a.flags.writeable = False
+        return m
+
+    def _set_shape(self, states, alphabet, blank, num_tapes):
         if blank not in alphabet:
             raise ValueError("blank symbol must be in the alphabet")
         if num_tapes < 1:
             raise ValueError("need at least one tape")
-        self.states = states
-        self.alphabet = alphabet
-        self.blank = blank
+        self.states, self.alphabet, self.blank = states, alphabet, blank
         self.num_tapes = num_tapes
-        self.delta = dict(delta)
-        self.to_q, self.to_w, self.to_d = self._validate()
+
+    @cached_property
+    def delta(self) -> dict:
+        """The transition dict, in row-major (state, read symbols) order:
+        the constructor's own, or built from the arrays on first read."""
+        Q, A = self.states.elements, self.alphabet.elements
+        rows = zip([Q[i] for i in self.to_q.tolist()],
+                   [tuple([A[k] for k in w]) for w in self.to_w.tolist()],
+                   map(tuple, self.to_d.tolist()))
+        return dict(zip(product(Q, product(A, repeat=self.num_tapes)), rows))
 
     def _validate(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        from itertools import product
-
-        # The loop below stops at the first missing key, which comes within
-        # len(delta) + 1 keys of the tape count's length.  With no
-        # transitions given, even that one key can be far larger than the
-        # input (a huge tape count), so an empty table is reported at once.
+        # The walk stops at the first missing key, within len(delta) + 1 keys
+        # of the tape count's length; with no transitions given, even that key
+        # can dwarf the input (a huge tape count), so that is reported first.
         if self.states and not self.delta:
             raise ValueError("delta is not total: no transitions given")
         n, Q, A = self.num_tapes, self.states, self.alphabet
@@ -245,14 +272,9 @@ def parse_machine(text: str) -> Machine:
             )
         q, syms = ltoks[0], tuple(ltoks[1:])
         q2, writes, dirtoks = rtoks[0], tuple(rtoks[1 : 1 + n]), rtoks[1 + n :]
-        for tok, pool, what in (
-            (q, states, "state"),
-            (q2, states, "state"),
-        ):
-            if tok not in pool:
-                raise FormatError(
-                    f"unknown {what} {tok!r}", lineno, raw.find(tok) + 1
-                )
+        for tok in (q, q2):
+            if tok not in states:
+                raise FormatError(f"unknown state {tok!r}", lineno, raw.find(tok) + 1)
         for s in syms + writes:
             if s not in alphabet:
                 raise FormatError(
@@ -293,8 +315,6 @@ def format_machine(m: Machine) -> str:
         ),
         f"tapes: {m.num_tapes}",
     ]
-    from itertools import product
-
     for q in m.states:
         for syms in product(m.alphabet.elements, repeat=m.num_tapes):
             q2, writes, dirs = m.delta[(q, syms)]

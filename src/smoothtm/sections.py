@@ -19,17 +19,17 @@ Every tract compiles to one kind of entry, whose target, writes and moves
 are each a factor (the source context, the read symbol, a constant) or an
 array over its pairs: a declarative tract gives only factors, and an index
 map's part is its factor wherever all its pairs agree on it.  An entry
-derives its per-pair arrays when they are read.  Lowering, the
+derives its per-pair arrays from one cut over its grid.  Lowering, the
 serialization and the smooth engine all read these tables; the engine reads
 them through step plans (:meth:`SectionMachine.plan`), built from each read
 set's symbol-position maps, in which factors are grid index arrays the
 machine shares by shape and array parts are views or gathers of the entry's.
 
-Lowering produces an ordinary :class:`~smoothtm.machines.Machine` whose state
-set is the disjoint union of the contexts tagged by section id; it is the
-classical reading of a section machine.  Pairs not covered by any tract are
-filled with a stuck self-loop (write back, stay) so that delta is total; the
-engine raises :class:`~smoothtm.engine.StuckError` on mass that reaches one.
+Lowering builds the arrays of an ordinary :class:`~smoothtm.machines.Machine`,
+the classical reading of a section machine, whose states are the contexts
+tagged by section id.  Every pair starts as a stuck self-loop (write back,
+stay), and each entry's pairs are scattered over them; the engine raises
+:class:`~smoothtm.engine.StuckError` on mass that reaches one.
 """
 
 from __future__ import annotations
@@ -201,9 +201,7 @@ class _TractEntry:
     parts by their position in ``(to, *writes, *moves)``, ``key`` names the
     factors, under which plans share their grid arrays, and ``move`` is
     ``moves`` when no move is an array.  ``cut`` gives the entry's item in a
-    step plan.  The per-pair arrays, the flat indices ``src`` (strictly
-    increasing), ``tgt``, ``w_idx`` and ``d_idx``, are derived on access,
-    read-only, in grid order."""
+    step plan, and :meth:`pairs` its per-pair arrays, derived when called."""
 
     target: str
     label: str
@@ -239,21 +237,12 @@ class _TractEntry:
         src = (xi * self.stride + self.offsets).reshape(-1)
         return _read_only(src if self.keep is None else src[self.keep])
 
-    @property
-    def tgt(self) -> np.ndarray:
-        return self._whole()[3]
-
-    @property
-    def w_idx(self) -> tuple:
-        return self._whole()[4]
-
-    @property
-    def d_idx(self) -> tuple:
-        return self._whole()[5]
-
-    def _whole(self) -> tuple:
-        """The plan item under heads that support every read column."""
-        return self.cut(tuple(tuple(c.tolist()) for c in self.cols), {})
+    def pairs(self) -> tuple:
+        """``(src, tgt, w_idx, d_idx)``, read-only in grid order: the flat
+        indices ``src`` (strictly increasing) and the plan item's arrays
+        under heads that support every read column, from one cut."""
+        item = self.cut(tuple(tuple(c.tolist()) for c in self.cols), {})
+        return self.src, *item[3:]
 
     def cut(self, picks: tuple, grids: dict) -> tuple | None:
         """The plan item at ``picks`` (see :meth:`_SectionTable.plan`), or
@@ -678,29 +667,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def lower_sections(sm: SectionMachine) -> Machine:
     """Assemble the ordinary machine underlying a section machine.
 
-    States are (section id, context element) pairs in section order;
-    uncovered (state, symbols) pairs become stuck fills: write back, stay.
-    """
-    A, n = sm.alphabet, sm.num_tapes
-    states = FiniteSet(
-        [(sid, x) for sid, ctx in sm.sections.items() for x in ctx]
-    )
-    delta = {}
-    for sid, ctx in sm.sections.items():
-        table = sm.table(sid)
-        keys = [((sid, x), syms) for x in ctx for syms in product(A.elements, repeat=n)]
-        rows = [None] * len(keys)
-        for e in table.entries:
-            tctx = sm.sections[e.target].elements
-            targets = [(e.target, tctx[i]) for i in e.tgt.tolist()]
-            writes = zip(*[[A.elements[i] for i in w.tolist()] for w in e.w_idx])
-            dirs = zip(*[(d - 1).tolist() for d in e.d_idx])
-            for f, row in zip(e.src.tolist(), zip(targets, writes, dirs)):
-                rows[f] = row
-        for f in np.flatnonzero(table.uncovered).tolist():
-            rows[f] = (*keys[f], (0,) * n)
-        delta.update(zip(keys, rows))
-    return Machine(states, sm.alphabet, sm.blank, sm.num_tapes, delta)
+    States are (section id, context element) pairs in section order.  The
+    arrays start as stuck fills (the same state, write back, stay), and each
+    entry's :meth:`~_TractEntry.pairs` are scattered over them."""
+    n, size = sm.num_tapes, len(sm.alphabet) ** sm.num_tapes
+    states = FiniteSet([(sid, x) for sid, ctx in sm.sections.items() for x in ctx])
+    first = dict(zip(sm.sections, np.cumsum([0, *map(len, sm.sections.values())])))
+    to_q = np.repeat(np.arange(len(states), dtype=np.intp), size)
+    combos = np.indices((len(sm.alphabet),) * n, dtype=np.intp).reshape(n, size).T
+    to_w = np.tile(combos, (len(states), 1))  # each pair writes back what it read
+    to_d = np.zeros_like(to_w)
+    for sid in sm.sections:
+        for e in sm.table(sid).entries:
+            src, tgt, w_idx, d_idx = e.pairs()
+            flat = src + first[sid] * size
+            to_q[flat] = tgt + first[e.target]
+            to_w[flat] = np.stack(w_idx, axis=1)
+            to_d[flat] = np.stack(d_idx, axis=1) - 1
+    return Machine.from_arrays(states, sm.alphabet, sm.blank, n, to_q, to_w, to_d)
 
 
 # ---------------------------------------------------------------------------
@@ -752,17 +736,18 @@ def format_section_machine(sm: SectionMachine, metadata: dict | None = None) -> 
         e = entries.get(i)
         if e is None:
             continue
-        xi, off = np.divmod(e.src, len(A) ** n)
+        src, tgt, w_idx, d_idx = e.pairs()
+        xi, off = np.divmod(src, len(A) ** n)
         digits = np.unravel_index(off, digit_shape)
         order = np.lexsort([rank[d] for d in reversed(digits)] + [xi])
-        w_off = np.ravel_multi_index(e.w_idx, digit_shape)
-        d_off = np.ravel_multi_index(e.d_idx, (3,) * n)
+        w_off = np.ravel_multi_index(w_idx, digit_shape)
+        d_off = np.ravel_multi_index(d_idx, (3,) * n)
         src_labels, tgt_labels = ctx_labels[t.source], ctx_labels[t.target]
         lines.extend(
             f"  map: {src_labels[x]} | {syms_text[o]} -> {tgt_labels[x2]} | "
             f"{syms_text[w]} | {dirs_text[d]}"
             for x, o, x2, w, d in zip(
-                xi[order].tolist(), off[order].tolist(), e.tgt[order].tolist(),
+                xi[order].tolist(), off[order].tolist(), tgt[order].tolist(),
                 w_off[order].tolist(), d_off[order].tolist(),
             )
         )

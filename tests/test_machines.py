@@ -152,3 +152,57 @@ def test_delta_must_be_total():
     alphabet = FiniteSet(["_", "1"])
     with pytest.raises(ValueError, match="total"):
         Machine(states, alphabet, "_", 1, {("q", ("_",)): ("q", ("_",), (0,))})
+
+
+TWO_TAPE_TEXT = """states: q
+alphabet: _ A
+tapes: 2
+q _ _ -> q A _ R S
+q _ A -> q A A R L
+q A _ -> q _ A L R
+q A A -> q _ _ S S
+"""
+
+
+@pytest.mark.parametrize("source", ["random-1", "random-2", "random-3", "parsed"])
+def test_from_arrays_gives_the_same_delta(source):
+    """A machine built from another's arrays keeps them read-only and
+    builds the same delta from them, on first read."""
+    if source == "parsed":
+        m = parse_machine(TWO_TAPE_TEXT)
+    else:
+        n = int(source[-1])
+        m = random_machine(np.random.default_rng(n), n, 3, 3)
+    a = Machine.from_arrays(
+        m.states, m.alphabet, m.blank, m.num_tapes, m.to_q, m.to_w, m.to_d
+    )
+    assert "delta" not in vars(a)
+    assert a.delta == m.delta
+    assert repr(list(a.delta.items())) == repr(list(m.delta.items()))
+    for got, want in zip((a.to_q, a.to_w, a.to_d), (m.to_q, m.to_w, m.to_d)):
+        assert got.dtype == np.intp and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
+
+def test_from_arrays_rejects_bad_arrays():
+    m = parse_machine(TWO_TAPE_TEXT)
+
+    def changed(name, at, value):
+        arrays = {"to_q": m.to_q, "to_w": m.to_w, "to_d": m.to_d}
+        arrays[name] = a = arrays[name].copy()
+        a[at] = value
+        return Machine.from_arrays(m.states, m.alphabet, m.blank, 2, *arrays.values())
+
+    with pytest.raises(ValueError, match=r"^to_q holds values outside 0\.\.0$"):
+        changed("to_q", 3, 1)
+    with pytest.raises(ValueError, match=r"^to_w holds values outside 0\.\.1$"):
+        changed("to_w", (2, 1), 2)
+    with pytest.raises(ValueError, match=r"^to_d holds values outside -1\.\.1$"):
+        changed("to_d", (0, 0), -2)
+    with pytest.raises(ValueError, match=r"^to_w has dtype int\d+ and shape \(4, 1\), "
+                                         r"not an int dtype and shape \(4, 2\)$"):
+        Machine.from_arrays(m.states, m.alphabet, m.blank, 2, m.to_q, m.to_w[:, :1],
+                            m.to_d)
+    with pytest.raises(ValueError, match="^to_q has dtype float64 "):
+        Machine.from_arrays(m.states, m.alphabet, m.blank, 2, m.to_q * 1.0, m.to_w,
+                            m.to_d)

@@ -272,7 +272,8 @@ def test_broadcast_tables_equal_enumerated_reference(name):
             assert (e.target, e.label) == (target, label)
             constant = all(len(set(d)) == 1 for d in d_idx)
             assert e.move == (tuple(d[0] for d in d_idx) if constant else None)
-            for got, want in zip([e.src, e.tgt, *e.w_idx, *e.d_idx],
+            got_src, got_tgt, got_w, got_d = e.pairs()
+            for got, want in zip([got_src, got_tgt, *got_w, *got_d],
                                  [src, tgt, *w_idx, *d_idx]):
                 assert got.dtype == np.intp
                 np.testing.assert_array_equal(got, want)
@@ -308,7 +309,8 @@ def test_index_map_parts_are_factors_exactly_where_every_pair_agrees(name):
                 agree[1 : n + 1]
             )
             kinds[all(agree)] += 1
-            for got, want in zip([e.src, e.tgt, *e.w_idx, *e.d_idx],
+            got_src, got_tgt, got_w, got_d = e.pairs()
+            for got, want in zip([got_src, got_tgt, *got_w, *got_d],
                                  [src, tgt, *w_idx, *d_idx]):
                 assert got.dtype == np.intp and not got.flags.writeable
                 np.testing.assert_array_equal(got, want)
@@ -351,7 +353,7 @@ def test_index_map_that_agrees_on_all_pairs_but_one_keeps_its_arrays():
     assert set(sm.table("S").plans) == {((0, 1, 2),), ((0, 2),), (2,)}
 
 
-@pytest.mark.parametrize("name", ["mt-2x2x3", "mt-broken", "utm-2x3"])
+@pytest.mark.parametrize("name", sorted(SECTION_MACHINES))
 def test_lowering_agrees_with_section_tables(name):
     sm = SECTION_MACHINES[name]()
     m = lower_sections(sm)
@@ -367,11 +369,12 @@ def test_lowering_agrees_with_section_tables(name):
         table = _SectionTable(sm, sid)
         for e in table.entries:
             tctx = sm.sections[e.target]
-            for k, flat in enumerate(e.src):
+            src, tgt, w_idx, d_idx = e.pairs()
+            for k, flat in enumerate(src):
                 assert m.delta[key(sid, flat)] == (
-                    (e.target, tctx.elements[e.tgt[k]]),
-                    tuple(A.elements[w[k]] for w in e.w_idx),
-                    tuple(int(d[k]) - 1 for d in e.d_idx),
+                    (e.target, tctx.elements[tgt[k]]),
+                    tuple(A.elements[w[k]] for w in w_idx),
+                    tuple(int(d[k]) - 1 for d in d_idx),
                 )
     for state, syms in uncovered_pairs(sm):
         assert m.delta[state, syms] == (state, syms, (0,) * n)
@@ -537,7 +540,8 @@ def test_copy_tracts_share_read_only_arrays():
         for a in value if isinstance(value, tuple) else (value,):
             assert not isinstance(a, np.ndarray) or a.size == one.offsets.size
     for e in (one, two):
-        for a in (e.src, e.tgt, *e.w_idx, *e.d_idx):
+        src, tgt, w_idx, d_idx = e.pairs()
+        for a in (src, tgt, *w_idx, *d_idx):
             assert a.dtype == np.intp and a.size == e.contexts * e.offsets.size
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -714,6 +718,29 @@ def test_compile_output_and_lowering_unchanged(index, tmp_path, capsys):
     assert h.hexdigest() == lowered_digest
 
 
+# (states, symbols, sha256 of the lowered table) of the UTM over the first
+# symbols of _ A B C, in GOLDEN_COMPILES's scheme; recorded while lowering
+# still built delta as a dict of labels and walked it into the arrays, so
+# they pin a lowered UTM apart from the arrays the agreement test reads
+GOLDEN_UTMS = [
+    (1, 2, "67c2f541bd64543546f15bfd89f754d90e0492547c94c9e0a2e5259d841b8970"),
+    (2, 3, "b7e84613487fea649fa6596b7bcd8b818dc53afd1663c9fe76a3c20260c34453"),
+    (3, 4, "777ba5af503035b26f68d42175ae95d9f71ebfe62b4f79f48315b7a97beb5f31"),
+]
+
+
+@pytest.mark.parametrize("q, s, digest", GOLDEN_UTMS)
+def test_lowered_utm_unchanged(q, s, digest):
+    sm = build_utm(q, FiniteSet(["_", "A", "B", "C"][:s]), "_").machine
+    lowered, stuck = lower_sections(sm), uncovered_pairs(sm)
+    assert "delta" not in vars(lowered)  # built from the arrays on first read
+    h = hashlib.sha256()
+    for key in sorted(lowered.delta, key=repr):
+        h.update(repr((key, lowered.delta[key], key in stuck)).encode())
+    assert vars(lowered)["delta"] is lowered.delta
+    assert h.hexdigest() == digest
+
+
 # (seed, tapes, states, symbols, sha256 of `compile -o` output) past the
 # golden compiles' three tapes, where every walk of a row has several steps
 WIDE_COMPILES = [
@@ -739,7 +766,8 @@ def table_digest(sm):
         table = sm.table(sid)
         for e in table.entries:
             h.update(repr((sid, e.target, e.label)).encode())
-            for a in (e.src, e.tgt, *e.w_idx, *e.d_idx):
+            src, tgt, w_idx, d_idx = e.pairs()
+            for a in (src, tgt, *w_idx, *d_idx):
                 h.update(np.asarray(a, dtype=np.int64).tobytes())
         h.update(np.flatnonzero(table.uncovered).astype(np.int64).tobytes())
     return h.hexdigest()
@@ -796,14 +824,15 @@ def scattered_dirs(cfg):
             joint = np.multiply.outer(joint, r)
         flat = joint.reshape(-1)
         for e in cfg.machine.table(sid).entries:
-            vals = flat[e.src]
+            src, _, _, d_idx = e.pairs()
+            vals = flat[src]
             if np.add.reduce(vals) == 0.0:
                 continue
             moves.add(e.move)
             if acc is None:
-                acc = [np.bincount(d, vals, 3) for d in e.d_idx]
+                acc = [np.bincount(d, vals, 3) for d in d_idx]
             else:
-                for a, d in zip(acc, e.d_idx):
+                for a, d in zip(acc, d_idx):
                     np.add.at(a, d, vals)
     return [renormalized(a, "direction") for a in acc], moves
 
@@ -905,18 +934,19 @@ def reference_step(cfg):
             joint = np.multiply.outer(joint, r)
         flat = joint.reshape(-1)
         for e in sm.table(sid).entries:
-            vals = flat[e.src]
+            src, tgt, w_idx, _ = e.pairs()
+            vals = flat[src]
             if np.add.reduce(vals) == 0.0:
                 continue
             if e.target in acc:
-                np.add.at(acc[e.target], e.tgt, vals)
+                np.add.at(acc[e.target], tgt, vals)
             else:
-                acc[e.target] = np.bincount(e.tgt, vals, len(sm.sections[e.target]))
+                acc[e.target] = np.bincount(tgt, vals, len(sm.sections[e.target]))
             flows.add((sid, e.target))
             if writes is None:
-                writes = [np.bincount(w, vals, A) for w in e.w_idx]
+                writes = [np.bincount(w, vals, A) for w in w_idx]
             else:
-                for a, w in zip(writes, e.w_idx):
+                for a, w in zip(writes, w_idx):
                     np.add.at(a, w, vals)
     dirs, moves = scattered_dirs(cfg)
     if len(moves) == 1 and None not in moves:

@@ -454,7 +454,8 @@ def test_shared_table_arrays_are_read_only():
         table = sm.table(sid)
         arrays = [table.uncovered]
         for e in table.entries:
-            arrays += [e.src, e.tgt, *e.w_idx, *e.d_idx]
+            src, tgt, w_idx, d_idx = e.pairs()
+            arrays += [src, tgt, *w_idx, *d_idx]
         for a in arrays:
             assert not a.flags.writeable
             if a.size:
