@@ -67,6 +67,15 @@ class FiniteSet:
         return f"FiniteSet(<{len(self.elements)} elements>)"
 
 
+def typed(x):
+    """``x`` with the type of every label in it, nested tuples included: a
+    key under which labels that compare equal across types (``1`` and
+    ``True``) differ, as they do when rendered."""
+    if type(x) is tuple:
+        return tuple(typed(v) for v in x)
+    return type(x), x
+
+
 class ProductSet(FiniteSet):
     """Cartesian product of finite sets, flat in row-major order.
 

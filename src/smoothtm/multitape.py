@@ -35,12 +35,13 @@ deterministic function of the geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .dists import ATOL, Dist, FiniteSet, product_set
+from .dists import ATOL, Dist, FiniteSet, product_set, typed
 from .engine import SectionConfig, section_smooth_step
 from .framework import GeneratingTriple
 from .machines import Machine
@@ -103,16 +104,87 @@ class CompiledSim:
         return self.source.num_tapes
 
 
+class _Delta(NamedTuple):
+    """A machine's delta arrays over ctx_w, as the tracts that read them
+    take them: target state, per-tape write and per-tape move."""
+
+    q: np.ndarray
+    w: np.ndarray
+    d: np.ndarray
+
+
+@dataclass
+class _Skeleton:
+    """What every compile of one shape shares.
+
+    ``tracts`` is the simulator's tract list with None in the slot of each
+    of the 4n+1 tracts that read delta; ``slots`` gives, per slot, its
+    position and the arguments of ``_tract`` with ``fn(delta, xi, s)``.
+    ``tables`` holds the compiled sections that no slot leaves, built by
+    the shape's first compile; ``reads`` and ``grids`` are the machines'
+    shared ``_reads`` and ``_grids``.  Every array in them is read-only.
+    """
+
+    alphabet: FiniteSet
+    sections: dict[str, FiniteSet]
+    tracts: list
+    slots: list
+    tables: dict = field(default_factory=dict)
+    reads: dict = field(default_factory=dict)
+    grids: dict = field(default_factory=dict)
+
+
 def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     """Emit the simulator's sections and tracts for all n rows.
 
     ``broken=True`` writes tape 1 the symbol after delta's write (mod
     |Sigma|), a deliberate mutation that completes every cycle with the
     wrong tape and shows the commuting-square check is not vacuous.
+
+    All but the 4n+1 tracts that read delta depend only on the shape, the
+    tape count and the state labels, alphabet and blank compared with their
+    types (``1`` and ``True`` differ).  They are emitted once per shape
+    (``_skeleton``; the last 16 shapes are kept), and every compile of a
+    shape shares their sections' tables, built by its first compile, and
+    the step plans cached on them.  A compile emits the tracts that read
+    its delta into their slots, so every compile lists its tracts in one
+    order.
     """
-    n = m.num_tapes
-    Q, SIGMA = m.states, m.alphabet
-    blank = m.blank
+    n, Q, SIGMA, blank = m.num_tapes, m.states, m.alphabet, m.blank
+    skel = _skeleton(typed((n, Q.elements, SIGMA.elements, blank)), n, Q, SIGMA, blank)
+    to_w = m.to_w
+    if broken:  # only W_n reads column 0: W_k writes tape n-k+1
+        to_w = np.hstack([(to_w[:, :1] + 1) % len(SIGMA), to_w[:, 1:]])
+    delta = _Delta(m.to_q, to_w, m.to_d)
+    tracts = list(skel.tracts)
+    for i, src, tgt, reads, fn, move, label in skel.slots:
+        tracts[i] = _tract(src, tgt, reads, partial(fn, delta), move, label)
+    sm = SectionMachine(skel.sections, tracts, skel.alphabet, blank, 1,
+                        _reads=skel.reads, _grids=skel.grids)
+    if not skel.tables:
+        busy = {slot[1] for slot in skel.slots}
+        skel.tables.update((sid, sm.table(sid)) for sid in sm.sections if sid not in busy)
+    sm._tables.update(skel.tables)
+    return CompiledSim(source=m, machine=sm)
+
+
+def _tract(src, tgt, reads, fn, move, label) -> Tract:
+    """A tract given by ``fn(context indices, read symbol indices) ->
+    (target context indices, write indices)``; every pair moves by
+    ``move``."""
+
+    def index_map(xi, syms):
+        to, w = fn(xi, syms[:, 0])
+        return to, w[:, None], np.full((xi.size, 1), move)
+
+    return Tract(src, tgt, (frozenset(reads),), label=label, index_map=index_map)
+
+
+@lru_cache(maxsize=16)
+def _skeleton(shape: tuple, n: int, Q: FiniteSet, SIGMA: FiniteSet, blank) -> _Skeleton:
+    """The sections and tracts of every compile of one shape, with a slot
+    for each tract that reads delta; the cache is keyed by ``shape``, which
+    ``compile_multitape`` takes from the rest."""
     for mark in MARKERS:
         if mark in SIGMA:
             raise ValueError(f"source alphabet reserves {mark!r}")
@@ -130,30 +202,26 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     # A SIGMA symbol has the same index in SIGMA and in the single tape's
     # alphabet.  The machine's delta arrays run over ctx_w in its order.
     S, b = len(SIGMA), SIGMA.index(blank)
-    to_w = m.to_w
-    if broken:  # only W_n reads column 0: W_k writes tape n-k+1
-        to_w = np.hstack([(to_w[:, :1] + 1) % S, to_w[:, 1:]])
 
-    def psi(xw, j0, c1, c2, c3):
+    def psi(delta, xw, j0, c1, c2, c3):
         # selector over written neighbours by the row's move direction
-        return np.choose(m.to_d[xw, j0] + 1, (c1, c2, c3))
+        return np.choose(delta.d[xw, j0] + 1, (c1, c2, c3))
 
     def load(xi, s):
         return xi * S + s, s
 
     sections: dict[str, FiniteSet] = {}
-    tracts: list[Tract] = []
+    tracts: list[Tract | None] = []
+    slots = []
 
     def emit(src, tgt, reads, fn, move, label):
-        # fn(context indices, read symbol indices) -> (target context
-        # indices, write indices); every pair moves by ``move``
-        def index_map(xi, syms):
-            to, w = fn(xi, syms[:, 0])
-            return to, w[:, None], np.full((xi.size, 1), move)
+        # a tract that reads no delta, shared by every compile of the shape
+        tracts.append(_tract(src, tgt, reads, fn, move, label))
 
-        tracts.append(
-            Tract(src, tgt, (frozenset(reads),), label=label, index_map=index_map)
-        )
+    def emit_delta(src, tgt, reads, fn, move, label):
+        # as ``emit`` with fn(delta, xi, s), left as a slot for each compile
+        slots.append((len(tracts), src, tgt, reads, fn, move, label))
+        tracts.append(None)
 
     def copy(src, tgt, reads, write, move, label):
         # keeps the context; ``write`` is a constant symbol, or ECHO
@@ -173,9 +241,9 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     for k in range(1, n + 1):
         sections[f"W{k}"] = ctx_w
         tgt = f"W{k+1}" if k < n else f"MLB1.{n}"
-        emit(
+        emit_delta(
             f"W{k}", tgt, SIG,
-            lambda xi, s, t0=n - k: (xi, to_w[xi, t0]), -1, f"write{k}",
+            lambda delta, xi, s, t0=n - k: (xi, delta.w[xi, t0]), -1, f"write{k}",
         )
 
     # row j's walks: sections name1..name{k-1} each copy a cell and move on,
@@ -224,11 +292,11 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         walk("MMLback", n, ctx_p3, SIG, -1, f"MMLwrite.{j}", "back", skip=True)
         sections[f"MMLwrite.{j}"] = ctx_p3
         # (q, s1..sn, c1, c2, c3) -> (q, s1..sn, c2, c3)
-        emit(
+        emit_delta(
             f"MMLwrite.{j}", f"MMLout1.{j}", SIG,
-            lambda xi, s, j0=j0: (
+            lambda delta, xi, s, j0=j0: (
                 xi // S**3 * S**2 + xi % S**2,
-                psi(xi // S**3, j0, xi // S**2 % S, xi // S % S, xi % S),
+                psi(delta, xi // S**3, j0, xi // S**2 % S, xi // S % S, xi % S),
             ),
             1, f"superpose.{j}",
         )
@@ -253,17 +321,17 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
         # right edge: the opened column sees (last data cell, blank, blank);
         # the last data column sees (loaded pair, blank)
         sections[f"MRE1.{j}"] = ctx_p2
-        emit(
+        emit_delta(
             f"MRE1.{j}", first("MREwalk", n, f"MRE2.{j}"), BLANK,
-            lambda xi, s, j0=j0: (xi, psi(xi // S**2, j0, xi % S, b, b)), -1,
-            f"edge-right1.{j}",
+            lambda delta, xi, s, j0=j0: (xi, psi(delta, xi // S**2, j0, xi % S, b, b)),
+            -1, f"edge-right1.{j}",
         )
         walk("MREwalk", n, ctx_p2, SIG | HR, -1, f"MRE2.{j}", "re-walk")
         sections[f"MRE2.{j}"] = ctx_p2
-        emit(
+        emit_delta(
             f"MRE2.{j}", after_row, SIG,
-            lambda xi, s, j0=j0: (
-                xi // S**2, psi(xi // S**2, j0, xi // S % S, xi % S, b)
+            lambda delta, xi, s, j0=j0: (
+                xi // S**2, psi(delta, xi // S**2, j0, xi // S % S, xi % S, b)
             ),
             -1, f"edge-right2.{j}",
         )
@@ -273,10 +341,9 @@ def compile_multitape(m: Machine, broken: bool = False) -> CompiledSim:
     sections["SU"] = sections["S"] = ctx_w
     copy("SU", "SU", SIG, ECHO, -1, "seek-head")
     copy("SU", "S", H0, MARK_0, 1, "found-head")
-    emit("S", "R1", SIG, lambda xi, s: (m.to_q[xi], s), 0, "state-update")
+    emit_delta("S", "R1", SIG, lambda delta, xi, s: (delta.q[xi], s), 0, "state-update")
 
-    sm = SectionMachine(sections, tracts, alphabet, blank, 1)
-    return CompiledSim(source=m, machine=sm)
+    return _Skeleton(alphabet, sections, tracts, slots)
 
 
 # ---------------------------------------------------------------------------

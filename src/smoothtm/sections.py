@@ -57,7 +57,8 @@ class Tract:
     tract covers, in table order, and returns int arrays of target context
     indices (P,), written alphabet indices (P, n) and moves in -1/0/1 (P, n).
     Its optional guard gets the same two arrays for all pairs of the tract's
-    rectangle and returns a bool mask (P,) of the pairs it covers.
+    rectangle and returns a bool mask (P,) of the pairs it covers.  Both
+    arrays may be read-only, shared by every tract over that grid.
     """
 
     source: str
@@ -397,7 +398,7 @@ class _SectionTable:
                 write = tuple(w if w is None else A.index(w) for w in t.write)
                 parts = None, None, write, tuple(d + 1 for d in t.move)
             else:
-                parts = self._index_arrays(t, combos, offsets)
+                parts = self._index_arrays(t, combos, sm._grids)
             if parts is None or not contexts * offsets.size:
                 continue
             e = _TractEntry(t.target, t.label, i, len(sm.sections[t.target]), contexts,
@@ -499,21 +500,21 @@ class _SectionTable:
             tuple(A.elements[k] for k in digits),
         )
 
-    def _index_arrays(self, t: Tract, combos, offsets):
+    def _index_arrays(self, t: Tract, combos, grids: dict):
         """The guard's read-only mask (None without a guard) and the parts
         ``to``, ``writes`` and ``moves`` (see :class:`_TractEntry`) of a
         tract given by an index map, called once for all the pairs its guard
-        keeps; None when it keeps none.  The map must land in the target
+        keeps; None when it keeps none.  The guard and the map get the
+        grid's context and read-symbol indices read-only, shared by shape
+        through ``grids``.  The map must land in the target
         context and give one alphabet index and one move in -1/0/1 per
         tape.  A part is stored as its factor wherever every pair agrees
         on it: the target is the context, a tape writes the symbol it read,
         or it moves alike."""
         A, n = self.alphabet, self.n
-        contexts, per_context = len(self.sections[self.sid]), len(offsets)
-        xi = np.repeat(np.arange(contexts, dtype=np.intp), per_context)
-        syms = np.empty((contexts, per_context, n), dtype=np.intp)
-        syms[:] = combos
-        syms = syms.reshape(-1, n)
+        contexts = len(self.sections[self.sid])
+        xi = _grid_ctx(grids, contexts, len(combos))
+        syms = _grid_reads(grids, contexts, t.reads, combos)
         keep = None
         if t.guard is not None:
             keep = _read_only(np.array(t.guard(xi, syms)))
@@ -625,6 +626,17 @@ def _grid_ctx(grids: dict, contexts: int, per: int) -> np.ndarray:
     if a is None:
         a = np.repeat(np.arange(contexts, dtype=np.intp), per)
         a = grids[key] = _read_only(a)
+    return a
+
+
+def _grid_reads(grids: dict, contexts: int, reads: tuple, combos: np.ndarray):
+    """The read symbols' alphabet indices at each pair of the grid of
+    ``contexts`` contexts and the read combinations ``combos`` of ``reads``,
+    (pairs, n), read-only and shared by shape through ``grids``."""
+    key = ("reads", contexts, reads)
+    a = grids.get(key)
+    if a is None:
+        a = grids[key] = _read_only(np.tile(combos, (contexts, 1)))
     return a
 
 

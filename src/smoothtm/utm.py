@@ -37,10 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
-from .dists import ATOL, Dist, FiniteSet, product_set, stochastic_op
+from .dists import ATOL, Dist, FiniteSet, product_set, stochastic_op, typed
 from .engine import SectionConfig, section_smooth_step
 from .framework import GeneratingTriple
 from .machines import DIRECTIONS, Machine
@@ -91,15 +92,8 @@ def build_utm(states: int | FiniteSet, alphabet: FiniteSet, blank) -> UtmMachine
         states = FiniteSet([f"q{i}" for i in range(states)])
     if len(states) < 1:
         raise ValueError("need at least one simulated state")
-    shape = _typed((states.elements, alphabet.elements, blank))
+    shape = typed((states.elements, alphabet.elements, blank))
     return _built_utm(shape, states, alphabet, blank)
-
-
-def _typed(x):
-    """``x`` with the type of every label in it, nested tuples included."""
-    if type(x) is tuple:
-        return tuple(_typed(v) for v in x)
-    return type(x), x
 
 
 def _utm_alphabet(states: FiniteSet, alphabet: FiniteSet) -> FiniteSet:
@@ -271,23 +265,21 @@ def encode_code(m: Machine, overrides: dict | None = None) -> DescriptionTape:
     """
     if m.num_tapes != 1:
         raise ValueError("the universal machine simulates single-tape machines")
+    Q, A = m.states.elements, m.alphabet.elements
+    # the delta arrays run over (state, symbol) in this order; a machine
+    # built from arrays never builds its delta dict here
+    to_q, to_w, to_d = m.to_q.tolist(), m.to_w[:, 0].tolist(), m.to_d[:, 0].tolist()
     entries = []
-    for q in m.states:
-        for a in m.alphabet:
-            if overrides and (q, a) in overrides:
-                t, w, d = overrides[(q, a)]
-                if (
-                    t.base != m.states
-                    or w.base != m.alphabet
-                    or d.base != DIRECTIONS
-                ):
-                    raise ValueError(f"override for {(q, a)} over wrong sets")
-            else:
-                q2, writes, dirs = m.delta[(q, (a,))]
-                t = Dist.point(m.states, q2)
-                w = Dist.point(m.alphabet, writes[0])
-                d = Dist.point(DIRECTIONS, dirs[0])
-            entries.append((q, a, t, w, d))
+    for k, (q, a) in enumerate(product(Q, A)):
+        if overrides and (q, a) in overrides:
+            t, w, d = overrides[(q, a)]
+            if t.base != m.states or w.base != m.alphabet or d.base != DIRECTIONS:
+                raise ValueError(f"override for {(q, a)} over wrong sets")
+        else:
+            t = Dist.point(m.states, Q[to_q[k]])
+            w = Dist.point(m.alphabet, A[to_w[k]])
+            d = Dist.point(DIRECTIONS, to_d[k])
+        entries.append((q, a, t, w, d))
     return DescriptionTape(m.states, m.alphabet, entries)
 
 

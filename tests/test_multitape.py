@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from smoothtm.multitape import (
     to_section_config,
 )
 from smoothtm.sampling import random_machine, random_smooth_config
+from smoothtm.sections import format_section_machine
 from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step
 
 
@@ -472,3 +474,70 @@ def test_state_mass_outside_R1_does_not_decode():
         bad = SectionConfig(cfg.machine, state, cfg.tapes)
         assert encoding_of(sim, bad) is None and decode(sim, bad) is None
     assert decode(sim, cfg).deviation(s) == 0.0
+
+
+# the labels of the 4n+1 tracts that read delta
+READS_DELTA = re.compile(r"write\d+|superpose\.\d+|edge-right[12]\.\d+|state-update")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compiles_of_one_shape_share_what_reads_no_delta(n):
+    """From a cold cache, two compiles of one shape share the sections, the
+    tracts and the tables of the sections no delta-reading tract leaves
+    (built by the first compile), and the read and grid caches; each has
+    its own 4n+1 delta-reading tracts, in the same slots, and the tables of
+    the sections they leave."""
+    multitape._skeleton.cache_clear()
+    rng = np.random.default_rng(n)
+    a, b = (compile_multitape(random_machine(rng, n, 2, 2)).machine for _ in range(2))
+    assert a.sections is b.sections
+    assert a._reads is b._reads and a._grids is b._grids
+    own = [i for i, (s, t) in enumerate(zip(a.tracts, b.tracts)) if s is not t]
+    assert own == [i for i, t in enumerate(a.tracts) if READS_DELTA.fullmatch(t.label)]
+    assert len(own) == 4 * n + 1
+    delta_sections = {a.tracts[i].source for i in own}
+    assert len(delta_sections) == 4 * n + 1
+    for sid in a.sections:
+        assert (sid in a._tables) == (sid in b._tables) == (sid not in delta_sections)
+        assert (a.table(sid) is b.table(sid)) == (sid not in delta_sections)
+    assert multitape._skeleton.cache_info().hits == 1
+
+
+@pytest.mark.parametrize(
+    "one, two",
+    [((["q"], ["_", 1]), (["q"], ["_", True])),
+     (([0, "p"], ["_", "A"]), ([False, "p"], ["_", "A"]))],
+    ids=["symbol-types", "state-types"],
+)
+def test_compiles_whose_labels_differ_by_type_share_no_table(one, two):
+    """``1`` and ``True`` are equal and hash alike, but they are different
+    labels, and render differently: their compiles share nothing."""
+
+    def machine(states, alphabet):
+        Q, A = FiniteSet(states), FiniteSet(alphabet)
+        delta = {(q, (a,)): (q, (a,), (0,)) for q in Q for a in A}
+        return Machine(Q, A, "_", 1, delta)
+
+    a, b = (compile_multitape(machine(*labels)).machine for labels in (one, two))
+    assert a._reads is not b._reads and a._grids is not b._grids
+    for sid in a.sections:
+        assert a.table(sid) is not b.table(sid)
+        assert a.sections[sid] is not b.sections[sid]
+    assert format_section_machine(a) != format_section_machine(b)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_multitape_same_with_cold_or_warm_skeletons(seed):
+    """A campaign from a cold cache and the same campaign after a broken
+    campaign of the same shapes, which shares their tables and step plans
+    and still fails every trial, give the same bytes.  Seeds 1 and 2 draw
+    more shapes than the cache keeps, so they also evict."""
+    from smoothtm import verify
+
+    multitape._skeleton.cache_clear()
+    cold = verify.report_json(verify.verify_multitape(seed=seed))
+    broken = verify.verify_multitape(seed=seed, broken=True)
+    assert not any(r["pass"] for r in broken["results"])
+    hits = multitape._skeleton.cache_info().hits
+    assert verify.report_json(verify.verify_multitape(seed=seed)) == cold
+    assert multitape._skeleton.cache_info().hits > hits

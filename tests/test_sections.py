@@ -807,6 +807,52 @@ def test_section_tables_unchanged(name, build, digest):
     assert table_digest(build()) == digest
 
 
+def prime_caches(warm: bool, n: int, q: int, s: int) -> None:
+    """Clear the compile and UTM caches; when ``warm``, then compile another
+    n-tape machine of q states and s symbols (in GOLDEN_COMPILES's labels,
+    which are random_machine's) and step it, building its shared tables and
+    some of their plans."""
+    multitape._skeleton.cache_clear()
+    utm._built_utm.cache_clear()
+    if warm:
+        rng = np.random.default_rng(1000 + n)
+        m = random_machine(rng, n, q, s)
+        sim = compile_multitape(m)
+        x = multitape.to_section_config(
+            sim, multitape.encode(sim, random_smooth_config(m, rng, radius=1)))
+        for _ in range(40):
+            x, _ = section_smooth_step(x)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("index", range(len(GOLDEN_COMPILES)))
+def test_compile_output_and_lowering_unchanged_cold_and_warm(
+    index, warm, tmp_path, capsys
+):
+    """Every golden compile, from a cold cache and after another machine of
+    its shape has been compiled and stepped."""
+    prime_caches(warm, *GOLDEN_COMPILES[index][:3])
+    test_compile_output_and_lowering_unchanged(index, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "name, build, digest", TABLE_DIGESTS, ids=[d[0] for d in TABLE_DIGESTS]
+)
+def test_section_tables_unchanged_cold_and_warm(name, build, digest, warm):
+    """Every table digest, from cold caches and after another machine of its
+    shape has been built: for a compile, another compiled and stepped
+    machine; for a UTM, which is one machine per shape, itself."""
+    shape = name.rsplit("-", 1)[1]
+    if name.startswith("mt-"):
+        prime_caches(warm, *map(int, shape.split("x")))
+    else:
+        prime_caches(False, 1, 1, 2)
+        if warm:
+            table_digest(build())
+    test_section_tables_unchanged(name, build, digest)
+
+
 # ---------------------------------------------------------------------------
 # Head moves taken from the tract table
 # ---------------------------------------------------------------------------

@@ -549,3 +549,34 @@ def test_chain_coverage_takes_one_byte_per_pair():
         assert not uncovered.flags.writeable
         total += uncovered.nbytes
     assert total <= 20 * 2**20
+
+
+def dict_walk_entries(m):
+    """The code's entries as the walk of ``m.delta`` gives them."""
+    out = []
+    for q in m.states:
+        for a in m.alphabet:
+            q2, writes, dirs = m.delta[(q, (a,))]
+            out.append((q, a, Dist.point(m.states, q2), Dist.point(m.alphabet, writes[0]),
+                        Dist.point(DIRECTIONS, dirs[0])))
+    return out
+
+
+def same_entries(got, want) -> bool:
+    key = lambda es: [(q, a, *[(d.base, d.weights.tolist()) for d in ds])
+                      for q, a, *ds in es]
+    return key(got) == key(want)
+
+
+def test_encode_code_reads_the_delta_arrays():
+    """Encoding a lowered compile leaves its delta dict unbuilt, and the
+    entries of every code are the delta walk's."""
+    rng = np.random.default_rng(41)
+    m = random_machine(rng, 1, 1, 2)
+    lowered = lower_sections(compile_multitape(m).machine)
+    code = encode_code(lowered)
+    assert "delta" not in vars(lowered)
+    assert same_entries(code.entries, dict_walk_entries(lowered))
+    for _ in range(20):
+        m = random_machine(rng, 1, int(rng.integers(1, 5)), int(rng.integers(2, 5)))
+        assert same_entries(encode_code(m).entries, dict_walk_entries(m))
