@@ -4,24 +4,22 @@ Subcommands: run (classical or smooth stepping with optional trace),
 compile (multitape machine to single-tape simulator), utm (build, run and
 check the pseudo-universal machine), verify (randomized preservation
 campaigns).  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse errors.
+parse errors.  The compiler, the UTM and the campaigns are imported by the
+commands that use them, so ``run`` loads none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
 
-from . import multitape
-from . import utm as utm_mod
-from . import verify as verify_mod
 from .dists import Dist
 from .framework import check_preserving, env_step_bound
 from .machines import DIRECTIONS, FormatError, parse_machine
-from .sections import format_section_machine
 from .smooth import (
     SmoothConfig,
     SmoothTape,
@@ -125,6 +123,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from . import multitape
+    from .sections import format_section_machine
+
     m = _load(args.machine, parse_machine)
     try:
         sim = multitape.compile_multitape(m)
@@ -165,6 +166,8 @@ def _overrides_from_json(text: str, m) -> dict:
 
 
 def cmd_utm(args) -> int:
+    from . import utm as utm_mod
+
     _require_positive("--cycles", args.cycles)
     _require_tolerance(args.tol)
     m = _load(args.code, parse_machine)
@@ -212,32 +215,35 @@ def cmd_utm(args) -> int:
     return 0
 
 
-# verify's constructions: name -> the campaign it runs on the parsed options
+# verify's constructions: name -> the campaign it runs, given the verify
+# module and the parsed options
 CAMPAIGNS = {
-    "multitape": lambda args: verify_mod.verify_multitape(
+    "multitape": lambda verify, args: verify.verify_multitape(
         trials=args.trials, seed=args.seed, tol=args.tol
     ),
-    "utm": lambda args: verify_mod.verify_utm(
+    "utm": lambda verify, args: verify.verify_utm(
         trials=args.trials, seed=args.seed, tol=args.tol,
         uncertain_codes=args.uncertain_codes,
     ),
-    "staged-counterexample": lambda args: verify_mod.verify_staged(
+    "staged-counterexample": lambda verify, args: verify.verify_staged(
         tol=args.tol, seed=args.seed
     ),
-    "broken-multitape": lambda args: verify_mod.verify_multitape(
+    "broken-multitape": lambda verify, args: verify.verify_multitape(
         trials=args.trials, seed=args.seed, tol=args.tol, broken=True
     ),
 }
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     _require_positive("--trials", args.trials)
     if args.seed < 0:
         raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     _require_tolerance(args.tol)
     if args.uncertain_codes and args.construction != "utm":
         raise CliError("--uncertain-codes applies to --construction utm only")
-    report = CAMPAIGNS[args.construction](args)
+    report = CAMPAIGNS[args.construction](verify_mod, args)
     text = verify_mod.report_json(report)
     if args.report:
         _write(args.report, text)
@@ -261,7 +267,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: parsing leaves it as
+    it was."""
     p = argparse.ArgumentParser(
         prog="smoothtm",
         description="Simulate, compile and verify smooth relaxations of "

@@ -24,12 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dists import ATOL
+from .framework import StuckError  # defined beside the cycle checks that catch it
 from .sections import SectionMachine
 from .smooth import SmoothTape, renormalized, superpose_tape
-
-
-class StuckError(RuntimeError):
-    """Positive probability mass reached an unspecified transition."""
 
 
 @dataclass(slots=True)
@@ -192,10 +189,11 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     tapes = []
     for j, (t, w, v) in enumerate(zip(cfg.tapes, writes, raw)):
         # a write returned untouched summed to exactly 1.0; a point head
-        # that wrote it as the point mass it read leaves the cells as they are
+        # that wrote the point mass it read, renormalized or not, leaves the
+        # cells as they are
         k = pattern[j] if vouched else None
-        same = w is v and type(k) is int and w[k] == 1.0 and np.count_nonzero(w) == 1
-        row_err = 0.0 if w is v else None
+        same = type(k) is int and w[k] == 1.0 and np.count_nonzero(w) == 1
+        row_err = 0.0 if same or w is v else None
         tapes.append(superpose_tape(t, w, dirs[j], move[j], row_err, same))
     if len(acc) == 1:
         state = acc  # a zero vector fails the mass check below

@@ -21,10 +21,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .engine import StuckError
 from .smooth import SmoothConfig
 
 MAX_STEPS_ENV = "SMOOTHTM_MAX_STEPS"
+
+
+class StuckError(RuntimeError):
+    """Positive probability mass reached an unspecified transition."""
 
 
 class CycleOverrun(RuntimeError):

@@ -25,6 +25,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from operator import add
 from weakref import WeakKeyDictionary
 
@@ -423,7 +424,8 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
         raise ValueError(f"local joint mass {total} off 1 by more than {ATOL}")
     every = [ops["state"], *ops["write"], *ops["dir"]]
     for domain in {id(op.domain): op.domain for op in every}.values():
-        if factors_of(domain) != factors:
+        # a product domain stores the tuple factors_of would give
+        if getattr(domain, "factors", (domain,)) != factors:
             raise ValueError("local joint does not match the operator domain")
 
     def pushed(op, what: str) -> Dist:
@@ -589,10 +591,15 @@ def dist_obj_row(labels: list[str], row: list[float]) -> dict:
 
 
 def tape_obj(t: SmoothTape) -> dict:
-    """The tape as JSON, every object in sorted key order."""
+    """The tape as JSON, every object in sorted key order; a row without a
+    zero weight keeps every label."""
     order, labels = _sorted_labels([str(x) for x in t.alphabet.elements])
     rows = t.cells if order == list(range(len(order))) else t.cells[:, order]
-    return {"cells": [dist_obj_row(labels, row) for row in rows.tolist()], "lo": t.lo}
+    cells = [
+        dist_obj_row(labels, row) if 0.0 in row else dict(zip(labels, row))
+        for row in rows.tolist()
+    ]
+    return {"cells": cells, "lo": t.lo}
 
 
 def config_obj(s: SmoothConfig) -> dict:
@@ -615,7 +622,38 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_json(text: str):
-    """The JSON value of ``text``; an object may not repeat a key."""
+    """The JSON value of ``text``; an object may not repeat a key.
+
+    Every key is followed by one colon outside a string, and every other
+    colon is inside one, so the text's colons are at least its keys, which
+    are at least the keys the parsed objects keep.  When the colons equal
+    the kept keys, no object repeated a key and the plain parse stands;
+    otherwise the text is parsed again by :func:`_hook_json`."""
+    value = _plain_json(text)
+    _check_keys(text, _key_count(value))
+    return value
+
+
+def _plain_json(text: str):
+    """``json.loads(text)``; when it fails, the error of :func:`_hook_json`,
+    so a repeated key in an object that closes before a syntax error is the
+    error named."""
+    with suppress(ValueError, RecursionError):
+        return json.loads(text)
+    return _hook_json(text)
+
+
+def _check_keys(text: str, kept: int) -> None:
+    """Raise the duplicate-key error of ``text``, whose parsed objects keep
+    ``kept`` keys, if it has one: :func:`_hook_json` decides when the text
+    has more colons than that."""
+    if kept != text.count(":"):
+        _hook_json(text)
+
+
+def _hook_json(text: str):
+    """``json.loads`` with a hook that rejects a repeated key where the
+    decoder closes its object; every error is a :class:`FormatError`."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -624,6 +662,20 @@ def load_json(text: str):
         raise FormatError("invalid JSON: nested too deeply") from None
     except _DuplicateKey:
         raise _duplicate_key_error(text) from None
+
+
+def _key_count(value) -> int:
+    """The number of keys over every object in a parsed JSON value, found
+    level by level with C-level maps and filters."""
+    count, level = 0, [value]
+    while level:
+        objects = list(filter(dict.__instancecheck__, level))
+        count += sum(map(len, objects))
+        level = [
+            *chain.from_iterable(map(dict.values, objects)),
+            *chain.from_iterable(filter(list.__instancecheck__, level)),
+        ]
+    return count
 
 
 _BRACKET_OR_QUOTE = re.compile(r'[{}\[\]"]')
@@ -718,11 +770,11 @@ def _fill_rows(rows: np.ndarray, cells: list, index: dict) -> bool:
     """Write every cell's ``{label: weight}`` into ``rows`` in one assignment
     if all cells are objects of known labels and finite float or int
     weights; returns whether they were, writing nothing otherwise."""
-    if not all(type(c) is dict for c in cells):
+    if not set(map(type, cells)) <= {dict}:
         return False
-    labels = [index.get(k) for c in cells for k in c]
-    weights = [v for c in cells for v in c.values()]
-    if None in labels or not all(type(v) in (float, int) for v in weights):
+    labels = list(map(index.get, chain.from_iterable(cells)))
+    weights = list(chain.from_iterable(map(dict.values, cells)))
+    if None in labels or not set(map(type, weights)) <= {float, int}:
         return False
     try:
         weights = np.array(weights, dtype=float)
@@ -730,7 +782,7 @@ def _fill_rows(rows: np.ndarray, cells: list, index: dict) -> bool:
         return False
     if not np.isfinite(weights).all():
         return False
-    rows[np.repeat(np.arange(len(cells)), [len(c) for c in cells]), labels] = weights
+    rows[np.repeat(np.arange(len(cells)), list(map(len, cells))), labels] = weights
     return True
 
 
@@ -776,16 +828,31 @@ def format_config(s: SmoothConfig) -> str:
 
 
 def parse_config(text: str, m: Machine) -> SmoothConfig:
-    """Parse the JSON configuration format against a machine's sets."""
-    obj = json_value(load_json(text), dict, "configuration")
-    state = dist_from_obj(json_field(obj, "state", dict), m.states, "state", "state")
-    tobjs = json_field(obj, "tapes", list)
-    if len(tobjs) != m.num_tapes:
-        raise FormatError(
-            f"machine has {m.num_tapes} tapes, configuration {len(tobjs)}"
+    """Parse the JSON configuration format against a machine's sets.
+
+    The text is read as :func:`load_json` reads it, and a repeated key is
+    the error named first, but the kept keys are counted from the objects
+    the configuration was read from: once they are read, the state and the
+    cells hold only numbers, and a tape holds no object but its cells."""
+    value = _plain_json(text)
+    try:
+        obj = json_value(value, dict, "configuration")
+        state = dist_from_obj(json_field(obj, "state", dict), m.states, "state", "state")
+        tobjs = json_field(obj, "tapes", list)
+        if len(tobjs) != m.num_tapes:
+            raise FormatError(
+                f"machine has {m.num_tapes} tapes, configuration {len(tobjs)}"
+            )
+        tapes = tuple(
+            tape_from_obj(t, m.alphabet, m.blank, f"tapes[{j}]")
+            for j, t in enumerate(tobjs)
         )
-    tapes = tuple(
-        tape_from_obj(t, m.alphabet, m.blank, f"tapes[{j}]")
-        for j, t in enumerate(tobjs)
-    )
+    except FormatError:
+        _hook_json(text)
+        raise
+    others = [v for k, v in obj.items() if k not in ("state", "tapes")]
+    kept = len(obj) + len(obj["state"]) + _key_count(others)
+    for t in tobjs:
+        kept += len(t) + sum(map(len, t.get("cells", ())))
+    _check_keys(text, kept)
     return SmoothConfig(state, tapes)

@@ -426,6 +426,76 @@ def test_run_smooth_dense_wide_alphabet_bytes_pinned(tmp_path, capsys):
     } == WIDE_DENSE_RUN_DIGESTS
 
 
+@pytest.mark.parametrize("wide", [False, True], ids=["dense", "wide-alphabet"])
+def test_run_smooth_in_calls_that_read_the_last_output(tmp_path, capsys, wide):
+    """The dense benchmark's call pattern: 149, 1 and 150 steps as three
+    calls, each reading the last one's stdout, print the bytes one 300-step
+    call prints, for DENSE_TM and for the machine of WIDE_DENSE_RUN_DIGESTS."""
+    if wide:
+        m = random_machine(np.random.default_rng(0), 1, 3, 9)
+        text = format_machine(m)
+    else:
+        text, m = DENSE_TM, parse_machine(DENSE_TM)
+    tm, cfg = tmp_path / "m.tm", tmp_path / "c0.json"
+    tm.write_text(text)
+    cfg.write_text(format_config(random_smooth_config(m, np.random.default_rng(0), radius=3)))
+
+    def run(path, steps: int) -> str:
+        assert main(["run", str(tm), str(path), "--smooth", "--steps", str(steps)]) == 0
+        return capsys.readouterr().out
+
+    whole = run(cfg, 300)
+    path = cfg
+    for k, steps in enumerate((149, 1, 150)):
+        out = run(path, steps)
+        path = tmp_path / f"c{k + 1}.json"
+        path.write_text(out)
+    assert out == whole
+
+
+COLON_TM = "states: q\nalphabet: _ a:b\ntapes: 1\nq _ -> q a:b R\nq a:b -> q _ L\n"
+
+
+def test_run_symbol_labels_with_colons(tmp_path, capsys):
+    """A label with a colon gives the text more colons than keys, so the
+    duplicate-key hook decides: a configuration with an "a:b" cell runs,
+    its output reads back, and one that repeats "a:b" in a cell exits 2."""
+    tm, cfg, bad = tmp_path / "colon.tm", tmp_path / "c.json", tmp_path / "bad.json"
+    tm.write_text(COLON_TM)
+    cfg.write_text(
+        '{"state": {"q": 1.0}, "tapes": [{"lo": 0, "cells": [{"a:b": 0.5, "_": 0.5}]}]}'
+    )
+    assert main(["run", str(tm), str(cfg), "--smooth", "--steps", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "a:b" in json.loads(out)["tapes"][0]["cells"][0]
+    cfg.write_text(out)
+    assert main(["run", str(tm), str(cfg), "--smooth", "--steps", "3"]) == 0
+    capsys.readouterr()
+    bad.write_text(
+        '{"state": {"q": 1.0}, "tapes": [{"lo": 0, "cells": '
+        '[{"a:b": 0.5, "a:b": 0.5, "_": 0.5}]}]}'
+    )
+    assert_usage_error(
+        ["run", str(tm), str(bad), "--smooth"], capsys,
+        "bad.json: line 1, column 53: invalid JSON: duplicate key 'a:b'",
+    )
+
+
+def test_importing_the_cli_loads_only_what_run_needs():
+    """``compile``, ``utm`` and ``verify`` import the compiler, the UTM and
+    the campaigns when they run, so ``run`` starts without them."""
+    code = (
+        "import sys, smoothtm.cli; print(*sorted(m for m in sys.modules "
+        "if m == 'smoothtm' or m.startswith('smoothtm.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == [
+        "smoothtm", "smoothtm.cli", "smoothtm.dists", "smoothtm.framework",
+        "smoothtm.machines", "smoothtm.smooth",
+    ]
+
+
 def assert_usage_error(argv, capsys, *expected):
     """Exit 2 with one line on stderr naming the problem, no traceback."""
     assert main(argv) == 2

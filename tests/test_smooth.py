@@ -284,6 +284,57 @@ def test_duplicate_key_names_the_object_that_repeats_it(text, where):
     assert str(exc.value).endswith(f"invalid JSON: duplicate key {key!r}")
 
 
+_TAPE = '{"lo": 0, "cells": [{"A": 0.5, "B": 0.5}]}'
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ('{"state": {"q": 1.0}, "tapes": [' + _TAPE
+         + '], "note": {"x": [1, {"y": 2, "y": 3}]}}',
+         "line 1, column 96: invalid JSON: duplicate key 'y'"),
+        ('{"state": {"q": 1.0}, "tapes": [{"cell": [], "cells": [{"A": 0.5, "A": 0.5}]}]}',
+         "line 1, column 56: invalid JSON: duplicate key 'A'"),
+        ('{"state": {"q": 1.0, "q": 1.0}, "tapes": [{"cells": [{"Z": 1.0}]}]}',
+         "line 1, column 11: invalid JSON: duplicate key 'q'"),
+        ('{"state": {"q": 1.0}, "tapes": [{"lo": 0, "lo": 1, "cells": [{"A": 1.0}]}]}',
+         "line 1, column 33: invalid JSON: duplicate key 'lo'"),
+        ('{"state": {"q": 1.0}, "state": {"q": 1.0}, "tapes": [' + _TAPE + ']}',
+         "line 1, column 1: invalid JSON: duplicate key 'state'"),
+        ('{"state": {"q": 1.0}, "tapes": [' + _TAPE + ', {"a": 1, "a": 2}]',
+         "line 1, column 77: invalid JSON: duplicate key 'a'"),
+        ('{"state": {"q": 1.0}, "tapes": [' + _TAPE
+         + '], "note": {"x": [1, {"y": 2, "z": "y:3"}]}}', None),
+    ],
+    ids=["unread-field", "before-unknown-field", "before-unknown-symbol",
+         "tape-field", "top", "before-syntax-error", "colon-in-a-string"],
+)
+def test_parse_config_names_a_repeated_key_first(text, expected):
+    """A repeated key anywhere is the error named, before any error of the
+    configuration read from the text; a colon inside a string is no key."""
+    from smoothtm.machines import FormatError
+
+    if expected is None:
+        assert parse_config(text, lr_machine()).tapes[0].lo == 0
+        return
+    with pytest.raises(FormatError) as exc:
+        parse_config(text, lr_machine())
+    assert str(exc.value) == expected
+
+
+def test_parse_config_without_repeated_keys_parses_once():
+    """A configuration whose labels hold no colon is read from one plain
+    parse, unread fields with objects in them included: the keys counted
+    from what was read match the text's colons, so the hook never runs."""
+    rng = np.random.default_rng(5)
+    m = random_machine(rng, 2, 3, 3)
+    text = format_config(random_smooth_config(m, rng, radius=4))
+    noted = text[:-1] + ', "note": [{"x": {"y": [1, {}]}}, {"z": "w"}]}'
+    with mock.patch("smoothtm.smooth._hook_json", side_effect=AssertionError):
+        for t in (text, noted):
+            assert format_config(parse_config(t, m)) == text
+
+
 def test_mass_checks_reject_nan():
     from smoothtm.smooth import clean_rows, renormalized
 
@@ -456,6 +507,43 @@ def test_rewritten_point_row_keeps_the_cells():
             assert got.cells.tobytes() == want.cells.tobytes()
             assert got.cells is tape.cells
     assert seen == {"blank", "outside", "inside"}
+
+
+def test_renormalized_point_write_keeps_the_cells():
+    """A point head whose write ``renormalized`` divided, back to the unit
+    row at the symbol the head read, leaves its tape's cells as they are:
+    the engine's tape is the one the copying superposition gives, bit for
+    bit, and shares the parent's cells."""
+    from smoothtm import engine
+    from smoothtm.smooth import exact_point_row
+
+    writes = []
+
+    def spy(w, what="distribution"):
+        out = renormalized(w, what)
+        if what == "write":
+            writes.append((out is not w, out))
+        return out
+
+    kept = 0
+    for cfg in (_compiled_start(1, 12), _compiled_start(2, 11), _compiled_start(3, 13)):
+        for _ in range(300):
+            writes.clear()
+            with mock.patch.object(engine, "renormalized", spy):
+                nxt, info = engine.section_smooth_step(cfg)
+            for j, (t, got) in enumerate(zip(cfg.tapes, nxt.tapes)):
+                divided, w = writes[j]
+                ks = np.flatnonzero(t.row(0))
+                if not (divided and cfg.err is not None and len(ks) == 1
+                        and exact_point_row(w, ks[0])):
+                    continue
+                want = superpose_tape(t, w.copy(), info.dirs[j])
+                assert (got.lo, got.err) == (want.lo, want.err)
+                assert got.cells.tobytes() == want.cells.tobytes()
+                assert np.shares_memory(got.cells, t.cells)
+                kept += 1
+            cfg = nxt
+    assert kept >= 10, kept
 
 
 @pytest.mark.parametrize(
