@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import sys
@@ -267,10 +266,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command's parser, built once per process: parsing leaves it as
-    it was."""
     p = argparse.ArgumentParser(
         prog="smoothtm",
         description="Simulate, compile and verify smooth relaxations of "

@@ -113,7 +113,11 @@ class ProductSet(FiniteSet):
 
 
 def factors_of(*sets: FiniteSet) -> tuple[FiniteSet, ...]:
-    """The factors of the product of ``sets``, nested products flattened."""
+    """The factors of the product of ``sets``, nested products flattened;
+    one product's are its stored tuple."""
+    if len(sets) == 1:
+        (s,) = sets
+        return s.factors if isinstance(s, ProductSet) else sets
     return tuple(
         f for s in sets for f in (s.factors if isinstance(s, ProductSet) else (s,))
     )

@@ -424,8 +424,7 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
         raise ValueError(f"local joint mass {total} off 1 by more than {ATOL}")
     every = [ops["state"], *ops["write"], *ops["dir"]]
     for domain in {id(op.domain): op.domain for op in every}.values():
-        # a product domain stores the tuple factors_of would give
-        if getattr(domain, "factors", (domain,)) != factors:
+        if factors_of(domain) != factors:
             raise ValueError("local joint does not match the operator domain")
 
     def pushed(op, what: str) -> Dist:
@@ -622,38 +621,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_json(text: str):
-    """The JSON value of ``text``; an object may not repeat a key.
-
-    Every key is followed by one colon outside a string, and every other
-    colon is inside one, so the text's colons are at least its keys, which
-    are at least the keys the parsed objects keep.  When the colons equal
-    the kept keys, no object repeated a key and the plain parse stands;
-    otherwise the text is parsed again by :func:`_hook_json`."""
-    value = _plain_json(text)
-    _check_keys(text, _key_count(value))
-    return value
-
-
-def _plain_json(text: str):
-    """``json.loads(text)``; when it fails, the error of :func:`_hook_json`,
-    so a repeated key in an object that closes before a syntax error is the
-    error named."""
-    with suppress(ValueError, RecursionError):
-        return json.loads(text)
-    return _hook_json(text)
-
-
-def _check_keys(text: str, kept: int) -> None:
-    """Raise the duplicate-key error of ``text``, whose parsed objects keep
-    ``kept`` keys, if it has one: :func:`_hook_json` decides when the text
-    has more colons than that."""
-    if kept != text.count(":"):
-        _hook_json(text)
-
-
-def _hook_json(text: str):
-    """``json.loads`` with a hook that rejects a repeated key where the
-    decoder closes its object; every error is a :class:`FormatError`."""
+    """The JSON value of ``text``; an object may not repeat a key."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -772,9 +740,12 @@ def _fill_rows(rows: np.ndarray, cells: list, index: dict) -> bool:
     weights; returns whether they were, writing nothing otherwise."""
     if not set(map(type, cells)) <= {dict}:
         return False
-    labels = list(map(index.get, chain.from_iterable(cells)))
+    try:
+        labels = np.fromiter(map(index.get, chain.from_iterable(cells)), np.intp)
+    except TypeError:  # an unknown label, got as None
+        return False
     weights = list(chain.from_iterable(map(dict.values, cells)))
-    if None in labels or not set(map(type, weights)) <= {float, int}:
+    if not set(map(type, weights)) <= {float, int}:
         return False
     try:
         weights = np.array(weights, dtype=float)
@@ -830,11 +801,19 @@ def format_config(s: SmoothConfig) -> str:
 def parse_config(text: str, m: Machine) -> SmoothConfig:
     """Parse the JSON configuration format against a machine's sets.
 
-    The text is read as :func:`load_json` reads it, and a repeated key is
-    the error named first, but the kept keys are counted from the objects
-    the configuration was read from: once they are read, the state and the
-    cells hold only numbers, and a tape holds no object but its cells."""
-    value = _plain_json(text)
+    A repeated key is the error named first, as :func:`load_json` names it,
+    but the text is read with a plain ``json.loads`` and parsed again by
+    :func:`load_json` only when that fails or when the keys the read kept
+    are fewer than the text's colons.  Every key is followed by one colon
+    outside a string and every other colon is inside one, so colons are at
+    least the keys, which are at least the keys kept: equal counts rule out
+    a repeated key.  The kept keys are counted from the objects the
+    configuration was read from, since once they are read the state and
+    the cells hold only numbers and a tape holds no object but its cells."""
+    try:
+        value = json.loads(text)
+    except (ValueError, RecursionError):
+        value = load_json(text)  # raises the error at its position
     try:
         obj = json_value(value, dict, "configuration")
         state = dist_from_obj(json_field(obj, "state", dict), m.states, "state", "state")
@@ -848,11 +827,12 @@ def parse_config(text: str, m: Machine) -> SmoothConfig:
             for j, t in enumerate(tobjs)
         )
     except FormatError:
-        _hook_json(text)
+        load_json(text)
         raise
     others = [v for k, v in obj.items() if k not in ("state", "tapes")]
     kept = len(obj) + len(obj["state"]) + _key_count(others)
     for t in tobjs:
         kept += len(t) + sum(map(len, t.get("cells", ())))
-    _check_keys(text, kept)
+    if kept != text.count(":"):
+        load_json(text)
     return SmoothConfig(state, tapes)

@@ -330,7 +330,7 @@ def test_parse_config_without_repeated_keys_parses_once():
     m = random_machine(rng, 2, 3, 3)
     text = format_config(random_smooth_config(m, rng, radius=4))
     noted = text[:-1] + ', "note": [{"x": {"y": [1, {}]}}, {"z": "w"}]}'
-    with mock.patch("smoothtm.smooth._hook_json", side_effect=AssertionError):
+    with mock.patch("smoothtm.smooth.load_json", side_effect=AssertionError):
         for t in (text, noted):
             assert format_config(parse_config(t, m)) == text
 
