@@ -9,8 +9,9 @@ passes.  A step reads each occupied section through its table's plan for
 the step's head pattern: only the entries the head rows can move, each at
 the (context, read symbols) pairs the rows support, where its values are
 the products of the local vector with the smooth heads' weights.  A
-point-mass head multiplies nothing, and the pairs left out hold exact
-zeros, so every sum keeps its order and its bits.
+point-mass head multiplies nothing, and tape rows are non-negative, so the
+pairs left out hold only signed zeros, which change no sum that starts at
++0.0: every sum keeps its order and its bits, whatever the state's signs.
 
 Mass landing on a (state, symbols) pair no tract covers means the machine
 stepped into an unspecified transition; that raises :class:`StuckError`
@@ -96,43 +97,44 @@ _UNIT_DIRS.flags.writeable = False
 def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
     """One smooth step; returns the new configuration and diagnostics.
 
-    The head rows give the step's pattern: while the state is vouched
-    non-negative, per tape the symbol of a head that is an exact point mass
-    at 1.0, or the tuple of the symbols a smooth head supports; otherwise
-    ``"all"``.  Each occupied section steps through its table's plan for
-    that pattern (:meth:`~smoothtm.sections.SectionMachine.plan`), built once
-    and cached: the entries the heads can move, each at the pairs they
-    support.  An entry's values there are ``local[ctx] * r1[s1] * ...``
-    over the smooth heads in tape order, the products the (context x read
-    symbols) joint holds at those pairs, in the same association; a point
-    head's factor is 1.0, so it multiplies nothing.  The pairs left out
-    hold exact zeros, so the values are scattered in entry and grid order
-    through the plan's arrays, and the stuck check sums the uncovered
-    pairs, without forming the joint.  Every accumulator starts as a
-    bincount, which adds in the same order as ``np.add.at`` into zeros, so
-    left-out zeros change no bit; only ``StepInfo.flows`` and the mass a
-    stuck message names are sums in a different association.  When all
-    entries that move mass record one move, each tape's directions are its
-    shared unit vector, the bits a one-bin scatter renormalizes to, and the
-    move is handed to ``superpose_tape``; otherwise (the UTM's closing
-    tract) they are scattered.  So only a direction sum off 1 beside a
-    write sum within 1e-12 loses its "direction mass" error.  A point head
-    that writes back the point mass it read leaves its tape's cells as
-    they are.  Tape rows are non-negative, and so is the new state when
-    the old one is: then its ``err`` is set."""
+    The head rows give the step's pattern: per tape the symbol of a head
+    that is an exact point mass at 1.0, or the tuple of the symbols a
+    smooth head supports.  Each occupied section steps through its table's
+    plan for that pattern (:meth:`~smoothtm.sections.SectionMachine.plan`),
+    built once and cached: the entries the heads can move, each at the
+    pairs they support.  An entry's values there are ``local[ctx] * r1[s1]
+    * ...`` over the smooth heads in tape order, the products the (context
+    x read symbols) joint holds at those pairs, in the same association; a
+    point head's factor is 1.0, so it multiplies nothing.  The pairs left
+    out hold only signed zeros, so the values are scattered in entry and
+    grid order through the plan's arrays, and the stuck check reads the
+    uncovered pairs, without forming the joint.  Every accumulator starts
+    as a bincount, which adds in the same order as ``np.add.at`` into
+    zeros, so left-out zeros change no bit; only ``StepInfo.flows`` and the
+    mass a stuck message names are sums in a different association.  An
+    entry moves mass unless its values are all zero, and the stuck check
+    raises unless they are; while the state is vouched non-negative a zero
+    sum says so, and otherwise the values are tested, so signed values that
+    cancel are neither dropped nor let through.  When all entries that move
+    mass record one move, each tape's directions are its shared unit
+    vector, the bits a one-bin scatter renormalizes to, and the move is
+    handed to ``superpose_tape``; otherwise (the UTM's closing tract) they
+    are scattered.  So only a direction sum off 1 beside a write sum within
+    1e-12 loses its "direction mass" error.  A point head that writes back
+    the point mass it read leaves its tape's cells as they are.  Tape rows
+    are non-negative, and so is the new state when the old one is: then
+    its ``err`` is set."""
     sm = cfg.machine
     n = sm.num_tapes
     A = len(sm.alphabet)
     head_rows = [t.row(0) for t in cfg.tapes]
     vouched = cfg.err is not None
-    pattern = "all"
-    if vouched:
-        pattern = []
-        for r in head_rows:
-            ks = r.nonzero()[0].tolist()
-            point = len(ks) == 1 and r[ks[0]] == 1.0
-            pattern.append(ks[0] if point else tuple(ks))
-        pattern = tuple(pattern)
+    pattern = []
+    for r in head_rows:
+        ks = r.nonzero()[0].tolist()
+        point = len(ks) == 1 and r[ks[0]] == 1.0
+        pattern.append(ks[0] if point else tuple(ks))
+    pattern = tuple(pattern)
     acc: dict[str, np.ndarray] = {}
     write_acc = None
     moving = []  # (direction index arrays, values) of each entry moving mass
@@ -146,7 +148,7 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
             for j, s in syms:
                 vals = vals * head_rows[j][s]
             lost = float(np.add.reduce(vals))
-            if lost != 0.0:
+            if lost != 0.0 or not vouched and vals.any():
                 raise StuckError(
                     f"mass {lost} stepped into unspecified transitions "
                     f"of section {sid!r}"
@@ -156,7 +158,7 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
             for j, s in syms:
                 vals = vals * head_rows[j][s]
             moved = float(np.add.reduce(vals))
-            if moved == 0.0:
+            if moved == 0.0 and (vouched or not vals.any()):
                 continue
             target = acc.get(e.target)
             if target is None:
@@ -191,9 +193,9 @@ def section_smooth_step(cfg: SectionConfig) -> tuple[SectionConfig, StepInfo]:
         # a write returned untouched summed to exactly 1.0; a point head
         # that wrote the point mass it read, renormalized or not, leaves the
         # cells as they are
-        k = pattern[j] if vouched else None
+        k = pattern[j]
         same = type(k) is int and w[k] == 1.0 and np.count_nonzero(w) == 1
-        row_err = 0.0 if same or w is v else None
+        row_err = 0.0 if w is v else None
         tapes.append(superpose_tape(t, w, dirs[j], move[j], row_err, same))
     if len(acc) == 1:
         state = acc  # a zero vector fails the mass check below

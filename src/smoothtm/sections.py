@@ -101,8 +101,7 @@ class SectionMachine:
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # per read-set tuple: read combos, offsets, read columns, symbol positions
     _reads: dict = field(default_factory=dict, repr=False, compare=False)
-    # step plans' context, symbol and fill index arrays, shared by grid shape,
-    # and the plan arrays entries' factors give, shared by factors and picks
+    # step plans' context, symbol and fill index arrays, shared by grid shape
     _grids: dict = field(default_factory=dict, repr=False, compare=False)
     # position of each section id in ``sections``
     rank: dict = field(init=False, repr=False, compare=False)
@@ -150,9 +149,7 @@ class SectionMachine:
     def plan(self, sid: str, pattern) -> _Plan:
         """Section ``sid``'s step plan under a head pattern, built on first
         use and cached on its table (:meth:`_SectionTable.plan`)."""
-        table = self._tables.get(sid)
-        if table is None:
-            table = self.table(sid)
+        table = self.table(sid)
         plan = table.plans.get(pattern)
         if plan is None:
             plan = table.plan(pattern, self._grids)
@@ -199,8 +196,7 @@ class _TractEntry:
     and per tape the DIRECTIONS indices (move + 1) ``moves`` (an int: a
     constant).  A declarative tract gives only factors; an index map's part
     is its factor where every pair agrees on it.  ``arrays`` lists the array
-    parts by their position in ``(to, *writes, *moves)``, ``key`` names the
-    factors, under which plans share their grid arrays, and ``move`` is
+    parts by their position in ``(to, *writes, *moves)``, and ``move`` is
     ``moves`` when no move is an array.  ``cut`` gives the entry's item in a
     step plan, and :meth:`pairs` its per-pair arrays, derived when called."""
 
@@ -219,16 +215,12 @@ class _TractEntry:
     moves: tuple
     move: tuple | None = field(init=False)  # per tape, the DIRECTIONS index
     arrays: tuple = field(init=False)  # (position, array) per array part
-    key: tuple = field(init=False)  # contexts, and the parts with -1 for arrays
 
     def __post_init__(self):
-        parts = [self.to, *self.writes, *self.moves]
+        parts = (self.to, *self.writes, *self.moves)
         self.arrays = tuple([
             (i, p) for i, p in enumerate(parts) if type(p) is np.ndarray
         ])
-        for i, _ in self.arrays:
-            parts[i] = -1
-        self.key = (self.contexts, *parts)
         moving = self.arrays and self.arrays[-1][0] > len(self.writes)
         self.move = None if moving else self.moves
 
@@ -250,63 +242,43 @@ class _TractEntry:
         None when the guard keeps none of those pairs.  Factors give the
         machine's grid index arrays, shared through ``grids``: the context
         index is a target that keeps the context, the read symbols' columns
-        are echoed writes, and constants are fills.  Unguarded, these are
-        looked up whole under ``key`` and the picks, and the array parts are
-        strided views under point heads, views under heads that support every
-        read column, and gathered at the picks' grid indices otherwise.  A
-        guarded entry gathers its pairs where ``keep`` marks, and its array
-        parts at their places among the kept pairs, searched for in ``src``."""
+        are echoed writes, and constants are fills.  Unguarded, the array
+        parts are strided views under point heads, views under heads that
+        support every read column, and gathered at the picks' grid indices
+        otherwise.  A guarded entry gathers the picked pairs its ``keep``
+        marks (:func:`_gather`), and its array parts at their places among
+        the kept pairs, ``cumsum(keep) - 1`` at their grid indices."""
+        grid = (self.contexts, *map(len, self.cols))
+        axes = [[w[k] for k in p] if type(p) is tuple else [w[p]]
+                for w, p in zip(self.where, picks)]
+        per = prod(map(len, axes))
         if self.keep is None:
-            item = grids.get((self.key, picks))
-            if item is None:
-                shape = (self.contexts,
-                         *[len(p) if type(p) is tuple else 1 for p in picks])
-                per = prod(shape[1:])
-                context = None
-                if per > 1 or self.to is None:
-                    context = _grid_ctx(grids, self.contexts, per)
-                syms = tuple([
-                    (j, _grid_column(grids, shape, j, p))
-                    for j, p in enumerate(picks) if type(p) is tuple
-                ])
-                parts = self._factor_parts(context, shape[0] * per, syms, picks, grids)
-                item = (None if per == 1 else context, syms, *parts)
-                grids[self.key, picks] = item
-            if not self.arrays:
-                return (self, *item)
-            ctx, per = item[0], self.offsets.size
-            if ctx is None:  # one column of the grid
-                at = 0
-                for where, c, k in zip(self.where, self.cols, picks):
-                    at = at * len(c) + where[k if type(k) is int else k[0]]
-                take = slice(at, None, per)
-            elif ctx.size == self.contexts * per:  # the whole grid
+            size, context = self.contexts * per, None
+            if per > 1 or self.to is None:
+                context = _grid_ctx(grids, self.contexts, per)
+            shape = (self.contexts, *map(len, axes))
+            syms = tuple([
+                (j, _grid_column(grids, shape, j, p))
+                for j, p in enumerate(picks) if type(p) is tuple
+            ])
+            if per == 1:  # one column of the grid
+                at = int(np.ravel_multi_index([a[0] for a in axes], grid[1:]))
+                take = slice(at, None, self.offsets.size)
+            elif per == self.offsets.size:  # the whole grid
                 take = slice(None)
             else:
-                axes = [[w[k] for k in p] if type(p) is tuple else [w[p]]
-                        for w, p in zip(self.where, picks)]
-                grid = (self.contexts, *map(len, self.cols))
-                take = np.ravel_multi_index(np.ix_(range(grid[0]), *axes), grid).ravel()
+                take = _picked(grid, axes)
         else:
             smooth = [type(p) is tuple for p in picks]
-            grid = (self.contexts, *map(len, self.cols))
-            lists = [p if s else (p,) for p, s in zip(picks, smooth)]
-            cut = _GridCut(grid, [[w[k] for k in p] for w, p in zip(self.where, lists)])
-            found = cut.gather(self.keep, lists, smooth)
+            found = _gather(self.keep, grid, axes, smooth, self.cols)
             if found is None:
                 return None
-            xi, syms, at = found
-            parts = self._factor_parts(_read_only(xi), xi.size, syms, picks, grids)
-            item = (cut.context(xi), syms, *parts)
-            if not self.arrays:
-                return (self, *item)
-            take = slice(None)  # the found pairs' places among the kept ones
-            if cut.shape != grid:
-                at = [np.array(p, dtype=np.intp)[i] for p, i in zip(cut.positions, at)]
-                columns = np.ravel_multi_index(at, grid[1:])
-                flat = xi * self.stride + self.offsets[columns]
-                take = np.searchsorted(self.src, flat)
-        ctx, syms, tgt, ws, ds = item
+            flat, context, syms = found
+            size, take = flat.size, slice(None)
+            if self.arrays and size < self.arrays[0][1].size:
+                take = (np.cumsum(self.keep) - 1)[flat]
+        ctx = None if per == 1 and size == self.contexts else context
+        tgt, ws, ds = self._factor_parts(context, size, syms, picks, grids)
         parts = [tgt, *ws, *ds]
         for i, a in self.arrays:
             parts[i] = a = a[take]
@@ -443,25 +415,24 @@ class _SectionTable:
             covered[:, e.offsets] |= marks
         return covered
 
-    def plan(self, pattern, grids: dict) -> _Plan:
+    def plan(self, pattern: tuple, grids: dict) -> _Plan:
         """The step's plan under a head pattern, built on first use and cached.
 
         ``pattern`` has one item per tape: the alphabet index of a head that
         is an exact point mass, which multiplies nothing, or the tuple of
-        the symbols a smooth head supports; or it is ``"all"``, under which
-        every head is smooth over the whole alphabet.  Each entry's read
-        sets' symbol-position maps pick, per tape, the point symbol or the
+        the symbols a smooth head supports.  Each entry's read sets'
+        symbol-position maps pick, per tape, the point symbol or the
         supported symbols it reads as a tuple, and an entry that reads none
         on some tape is left out; the entry cuts its grid to the picks
         (:meth:`_TractEntry.cut`), sharing arrays through ``grids``.  The
-        uncovered mask is gathered only when ``uncovered_bits`` marks a
-        supported offset."""
+        uncovered pairs at the supported offsets are gathered like a guarded
+        entry's (:func:`_gather`), and only when ``uncovered_bits`` marks
+        one of those offsets."""
         A, n = len(self.alphabet), self.n
-        heads = [range(A)] * n if pattern == "all" else pattern
         entries = []
         for e in self.entries:
             picks = []
-            for where, k in zip(e.where, heads):
+            for where, k in zip(e.where, pattern):
                 if type(k) is int:
                     if where[k] < 0:
                         break
@@ -475,18 +446,19 @@ class _SectionTable:
                 item = e.cut(tuple(picks), grids)
                 if item is not None:
                     entries.append(item)
-        supports = [[k] if type(k) is int else list(k) for k in heads]
+        supports = [[k] if type(k) is int else list(k) for k in pattern]
         offsets = [0]
         for sup in supports:
             offsets = [o * A + k for o in offsets for k in sup]
         stuck = None
         if any(self.uncovered_bits >> o & 1 for o in offsets):
-            cut = _GridCut((len(self.sections[self.sid]), *[A] * n), supports)
-            smooth = [type(k) is not int for k in heads]
-            found = cut.gather(self.uncovered, supports, smooth)
+            contexts = len(self.sections[self.sid])
+            smooth = [type(k) is tuple for k in pattern]
+            found = _gather(self.uncovered, (contexts, *[A] * n), supports, smooth)
             if found is not None:
-                xi, syms, _ = found
-                stuck = cut.context(xi), syms
+                _, xi, syms = found
+                one = len(offsets) == 1 and xi.size == contexts  # every context
+                stuck = (None if one else xi), syms
         plan = self.plans[pattern] = _Plan(entries, stuck)
         return plan
 
@@ -571,51 +543,28 @@ class _SectionTable:
         return keep, to, writes, moves
 
 
-class _GridCut:
-    """A (contexts, m1, ..., mn) grid cut to the given positions on each
-    symbol axis: a slice where they run contiguously, an index array
-    otherwise."""
+def _picked(grid: tuple, axes: list) -> np.ndarray:
+    """The flat indices of a (contexts, m1, ..., mn) grid at every context
+    and the positions ``axes`` on each symbol axis, in grid order."""
+    return np.ravel_multi_index(np.ix_(range(grid[0]), *axes), grid).reshape(-1)
 
-    __slots__ = ("grid", "shape", "per", "positions", "at", "fancy")
 
-    def __init__(self, grid: tuple, positions: list):
-        self.grid = grid
-        self.positions = positions
-        self.shape = (grid[0], *map(len, positions))
-        self.per = prod(self.shape[1:])
-        at, self.fancy = [slice(None)], []
-        for axis, pos in enumerate(positions, 1):
-            if pos[-1] - pos[0] == len(pos) - 1:
-                at.append(slice(pos[0], pos[-1] + 1))
-            else:
-                at.append(slice(None))
-                self.fancy.append((axis, pos))
-        self.at = tuple(at)
-
-    def gather(self, mask: np.ndarray, picks: list, smooth: list):
-        """The cut positions a bool mask over the grid marks, or None when it
-        marks none: their context indices, ``(tape, symbols)`` per smooth
-        tape (``picks`` holds each tape's symbols at the cut positions), and
-        per tape their indices into the cut positions."""
-        mask = mask.reshape(self.grid)[self.at]
-        for axis, pos in self.fancy:
-            mask = mask.take(pos, axis=axis)
-        found = np.nonzero(mask)
-        if not found[0].size:
-            return None
-        xi, at = found[0], found[1:]
-        syms = tuple(
-            (j, _read_only(np.array(p, dtype=np.intp)[i]))
-            for j, (p, i) in enumerate(zip(picks, at)) if smooth[j]
-        )
-        return xi, syms, at
-
-    def context(self, xi: np.ndarray):
-        """A plan's context index for gathered context indices: None when
-        they are every context, once each, in order."""
-        if self.per == 1 and xi.size == self.shape[0]:
-            return None
-        return _read_only(xi)
+def _gather(mask: np.ndarray, grid: tuple, axes: list, smooth: list, cols=None):
+    """The picked pairs (:func:`_picked`) that a bool mask over the grid's
+    flat indices marks, or None when it marks none: their flat indices,
+    their read-only context indices, and ``(tape, symbols)`` per smooth
+    tape, read-only, with ``cols[j]`` giving tape j's symbol at each axis
+    position (None: the position is the symbol)."""
+    flat = _picked(grid, axes)
+    flat = flat[mask[flat]]
+    if not flat.size:
+        return None
+    xi, *at = np.unravel_index(flat, grid)
+    syms = tuple([
+        (j, _read_only(a if cols is None else cols[j][a]))
+        for j, a in enumerate(at) if smooth[j]
+    ])
+    return flat, _read_only(xi), syms
 
 
 def _grid_ctx(grids: dict, contexts: int, per: int) -> np.ndarray:

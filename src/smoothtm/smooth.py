@@ -293,7 +293,7 @@ def superpose_tape(
     ``abs(sum(write) - 1.0)`` passes it as ``row_err``, and ``write`` is then
     not summed on a point-mass move.  One that knows ``write`` is bit for
     bit the head's row passes ``same``: a point-mass move then keeps the
-    cells and shifts only the window.
+    cells and the tape's error and shifts only the window.
 
     A point-mass move is a pure re-indexing of the written tape, so it writes
     one row and shifts the window; any other move takes the general
@@ -309,15 +309,12 @@ def superpose_tape(
         move = moves[0]
     d = DIRECTIONS.elements[move]
     lo, cells, row = tape.lo, tape.cells, write
-    if same:
-        if row_err is None:
-            row_err = abs(_vector_sum(row) - 1.0)
+    if same:  # the head's row, and so the tape's error, is unchanged
         blank = len(cells) == 1 and exact_point_row(
             cells[0], tape.alphabet.index(tape.blank)
         )  # the blank tape, which does not move
         return SmoothTape._trusted(
-            tape.alphabet, tape.blank, 0 if blank else lo - d, cells,
-            max(tape.err, row_err),
+            tape.alphabet, tape.blank, 0 if blank else lo - d, cells, tape.err
         )
     hi = lo + len(cells) - 1
     if lo <= 0 <= hi:

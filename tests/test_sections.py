@@ -555,7 +555,8 @@ def test_copy_tracts_share_read_only_arrays():
         return [ctx, *(s for _, s in syms), tgt, *ws, *ds]
 
     cols = one.cols[0].tolist()
-    for pattern in [(cols[0],), (cols[-1],), (tuple(cols[:2]),), (tuple(cols),), "all"]:
+    every = tuple(range(len(sm.alphabet)))
+    for pattern in [(cols[0],), (cols[-1],), (tuple(cols[:2]),), (tuple(cols),), (every,)]:
         for x, y in zip(plan_arrays(1, pattern), plan_arrays(2, pattern)):
             assert x is y
             if x is not None:
@@ -872,7 +873,7 @@ def scattered_dirs(cfg):
         for e in cfg.machine.table(sid).entries:
             src, _, _, d_idx = e.pairs()
             vals = flat[src]
-            if np.add.reduce(vals) == 0.0:
+            if not vals.any():
                 continue
             moves.add(e.move)
             if acc is None:
@@ -982,7 +983,7 @@ def reference_step(cfg):
         for e in sm.table(sid).entries:
             src, tgt, w_idx, _ = e.pairs()
             vals = flat[src]
-            if np.add.reduce(vals) == 0.0:
+            if not vals.any():
                 continue
             if e.target in acc:
                 np.add.at(acc[e.target], tgt, vals)
@@ -1020,8 +1021,7 @@ def point_heads(cfg) -> str:
     values are the state itself), "some" (the products run over the other
     tapes and scatter through cut arrays) or "none"."""
     fixed = [
-        cfg.err is not None and np.count_nonzero(t.row(0)) == 1
-        and t.row(0).max() == 1.0
+        np.count_nonzero(t.row(0)) == 1 and t.row(0).max() == 1.0
         for t in cfg.tapes
     ]
     return "all" if all(fixed) else "some" if any(fixed) else "none"
@@ -1052,25 +1052,29 @@ def reference_stepper(counts):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_step_matches_full_joint_reference_multitape(n):
-    """Smooth and point-mass starts of compiled machines, one cycle each."""
+    """Smooth and point-mass starts of compiled machines, one cycle each; a
+    point-mass start steps with every head fixed."""
     rng = np.random.default_rng(n)
     m = random_machine(rng, n, 2, 2 + (n < 3))
     sim = compile_multitape(m)
     triple = multitape.make_triple(sim)
-    starts = [random_smooth_config(m, rng, radius=1),
-              random_point_config(m, rng, radius=1)[1]]
-    for s in starts:
+    starts = [(random_smooth_config(m, rng, radius=1), False),
+              (random_point_config(m, rng, radius=1)[1], True)]
+    for s, point in starts:
         counts = Counter()
         x = multitape.to_section_config(sim, multitape.encode(sim, s))
         run_to_next_encoding(replace(triple, stepper=reference_stepper(counts)), x)
-        assert counts["all"] > 0 and counts["none"] > 0 and not counts["some"]
+        if point:
+            assert set(counts) == {"all"}
+        else:
+            assert counts["all"] > 0 and counts["none"] > 0 and not counts["some"]
 
 
 def test_step_matches_full_joint_reference_utm():
     """Guarded and unguarded entries: uncertain codes on smooth tapes, whose
     closing steps scatter their moves and whose description head is often a
     point mass beside a smooth working head, and certain codes on point
-    tapes."""
+    tapes, which step with every head fixed."""
     rng = np.random.default_rng(5)
     for nq, ns in ((1, 2), (2, 3)):
         m = random_machine(rng, 1, nq, ns)
@@ -1094,7 +1098,7 @@ def test_step_matches_full_joint_reference_utm():
             for _ in range(2):
                 x, _ = run_to_next_encoding(triple, x)
             if point:
-                assert counts["all"] > counts["none"] > 0 and not counts["some"]
+                assert set(counts) == {"all"}
             else:
                 assert counts["some"] > 0 and counts["none"] > 0
                 assert not counts["all"]
@@ -1102,7 +1106,7 @@ def test_step_matches_full_joint_reference_utm():
                  for p, plan in machine.machine.table(sid).plans.items()]
         # a guarded entry's plan under a partly-point pattern
         assert any(
-            e.keep is not None and p != "all" and len({type(k) for k in p}) == 2
+            e.keep is not None and len({type(k) for k in p}) == 2
             for p, plan in plans for e, *_ in plan.entries
         )
 
@@ -1267,10 +1271,10 @@ def test_single_tape_compile_cuts_never_copy():
     shared = Counter()
     for table in sim.machine._tables.values():
         for pattern, plan in table.plans.items():
-            k = pattern if pattern == "all" else pattern[0]
+            k = pattern[0]
             for e, ctx, syms, tgt, ws, ds in plan.entries:
                 assert e.keep is None
-                full = k == "all" or type(k) is tuple and set(e.cols[0].tolist()) <= set(k)
+                full = type(k) is tuple and set(e.cols[0].tolist()) <= set(k)
                 if type(k) is not int and not full:
                     continue
                 assert e.arrays == () or sim.machine.tracts[e.tract].index_map
@@ -1287,8 +1291,11 @@ def test_single_tape_compile_cuts_never_copy():
 
 
 def test_step_with_negative_weight_matches_full_joint_reference():
-    """A hand-built state with a negative weight has no ``err``, so the
-    engine multiplies the columns even under a point-mass head."""
+    """A hand-built state with a negative weight has no ``err``; it steps
+    bit for bit as the full joint does under a point-mass head and a smooth
+    one.  Signed values that cancel still move: a guarded tract that moves
+    contexts x and y, holding 0.5 and -0.5, carries both, and stuck values
+    that cancel still raise."""
     ctx = FiniteSet(["x", "y"])
     right = Tract("S", "S", (frozenset({"A"}),), write=(None,), move=(1,), label="R")
     left = Tract("S", "S", (frozenset({"B"}),), write=(None,), move=(-1,), label="L")
@@ -1297,16 +1304,33 @@ def test_step_with_negative_weight_matches_full_joint_reference():
     sm = SectionMachine({"S": ctx}, [right, left, swap], AB, "_", 1)
     state = np.array([1.5, -0.5])
     cells = [[Dist.point(AB, "A")], [Dist.from_pairs(AB, {"A": 0.25, "B": 0.75})]]
-    for cell in cells:
+    for cell, fixed in zip(cells, ("all", "none")):
         cfg = SectionConfig(sm, {"S": state}, (SmoothTape.from_dists(AB, "_", 0, cell),))
         counts = Counter()
         new, _ = reference_stepper(counts)(cfg)
-        assert counts == {"none": 1}
+        assert counts == {fixed: 1}
         assert new.err is None and new.state["S"].min() < 0.0
     point = replace(cfg, tapes=(SmoothTape.blank_tape(AB, "_"),))
     counts = Counter()
     new, _ = reference_stepper(counts)(point)
     assert new.state["S"].tolist() == [-0.5, 1.5]
+
+    xyz = FiniteSet(["x", "y", "z"])
+
+    def to_t(label, guard):
+        return Tract("S", "T", (frozenset({"A"}),), label=label, guard=guard,
+                     index_map=lambda xi, s: (xi, s, np.zeros_like(s)))
+
+    pair, rest = to_t("pair", lambda xi, s: xi < 2), to_t("rest", lambda xi, s: xi == 2)
+    tape = (SmoothTape.from_dists(AB, "_", 0, [Dist.point(AB, "A")]),)
+    state = {"S": np.array([0.5, -0.5, 1.0])}
+    sm = SectionMachine({"S": xyz, "T": xyz}, [pair, rest], AB, "_", 1)
+    new, info = reference_stepper(Counter())(SectionConfig(sm, state, tape))
+    assert new.state["T"].tolist() == [0.5, -0.5, 1.0] and new.err is None
+    assert info.flows == {("S", "T"): 1.0}
+    sm = SectionMachine({"S": xyz, "T": xyz}, [rest], AB, "_", 1)
+    with pytest.raises(StuckError, match="mass 0.0 stepped into unspecified"):
+        section_smooth_step(SectionConfig(sm, state, tape))
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,37 @@ def test_utm_cycle_on_a_lowered_compile_is_its_smooth_step():
     assert rep.output.deviation(lifted(section_smooth_step(cfg)[0])) <= 1e-12
 
 
+def test_two_state_chain_cycle_matches_its_smooth_step_without_stuck_gathers():
+    """One UTM cycle running the lowered compile of a two-state 1-tape
+    machine matches one smooth step of the lowered machine, and afterwards
+    no step plan of the UTM holds a gather of uncovered pairs: every step,
+    the first included, plans only the pairs the head rows support."""
+    rng = np.random.default_rng(41)
+    m = random_machine(rng, 1, 2, 2)
+    s = random_smooth_config(m, rng, radius=1)
+    sim = compile_multitape(m)
+    lowered = lower_sections(sim.machine)
+    cfg = to_section_config(sim, encode(sim, s))
+    w = np.zeros(len(lowered.states))
+    for sid, vec in cfg.state.items():
+        for x, p in zip(sim.machine.sections[sid].elements, vec.tolist()):
+            w[lowered.states.index((sid, x))] = p
+    start = SmoothConfig(Dist(lowered.states, w), cfg.tapes)
+    machine = build_utm(lowered.states, lowered.alphabet, lowered.blank)
+    code = encode_code(lowered)
+    _, rep = check_well_behaved(make_triple(machine, code),
+                                encode_config(machine, code, start))
+    dev = rep.output.deviation(smooth_step(lowered, start))
+    print("two-state chain cycle deviation", dev)
+    assert rep.cycle_length == 7102
+    assert not rep.violations, rep.violations
+    assert dev <= 1e-12
+    sm = machine.machine
+    stuck = [(sid, p) for sid in sm.sections
+             for p, plan in sm.table(sid).plans.items() if plan.stuck is not None]
+    assert not stuck, stuck[:2]
+
+
 def test_chain_coverage_takes_one_byte_per_pair():
     """The UTM of the chain above keeps one read-only bool per (context,
     symbols) pair as its coverage, not an index per uncovered pair."""
