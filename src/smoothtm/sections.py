@@ -14,7 +14,8 @@ tracts over the same read symbols may split a section by context.
 
 :meth:`SectionMachine.table` compiles one section; it is the only code
 that evaluates guards and index maps, validates what they give and checks
-that no two tracts overlap, on one bool mask of the pairs they cover.
+that no two tracts overlap, on one bool mask of the pairs they cover at the
+read offsets they touch.
 Every tract compiles to one kind of entry, whose target, writes and moves
 are each a factor (the source context, the read symbol, a constant) or an
 array over its pairs: a declarative tract gives only factors, and an index
@@ -158,10 +159,9 @@ class SectionMachine:
     def _read_combos(self, reads: tuple) -> tuple:
         """One read-set tuple's grid columns, built once and read-only: the
         alphabet indices of every read combination in product order, their
-        offsets (increasing), the per-tape read columns, per tape a list
+        offsets (increasing), the per-tape read columns, and per tape a list
         over the alphabet of each symbol's position in its read column (-1
-        when the tape does not read it), and a bit mask with bit k set for
-        each offset k."""
+        when the tape does not read it)."""
         found = self._reads.get(reads)
         if found is None:
             A, n = self.alphabet, self.num_tapes
@@ -176,8 +176,7 @@ class SectionMachine:
                     pos[k] = i
                 where.append(pos)
             found = self._reads[reads] = (
-                _read_only(combos), _read_only(offsets), cols, tuple(where),
-                _bits(offsets),
+                _read_only(combos), _read_only(offsets), cols, tuple(where)
             )
         return found
 
@@ -334,21 +333,19 @@ class _SectionTable:
     all pairs its guard keeps, what it gives is validated here once, and
     its target, each tape's write and each tape's move is kept as its
     factor wherever all its pairs agree on it, and as an array otherwise.
-    One (contexts x |A|**n) bool mask, marked grid by grid at each entry's read
-    offsets, names the first pair two tracts share; it is made only when a
-    tract's read offsets meet an earlier tract's, since no others can
-    overlap.  Its complement ``uncovered`` marks the pairs no tract covers,
-    one byte each, and is made on first read; ``uncovered_bits`` marks the
-    read offsets where it has one, read off the offsets' bits when no entry
-    is guarded.  ``plans`` caches the engine's :class:`_Plan` per head
+    Coverage is kept at the read offsets the leaving tracts touch:
+    ``touched`` holds them, sorted, and the (contexts x touched) bool mask
+    ``covered`` marks the pairs some entry covers there, each entry's grid
+    (or its guard's mask) at its offsets' columns, in one pass that names
+    the first pair two tracts share.  Every pair at an untouched offset is
+    uncovered.  ``plans`` caches the engine's :class:`_Plan` per head
     pattern (:meth:`plan`).  Every array is read-only, so machines may share
     a table.  The table keeps no reference to its machine, which caches it,
     so a machine is freed without the cycle collector.
     """
 
     __slots__ = (
-        "sid", "sections", "alphabet", "n", "entries", "uncovered_bits", "plans",
-        "_uncovered",
+        "sid", "sections", "alphabet", "n", "entries", "touched", "covered", "plans",
     )
 
     def __init__(self, sm: SectionMachine, sid: str):
@@ -359,13 +356,15 @@ class _SectionTable:
         self.plans = {}
         contexts = len(sm.sections[sid])
         size = len(A) ** n
-        touched = 0  # the read offsets of the entries so far, as bits
-        guarded = False
+        reads = [sm._read_combos(sm.tracts[i].reads) for i in sm.leaving[sid]]
+        read = np.zeros(size, dtype=bool)
+        for _, offsets, _, _ in reads:
+            read[offsets] = True
+        self.touched = touched = _read_only(read.nonzero()[0])
+        covered = np.zeros((contexts, touched.size), dtype=bool)
         self.entries = []
-        self._uncovered = None
-        for i in sm.leaving[sid]:
+        for i, (combos, offsets, cols, where) in zip(sm.leaving[sid], reads):
             t = sm.tracts[i]
-            combos, offsets, cols, where, bits = sm._read_combos(t.reads)
             if t.index_map is None:
                 write = tuple(w if w is None else A.index(w) for w in t.write)
                 parts = None, None, write, tuple(d + 1 for d in t.move)
@@ -375,45 +374,22 @@ class _SectionTable:
                 continue
             e = _TractEntry(t.target, t.label, i, len(sm.sections[t.target]), contexts,
                             size, cols, offsets, where, *parts)
-            if bits & touched:  # only entries that share a read offset can overlap
-                hit = self._covered()[:, offsets]
-                if e.keep is not None:
-                    hit &= e.keep.reshape(hit.shape)
-                if np.count_nonzero(hit):
-                    xi, k = divmod(int(hit.argmax()), offsets.size)
-                    flat = xi * size + int(offsets[k])
-                    first = next(f for f in self.entries if (f.src == flat).any())
-                    x, syms = self.pair(flat)
-                    raise ValueError(
-                        f"overlapping tracts {first.label!r} and {t.label!r} at "
-                        f"section {sid!r}, context {x!r}, symbols {syms!r}"
-                    )
-            touched |= bits
-            guarded |= e.keep is not None
+            at = touched.searchsorted(offsets)
+            marks = covered.take(at, axis=1)  # the earlier entries' marks here
+            keep = True if e.keep is None else e.keep.reshape(marks.shape)
+            hit = marks & keep
+            if np.count_nonzero(hit):
+                xi, k = divmod(int(hit.argmax()), offsets.size)
+                flat = xi * size + int(offsets[k])
+                first = next(f for f in self.entries if (f.src == flat).any())
+                x, syms = self.pair(flat)
+                raise ValueError(
+                    f"overlapping tracts {first.label!r} and {t.label!r} at "
+                    f"section {sid!r}, context {x!r}, symbols {syms!r}"
+                )
+            covered[:, at] = marks | keep
             self.entries.append(e)
-        if guarded:
-            partly = self.uncovered.reshape(contexts, size).any(axis=0)
-            self.uncovered_bits = _bits(partly.nonzero()[0])
-        else:  # each unguarded entry covers its offsets in every context
-            self.uncovered_bits = ~touched & (1 << size) - 1 if contexts else 0
-
-    @property
-    def uncovered(self) -> np.ndarray:
-        """One read-only bool per (context, read symbols) pair in flat index
-        order, set where no tract covers the pair; made on first use."""
-        if self._uncovered is None:
-            self._uncovered = _read_only(~self._covered().reshape(-1))
-        return self._uncovered
-
-    def _covered(self) -> np.ndarray:
-        """The (contexts x |A|**n) bool mask of the pairs the entries cover:
-        each entry's grid, or its guard's mask, at its read offsets."""
-        contexts, size = len(self.sections[self.sid]), len(self.alphabet) ** self.n
-        covered = np.zeros((contexts, size), dtype=bool)
-        for e in self.entries:
-            marks = True if e.keep is None else e.keep.reshape(contexts, -1)
-            covered[:, e.offsets] |= marks
-        return covered
+        self.covered = _read_only(covered)
 
     def plan(self, pattern: tuple, grids: dict) -> _Plan:
         """The step's plan under a head pattern, built on first use and cached.
@@ -425,9 +401,9 @@ class _SectionTable:
         supported symbols it reads as a tuple, and an entry that reads none
         on some tape is left out; the entry cuts its grid to the picks
         (:meth:`_TractEntry.cut`), sharing arrays through ``grids``.  The
-        uncovered pairs at the supported offsets are gathered like a guarded
-        entry's (:func:`_gather`), and only when ``uncovered_bits`` marks
-        one of those offsets."""
+        uncovered pairs at the supported offsets, every context at an
+        untouched offset and the ones ``covered`` leaves at a touched one,
+        are gathered in grid order, and only when there are some."""
         A, n = len(self.alphabet), self.n
         entries = []
         for e in self.entries:
@@ -446,19 +422,29 @@ class _SectionTable:
                 item = e.cut(tuple(picks), grids)
                 if item is not None:
                     entries.append(item)
-        supports = [[k] if type(k) is int else list(k) for k in pattern]
         offsets = [0]
-        for sup in supports:
-            offsets = [o * A + k for o in offsets for k in sup]
+        for k in pattern:
+            sup = (k,) if type(k) is int else k
+            offsets = [o * A + s for o in offsets for s in sup]
+        offsets = np.array(offsets, dtype=np.intp)
+        touched, covered = self.touched, self.covered
+        if touched.size:
+            at = touched.searchsorted(offsets)
+            known = touched.take(at, mode="clip") == offsets
+            free = ~(covered.take(at, axis=1, mode="clip") & known)
+        else:
+            free = np.ones((len(covered), offsets.size), dtype=bool)
+        flat = free.reshape(-1).nonzero()[0]
         stuck = None
-        if any(self.uncovered_bits >> o & 1 for o in offsets):
-            contexts = len(self.sections[self.sid])
-            smooth = [type(k) is tuple for k in pattern]
-            found = _gather(self.uncovered, (contexts, *[A] * n), supports, smooth)
-            if found is not None:
-                _, xi, syms = found
-                one = len(offsets) == 1 and xi.size == contexts  # every context
-                stuck = (None if one else xi), syms
+        if flat.size:
+            xi, k = np.divmod(flat, offsets.size)
+            digits = np.unravel_index(offsets[k], (A,) * n)
+            syms = tuple([
+                (j, _read_only(d)) for j, (d, p) in enumerate(zip(digits, pattern))
+                if type(p) is tuple
+            ])
+            one = offsets.size == 1 and xi.size == free.shape[0]  # every context
+            stuck = (None if one else _read_only(xi)), syms
         plan = self.plans[pattern] = _Plan(entries, stuck)
         return plan
 
@@ -549,21 +535,18 @@ def _picked(grid: tuple, axes: list) -> np.ndarray:
     return np.ravel_multi_index(np.ix_(range(grid[0]), *axes), grid).reshape(-1)
 
 
-def _gather(mask: np.ndarray, grid: tuple, axes: list, smooth: list, cols=None):
+def _gather(mask: np.ndarray, grid: tuple, axes: list, smooth: list, cols: tuple):
     """The picked pairs (:func:`_picked`) that a bool mask over the grid's
     flat indices marks, or None when it marks none: their flat indices,
     their read-only context indices, and ``(tape, symbols)`` per smooth
     tape, read-only, with ``cols[j]`` giving tape j's symbol at each axis
-    position (None: the position is the symbol)."""
+    position."""
     flat = _picked(grid, axes)
     flat = flat[mask[flat]]
     if not flat.size:
         return None
     xi, *at = np.unravel_index(flat, grid)
-    syms = tuple([
-        (j, _read_only(a if cols is None else cols[j][a]))
-        for j, a in enumerate(at) if smooth[j]
-    ])
+    syms = tuple([(j, _read_only(cols[j][a])) for j, a in enumerate(at) if smooth[j]])
     return flat, _read_only(xi), syms
 
 
@@ -610,14 +593,6 @@ def _grid_fill(grids: dict, size: int, k: int) -> np.ndarray:
     if a is None:
         a = grids[key] = _read_only(np.full(size, k, dtype=np.intp))
     return a
-
-
-def _bits(offsets: np.ndarray) -> int:
-    """A bit mask with bit k set for each offset k."""
-    mask = 0
-    for k in offsets.tolist():
-        mask |= 1 << k
-    return mask
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -231,19 +231,19 @@ class DescriptionTape:
         """The description-tape rows over the universal alphabet: #, then
         state, symbol, target, write and move rows per entry, then #."""
         alpha_u = _utm_alphabet(self.states, self.alphabet)
+        Q, A = self.states, self.alphabet
+        # each simulated state's, symbol's and direction's universal index
+        st = np.array([alpha_u.index(_st(q)) for q in Q], dtype=np.intp)
+        sy = np.array([alpha_u.index(_sym(a)) for a in A], dtype=np.intp)
+        di = np.array([alpha_u.index(_dir(d)) for d in DIRECTIONS], dtype=np.intp)
         rows = np.zeros((5 * len(self.entries) + 2, len(alpha_u)))
-        rows[0, alpha_u.index(HASH)] = 1.0
-        rows[-1, alpha_u.index(HASH)] = 1.0
-        for k, (q, a, t, w, d) in enumerate(self.entries):
-            base = 5 * k + 1
-            rows[base, alpha_u.index(_st(q))] = 1.0
-            rows[base + 1, alpha_u.index(_sym(a))] = 1.0
-            for i, q2 in enumerate(self.states.elements):
-                rows[base + 2, alpha_u.index(_st(q2))] = t.weights[i]
-            for i, a2 in enumerate(self.alphabet.elements):
-                rows[base + 3, alpha_u.index(_sym(a2))] = w.weights[i]
-            for i, d2 in enumerate(DIRECTIONS.elements):
-                rows[base + 4, alpha_u.index(_dir(d2))] = d.weights[i]
+        rows[[0, -1], alpha_u.index(HASH)] = 1.0
+        body = rows[1:-1].reshape(len(self.entries), 5, len(alpha_u))
+        k = np.arange(len(self.entries))
+        body[k, 0, st[[Q.index(e[0]) for e in self.entries]]] = 1.0
+        body[k, 1, sy[[A.index(e[1]) for e in self.entries]]] = 1.0
+        for row, at in ((2, st), (3, sy), (4, di)):  # target, write, move
+            body[:, row, at] = [e[row].weights for e in self.entries]
         rows.flags.writeable = False  # shared by every use of the code
         return rows
 

@@ -3,10 +3,12 @@ import gc
 import hashlib
 import random
 import re
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -81,13 +83,22 @@ def partial_machine():
     return SectionMachine({"S0": STAR}, [tract], AB, "_", 1)
 
 
+def uncovered_flat(table: _SectionTable) -> np.ndarray:
+    """The flat indices of the pairs no tract covers, in increasing order,
+    from the table's coverage: every context at an untouched read offset,
+    and the pairs ``covered`` leaves unmarked at a touched one."""
+    free = np.ones((table.covered.shape[0], len(table.alphabet) ** table.n), dtype=bool)
+    free[:, table.touched] = ~table.covered
+    return np.flatnonzero(free)
+
+
 def uncovered_pairs(sm: SectionMachine) -> set:
     """The lowered (state, symbols) keys that no tract covers, read off the
     section tables; lowering fills each with a stuck self-loop."""
     pairs = set()
     for sid in sm.sections:
         table = sm.table(sid)
-        for flat in np.flatnonzero(table.uncovered).tolist():
+        for flat in uncovered_flat(table).tolist():
             x, syms = table.pair(flat)
             pairs.add(((sid, x), syms))
     return pairs
@@ -139,7 +150,7 @@ def test_guarded_tracts_partition_by_context():
     for a in AB:
         assert m.delta[(("S0", "x"), (a,))] == (("S0", "x"), (a,), (0,))
         assert m.delta[(("S0", "y"), (a,))] == (("S1", "y"), (a,), (1,))
-    assert not sm.table("S0").uncovered.any()
+    assert not uncovered_flat(sm.table("S0")).size
 
 
 def test_engine_matches_dense_smooth_step_on_lowered_machine():
@@ -277,7 +288,7 @@ def test_broadcast_tables_equal_enumerated_reference(name):
                                  [src, tgt, *w_idx, *d_idx]):
                 assert got.dtype == np.intp
                 np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.flatnonzero(table.uncovered), uncovered)
+        np.testing.assert_array_equal(uncovered_flat(table), uncovered)
 
 
 @pytest.mark.parametrize("name", sorted(SECTION_MACHINES))
@@ -770,7 +781,7 @@ def table_digest(sm):
             src, tgt, w_idx, d_idx = e.pairs()
             for a in (src, tgt, *w_idx, *d_idx):
                 h.update(np.asarray(a, dtype=np.int64).tobytes())
-        h.update(np.flatnonzero(table.uncovered).astype(np.int64).tobytes())
+        h.update(uncovered_flat(table).astype(np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -1155,7 +1166,7 @@ def test_partly_point_heads_on_three_tapes_match_full_joint_reference():
             patterns.add(tuple(AB.index(symbol) if p else smooth for p in pattern))
     assert counts == {"all": 2, "some": 12, "none": 2}
     table = sm.table("S")
-    assert np.flatnonzero(table.uncovered).size == 3
+    assert uncovered_flat(table).size == 3
     walk, turn, stop = table.entries
     assert set(table.plans) == patterns
     A, B = AB.index("A"), AB.index("B")
@@ -1245,7 +1256,7 @@ def test_sparse_smooth_heads_match_full_joint_reference(heads):
     planned = ["walk", "turn"] if "A" in heads[0] else ["turn"]
     assert [e.label for e, *_ in plan.entries] == planned
     assert plan.stuck is None
-    assert np.count_nonzero(sm.table("S").uncovered) == 3 + 3 * 8 + 8
+    assert uncovered_flat(sm.table("S")).size == 3 + 3 * 8 + 8
     wide = Dist.from_pairs(ab8, {"A": 0.5, "B": 0.5})
     cfg.tapes = (SmoothTape.from_dists(ab8, "_", 0, [wide]), tapes[1])
     with pytest.raises(StuckError, match="unspecified transitions of section 'S'"):
@@ -1339,29 +1350,36 @@ def test_step_with_negative_weight_matches_full_joint_reference():
 
 
 def array_walk(table, contexts, size):
-    """``uncovered`` and ``uncovered_bits`` from a (context x symbols) bool
-    array that marks every entry's pairs."""
+    """The flat indices of the uncovered pairs, from a (context x symbols)
+    bool array that marks every entry's pairs."""
     covered = np.zeros(contexts * size, dtype=bool)
     for e in table.entries:
         assert not covered[e.src].any()
         covered[e.src] = True
-    partly = np.flatnonzero(~covered.reshape(-1, size).all(axis=0))
-    return np.flatnonzero(~covered), sum(1 << int(k) for k in partly)
+    return np.flatnonzero(~covered)
 
 
 def assert_tables_match_array_walk(sm) -> list[bool]:
-    """Every section's uncovered pairs and offsets against the array walk,
-    and every entry's pairs against its grid of read columns, at its guard's
-    mask when it has one; returns whether each section is unguarded."""
+    """Every section's uncovered pairs against the array walk, its touched
+    offsets against its tracts' read sets, and every entry's pairs against
+    its grid of read columns, at its guard's mask when it has one; returns
+    whether each section is unguarded."""
     A, n = len(sm.alphabet), sm.num_tapes
     size = A**n
     unguarded = []
     for sid, ctx in sm.sections.items():
         table = _SectionTable(sm, sid)
-        uncovered, bits = array_walk(table, len(ctx), size)
-        assert table.uncovered.dtype == bool
-        np.testing.assert_array_equal(np.flatnonzero(table.uncovered), uncovered)
-        assert table.uncovered_bits == bits
+        read = {
+            int(np.ravel_multi_index(c, (A,) * n))
+            for i in sm.leaving[sid]
+            for c in product(*[[sm.alphabet.index(s) for s in rs]
+                               for rs in sm.tracts[i].reads])
+        }
+        assert table.touched.dtype == np.intp and table.touched.tolist() == sorted(read)
+        assert table.covered.dtype == bool
+        assert table.covered.shape == (len(ctx), len(read))
+        assert not table.touched.flags.writeable and not table.covered.flags.writeable
+        np.testing.assert_array_equal(uncovered_flat(table), array_walk(table, len(ctx), size))
         unguarded.append(all(sm.tracts[i].guard is None for i in sm.leaving[sid]))
         for e in table.entries:
             assert e.size == len(sm.sections[e.target])
@@ -1398,9 +1416,125 @@ def test_offset_bit_tables_match_array_walk_utm(name):
     assert any(unguarded) and not all(unguarded)
 
 
+def bare_sections_machine():
+    """A section that no tract leaves, one left by a tract over A only, and
+    one with no context."""
+    xyz = FiniteSet(["x", "y", "z"])
+    walk = Tract("S", "N", (frozenset({"A"}),), write=(None,), move=(1,), label="walk")
+    still = Tract("E", "E", (frozenset(AB.elements),), write=(None,), move=(0,),
+                  label="still")
+    return SectionMachine({"S": xyz, "N": xyz, "E": FiniteSet([])}, [walk, still],
+                          AB, "_", 1)
+
+
+def stuck_reference(table, pattern):
+    """``(ctx, syms)`` of the array walk's uncovered pairs at the offsets
+    ``pattern`` supports, in grid order, with every context index, or None
+    when there are none."""
+    A, n, contexts = len(table.alphabet), table.n, table.covered.shape[0]
+    free = np.zeros(contexts * A**n, dtype=bool)
+    free[array_walk(table, contexts, A**n)] = True
+    supports = [[k] if type(k) is int else list(k) for k in pattern]
+    picked = free.reshape(contexts, *[A] * n)[np.ix_(range(contexts), *supports)]
+    xi, *at = np.nonzero(picked)
+    if not xi.size:
+        return None
+    return xi, [(j, np.array(supports[j])[a]) for j, a in enumerate(at)
+                if type(pattern[j]) is tuple]
+
+
+def random_patterns(table, rng):
+    """Smooth and partly point patterns over random symbols, one built
+    around each of a few untouched offsets, and the full smooth one."""
+    A, n = len(table.alphabet), table.n
+    untouched = np.setdiff1d(np.arange(A**n), table.touched)
+    patterns = [(tuple(range(A)),) * n]
+    for off in rng.permutation(untouched)[:3].tolist():
+        digits = np.unravel_index(off, (A,) * n)
+        pattern = []
+        for d in digits:
+            d = int(d)
+            if rng.random() < 0.3:
+                pattern.append(d)
+            else:
+                pattern.append(tuple(sorted({d, *rng.integers(0, A, 2).tolist()})))
+        patterns.append(tuple(pattern))
+    return patterns
+
+
+@pytest.mark.parametrize("name", [*sorted(SECTION_MACHINES), "partly-point",
+                                  "sparse-head", "bare"])
+def test_plan_stuck_pairs_equal_the_array_walk(name):
+    """Every plan's stuck pairs are the array walk's uncovered pairs at the
+    offsets its pattern supports, in grid order, under every point pattern
+    and under smooth patterns over untouched offsets; its context index is
+    None only for one offset at which every context is stuck."""
+    sm = {
+        "partly-point": partly_point_machine, "sparse-head": sparse_head_machine,
+        "bare": bare_sections_machine,
+    }.get(name, SECTION_MACHINES.get(name))()
+    A, n = len(sm.alphabet), sm.num_tapes
+    rng = np.random.default_rng(5)
+    untouched = 0
+    for sid in sm.sections:
+        table = _SectionTable(sm, sid)
+        contexts = table.covered.shape[0]
+        patterns = [*product(range(A), repeat=n), *random_patterns(table, rng)]
+        for pattern in patterns:
+            offsets = prod(1 if type(k) is int else len(k) for k in pattern)
+            want, got = stuck_reference(table, pattern), table.plan(pattern, {}).stuck
+            if want is None:
+                assert got is None, (sid, pattern)
+                continue
+            xi, syms = want
+            ctx, got_syms = got
+            assert (ctx is None) == (offsets == 1 and xi.size == contexts)
+            np.testing.assert_array_equal(np.arange(contexts) if ctx is None else ctx, xi)
+            assert [j for j, _ in got_syms] == [j for j, _ in syms]
+            for (_, a), (_, b) in zip(got_syms, syms):
+                assert a.dtype == np.intp and not a.flags.writeable
+                np.testing.assert_array_equal(a, b)
+        untouched += table.touched.size < A**n and contexts > 0
+    # both of these machines read every offset
+    assert untouched or name in ("partly-point", "sparse-head")
+
+
+def test_sparse_guarded_section_builds_without_a_full_mask():
+    """A section of 1,000 contexts over two tapes of 300 symbols, left by
+    one guarded tract over six read offsets: its table and a plan take
+    under 5 MB at their peak, where one bool per (context, symbols) pair
+    is 90 MB.  Mass that steps onto an untouched offset still raises."""
+    alphabet = FiniteSet(["_", *(f"s{i}" for i in range(1, 300))])
+    half = Tract("S", "S", (frozenset({"s1", "s2", "s3"}), frozenset({"s1", "s2"})),
+                 label="half", guard=lambda xi, s: xi % 2 == 0,
+                 index_map=lambda xi, s: (xi, s, np.zeros_like(s)))
+    sm = SectionMachine({"S": FiniteSet(list(range(1000)))}, [half], alphabet, "_", 2)
+    s1, s2, s5 = (alphabet.index(s) for s in ("s1", "s2", "s5"))
+    tracemalloc.start()
+    try:
+        table = sm.table("S")
+        plan = sm.plan("S", ((s1, s2), (s1, s5)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print("sparse guarded table and plan peak", peak)
+    assert peak < 5 * 2**20, peak
+    assert table.covered.shape == (1000, 6)
+    # (s1|s2, s1) is stuck in the odd contexts, (s1|s2, s5) in every one
+    assert plan.stuck[0].size == 500 * 2 + 1000 * 2
+    cells = [[Dist.from_pairs(alphabet, {"s1": 0.5, "s2": 0.5})],
+             [Dist.from_pairs(alphabet, {"s1": 0.5, "s5": 0.5})]]
+    tapes = tuple(SmoothTape.from_dists(alphabet, "_", 0, c) for c in cells)
+    with pytest.raises(StuckError) as exc:
+        section_smooth_step(point_config(sm, "S", 0, tapes))
+    assert str(exc.value) == (
+        "mass 0.5 stepped into unspecified transitions of section 'S'"
+    )
+
+
 def test_partly_covered_rectangles_and_empty_context():
     """Rectangles that leave offsets free, over two tapes, and a section with
-    no context, whose every offset counts as covered."""
+    no context, which has no pair to cover."""
     ab = frozenset({"A", "B"})
     one = Tract("S", "S", (ab, frozenset({"_"})), write=(None, "A"), move=(0, 1),
                 label="one")
@@ -1413,5 +1547,7 @@ def test_partly_covered_rectangles_and_empty_context():
     )
     assert assert_tables_match_array_walk(sm) == [True, True]
     table = sm.table("S")
-    assert np.flatnonzero(table.uncovered).size == 3 * 5
-    assert sm.table("E").uncovered_bits == 0 and not sm.table("E").entries
+    assert uncovered_flat(table).size == 3 * 5
+    empty = sm.table("E")
+    assert empty.covered.shape == (0, 4) and not uncovered_flat(empty).size
+    assert not empty.entries

@@ -15,6 +15,7 @@ from smoothtm.sections import lower_sections
 from smoothtm.smooth import SmoothConfig, SmoothTape, smooth_step
 from smoothtm.utm import (
     DescriptionTape,
+    _utm_alphabet,
     build_utm,
     decode_config,
     encode_code,
@@ -452,7 +453,7 @@ def test_shared_table_arrays_are_read_only():
     sm = build_utm(3, FiniteSet(["_", "A"]), "_").machine
     for sid in sm.sections:
         table = sm.table(sid)
-        arrays = [table.uncovered]
+        arrays = [table.touched, table.covered]
         for e in table.entries:
             src, tgt, w_idx, d_idx = e.pairs()
             arrays += [src, tgt, *w_idx, *d_idx]
@@ -567,19 +568,60 @@ def test_two_state_chain_cycle_matches_its_smooth_step_without_stuck_gathers():
 
 def test_chain_coverage_takes_one_byte_per_pair():
     """The UTM of the chain above keeps one read-only bool per (context,
-    symbols) pair as its coverage, not an index per uncovered pair."""
+    touched read offset) pair as its coverage, beside the sorted touched
+    offsets, and no mask over every (context, symbols) pair."""
     m = random_machine(np.random.default_rng(41), 1, 1, 2)
     lowered = lower_sections(compile_multitape(m).machine)
     sm = build_utm(lowered.states, lowered.alphabet, lowered.blank).machine
     assert len(sm.alphabet) == 80
     total = 0
     for sid, ctx in sm.sections.items():
-        uncovered = sm.table(sid).uncovered
-        assert uncovered.dtype == bool
-        assert uncovered.shape == (len(ctx) * 80**2,)
-        assert not uncovered.flags.writeable
-        total += uncovered.nbytes
-    assert total <= 20 * 2**20
+        table = sm.table(sid)
+        touched, covered = table.touched, table.covered
+        assert touched.dtype == np.intp and (np.diff(touched) > 0).all()
+        assert covered.dtype == bool
+        assert covered.shape == (len(ctx), touched.size)
+        assert touched.size < 80**2
+        assert not touched.flags.writeable and not covered.flags.writeable
+        total += touched.nbytes + covered.nbytes
+    print("chain coverage bytes", total)
+    assert total <= 2**20
+
+
+def loop_rows(code: DescriptionTape) -> np.ndarray:
+    """The description-tape rows filled one weight at a time, by each
+    field's position in the universal alphabet."""
+    alpha_u = _utm_alphabet(code.states, code.alphabet)
+    rows = np.zeros((5 * len(code.entries) + 2, len(alpha_u)))
+    rows[0, alpha_u.index("#")] = rows[-1, alpha_u.index("#")] = 1.0
+    for k, (q, a, t, w, d) in enumerate(code.entries):
+        base = 5 * k + 1
+        rows[base, alpha_u.index(("q", q))] = 1.0
+        rows[base + 1, alpha_u.index(("s", a))] = 1.0
+        for i, q2 in enumerate(code.states.elements):
+            rows[base + 2, alpha_u.index(("q", q2))] = t.weights[i]
+        for i, a2 in enumerate(code.alphabet.elements):
+            rows[base + 3, alpha_u.index(("s", a2))] = w.weights[i]
+        for i, d2 in enumerate(DIRECTIONS.elements):
+            rows[base + 4, alpha_u.index(("d", d2))] = d.weights[i]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_description_rows_equal_the_weight_loop(seed):
+    """The scattered description-tape rows hold the same bits as the loop
+    over every weight, for a classical code, an uncertain one and each
+    shuffled, and they are read-only."""
+    rng = np.random.default_rng(seed)
+    m = random_machine(rng, 1, 3, 3)
+    classical = encode_code(m)
+    uncertain = encode_code(m, random_overrides(m, rng))
+    assert any(t.weights.max() < 1.0 for _, _, t, _, _ in uncertain.entries)
+    for code in (classical, uncertain, classical.shuffled(rng), uncertain.shuffled(rng)):
+        rows, want = code.rows, loop_rows(code)
+        assert rows.dtype == want.dtype and rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+        assert not rows.flags.writeable
 
 
 def dict_walk_entries(m):
