@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import sys
+from itertools import islice
 
 from .dists import Dist
 from .framework import check_preserving, env_step_bound
@@ -22,7 +23,6 @@ from .machines import DIRECTIONS, FormatError, parse_machine
 from .smooth import (
     SmoothConfig,
     SmoothTape,
-    apply_step,
     config_obj,
     dist_from_obj,
     dist_obj,
@@ -32,7 +32,8 @@ from .smooth import (
     json_value,
     load_json,
     parse_config,
-    smooth_step_dists,
+    smooth_steps,
+    step_config,
 )
 
 
@@ -94,7 +95,7 @@ def _trace_record(step: int, s: SmoothConfig, dirs) -> str:
     rec = {
         "step": step,
         **config_obj(s),
-        "direction": [dist_obj(d.base, d.weights) for d in dirs],
+        "direction": [dist_obj(DIRECTIONS, d) for d in dirs],
     }
     return json.dumps(rec, sort_keys=True)
 
@@ -112,12 +113,11 @@ def cmd_run(args) -> int:
                 "smooth relaxation"
             ) from None
     with _output(args.trace) if args.trace else contextlib.nullcontext() as trace:
-        for k in range(args.steps):
-            state, writes, dirs = smooth_step_dists(m, s)
-            s = apply_step(s, state, writes, dirs)
+        steps = islice(smooth_steps(m, s), args.steps)
+        for k, (state, tapes, dirs) in enumerate(steps, 1):
             if trace is not None:
-                trace.write(_trace_record(k + 1, s, dirs) + "\n")
-    print(format_config(s))
+                trace.write(_trace_record(k, step_config(m, state, tapes), dirs) + "\n")
+    print(format_config(step_config(m, state, tapes)))
     return 0
 
 
@@ -266,15 +266,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="smoothtm",
-        description="Simulate, compile and verify smooth relaxations of "
-        "Turing machines.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    runp = sub.add_parser("run", help="run a machine on a configuration")
+def _run_arguments(runp: argparse.ArgumentParser) -> None:
     runp.add_argument("machine", help="machine text file")
     runp.add_argument("config", help="configuration JSON file")
     runp.add_argument("--steps", type=int, default=1)
@@ -284,12 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--trace", metavar="OUT", help="write one JSON line per step")
     runp.set_defaults(fn=cmd_run)
 
-    comp = sub.add_parser("compile", help="compile an n-tape machine to one tape")
+
+def _compile_arguments(comp: argparse.ArgumentParser) -> None:
     comp.add_argument("machine")
     comp.add_argument("-o", "--output", required=True)
     comp.set_defaults(fn=cmd_compile)
 
-    utmp = sub.add_parser("utm", help="build and exercise the pseudo-UTM")
+
+def _utm_arguments(utmp: argparse.ArgumentParser) -> None:
     utmp.add_argument("--states", type=int, required=True)
     utmp.add_argument("--alphabet", required=True, help="file listing symbols")
     utmp.add_argument("--code", required=True, help="single-tape machine file")
@@ -303,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     utmp.add_argument("--tol", type=float, default=1e-9)
     utmp.set_defaults(fn=cmd_utm)
 
-    ver = sub.add_parser("verify", help="run preservation campaigns")
+
+def _verify_arguments(ver: argparse.ArgumentParser) -> None:
     ver.add_argument(
         "--construction",
         required=True,
@@ -315,11 +310,40 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--report", metavar="OUT")
     ver.add_argument("--uncertain-codes", action="store_true")
     ver.set_defaults(fn=cmd_verify)
+
+
+# sub-command -> (its help line, the function that adds its arguments)
+COMMANDS = {
+    "run": ("run a machine on a configuration", _run_arguments),
+    "compile": ("compile an n-tape machine to one tape", _compile_arguments),
+    "utm": ("build and exercise the pseudo-UTM", _utm_arguments),
+    "verify": ("run preservation campaigns", _verify_arguments),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  Every sub-command is listed with its help
+    line, but when ``argv`` starts with a sub-command only that one gets
+    its arguments, since the parse reads no other's; when it starts with
+    none (or is None), every sub-command gets them."""
+    p = argparse.ArgumentParser(
+        prog="smoothtm",
+        description="Simulate, compile and verify smooth relaxations of "
+        "Turing machines.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (text, add_arguments) in COMMANDS.items():
+        parser = sub.add_parser(name, help=text)
+        if named in (None, name):
+            add_arguments(parser)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         _check_environment()
         return args.fn(args)

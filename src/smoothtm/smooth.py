@@ -354,8 +354,10 @@ def _superpose_general(
     only the row sums are left to check.  Each row's ``|sum - 1|`` serves
     both the simplex check and the error bound.
     """
-    for what, v in (("write", write), ("direction", dirs)):
-        if v.min() < 0.0:
+    moves = dirs.tolist()
+    for what, v, vals in (("write", write, write.tolist()), ("direction", dirs, moves)):
+        # ``v.min() < 0.0`` as numpy reads it: a NaN makes the minimum NaN
+        if min(vals) < 0.0 and not any(map(math.isnan, vals)):
             raise ValueError(f"negative {what} weight {v.min()}")
     lo, hi = tape.lo, tape.hi
     lo2, hi2 = min(lo, 0) - 1, max(hi, 0) + 1
@@ -366,7 +368,7 @@ def _superpose_general(
     bidx = tape.alphabet.index(tape.blank)
     # new[i] = sum_d c_d * written[i+d], summed in DIRECTIONS order
     out = None
-    for c, d in zip(dirs.tolist(), DIRECTIONS.elements):
+    for c, d in zip(moves, DIRECTIONS.elements):
         if c != 0.0:
             term = c * written[1 + d : 1 + d + n]
             if out is None:
@@ -412,25 +414,39 @@ def push_local(s: SmoothConfig, ops: dict) -> tuple[Dist, list[Dist], list[Dist]
     (state set, tape alphabets...).  Operators and joint are non-negative,
     so a renormalized output needs no re-validation as a :class:`Dist`.
     """
+    _check_domains(s, ops)
+    state, writes, dirs = _push(s.state.weights, s.tapes, ops)
+    return (
+        Dist._trusted(ops["state"].codomain, state),
+        [Dist._trusted(op.codomain, w) for op, w in zip(ops["write"], writes)],
+        [Dist._trusted(op.codomain, d) for op, d in zip(ops["dir"], dirs)],
+    )
+
+
+def _check_domains(s: SmoothConfig, ops: dict) -> None:
+    """Reject operators whose domain does not have the factors of the
+    local joint of ``s`` (state set, tape alphabets...)."""
     factors = factors_of(s.state.base, *(t.alphabet for t in s.tapes))
-    local = s.state.weights
-    for t in s.tapes:
-        local = np.multiply.outer(local, t.row(0)).reshape(-1)
-    total = float(local.sum())
-    if not abs(total - 1.0) <= ATOL:  # also rejects NaN
-        raise ValueError(f"local joint mass {total} off 1 by more than {ATOL}")
     every = [ops["state"], *ops["write"], *ops["dir"]]
     for domain in {id(op.domain): op.domain for op in every}.values():
         if factors_of(domain) != factors:
             raise ValueError("local joint does not match the operator domain")
 
-    def pushed(op, what: str) -> Dist:
-        return Dist._trusted(op.codomain, renormalized(op.push(local), what))
 
+def _push(state: np.ndarray, tapes, ops: dict):
+    """The renormalized (state', writes, directions) weight vectors of one
+    step from the state's weights and the tapes, along operators whose
+    domains :func:`_check_domains` has accepted."""
+    local = state
+    for t in tapes:
+        local = np.multiply.outer(local, t.row(0)).reshape(-1)
+    total = float(local.sum())
+    if not abs(total - 1.0) <= ATOL:  # also rejects NaN
+        raise ValueError(f"local joint mass {total} off 1 by more than {ATOL}")
     return (
-        pushed(ops["state"], "state"),
-        [pushed(op, "write") for op in ops["write"]],
-        [pushed(op, "direction") for op in ops["dir"]],
+        renormalized(ops["state"].push(local), "state"),
+        [renormalized(op.push(local), "write") for op in ops["write"]],
+        [renormalized(op.push(local), "direction") for op in ops["dir"]],
     )
 
 
@@ -445,8 +461,35 @@ def apply_step(s: SmoothConfig, state: Dist, writes, dirs) -> SmoothConfig:
 
 
 def smooth_step(m: Machine, s: SmoothConfig) -> SmoothConfig:
-    """One naive-Bayesian smooth step via the pushforwards of :func:`machine_ops`."""
-    return apply_step(s, *smooth_step_dists(m, s))
+    """One naive-Bayesian smooth step: the first of :func:`smooth_steps`."""
+    state, tapes, _ = next(smooth_steps(m, s))
+    return step_config(m, state, tapes)
+
+
+def step_config(m: Machine, state: np.ndarray, tapes) -> SmoothConfig:
+    """The configuration of a step that :func:`smooth_steps` yields."""
+    return SmoothConfig(Dist._trusted(m.states, state), tapes)
+
+
+def smooth_steps(m: Machine, s: SmoothConfig):
+    """The naive-Bayesian smooth steps from ``s``, one per ``next``, each as
+    (state weights, tapes, per-tape direction weights).
+
+    The first step is :func:`smooth_step_dists`, which checks ``s`` against
+    the machine and the operators' domains.  A step's outputs are over the
+    machine's states, alphabet and DIRECTIONS by construction, so every
+    later step pushes along the cached :func:`machine_ops` without those
+    checks; each step still checks its joint mass, renormalizes its outputs
+    and validates the superposed rows.  Between steps the run keeps plain
+    arrays, and a caller builds a configuration only from the steps it
+    reads."""
+    state, writes, dirs = smooth_step_dists(m, s)
+    state, tapes, ops = state.weights, s.tapes, machine_ops(m)
+    writes, dirs = [w.weights for w in writes], [d.weights for d in dirs]
+    while True:
+        tapes = tuple(map(superpose_tape, tapes, writes, dirs))
+        yield state, tapes, dirs
+        state, writes, dirs = _push(state, tapes, ops)
 
 
 def smooth_step_dists(m: Machine, s: SmoothConfig):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from smoothtm import cli
 from smoothtm.cli import main
 from smoothtm.machines import format_machine, parse_machine
 from smoothtm.sampling import random_machine, random_smooth_config
-from smoothtm.smooth import format_config
+from smoothtm.smooth import format_config, smooth_step, smooth_step_dists, smooth_steps
 
 ID_TM = """\
 states: q
@@ -453,6 +454,54 @@ def test_run_smooth_in_calls_that_read_the_last_output(tmp_path, capsys, wide):
     assert out == whole
 
 
+def _dense_run_machine(kind: str):
+    """DENSE_TM, the 9-symbol machine of WIDE_DENSE_RUN_DIGESTS, or a
+    random 2-tape machine."""
+    if kind == "dense":
+        return parse_machine(DENSE_TM)
+    if kind == "wide-alphabet":
+        return random_machine(np.random.default_rng(0), 1, 3, 9)
+    return random_machine(np.random.default_rng(5), 2, 3, 3)
+
+
+@pytest.mark.parametrize("kind", ["dense", "wide-alphabet", "two-tape"])
+def test_smooth_steps_equal_chained_smooth_steps(kind):
+    """Step k of one run of the dense loop, which checks the machine and
+    its operators once, equals k chained ``smooth_step`` calls, each of
+    which checks them again, bit for bit: state weights, each tape's
+    ``lo``, ``cells`` and ``err``, and the step's direction weights."""
+    m = _dense_run_machine(kind)
+    want = random_smooth_config(m, np.random.default_rng(0), radius=3)
+    for state, tapes, dirs in islice(smooth_steps(m, want), 40):
+        want_dirs = smooth_step_dists(m, want)[2]
+        want = smooth_step(m, want)
+        assert state.tobytes() == want.state.weights.tobytes()
+        assert len(tapes) == len(want.tapes) == len(dirs) == m.num_tapes
+        for got, t, d, wd in zip(tapes, want.tapes, dirs, want_dirs):
+            assert got.lo == t.lo and got.err == t.err
+            assert got.cells.shape == t.cells.shape
+            assert got.cells.tobytes() == t.cells.tobytes()
+            assert d.tobytes() == wd.weights.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dense", "wide-alphabet", "two-tape"])
+def test_run_smooth_prints_the_same_with_and_without_trace(tmp_path, capsys, kind):
+    m = _dense_run_machine(kind)
+    tm, cfg, trace = tmp_path / "m.tm", tmp_path / "c0.json", tmp_path / "t.jsonl"
+    tm.write_text(format_machine(m))
+    cfg.write_text(format_config(random_smooth_config(m, np.random.default_rng(0), radius=3)))
+    argv = ["run", str(tm), str(cfg), "--smooth", "--steps", "40"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == plain
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 40
+    last = json.loads(lines[-1])
+    assert last.pop("step") == 40 and len(last.pop("direction")) == m.num_tapes
+    assert last == json.loads(plain)
+
+
 COLON_TM = "states: q\nalphabet: _ a:b\ntapes: 1\nq _ -> q a:b R\nq a:b -> q _ L\n"
 
 
@@ -573,7 +622,7 @@ def test_run_trace_in_missing_directory_exit_2(files, capsys, monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped before opening the trace file")
 
-    monkeypatch.setattr(cli, "smooth_step_dists", no_step)
+    monkeypatch.setattr(cli, "smooth_steps", no_step)
     trace = str(files["dir"] / "missing" / "trace.jsonl")
     argv = ["run", files["id.tm"], files["blank.cfg"], "--trace", trace]
     assert_usage_error(argv, capsys, "cannot write", trace)

@@ -930,6 +930,38 @@ def test_general_superposition_rejects_bad_inputs(write, dirs, message):
         _superpose_general(tape, np.array(write), np.array(dirs))
 
 
+@pytest.mark.parametrize("what", ["write", "direction"])
+@pytest.mark.parametrize(
+    "v",
+    [
+        [np.nan, -0.25, 1.25],
+        [-0.25, np.nan, 1.25],
+        [0.5, -0.25, 0.75],
+        [-0.0, 0.25, 0.75],
+        [np.nan, np.nan, np.nan],
+    ],
+    ids=["nan-then-negative", "negative-then-nan", "negative", "negative-zero", "nan-only"],
+)
+def test_general_superposition_reads_signs_as_numpy_does(what, v):
+    """A weight vector is rejected as negative exactly when numpy's
+    ``v.min() < 0.0``: a NaN makes that minimum NaN, so a vector holding
+    one is never named negative (its rows fail the simplex check), and
+    -0.0 is not negative."""
+    tape = SmoothTape.from_dists(AB_, "_", 0, [Dist.from_pairs(AB_, {"A": 0.5, "B": 0.5})])
+    v, other = np.array(v), np.array([0.25, 0.5, 0.25])
+    write, dirs = (v, other) if what == "write" else (other, v)
+    if v.min() < 0.0:
+        with pytest.raises(ValueError) as exc:
+            _superpose_general(tape, write, dirs)
+        assert str(exc.value) == f"negative {what} weight {v.min()}"
+    elif np.isnan(v).any():
+        with pytest.raises(ValueError, match="off the simplex by nan"):
+            _superpose_general(tape, write, dirs)
+    else:
+        out = _superpose_general(tape, write, dirs)
+        assert out.err <= 1e-15 and not (out.cells < 0.0).any()
+
+
 def _reference_push(s: SmoothConfig, ops: dict):
     """The step's distributions from a validated Dist joint pushed through
     ``LinearOp.__call__``."""
